@@ -8,7 +8,7 @@ the claim, what the paper predicts, the measured table, and the shape checks
 that passed.
 
 Sweep campaigns produced by ``repro sweep --output rows.json`` (or
-:func:`repro.engine.campaign.run_campaign` + ``write_rows``) can be appended
+``Session().sweep(...)`` rows written with ``write_rows``) can be appended
 as an extra section with ``--campaign rows.json``.
 
 Usage:  python scripts/generate_experiments_md.py [output-path] [--campaign rows.json]

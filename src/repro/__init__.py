@@ -15,8 +15,8 @@ for the LOCAL Model* (PODC 2015).  The library provides:
 * the applications sketched in the introduction (dynamic-network repair and
   parallel simulation), an experiment harness (E1-E12) and benchmarks; and
 * a high-throughput execution engine (:mod:`repro.engine`) — incremental
-  frontier ball growth, memoised decisions, multiprocessing fan-out and
-  declarative sweep campaigns — that powers all of the above; and
+  frontier ball growth, memoised decisions and multiprocessing fan-out —
+  that powers all of the above; and
 * a second-generation adversary search (:mod:`repro.search`) — graph
   automorphism pruning, exact branch and bound with certificates,
   incremental swap evaluation and a parallel strategy portfolio — for the
@@ -30,8 +30,8 @@ for the LOCAL Model* (PODC 2015).  The library provides:
   matrices of identifier assignments per call, with a numpy fast path and
   a pure-stdlib fallback (``REPRO_KERNEL={numpy,python}``); and
 * the unified query API (:mod:`repro.api`) — one declarative, validated
-  :class:`Query` over all four answer modes (simulate, worst-case,
-  distribution, sweep), executed by a cache-owning :class:`Session` and
+  :class:`Query` over all five answer modes (simulate, worst-case,
+  distribution, sweep, scale), executed by a cache-owning :class:`Session` and
   answered with a single versioned :class:`Result` type; and
 * the cross-cutting instrumentation subsystem (:mod:`repro.obs`) —
   hierarchical spans, a process-wide metrics registry, per-query
@@ -70,10 +70,8 @@ from repro.core import (
     LocalSearchAdversary,
     RandomSearchAdversary,
     certify,
-    evaluate_assignment,
     fit_growth,
     run_ball_algorithm,
-    worst_case_over_assignments,
 )
 from repro.dist import (
     DiscreteDistribution,
@@ -83,10 +81,8 @@ from repro.dist import (
 )
 from repro.engine import (
     BatchExecutor,
-    CampaignSpec,
     DecisionCache,
     FrontierRunner,
-    run_campaign,
     run_simulation_batch,
 )
 from repro.core.measures import Measure, exact_worst_case, get_measure
@@ -140,7 +136,7 @@ from repro.api import (
 # The query service sits on top of the API (store-backed `repro serve`).
 from repro.service import QueryService, ResultStore
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AlgorithmError",
@@ -150,7 +146,6 @@ __all__ = [
     "BallView",
     "BatchExecutor",
     "BranchAndBoundAdversary",
-    "CampaignSpec",
     "CertificationError",
     "ColeVishkinRing",
     "ConfigurationError",
@@ -190,7 +185,6 @@ __all__ = [
     "complete_graph",
     "cycle_graph",
     "default_session",
-    "evaluate_assignment",
     "exact_round_distribution",
     "exact_worst_case",
     "extract_ball",
@@ -203,9 +197,7 @@ __all__ = [
     "random_assignment",
     "random_tree",
     "run_ball_algorithm",
-    "run_campaign",
     "run_round_algorithm",
     "run_simulation_batch",
     "sample_round_distribution",
-    "worst_case_over_assignments",
 ]

@@ -3,12 +3,10 @@
 A :class:`Query` describes one question about the paper's measures as pure
 data — *which* grid of instances (topologies × sizes × algorithms), *which*
 measure, *which* mode of answering (a single simulation, a worst case over
-identifier assignments, the whole distribution, or a sweep campaign) and
-*which* budgets — without running anything.  It unifies and subsumes the
-engine's :class:`~repro.engine.campaign.CampaignSpec` and
-:class:`~repro.engine.campaign.DistSpec`: both convert losslessly in either
-direction, and every legacy argument convention (``seed=``, ``samples=``,
-``workers=`` scattered across call sites) has exactly one home here.
+identifier assignments, the whole distribution, a sweep of searches, or
+sharded sampling at scale) and *which* budgets — without running anything.
+Every argument convention (``seed=``, ``samples=``, ``workers=``) has
+exactly one home here.
 
 A query can be built three ways:
 
@@ -30,18 +28,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.algorithms.registry import algorithm_registry
 from repro.core.measures import get_measure
-from repro.engine.campaign import (
-    ADVERSARY_NAMES,
-    DIST_METHODS,
-    TOPOLOGY_BUILDERS,
-    CampaignSpec,
-    DistSpec,
-)
+from repro.engine.campaign import ADVERSARY_NAMES, DIST_METHODS, TOPOLOGY_BUILDERS
 from repro.errors import ConfigurationError
 from repro.kernel.shard import SCALE_ALGORITHMS
 from repro.model.identifiers import ID_FAMILIES
@@ -62,6 +55,29 @@ QUERY_VERSION = 1
 #: other.  ``workers`` never changes any row (the determinism contract);
 #: ``samples`` is the resumable budget itself.
 FAMILY_EXCLUDED_FIELDS = ("samples", "workers")
+
+#: Budget and cap fields: each must be an int of at least 1.
+POSITIVE_INT_FIELDS = (
+    "samples",
+    "restarts",
+    "workers",
+    "swaps_per_step",
+    "max_steps",
+    "exhaustive_max_nodes",
+    "exact_max_nodes",
+    "max_classes",
+    "row_block",
+    "center_chunk",
+)
+
+
+def _check_int(name: str, value, minimum: Optional[int] = None) -> int:
+    """``value`` as an int, or a :class:`ConfigurationError` (bools are not ints)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+    return int(value)
 
 
 def _as_tuple(value, kind) -> tuple:
@@ -106,7 +122,7 @@ class Query:
     adversaries: tuple = ("branch-and-bound",)
     #: Distribution methods (``exact``/``sample``) for ``distribution`` mode.
     methods: tuple = ("exact",)
-    #: Base seed; every cell derives a private seed from it.
+    #: Base seed (any int); every cell derives a private seed from it.
     seed: int = 0
     #: Randomised budget: random-search draws / Monte-Carlo samples per cell.
     samples: int = 64
@@ -136,6 +152,12 @@ class Query:
         object.__setattr__(self, "algorithms", _as_tuple(self.algorithms, "algorithms"))
         object.__setattr__(self, "adversaries", _as_tuple(self.adversaries, "adversaries"))
         object.__setattr__(self, "methods", _as_tuple(self.methods, "methods"))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed))
+        for name in POSITIVE_INT_FIELDS:
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), minimum=1))
+        object.__setattr__(
+            self, "sizes", tuple(_check_int("sizes", n, minimum=1) for n in self.sizes)
+        )
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"unknown mode {self.mode!r}; known: {', '.join(MODES)}"
@@ -165,16 +187,6 @@ class Query:
             raise ConfigurationError(
                 f"unknown identifier family {self.ids!r}; known: {', '.join(sorted(ID_FAMILIES))}"
             )
-        for n in self.sizes:
-            if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-                raise ConfigurationError(f"sizes must be positive ints, got {n!r}")
-        if self.samples <= 0:
-            raise ConfigurationError(f"samples must be positive, got {self.samples}")
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        for knob, value in (("row_block", self.row_block), ("center_chunk", self.center_chunk)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigurationError(f"{knob} must be a positive int, got {value!r}")
         if self.mode == "scale":
             # The scale path has its own, stricter registries: only streamed
             # CSR families and plan-free (compile_scale_rule) algorithms.
@@ -206,73 +218,6 @@ class Query:
     def with_changes(self, **changes) -> "Query":
         """A copy with the given fields replaced (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-    # ------------------------------------------------------------------
-    # legacy-spec interop (Query subsumes CampaignSpec and DistSpec)
-    # ------------------------------------------------------------------
-    def to_campaign_spec(self) -> CampaignSpec:
-        """The equivalent engine :class:`CampaignSpec` (worst-case/sweep grids)."""
-        return CampaignSpec(
-            topologies=self.topologies,
-            sizes=self.sizes,
-            algorithms=self.algorithms,
-            adversaries=self.adversaries,
-            objective=self.objective,
-            seed=self.seed,
-            samples=self.samples,
-            restarts=self.restarts,
-            swaps_per_step=self.swaps_per_step,
-            max_steps=self.max_steps,
-            exhaustive_max_nodes=self.exhaustive_max_nodes,
-            exact_max_nodes=self.exact_max_nodes,
-        )
-
-    def to_dist_spec(self) -> DistSpec:
-        """The equivalent engine :class:`DistSpec` (distribution grids)."""
-        return DistSpec(
-            topologies=self.topologies,
-            sizes=self.sizes,
-            algorithms=self.algorithms,
-            methods=self.methods,
-            seed=self.seed,
-            samples=self.samples,
-            exact_max_nodes=self.exact_max_nodes,
-            max_classes=self.max_classes,
-        )
-
-    @classmethod
-    def from_campaign_spec(cls, spec: CampaignSpec, mode: str = "sweep") -> "Query":
-        """Adopt a legacy :class:`CampaignSpec` (mode defaults to ``sweep``)."""
-        return cls(
-            mode=mode,
-            topologies=spec.topologies,
-            sizes=spec.sizes,
-            algorithms=spec.algorithms,
-            adversaries=spec.adversaries,
-            measure=spec.objective,
-            seed=spec.seed,
-            samples=spec.samples,
-            restarts=spec.restarts,
-            swaps_per_step=spec.swaps_per_step,
-            max_steps=spec.max_steps,
-            exhaustive_max_nodes=spec.exhaustive_max_nodes,
-            exact_max_nodes=spec.exact_max_nodes,
-        )
-
-    @classmethod
-    def from_dist_spec(cls, spec: DistSpec) -> "Query":
-        """Adopt a legacy :class:`DistSpec` as a ``distribution`` query."""
-        return cls(
-            mode="distribution",
-            topologies=spec.topologies,
-            sizes=spec.sizes,
-            algorithms=spec.algorithms,
-            methods=spec.methods,
-            seed=spec.seed,
-            samples=spec.samples,
-            exact_max_nodes=spec.exact_max_nodes,
-            max_classes=spec.max_classes,
-        )
 
     # ------------------------------------------------------------------
     # the versioned JSON document

@@ -20,11 +20,16 @@ calls:
 fresh per-call setup by well over the asserted 1.5× on repeated-query
 workloads (artifact ``BENCH_api.json``).
 
-The five public methods — :meth:`Session.simulate`, :meth:`Session.worst_case`,
-:meth:`Session.distribution`, :meth:`Session.sweep`,
-:meth:`Session.scale` — all accept a
-:class:`~repro.api.query.Query` (or its keyword arguments) and return a
-:class:`~repro.api.results.Result`.  Module level,
+:meth:`Session.run` is the one executor: it expands a
+:class:`~repro.api.query.Query` into :class:`Cell` objects, computes one row
+per cell with the mode's row function (:func:`simulate_row`,
+:func:`search_row` for both ``worst-case`` and ``sweep``,
+:func:`distribution_row`, :func:`scale_row`; sampled distribution cells
+batch through one kernel submission), serially or on the warm pool, and
+returns a :class:`~repro.api.results.Result`.  The mode methods —
+:meth:`Session.simulate`, :meth:`Session.worst_case`,
+:meth:`Session.distribution`, :meth:`Session.sweep`, :meth:`Session.scale`
+— are :meth:`Session.run` with the mode checked.  Module level,
 :func:`query` runs against a lazily created default session — the one-liner
 ``repro.query(...)`` of the README quickstart.
 
@@ -36,7 +41,9 @@ diagnostics differ.
 
 from __future__ import annotations
 
+import itertools
 import time
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -45,23 +52,25 @@ from repro.api.query import Query
 from repro.api.results import Result
 from repro.core.certification import certify
 from repro.core.measures import ComplexityReport
+from repro.dist.exact import exact_round_distribution
+from repro.dist.sampling import DistributionFold, draw_sample_rows, fold_scale_stats
 from repro.engine.batch import BatchExecutor, derive_task_seed
 from repro.engine.cache import DecisionCache
 from repro.engine.campaign import (
     DETERMINISTIC_TOPOLOGIES,
     build_topology,
-    dist_cell_row,
-    dist_cell_rows_batched,
     make_adversary,
     make_ball_algorithm,
-    run_cell,
-    run_dist_cell,
-    search_cell_row,
 )
-from repro.dist.sampling import fold_scale_stats
 from repro.engine.frontier import FrontierRunner
-from repro.errors import ConfigurationError
-from repro.kernel.compile import CompiledInstance, compile_instance
+from repro.engine.pool import ShmRef, fetch_memoryview, worker_cache
+from repro.errors import AnalysisError, ConfigurationError
+from repro.kernel.compile import (
+    BatchRequest,
+    CompiledInstance,
+    compile_instance,
+    simulate_many,
+)
 from repro.kernel.shard import ShardedKernelExecutor
 from repro.topology.stream import STREAM_DETERMINISTIC, CSRTopology, build_csr
 from repro.model.graph import Graph
@@ -140,72 +149,74 @@ class _LruCache:
 
 
 @dataclass(frozen=True)
-class SimulateCell:
-    """One fully specified point of a ``simulate`` grid.
+class Cell:
+    """One fully specified point of a query's grid, in any mode.
 
-    ``graph_seed`` is derived without the algorithm (all algorithms of one
-    coordinate see the identical random graph); ``seed`` additionally folds
-    the algorithm and the identifier family in, and feeds the family
-    builder.
+    ``variant`` is the mode's fourth grid axis: the identifier family
+    (``simulate``), the adversary (``worst-case``/``sweep``), the method
+    (``distribution``) or ``None`` (``scale``).  ``graph_seed`` builds the
+    instance and ``seed`` feeds the cell's own randomness (identifier
+    draws, randomised searches).  Outside the search modes the graph seed
+    leaves out the variant, so both methods of a distribution coordinate
+    see the identical random graph; in ``simulate`` and ``scale`` it leaves
+    out the algorithm too.
     """
 
     index: int
     topology: str
     n: int
     algorithm: str
-    ids: str
+    variant: Optional[str]
     graph_seed: int
     seed: int
 
-
-def simulate_cells(query: Query) -> list[SimulateCell]:
-    """Expand a ``simulate`` query into deterministic, individually seeded cells."""
-    import itertools
-
-    grid = itertools.product(query.topologies, query.sizes, query.algorithms)
-    return [
-        SimulateCell(
-            index=index,
-            topology=topology,
-            n=n,
-            algorithm=algorithm,
-            ids=query.ids,
-            graph_seed=derive_task_seed(query.seed, "simulate", topology, n),
-            seed=derive_task_seed(
-                query.seed, "simulate", topology, n, algorithm, query.ids
-            ),
-        )
-        for index, (topology, n, algorithm) in enumerate(grid)
-    ]
+    @property
+    def key(self) -> str:
+        """The estimator-state key of a sampled cell (stable across budgets)."""
+        return f"{self.topology}|{self.n}|{self.algorithm}"
 
 
-def simulate_cell_row(
-    cell: SimulateCell,
-    graph: Optional[Graph] = None,
-    algorithm=None,
-    runner: Optional[FrontierRunner] = None,
-) -> dict:
-    """Execute one simulate cell and return its JSON-friendly result row.
+def query_cells(query: Query) -> list[Cell]:
+    """Expand a query into its deterministic, individually seeded cells."""
+    mode, base = query.mode, query.seed
+    variants = {
+        "simulate": (query.ids,),
+        "worst-case": query.adversaries,
+        "sweep": query.adversaries,
+        "distribution": query.methods,
+        "scale": (None,),
+    }[mode]
+    grid = itertools.product(query.topologies, query.sizes, query.algorithms, variants)
+    cells = []
+    for index, (topology, n, algorithm, variant) in enumerate(grid):
+        if mode in ("worst-case", "sweep"):
+            graph_seed = seed = derive_task_seed(base, topology, n, algorithm, variant)
+        elif mode == "distribution":
+            graph_seed = derive_task_seed(base, "dist", topology, n, algorithm)
+            seed = derive_task_seed(base, "dist", topology, n, algorithm, variant)
+        else:
+            graph_seed = derive_task_seed(base, mode, topology, n)
+            extra = () if variant is None else (variant,)
+            seed = derive_task_seed(base, mode, topology, n, algorithm, *extra)
+        cells.append(Cell(index, topology, n, algorithm, variant, graph_seed, seed))
+    return cells
 
-    The defaults build everything fresh (the worker-process path); a
-    :class:`Session` passes its cached graph/algorithm/runner so repeated
-    queries share plans and memoised decisions.  The ``cache`` entry of the
-    row is the *delta* of the runner's cache counters over this run.
+
+# ----------------------------------------------------------------------
+# one row function per mode: (session, query, cell, workers) -> row
+# ----------------------------------------------------------------------
+def simulate_row(session: "Session", query: Query, cell: Cell, workers: int = 1) -> dict:
+    """One ``simulate`` cell: both measures of one seeded assignment, certified.
+
+    The row's ``cache`` entry is the *delta* of the session runner's
+    decision-cache counters over this run.
     """
-    if graph is None:
-        graph = build_topology(cell.topology, cell.n, cell.graph_seed)
-    if algorithm is None:
-        algorithm = make_ball_algorithm(cell.algorithm, graph.n)
-    if runner is None:
-        runner = FrontierRunner(
-            graph,
-            algorithm,
-            cache=DecisionCache(algorithm, max_entries=SESSION_CACHE_MAX_ENTRIES),
-        )
-    ids = make_identifier_assignment(cell.ids, graph.n, cell.seed)
-    stats = runner.cache.stats if runner.cache is not None else None
-    hits_before = stats.hits if stats else 0
-    misses_before = stats.misses if stats else 0
+    graph = session.graph(cell.topology, cell.n, cell.graph_seed)
+    algorithm = session.ball_algorithm(cell.algorithm, graph.n)
+    runner = session.runner(graph, algorithm)
+    ids = make_identifier_assignment(cell.variant, graph.n, cell.seed)
+    stats = runner.cache.stats
+    hits_before, misses_before = stats.hits, stats.misses
     started = time.perf_counter()
     with _obs_span(
         "engine.simulate_cell",
@@ -216,16 +227,8 @@ def simulate_cell_row(
         trace = runner.run(ids)
     elapsed = time.perf_counter() - started
     certify(algorithm.problem, graph, ids, trace)
-    cache = None
-    if stats is not None:
-        hits = stats.hits - hits_before
-        misses = stats.misses - misses_before
-        lookups = hits + misses
-        cache = {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / lookups) if lookups else 0.0,
-        }
+    hits = stats.hits - hits_before
+    misses = stats.misses - misses_before
     return {
         "index": cell.index,
         "topology": cell.topology,
@@ -234,7 +237,7 @@ def simulate_cell_row(
         "graph_m": graph.m,
         "graph": graph.name,
         "algorithm": cell.algorithm,
-        "ids": cell.ids,
+        "ids": cell.variant,
         "identifiers": list(ids.identifiers()),
         "seed": cell.seed,
         "graph_seed": cell.graph_seed,
@@ -243,76 +246,136 @@ def simulate_cell_row(
         "sum": trace.sum_radius,
         "histogram": {str(radius): count for radius, count in trace.radius_histogram().items()},
         "certified": True,
-        "cache": cache,
+        "cache": {
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": (hits / (hits + misses)) if hits + misses else 0.0,
+        },
         "wall_time_s": elapsed,
     }
 
 
-def run_simulate_cell(cell: SimulateCell) -> dict:
-    """Worker entry point: execute one simulate cell from a picklable payload."""
-    return simulate_cell_row(cell)
+def search_row(session: "Session", query: Query, cell: Cell, workers: int = 1) -> dict:
+    """One ``worst-case``/``sweep`` cell: an adversary's search and its certificate.
 
-
-@dataclass(frozen=True)
-class ScaleCell:
-    """One fully specified point of a ``scale`` grid.
-
-    ``csr_seed`` builds the streamed topology (all algorithms of one
-    coordinate sample the identical CSR); ``seed`` additionally folds the
-    algorithm in and seeds the per-row identifier permutations.
+    ``workers`` feeds the portfolio adversary's strategy fan-out.
     """
+    graph = session.graph(cell.topology, cell.n, cell.graph_seed)
+    algorithm = session.ball_algorithm(cell.algorithm, graph.n)
+    adversary = make_adversary(cell.variant, query, seed=cell.seed, workers=workers)
+    started = time.perf_counter()
+    with _obs_span(
+        "engine.search_cell",
+        topology=cell.topology,
+        n=cell.n,
+        algorithm=cell.algorithm,
+        adversary=cell.variant,
+    ):
+        result = adversary.maximise(graph, algorithm, objective=query.objective)
+    elapsed = time.perf_counter() - started
+    certificate = result.certificate
+    return {
+        "certificate": certificate.as_dict() if certificate is not None else None,
+        "index": cell.index,
+        "topology": cell.topology,
+        "n": cell.n,
+        "graph_n": graph.n,
+        "graph": graph.name,
+        "algorithm": cell.algorithm,
+        "adversary": cell.variant,
+        "objective": query.objective,
+        "value": result.value,
+        "evaluations": result.evaluations,
+        "exact": result.exact,
+        "witness_ids": list(result.assignment.identifiers()),
+        "cache": result.cache_stats.as_dict() if result.cache_stats else None,
+        "seed": cell.seed,
+        "wall_time_s": elapsed,
+    }
 
-    index: int
-    topology: str
-    n: int
-    algorithm: str
-    csr_seed: int
-    seed: int
 
+def distribution_row(session: "Session", query: Query, cell: Cell, workers: int = 1) -> dict:
+    """One exact ``distribution`` cell: the orbit-weighted enumeration, certified.
 
-def scale_cells(query: Query) -> list[ScaleCell]:
-    """Expand a ``scale`` query into deterministic, individually seeded cells."""
-    import itertools
-
-    grid = itertools.product(query.topologies, query.sizes, query.algorithms)
-    return [
-        ScaleCell(
-            index=index,
-            topology=topology,
-            n=n,
-            algorithm=algorithm,
-            csr_seed=derive_task_seed(query.seed, "scale", topology, n),
-            seed=derive_task_seed(query.seed, "scale", topology, n, algorithm),
+    Sampled cells take the batched path of :meth:`Session._sample_rows`.
+    """
+    graph = session.graph(cell.topology, cell.n, cell.graph_seed)
+    algorithm = session.ball_algorithm(cell.algorithm, graph.n)
+    started = time.perf_counter()
+    with _obs_span("engine.dist_cell", topology=cell.topology, n=cell.n, method=cell.variant):
+        exact = exact_round_distribution(
+            graph, algorithm, max_nodes=query.exact_max_nodes, max_classes=query.max_classes
         )
-        for index, (topology, n, algorithm) in enumerate(grid)
-    ]
+    elapsed = time.perf_counter() - started
+    return _dist_row(
+        cell,
+        graph,
+        exact.distribution,
+        elapsed,
+        certificate=exact.certificate.as_dict(),
+        kernel=exact.kernel,
+    )
 
 
-def scale_cell_row(
-    cell: ScaleCell,
-    csr: CSRTopology,
-    algorithm,
-    samples: int,
-    workers: int,
-    row_block: int,
-    center_chunk: int,
+def _dist_row(
+    cell: Cell,
+    graph: Graph,
+    distribution,
+    elapsed: float,
+    samples: Optional[int] = None,
+    certificate: Optional[dict] = None,
+    uncertainty: Optional[dict] = None,
+    kernel: Optional[dict] = None,
 ) -> dict:
-    """Execute one scale cell and return its JSON-friendly result row.
+    """The row schema shared by exact and sampled distribution cells.
 
-    The row mirrors the sampled-distribution shape (``average`` / ``max``
-    estimate dicts, ``exact: False``) so the Result table and headline
-    machinery treat both sampling modes uniformly — but it carries no joint
-    distribution: the scale path never materialises per-node radii.
+    The row embeds the full serialised
+    :class:`~repro.dist.distribution.RoundDistribution` (key
+    ``distribution``) next to the headline statistics of both measures;
+    exact rows carry the certificate, sampled rows the standard errors.
     """
+    summary = distribution.summary()
+    return {
+        "index": cell.index,
+        "topology": cell.topology,
+        "n": cell.n,
+        "graph_n": graph.n,
+        "graph": graph.name,
+        "algorithm": cell.algorithm,
+        "method": cell.variant,
+        "exact": cell.variant == "exact",
+        "seed": cell.seed,
+        "samples": samples,
+        "total_weight": distribution.total_weight,
+        "average": summary["average"],
+        "max": summary["max"],
+        "uncertainty": uncertainty,
+        "certificate": certificate,
+        "kernel": kernel,
+        "distribution": distribution.as_dict(),
+        "wall_time_s": elapsed,
+    }
+
+
+def scale_row(session: "Session", query: Query, cell: Cell, workers: int = 1) -> dict:
+    """One ``scale`` cell: sharded sampling on a streamed CSR topology.
+
+    ``workers`` feeds the :class:`~repro.kernel.shard.ShardedKernelExecutor`
+    inside the cell.  The row mirrors the sampled-distribution shape
+    (``average`` / ``max`` estimate dicts, ``exact: False``) but carries no
+    joint distribution: the scale path never materialises per-node radii.
+    """
+    csr = session.csr(cell.topology, cell.n, cell.graph_seed)
+    algorithm = session.ball_algorithm(cell.algorithm, cell.n)
     executor = ShardedKernelExecutor(
         csr,
         algorithm,
         workers=workers,
-        row_block=row_block,
-        center_chunk=center_chunk,
+        row_block=query.row_block,
+        center_chunk=query.center_chunk,
     )
     started = time.perf_counter()
-    stats = executor.sample_measures(samples, seed=cell.seed)
+    stats = executor.sample_measures(query.samples, seed=cell.seed)
     elapsed = time.perf_counter() - started
     folded = fold_scale_stats(stats, seed=cell.seed)
     nodes = csr.n * folded.samples
@@ -326,7 +389,7 @@ def scale_cell_row(
         "algorithm": cell.algorithm,
         "samples": folded.samples,
         "seed": cell.seed,
-        "csr_seed": cell.csr_seed,
+        "csr_seed": cell.graph_seed,
         "average": folded.average.as_dict(),
         "max": folded.maximum.as_dict(),
         "uncertainty": {
@@ -338,6 +401,57 @@ def scale_cell_row(
         "kernel": executor.describe(),
         "wall_time_s": elapsed,
     }
+
+
+#: Mode -> (row function, whether ``workers`` fans out *inside* each cell).
+#: ``worst-case`` and ``scale`` run their cells in-process and hand the
+#: workers to the portfolio adversary / the shard executor; the other modes
+#: split their cells across the warm pool instead.
+ROW_FUNCTIONS = {
+    "simulate": (simulate_row, False),
+    "worst-case": (search_row, True),
+    "sweep": (search_row, False),
+    "distribution": (distribution_row, False),
+    "scale": (scale_row, True),
+}
+
+
+def worker_session() -> "Session":
+    """The worker-global :class:`Session` of a pool process (or the parent).
+
+    The warm pool keeps its workers alive across dispatches, so every task
+    a worker runs reuses this session's graphs, compiled kernels and plans.
+    """
+    return worker_cache("api.session", "session", Session)
+
+
+def run_cell_task(payload: tuple[Query, Cell]) -> dict:
+    """Worker entry point: one cell's row, computed in the worker's session."""
+    query, cell = payload
+    row_function, _ = ROW_FUNCTIONS[query.mode]
+    return row_function(worker_session(), query, cell)
+
+
+def simulate_draws_task(payload: tuple) -> list:
+    """Worker entry point: the radii of one sampled cell's new draws.
+
+    The payload carries the cell, its budget, the draws already folded and
+    the draw matrix (a shared-memory handle or inline rows).  A vanished
+    segment degrades to re-drawing the rows — the stream is a pure function
+    of the cell's seed — so every path yields the same radii.
+    """
+    cell, samples, start, rows = payload
+    session = worker_session()
+    graph = session.graph(cell.topology, cell.n, cell.graph_seed)
+    kernel = session.kernel(graph, session.ball_algorithm(cell.algorithm, graph.n))
+    if isinstance(rows, ShmRef):
+        try:
+            flat = fetch_memoryview(rows).cast("q")
+            width = graph.n
+            rows = [tuple(flat[i * width : (i + 1) * width]) for i in range(samples - start)]
+        except LookupError:
+            rows = draw_sample_rows(graph.n, samples, cell.seed, start=start)
+    return simulate_many([BatchRequest(kernel, rows, pre_validated=True)])[0]
 
 
 class Session:
@@ -502,202 +616,170 @@ class Session:
         return self.workers if self.workers is not None else query.workers
 
     # ------------------------------------------------------------------
-    # the four modes
+    # the executor
     # ------------------------------------------------------------------
-    def run(self, query: Optional[Query] = None, **kwargs) -> Result:
-        """Execute a query in whatever mode it declares."""
-        query = _coerce(query, kwargs)
-        method = {
-            "simulate": self.simulate,
-            "worst-case": self.worst_case,
-            "distribution": self.distribution,
-            "sweep": self.sweep,
-            "scale": self.scale,
-        }[query.mode]
-        return method(query)
+    def run(
+        self, query: Optional[Query] = None, folds: Optional[dict] = None, **kwargs
+    ) -> Result:
+        """Execute a query in whatever mode it declares — the one executor.
 
+        Expands the query into :class:`Cell` objects and computes one row
+        per cell with the mode's row function (:data:`ROW_FUNCTIONS`):
+        in-process on this session's cached objects, or split across the
+        warm pool through :func:`run_cell_task`.  Sampled distribution
+        cells go through the batched :meth:`_sample_rows` path.  Rows come
+        back in cell order, identical at any worker count.
+
+        ``folds`` (a dict of cell key -> :class:`DistributionFold`) carries
+        sampled estimates across runs: a cell whose key is present continues
+        that fold, drawing only past its count, and every sampled cell's
+        fold is bound in the dict afterwards.  The service resumes larger
+        budgets and streams progress this way.
+        """
+        query = _coerce(query, kwargs)
+        self.queries += 1
+        cells = query_cells(query)
+        workers = self._workers_for(query)
+        with _obs_span("api.query", mode=query.mode, cells=len(cells)) as root:
+            rows = []
+            if query.mode == "distribution":
+                sampled = [cell for cell in cells if cell.variant == "sample"]
+                cells = [cell for cell in cells if cell.variant != "sample"]
+                rows = self._sample_rows(query, sampled, workers, {} if folds is None else folds)
+            row_function, inside = ROW_FUNCTIONS[query.mode]
+            if workers > 1 and len(cells) > 1 and not inside:
+                rows += BatchExecutor(workers).map(
+                    run_cell_task, [(query, cell) for cell in cells]
+                )
+            else:
+                inner = workers if inside else 1
+                rows += [row_function(self, query, cell, inner) for cell in cells]
+            rows.sort(key=lambda row: row["index"])
+        return Result.from_rows(
+            query.mode,
+            query.to_dict(),
+            rows,
+            session_cache=self.cache_info(),
+            profile=self._query_profile(root),
+        )
+
+    def _sample_rows(
+        self, query: Query, cells: Sequence[Cell], workers: int, folds: dict
+    ) -> list[dict]:
+        """Sampled distribution cells: draw, simulate as one batch, fold.
+
+        Each cell draws only what its fold has not seen
+        (:func:`~repro.dist.sampling.draw_sample_rows` from the fold's
+        count).  All cells' draws go through one
+        :func:`~repro.kernel.compile.simulate_many` submission — cells
+        sharing a compiled instance merge into one row stream — or, with
+        ``workers > 1``, fan out per cell over the warm pool (each draw
+        matrix published into shared memory, affinity-keyed by instance).
+        The radii fold in draw order, so rows are bit-identical at any
+        worker count and to one uninterrupted run of the whole budget.  A
+        cell's ``wall_time_s`` is its fold time plus its row-count share of
+        the shared kernel call.
+        """
+        prepared = []
+        for cell in cells:
+            graph = self.graph(cell.topology, cell.n, cell.graph_seed)
+            kernel = self.kernel(graph, self.ball_algorithm(cell.algorithm, graph.n))
+            fold = folds.get(cell.key)
+            if fold is None:
+                fold = folds[cell.key] = DistributionFold(graph.n, cell.seed)
+            elif (fold.n, fold.seed) != (graph.n, cell.seed):
+                raise AnalysisError(
+                    f"estimator state of cell {cell.key} was drawn at n={fold.n} under "
+                    f"seed {fold.seed}; it cannot continue at n={graph.n} under seed "
+                    f"{cell.seed} (the draw streams differ)"
+                )
+            draws = draw_sample_rows(graph.n, query.samples, cell.seed, start=fold.count)
+            prepared.append((cell, graph, kernel, fold, draws))
+        if not prepared:
+            return []
+        started = time.perf_counter()
+        executor = BatchExecutor(workers)
+        if len(prepared) > 1 and executor.pool is not None:
+            radii_blocks = _simulate_pooled(executor, query.samples, prepared)
+        else:
+            radii_blocks = simulate_many(
+                [BatchRequest(kernel, draws, pre_validated=True) for _, _, kernel, _, draws in prepared]
+            )
+        shared = time.perf_counter() - started
+        total = sum(len(draws) for *_, draws in prepared) or 1
+        rows = []
+        for (cell, graph, kernel, fold, draws), radii in zip(prepared, radii_blocks):
+            started = time.perf_counter()
+            with _obs_span("engine.dist_cell", topology=cell.topology, n=cell.n, method=cell.variant):
+                for row in radii:
+                    fold.fold(row)
+                sampled = fold.result()
+            elapsed = time.perf_counter() - started + shared * len(draws) / total
+            uncertainty = {
+                "average": sampled.average.as_dict(),
+                "maximum": sampled.maximum.as_dict(),
+            }
+            rows.append(
+                _dist_row(
+                    cell,
+                    graph,
+                    sampled.distribution,
+                    elapsed,
+                    samples=query.samples,
+                    uncertainty=uncertainty,
+                    kernel=kernel.describe(),
+                )
+            )
+        return rows
+
+    # ------------------------------------------------------------------
+    # the mode methods: Session.run with the mode checked
+    # ------------------------------------------------------------------
     def simulate(self, query: Optional[Query] = None, **kwargs) -> Result:
         """Single runs over the grid: both measures of one assignment per cell."""
-        query = _coerce(query, kwargs, mode="simulate")
-        self.queries += 1
-        cells = simulate_cells(query)
-        workers = self._workers_for(query)
-        with _obs_span("api.query", mode="simulate", cells=len(cells)) as root:
-            if workers > 1 and len(cells) > 1:
-                rows = BatchExecutor(workers).map(run_simulate_cell, cells)
-            else:
-                rows = []
-                for cell in cells:
-                    graph = self.graph(cell.topology, cell.n, cell.graph_seed)
-                    algorithm = self.ball_algorithm(cell.algorithm, graph.n)
-                    rows.append(
-                        simulate_cell_row(
-                            cell, graph, algorithm, self.runner(graph, algorithm)
-                        )
-                    )
-            rows.sort(key=lambda row: row["index"])
-        return Result.from_rows(
-            "simulate",
-            query.to_dict(),
-            rows,
-            session_cache=self.cache_info(),
-            profile=self._query_profile(root),
-        )
+        return self.run(_coerce(query, kwargs, mode="simulate"))
 
     def worst_case(self, query: Optional[Query] = None, **kwargs) -> Result:
-        """Worst case over identifier assignments, one adversary search per cell.
-
-        Cells run in-process (sharing the session's graphs, and therefore
-        their automorphism groups and frontier plans); ``workers`` feeds the
-        portfolio adversary's strategy fan-out instead of sharding cells —
-        the historical ``repro search --workers`` semantics.
-        """
-        query = _coerce(query, kwargs, mode="worst-case")
-        self.queries += 1
-        spec = query.to_campaign_spec()
-        workers = self._workers_for(query)
-        cells = spec.cells()
-        with _obs_span("api.query", mode="worst-case", cells=len(cells)) as root:
-            rows = []
-            for cell in cells:
-                graph = self.graph(cell.topology, cell.n, cell.seed)
-                algorithm = self.ball_algorithm(cell.algorithm, graph.n)
-                adversary = make_adversary(
-                    cell.adversary, spec, seed=cell.seed, workers=workers
-                )
-                rows.append(search_cell_row(spec, cell, graph, algorithm, adversary))
-        return Result.from_rows(
-            "worst-case",
-            query.to_dict(),
-            rows,
-            session_cache=self.cache_info(),
-            profile=self._query_profile(root),
-        )
+        """Worst case over identifier assignments; ``workers`` feeds the portfolio."""
+        return self.run(_coerce(query, kwargs, mode="worst-case"))
 
     def sweep(self, query: Optional[Query] = None, **kwargs) -> Result:
-        """A full campaign grid of adversarial searches (the ``repro sweep`` mode).
-
-        With ``workers > 1`` the cells are sharded across processes exactly
-        like the legacy :func:`~repro.engine.campaign.run_campaign_rows`;
-        serial runs stay in-process and reuse the session's cached graphs.
-        Rows are identical either way.
-        """
-        query = _coerce(query, kwargs, mode="sweep")
-        self.queries += 1
-        spec = query.to_campaign_spec()
-        cells = spec.cells()
-        workers = self._workers_for(query)
-        with _obs_span("api.query", mode="sweep", cells=len(cells)) as root:
-            if workers > 1 and len(cells) > 1:
-                rows = BatchExecutor(workers).map(
-                    run_cell, [(spec, cell) for cell in cells]
-                )
-            else:
-                rows = []
-                for cell in cells:
-                    graph = self.graph(cell.topology, cell.n, cell.seed)
-                    algorithm = self.ball_algorithm(cell.algorithm, graph.n)
-                    rows.append(search_cell_row(spec, cell, graph, algorithm))
-            rows = sorted(rows, key=lambda row: row["index"])
-        return Result.from_rows(
-            "sweep",
-            query.to_dict(),
-            rows,
-            session_cache=self.cache_info(),
-            profile=self._query_profile(root),
-        )
-
-    def scale(self, query: Optional[Query] = None, **kwargs) -> Result:
-        """Sharded million-node sampling on streamed CSR topologies.
-
-        ``workers`` feeds the :class:`~repro.kernel.shard.ShardedKernelExecutor`
-        process pool *inside* each cell (shard-level fan-out), not cell
-        sharding — one million-node cell dominates any grid, so fanning the
-        shards out is where the parallelism lives.  Results are
-        bit-identical at any worker count (the executor's decomposition is
-        fixed by ``row_block`` × ``center_chunk``).
-        """
-        query = _coerce(query, kwargs, mode="scale")
-        self.queries += 1
-        cells = scale_cells(query)
-        workers = self._workers_for(query)
-        with _obs_span("api.query", mode="scale", cells=len(cells)) as root:
-            rows = []
-            for cell in cells:
-                csr = self.csr(cell.topology, cell.n, cell.csr_seed)
-                algorithm = self.ball_algorithm(cell.algorithm, cell.n)
-                rows.append(
-                    scale_cell_row(
-                        cell,
-                        csr,
-                        algorithm,
-                        samples=query.samples,
-                        workers=workers,
-                        row_block=query.row_block,
-                        center_chunk=query.center_chunk,
-                    )
-                )
-            rows.sort(key=lambda row: row["index"])
-        return Result.from_rows(
-            "scale",
-            query.to_dict(),
-            rows,
-            session_cache=self.cache_info(),
-            profile=self._query_profile(root),
-        )
+        """A grid of adversarial searches; ``workers`` splits the cells."""
+        return self.run(_coerce(query, kwargs, mode="sweep"))
 
     def distribution(self, query: Optional[Query] = None, **kwargs) -> Result:
         """Exact and/or sampled measure distributions over identifier assignments."""
-        query = _coerce(query, kwargs, mode="distribution")
-        self.queries += 1
-        spec = query.to_dist_spec()
-        cells = spec.cells()
-        workers = self._workers_for(query)
-        with _obs_span("api.query", mode="distribution", cells=len(cells)) as root:
-            rows = []
-            # Sampled cells go through the kernel as ONE cross-cell
-            # multi-instance batch (cells sharing a cached compiled
-            # instance merge into a single row stream); with workers > 1
-            # the batch fans out over the warm pool instead — same radii,
-            # same rows, bit-identical at any worker count.  The exact
-            # cells evaluate leaves inside their own search sessions
-            # (pooled per cell when parallel).
-            sampled = [cell for cell in cells if cell.method == "sample"]
-            exact = [cell for cell in cells if cell.method != "sample"]
-            if sampled:
-                rows.extend(
-                    dist_cell_rows_batched(
-                        spec,
-                        sampled,
-                        graph_for=lambda cell: self.graph(
-                            cell.topology, cell.n, cell.graph_seed
-                        ),
-                        algorithm_for=lambda cell, graph: self.ball_algorithm(
-                            cell.algorithm, graph.n
-                        ),
-                        kernel_for=self.kernel,
-                        workers=workers,
-                    )
-                )
-            if workers > 1 and len(exact) > 1:
-                rows.extend(
-                    BatchExecutor(workers).map(
-                        run_dist_cell, [(spec, cell) for cell in exact]
-                    )
-                )
-            else:
-                for cell in exact:
-                    graph = self.graph(cell.topology, cell.n, cell.graph_seed)
-                    algorithm = self.ball_algorithm(cell.algorithm, graph.n)
-                    rows.append(dist_cell_row(spec, cell, graph, algorithm))
-            rows = sorted(rows, key=lambda row: row["index"])
-        return Result.from_rows(
-            "distribution",
-            query.to_dict(),
-            rows,
-            session_cache=self.cache_info(),
-            profile=self._query_profile(root),
-        )
+        return self.run(_coerce(query, kwargs, mode="distribution"))
+
+    def scale(self, query: Optional[Query] = None, **kwargs) -> Result:
+        """Sharded sampling on streamed CSR topologies; ``workers`` feeds the shards."""
+        return self.run(_coerce(query, kwargs, mode="scale"))
+
+
+def _simulate_pooled(executor: BatchExecutor, samples: int, prepared: Sequence[tuple]) -> list:
+    """Fan per-cell draw matrices out over the warm pool; radii in cell order.
+
+    Each matrix is published once into shared memory and shipped as a
+    handle (inline rows when shared memory is unavailable); cells of the
+    same ``(topology, n, graph_seed, algorithm)`` instance share an
+    affinity key, so the worker that compiled that instance serves them all.
+    """
+    pool = executor.pool
+    payloads, keys, pinned = [], [], []
+    for cell, _, _, fold, draws in prepared:
+        flat = array("q")
+        for row in draws:
+            flat.extend(row)
+        ref = pool.publish(flat)
+        if ref is not None:
+            pinned.append(ref)
+        payloads.append((cell, samples, fold.count, ref if ref is not None else tuple(draws)))
+        keys.append((cell.topology, cell.n, cell.graph_seed, cell.algorithm))
+    try:
+        return executor.map(simulate_draws_task, payloads, keys=keys)
+    finally:
+        for ref in pinned:
+            pool.release(ref)
 
 
 def _coerce(query: Optional[Query], kwargs: dict, mode: Optional[str] = None) -> Query:

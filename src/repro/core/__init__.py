@@ -35,12 +35,10 @@ from repro.core.measures import (
     Measure,
     average_complexity,
     classic_complexity,
-    evaluate_assignment,
     exact_measure_distribution,
     expected_measures_over_random_ids,
     get_measure,
     sampled_measure_distribution,
-    worst_case_over_assignments,
 )
 from repro.core.runner import run_ball_algorithm, run_on_assignments
 
@@ -66,7 +64,6 @@ __all__ = [
     "certify_maximal_independent_set",
     "certify_proper_coloring",
     "classic_complexity",
-    "evaluate_assignment",
     "exact_measure_distribution",
     "expected_measures_over_random_ids",
     "fit_growth",
@@ -78,5 +75,4 @@ __all__ = [
     "register_certifier",
     "run_ball_algorithm",
     "run_on_assignments",
-    "worst_case_over_assignments",
 ]

@@ -29,7 +29,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from repro.core.adversary import Adversary, AdversaryResult, trace_objective
+from repro.core.adversary import AdversaryResult, trace_objective
 from repro.core.algorithm import BallAlgorithm
 from repro.core.runner import run_ball_algorithm
 from repro.errors import AnalysisError
@@ -197,42 +197,6 @@ class ComplexityReport:
         return cls(**fields)
 
 
-def evaluate_assignment(
-    graph: Graph, ids: IdentifierAssignment, algorithm: BallAlgorithm
-) -> ComplexityReport:
-    """Deprecated: use :meth:`repro.api.session.Session.report` instead.
-
-    Thin delegating shim (it now runs through the default API session, so
-    repeated calls share that session's engine caches); the historical
-    :class:`ComplexityReport` shape is unchanged.
-
-    >>> import warnings
-    >>> from repro.algorithms.largest_id import LargestIdAlgorithm
-    >>> from repro.model.identifiers import identity_assignment
-    >>> from repro.topology.cycle import cycle_graph
-    >>> with warnings.catch_warnings():
-    ...     warnings.simplefilter("ignore", DeprecationWarning)
-    ...     report = evaluate_assignment(
-    ...         cycle_graph(6), identity_assignment(6), LargestIdAlgorithm()
-    ...     )
-    >>> report.n, report.max_radius
-    (6, 3)
-    >>> report.sum_radius == round(report.average_radius * report.n)
-    True
-    """
-    import warnings
-
-    warnings.warn(
-        "evaluate_assignment is deprecated; use repro.Session().report(...) "
-        "or the declarative repro.query(mode='simulate', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.session import default_session
-
-    return default_session().report(graph, ids, algorithm)
-
-
 def classic_complexity(traces: Iterable[ExecutionTrace]) -> int:
     """Classic measure over a set of runs: the largest ``max_radius`` seen.
 
@@ -275,32 +239,6 @@ def average_complexity(traces: Iterable[ExecutionTrace]) -> float:
     1.25
     """
     return AVERAGE_MEASURE.worst_over_traces(traces)
-
-
-def worst_case_over_assignments(
-    graph: Graph,
-    algorithm: BallAlgorithm,
-    adversary: Adversary,
-    objective: str = "average",
-) -> AdversaryResult:
-    """Deprecated: use :meth:`repro.api.session.Session.worst_case` instead.
-
-    Thin delegating shim over ``adversary.maximise`` (the historical
-    :class:`AdversaryResult` shape is unchanged).  The unified API runs the
-    same search declaratively — ``repro.query(mode="worst-case",
-    adversaries="branch-and-bound", ...)`` — and wraps the answer in a
-    versioned :class:`~repro.api.results.Result`.
-    """
-    import warnings
-
-    warnings.warn(
-        "worst_case_over_assignments is deprecated; call adversary.maximise "
-        "directly or use repro.Session().worst_case(...) / "
-        "repro.query(mode='worst-case', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return adversary.maximise(graph, algorithm, objective=objective)
 
 
 def exact_worst_case(

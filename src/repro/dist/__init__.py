@@ -34,6 +34,7 @@ from repro.dist.exact import (
     exact_round_distribution,
 )
 from repro.dist.sampling import (
+    DistributionFold,
     ExpectedMeasures,
     MeasureEstimate,
     P2Quantile,
@@ -42,7 +43,6 @@ from repro.dist.sampling import (
     StreamingMoments,
     draw_sample_rows,
     estimate_expected_measures,
-    fold_sampled_radii,
     fold_scale_stats,
     sample_round_distribution,
 )
@@ -50,6 +50,7 @@ from repro.dist.sampling import (
 __all__ = [
     "DiscreteDistribution",
     "DistributionCertificate",
+    "DistributionFold",
     "ExactDistributionResult",
     "ExpectedMeasures",
     "MeasureEstimate",
@@ -62,7 +63,6 @@ __all__ = [
     "brute_force_round_distribution",
     "draw_sample_rows",
     "estimate_expected_measures",
-    "fold_sampled_radii",
     "fold_scale_stats",
     "exact_round_distribution",
     "sample_round_distribution",

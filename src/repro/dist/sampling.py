@@ -13,6 +13,11 @@ statistic is maintained in a single streaming pass:
   :class:`~repro.dist.distribution.RoundDistribution` (joint counts and
   per-node marginals over the sample) together with
   :class:`MeasureEstimate` uncertainty summaries for both measures;
+* :func:`draw_sample_rows` and :class:`DistributionFold` — the two halves
+  of the same estimate split around an external kernel evaluation (the
+  session batches many cells' draws through one submission), with a fold
+  that exports and restores its complete state, so an estimate can resume
+  under a larger budget;
 * :func:`estimate_expected_measures` — the estimator behind
   :func:`repro.core.measures.expected_measures_over_random_ids`, returning
   an :class:`ExpectedMeasures` that still unpacks like the legacy 2-tuple.
@@ -370,7 +375,7 @@ def fold_scale_stats(row_stats: Sequence, seed: SeedLike = None) -> ScaleSampleR
     :meth:`repro.kernel.shard.ShardedKernelExecutor.sample_measures` — one
     exact ``(sum, max)`` pair per sampled assignment, already merged across
     centre shards.  Folding happens here, in row order, with the same
-    estimator stack as :func:`fold_sampled_radii` (Welford moments, P²
+    estimator stack as :class:`DistributionFold` (Welford moments, P²
     sketches), so the estimates are deterministic at any worker count.
     """
     avg_moments, max_moments = StreamingMoments(), StreamingMoments()
@@ -397,42 +402,87 @@ def fold_scale_stats(row_stats: Sequence, seed: SeedLike = None) -> ScaleSampleR
     )
 
 
-def _draw_assignments(n: int, samples: int, seed: SeedLike):
-    """Deterministic assignment stream: one master seed, one child per draw."""
+def _draw_assignments(n: int, samples: int, seed: SeedLike, start: int = 0):
+    """Deterministic assignment stream: one master seed, one child per draw.
+
+    Draws ``start+1 .. samples``; the first ``start`` child seeds are drawn
+    and dropped, so draw ``k`` never depends on where the stream resumed.
+    """
     master = make_rng(seed)
-    for _ in range(samples):
+    for _ in range(start):
+        master.getrandbits(64)
+    for _ in range(samples - start):
         yield random_assignment(n, seed=master.getrandbits(64))
 
 
-def draw_sample_rows(n: int, samples: int, seed: SeedLike = None) -> list[tuple[int, ...]]:
-    """The deterministic row stream behind :func:`sample_round_distribution`.
+def draw_sample_rows(
+    n: int, samples: int, seed: SeedLike = None, start: int = 0
+) -> list[tuple[int, ...]]:
+    """Draws ``start+1 .. samples`` of the stream behind :func:`sample_round_distribution`.
 
-    Materialises the same ``samples`` seeded permutation draws the sampling
-    estimator folds, as plain identifier tuples.  Callers that evaluate the
-    rows elsewhere — the campaign layer batches many cells' draws through
-    one :func:`repro.kernel.compile.simulate_many` submission — pair this
-    with :func:`fold_sampled_radii` to reproduce
+    Materialises the seeded permutation draws the sampling estimator folds,
+    as plain identifier tuples.  ``start`` skips draws already folded into a
+    resumed :class:`DistributionFold` by replaying only the master RNG's
+    child-seed stream (no permutation is built), so draw ``k`` is the same
+    whether the stream is drawn in one go or in several continuations.
+    Callers evaluate the rows elsewhere — the session batches many cells'
+    draws through one :func:`repro.kernel.compile.simulate_many` submission —
+    and fold the radii with a :class:`DistributionFold`, reproducing
     :func:`sample_round_distribution` bit for bit.
     """
     if samples <= 0:
         raise AnalysisError(f"samples must be positive, got {samples}")
+    if not 0 <= start <= samples:
+        raise AnalysisError(
+            f"an estimate that already folded {start} draws cannot continue to a "
+            f"total budget of {samples}; the budget must not shrink"
+        )
     return [
         assignment.identifiers()
-        for assignment in _draw_assignments(n, samples, seed)
+        for assignment in _draw_assignments(n, samples, seed, start)
     ]
 
 
-class _DistributionFold:
-    """Streaming accumulator shared by the sampling entry points.
+#: Document tag and schema version of the portable estimator state
+#: (persisted by the service store next to sampled results; see
+#: ``docs/service.md``).
+ESTIMATOR_STATE_KIND = "repro-estimator-state"
+ESTIMATOR_STATE_VERSION = 1
+
+
+class DistributionFold:
+    """Streaming accumulator of every sampling path, resumable across budgets.
 
     Folds per-row radius vectors in draw order into the joint/marginal
     counts and the streaming moment/quantile estimators, so every caller —
     the chunked single-instance stream and the batched multi-cell path —
     produces the same :class:`SampledDistributionResult` for the same rows.
+    ``seed`` records the draw stream the fold belongs to.
+
+    :meth:`state_dict` exports the whole fold as a versioned JSON-safe
+    document (:data:`ESTIMATOR_STATE_KIND`); a fold restored with
+    :meth:`from_state` and fed draws ``count+1 .. m`` produces bit for bit
+    the result of a fresh fold over draws ``1 .. m`` (floats survive a JSON
+    round trip exactly).
+
+    >>> from repro.algorithms.largest_id import LargestIdAlgorithm
+    >>> from repro.topology.cycle import cycle_graph
+    >>> kernel = compile_instance(cycle_graph(6), LargestIdAlgorithm())
+    >>> fold = DistributionFold(6, seed=7)
+    >>> for radii in kernel.batch_radii(draw_sample_rows(6, 8, seed=7)):
+    ...     fold.fold(radii)
+    >>> resumed = DistributionFold.from_state(fold.state_dict())
+    >>> for radii in kernel.batch_radii(draw_sample_rows(6, 32, seed=7, start=8)):
+    ...     resumed.fold(radii)
+    >>> resumed.result() == sample_round_distribution(
+    ...     cycle_graph(6), LargestIdAlgorithm(), samples=32, seed=7
+    ... )
+    True
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, seed: SeedLike = None) -> None:
         self.n = n
+        self.seed = seed if isinstance(seed, int) else None
         self.joint: dict[tuple[int, int], int] = {}
         self.marginals: list[dict[int, int]] = [{} for _ in range(n)]
         self.avg_moments, self.max_moments = StreamingMoments(), StreamingMoments()
@@ -441,6 +491,7 @@ class _DistributionFold:
         self.count = 0
 
     def fold(self, radii: Sequence[int]) -> None:
+        """Fold one draw's per-node radii into the counts and estimators."""
         max_radius = max(radii)
         sum_radius = sum(radii)
         key = (max_radius, sum_radius)
@@ -458,57 +509,78 @@ class _DistributionFold:
         self.count += 1
 
     def state_dict(self) -> dict:
-        """The complete fold state — counts plus live estimator internals.
+        """The complete fold as a versioned, lossless, JSON-safe document.
 
-        Everything :class:`SampledDistributionResult` is computed from, in a
-        lossless JSON-safe form (joint keys become ``[max, sum, count]``
-        triples), so a fold restored with :meth:`load_state` and fed the
-        draws ``count+1..m`` produces bit-for-bit the result of a fresh fold
-        over draws ``1..m``.
+        Joint keys become ``[max, sum, count]`` triples; the estimator
+        internals come from their own ``state_dict`` methods.
         """
         return {
+            "kind": ESTIMATOR_STATE_KIND,
+            "version": ESTIMATOR_STATE_VERSION,
             "n": self.n,
-            "count": self.count,
-            "joint": [
-                [key[0], key[1], weight] for key, weight in sorted(self.joint.items())
-            ],
-            "marginals": [sorted(counts.items()) for counts in self.marginals],
-            "avg_moments": self.avg_moments.state_dict(),
-            "max_moments": self.max_moments.state_dict(),
-            "avg_median": self.avg_median.state_dict(),
-            "avg_q90": self.avg_q90.state_dict(),
-            "max_median": self.max_median.state_dict(),
-            "max_q90": self.max_q90.state_dict(),
+            "seed": self.seed,
+            "draws": self.count,
+            "fold": {
+                "n": self.n,
+                "count": self.count,
+                "joint": [
+                    [key[0], key[1], weight] for key, weight in sorted(self.joint.items())
+                ],
+                "marginals": [sorted(counts.items()) for counts in self.marginals],
+                "avg_moments": self.avg_moments.state_dict(),
+                "max_moments": self.max_moments.state_dict(),
+                "avg_median": self.avg_median.state_dict(),
+                "avg_q90": self.avg_q90.state_dict(),
+                "max_median": self.max_median.state_dict(),
+                "max_q90": self.max_q90.state_dict(),
+            },
         }
 
-    def load_state(self, state: Mapping) -> None:
-        """Restore a fold previously exported with :meth:`state_dict`."""
-        if int(state["n"]) != self.n:
+    @classmethod
+    def from_state(cls, state: Mapping) -> "DistributionFold":
+        """Restore a fold exported with :meth:`state_dict` (tag and counts checked)."""
+        if state.get("kind") != ESTIMATOR_STATE_KIND:
             raise AnalysisError(
-                f"estimator state is for n={state['n']}, cannot resume at n={self.n}"
+                f"not an estimator state document: kind={state.get('kind')!r}"
             )
-        self.count = int(state["count"])
-        self.joint = {
+        if state.get("version") != ESTIMATOR_STATE_VERSION:
+            raise AnalysisError(
+                f"unsupported estimator state version {state.get('version')!r} "
+                f"(this library reads version {ESTIMATOR_STATE_VERSION})"
+            )
+        inner = state["fold"]
+        fold = cls(int(state["n"]), state.get("seed"))
+        fold.count = int(inner["count"])
+        if fold.count != int(state["draws"]) or int(inner["n"]) != fold.n:
+            raise AnalysisError(
+                f"estimator state is inconsistent: draws={state['draws']} n={state['n']} "
+                f"but the fold counted {fold.count} at n={inner['n']}"
+            )
+        fold.joint = {
             (int(maximum), int(total)): int(weight)
-            for maximum, total, weight in state["joint"]
+            for maximum, total, weight in inner["joint"]
         }
-        self.marginals = [
+        fold.marginals = [
             {int(radius): int(weight) for radius, weight in counts}
-            for counts in state["marginals"]
+            for counts in inner["marginals"]
         ]
-        if len(self.marginals) != self.n:
+        if len(fold.marginals) != fold.n:
             raise AnalysisError(
-                f"estimator state carries {len(self.marginals)} marginals "
-                f"for n={self.n}"
+                f"estimator state carries {len(fold.marginals)} marginals "
+                f"for n={fold.n}"
             )
-        self.avg_moments = StreamingMoments.from_state(state["avg_moments"])
-        self.max_moments = StreamingMoments.from_state(state["max_moments"])
-        self.avg_median = P2Quantile.from_state(state["avg_median"])
-        self.avg_q90 = P2Quantile.from_state(state["avg_q90"])
-        self.max_median = P2Quantile.from_state(state["max_median"])
-        self.max_q90 = P2Quantile.from_state(state["max_q90"])
+        fold.avg_moments = StreamingMoments.from_state(inner["avg_moments"])
+        fold.max_moments = StreamingMoments.from_state(inner["max_moments"])
+        fold.avg_median = P2Quantile.from_state(inner["avg_median"])
+        fold.avg_q90 = P2Quantile.from_state(inner["avg_q90"])
+        fold.max_median = P2Quantile.from_state(inner["max_median"])
+        fold.max_q90 = P2Quantile.from_state(inner["max_q90"])
+        return fold
 
-    def result(self, seed_record: Optional[int]) -> SampledDistributionResult:
+    def result(self) -> SampledDistributionResult:
+        """Freeze the fold into a :class:`SampledDistributionResult`."""
+        if self.count == 0:
+            raise AnalysisError("sampling needs at least one radii row")
         distribution = RoundDistribution.from_counts(
             n=self.n, joint=self.joint, node_marginals=self.marginals
         )
@@ -521,26 +593,8 @@ class _DistributionFold:
                 self.max_moments, self.max_median, self.max_q90
             ),
             samples=self.count,
-            seed=seed_record,
+            seed=self.seed,
         )
-
-
-def fold_sampled_radii(
-    n: int, radii_rows: Sequence[Sequence[int]], seed: SeedLike = None
-) -> SampledDistributionResult:
-    """Build a :class:`SampledDistributionResult` from precomputed radii rows.
-
-    The second half of the split sampling pipeline: rows drawn with
-    :func:`draw_sample_rows` and evaluated through the kernel (possibly
-    merged with other cells' rows in one multi-instance batch) fold here
-    exactly as :func:`sample_round_distribution` would have folded them.
-    """
-    fold = _DistributionFold(n)
-    for radii in radii_rows:
-        fold.fold(radii)
-    if fold.count == 0:
-        raise AnalysisError("sampling needs at least one radii row")
-    return fold.result(seed if isinstance(seed, int) else None)
 
 
 def sample_round_distribution(
@@ -602,7 +656,7 @@ def sample_round_distribution(
         if largest > NUMPY_MAX_IDENTIFIER:
             kernel = compile_instance(graph, algorithm, backend="python")
     n = graph.n
-    fold = _DistributionFold(n)
+    fold = DistributionFold(n, seed_record)
     # Stream the draws through the kernel in chunks: the whole chunk is one
     # simulate_batch call (array speed for vectorised rules), then the
     # streaming statistics fold each row in draw order — so the estimates
@@ -625,141 +679,7 @@ def sample_round_distribution(
         if chunk:
             for radii in kernel.batch_radii(chunk, pre_validated=trusted):
                 fold.fold(radii)
-    return fold.result(seed_record)
-
-
-#: Document tag and schema version of the portable estimator state
-#: (persisted by the service store next to sampled results; see
-#: ``docs/service.md``).
-ESTIMATOR_STATE_KIND = "repro-estimator-state"
-ESTIMATOR_STATE_VERSION = 1
-
-
-@dataclass(frozen=True)
-class ResumableSample:
-    """One resumable sampling outcome: the result plus portable estimator state.
-
-    ``state`` is a versioned JSON-safe document
-    (:data:`ESTIMATOR_STATE_KIND`) holding the draw count, the seed contract
-    and the full fold internals (Welford moments, P² sketches, joint and
-    marginal counts); feeding it back into
-    :func:`sample_round_distribution_resumable` with a larger budget
-    continues the estimate instead of restarting it.
-    """
-
-    result: SampledDistributionResult
-    state: dict
-
-
-def _validate_estimator_state(state: Mapping, n: int, seed_record: Optional[int]) -> dict:
-    """Check a resume state's tag, version and seed/n contract."""
-    if state.get("kind") != ESTIMATOR_STATE_KIND:
-        raise AnalysisError(
-            f"not an estimator state document: kind={state.get('kind')!r}"
-        )
-    if state.get("version") != ESTIMATOR_STATE_VERSION:
-        raise AnalysisError(
-            f"unsupported estimator state version {state.get('version')!r} "
-            f"(this library reads version {ESTIMATOR_STATE_VERSION})"
-        )
-    if int(state["n"]) != n:
-        raise AnalysisError(
-            f"estimator state is for n={state['n']}, cannot resume at n={n}"
-        )
-    if state.get("seed") != seed_record:
-        raise AnalysisError(
-            f"estimator state was drawn under seed {state.get('seed')!r}, "
-            f"cannot resume under seed {seed_record!r} (the draw streams differ)"
-        )
-    return dict(state)
-
-
-def sample_round_distribution_resumable(
-    graph: Graph,
-    algorithm: BallAlgorithm,
-    samples: int,
-    seed: SeedLike = None,
-    kernel: Optional[CompiledInstance] = None,
-    state: Optional[Mapping] = None,
-) -> ResumableSample:
-    """Sample with exportable estimator state, resuming from ``state`` if given.
-
-    The resumable sibling of :func:`sample_round_distribution`, with the
-    identical seed contract: the returned estimate for a total budget of
-    ``samples`` draws is **bit-for-bit** the estimate a single fresh run
-    with ``samples`` draws would produce, whether the draws were folded in
-    one pass or across any number of resumed continuations.  Draws already
-    folded into ``state`` are skipped by replaying only the master RNG's
-    child-seed stream (no simulation), so a continuation pays for its *new*
-    draws only.
-
-    ``samples`` is the **total** budget (old + new); resuming with a budget
-    smaller than the stored draw count is an error — the fold cannot
-    un-observe.
-
-    >>> from repro.algorithms.largest_id import LargestIdAlgorithm
-    >>> from repro.topology.cycle import cycle_graph
-    >>> graph, algorithm = cycle_graph(6), LargestIdAlgorithm()
-    >>> first = sample_round_distribution_resumable(graph, algorithm, 8, seed=7)
-    >>> resumed = sample_round_distribution_resumable(
-    ...     graph, algorithm, 32, seed=7, state=first.state
-    ... )
-    >>> fresh = sample_round_distribution(graph, algorithm, samples=32, seed=7)
-    >>> resumed.result == fresh
-    True
-    >>> resumed.state["draws"]
-    32
-    """
-    if samples <= 0:
-        raise AnalysisError(f"samples must be positive, got {samples}")
-    seed_record = seed if isinstance(seed, int) else None
-    n = graph.n
-    fold = _DistributionFold(n)
-    consumed = 0
-    if state is not None:
-        document = _validate_estimator_state(state, n, seed_record)
-        consumed = int(document["draws"])
-        if consumed > samples:
-            raise AnalysisError(
-                f"estimator state already folded {consumed} draws; the total "
-                f"budget {samples} must not shrink"
-            )
-        fold.load_state(document["fold"])
-        if fold.count != consumed:
-            raise AnalysisError(
-                f"estimator state is inconsistent: draws={consumed} but the "
-                f"fold counted {fold.count}"
-            )
-    if kernel is None:
-        kernel = compile_instance(graph, algorithm, validate=False)
-    remaining = samples - consumed
-    with _obs_span("dist.sampling.resumable", n=n, samples=samples, resumed=consumed):
-        master = make_rng(seed)
-        # Replay the child-seed stream of the already-folded draws so draw
-        # k+1 of this continuation is exactly draw k+1 of a fresh run.
-        for _ in range(consumed):
-            master.getrandbits(64)
-        chunk: list[tuple[int, ...]] = []
-        for _ in range(remaining):
-            chunk.append(random_assignment(n, seed=master.getrandbits(64)).identifiers())
-            if len(chunk) >= DEFAULT_BATCH_ROWS:
-                for radii in kernel.batch_radii(chunk, pre_validated=True):
-                    fold.fold(radii)
-                chunk.clear()
-        if chunk:
-            for radii in kernel.batch_radii(chunk, pre_validated=True):
-                fold.fold(radii)
-    if fold.count == 0:
-        raise AnalysisError("sampling needs at least one radii row")
-    new_state = {
-        "kind": ESTIMATOR_STATE_KIND,
-        "version": ESTIMATOR_STATE_VERSION,
-        "n": n,
-        "seed": seed_record,
-        "draws": fold.count,
-        "fold": fold.state_dict(),
-    }
-    return ResumableSample(result=fold.result(seed_record), state=new_state)
+    return fold.result()
 
 
 def estimate_expected_measures(

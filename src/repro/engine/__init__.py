@@ -10,8 +10,9 @@ The fast execution path for the whole library, layered as:
   signatures, with hit/miss statistics;
 * :mod:`repro.engine.batch` — :class:`BatchExecutor`, deterministic
   multiprocessing fan-out with per-task seeding;
-* :mod:`repro.engine.campaign` — declarative sweep campaigns over
-  (topology × n × algorithm × adversary) grids, exposed as ``repro sweep``.
+* :mod:`repro.engine.campaign` — the grid registries (topologies,
+  adversaries, distribution methods), their factories, and the
+  ``repro sweep`` / ``repro dist`` row documents.
 
 The legacy entry points (:func:`repro.core.runner.run_ball_algorithm`, the
 adversaries, the measures) are thin wrappers over this package, so existing
@@ -25,17 +26,9 @@ from repro.engine.campaign import (
     ADVERSARY_NAMES,
     DIST_METHODS,
     TOPOLOGY_BUILDERS,
-    CampaignCell,
-    CampaignSpec,
-    DistCell,
-    DistSpec,
     build_topology,
     load_dist_rows,
     load_rows,
-    run_campaign,
-    run_campaign_rows,
-    run_dist_campaign,
-    run_dist_campaign_rows,
     write_dist_rows,
     write_rows,
 )
@@ -45,12 +38,8 @@ __all__ = [
     "ADVERSARY_NAMES",
     "BatchExecutor",
     "CacheStats",
-    "CampaignCell",
-    "CampaignSpec",
     "DIST_METHODS",
     "DecisionCache",
-    "DistCell",
-    "DistSpec",
     "FrontierRunner",
     "TOPOLOGY_BUILDERS",
     "build_topology",
@@ -58,10 +47,6 @@ __all__ = [
     "frontier_run",
     "load_dist_rows",
     "load_rows",
-    "run_campaign",
-    "run_campaign_rows",
-    "run_dist_campaign",
-    "run_dist_campaign_rows",
     "run_simulation_batch",
     "write_dist_rows",
     "write_rows",

@@ -1,42 +1,31 @@
-"""Declarative sweep campaigns over (topology × n × algorithm × adversary).
+"""The grid registries and the row documents of sweeps and distributions.
 
-The ROADMAP's north star — scale, speed, scenario diversity — needs a way to
-say "run *this grid* of adversarial searches" without hand-writing loops.  A
-:class:`CampaignSpec` declares the grid; :func:`run_campaign` expands it into
-deterministic cells, shards the cells across a
-:class:`~repro.engine.batch.BatchExecutor`, and returns one JSON-friendly row
-per cell (objective value, witness evaluations, cache hit rate, wall time).
+A :class:`~repro.api.query.Query` names its grid by registry keys; this
+module owns those registries (topologies, adversaries, distribution
+methods) and the factories that turn a key into an object —
+:func:`build_topology`, :func:`make_adversary`, :func:`make_ball_algorithm`.
+:meth:`repro.api.session.Session.run` expands a query into cells and
+evaluates them through these factories.
 
-Rows can be written with :func:`write_rows` and rendered into
-``EXPERIMENTS.md`` by ``scripts/generate_experiments_md.py --campaign``.
-The ``repro sweep`` CLI subcommand is a thin front-end over this module.
-
-Determinism: every cell derives its private seed from the campaign seed and
-its own coordinates (:func:`~repro.engine.batch.derive_task_seed`), so the
-same spec produces the same rows at any worker count.
+Rows can be written with :func:`write_rows` / :func:`write_dist_rows` (the
+``repro sweep --output`` and ``repro dist --output`` documents) and rendered
+into ``EXPERIMENTS.md`` by ``scripts/generate_experiments_md.py --campaign``.
 """
 
 from __future__ import annotations
 
-import itertools
-import time
-from array import array
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.engine.batch import BatchExecutor, derive_task_seed
-from repro.engine.pool import fetch_memoryview, worker_cache
 from repro.errors import ConfigurationError
 from repro.model.graph import Graph
-from repro.obs.spans import span as _obs_span
 from repro.topology.complete import complete_graph
 from repro.topology.cycle import cycle_graph
 from repro.topology.grid import grid_graph
 from repro.topology.path import path_graph
 from repro.topology.random_graphs import gnp_random_graph, random_tree
 
-#: Topology name -> builder ``(n, seed) -> Graph``.  The CLI's ``simulate``
-#: and ``sweep`` subcommands share this registry.
+#: Topology name -> builder ``(n, seed) -> Graph``.  Every query mode and
+#: the CLI share this registry.
 TOPOLOGY_BUILDERS: dict[str, Callable[[int, int], Graph]] = {
     "cycle": lambda n, seed: cycle_graph(n),
     "path": lambda n, seed: path_graph(n),
@@ -51,7 +40,7 @@ TOPOLOGY_BUILDERS: dict[str, Callable[[int, int], Graph]] = {
 #: and automorphism groups are shared across differently seeded queries.
 DETERMINISTIC_TOPOLOGIES = frozenset({"cycle", "path", "grid", "complete"})
 
-#: Adversary strategies a campaign cell can request.  The first four are
+#: Adversary strategies a search cell can request.  The first four are
 #: the first-generation (reference) searches; the last three come from the
 #: symmetry-aware :mod:`repro.search` subsystem.
 ADVERSARY_NAMES = (
@@ -63,10 +52,6 @@ ADVERSARY_NAMES = (
     "branch-and-bound",
     "portfolio",
 )
-
-#: Objectives a campaign can maximise (mirrors repro.core.adversary.OBJECTIVES,
-#: restated here so spec validation stays core-import-free).
-OBJECTIVE_NAMES = ("average", "max", "sum")
 
 
 def build_topology(name: str, n: int, seed: int) -> Graph:
@@ -80,90 +65,14 @@ def build_topology(name: str, n: int, seed: int) -> Graph:
     return builder(n, seed)
 
 
-@dataclass(frozen=True)
-class CampaignCell:
-    """One fully specified point of the sweep grid."""
+def make_adversary(name: str, budgets, seed: int = 0, workers: Optional[int] = 1):
+    """Instantiate a registered adversary by name, with the query's budgets.
 
-    index: int
-    topology: str
-    n: int
-    algorithm: str
-    adversary: str
-    objective: str
-    seed: int
-
-
-@dataclass(frozen=True)
-class CampaignSpec:
-    """A grid of adversarial searches plus the search budgets.
-
-    The grid is the full cartesian product ``topologies × sizes ×
-    algorithms × adversaries`` under one ``objective``; the budget fields
-    parameterise the non-exhaustive adversaries.
-    """
-
-    topologies: tuple[str, ...] = ("cycle",)
-    sizes: tuple[int, ...] = (8,)
-    algorithms: tuple[str, ...] = ("largest-id",)
-    adversaries: tuple[str, ...] = ("random-search",)
-    objective: str = "average"
-    seed: int = 0
-    samples: int = 16
-    restarts: int = 2
-    swaps_per_step: int = 16
-    max_steps: int = 32
-    exhaustive_max_nodes: int = 9
-    #: Node cap for the symmetry-pruned exact adversaries, which stay
-    #: feasible well past the legacy exhaustive limit on symmetric graphs.
-    exact_max_nodes: int = 12
-
-    def __post_init__(self) -> None:
-        for name in self.topologies:
-            if name not in TOPOLOGY_BUILDERS:
-                raise ConfigurationError(
-                    f"unknown topology {name!r}; known: {', '.join(sorted(TOPOLOGY_BUILDERS))}"
-                )
-        for name in self.adversaries:
-            if name not in ADVERSARY_NAMES:
-                raise ConfigurationError(
-                    f"unknown adversary {name!r}; known: {', '.join(ADVERSARY_NAMES)}"
-                )
-        if self.objective not in OBJECTIVE_NAMES:
-            raise ConfigurationError(
-                f"unknown objective {self.objective!r}; known: {', '.join(OBJECTIVE_NAMES)}"
-            )
-
-    def cells(self) -> list[CampaignCell]:
-        """Expand the grid into deterministic, individually seeded cells."""
-        grid = itertools.product(
-            self.topologies, self.sizes, self.algorithms, self.adversaries
-        )
-        return [
-            CampaignCell(
-                index=index,
-                topology=topology,
-                n=n,
-                algorithm=algorithm,
-                adversary=adversary,
-                objective=self.objective,
-                seed=derive_task_seed(self.seed, topology, n, algorithm, adversary),
-            )
-            for index, (topology, n, algorithm, adversary) in enumerate(grid)
-        ]
-
-
-def make_adversary(
-    name: str,
-    spec: Optional[CampaignSpec] = None,
-    seed: int = 0,
-    workers: Optional[int] = 1,
-):
-    """Instantiate a registered adversary by name (the campaign/CLI factory).
-
-    ``spec`` supplies the search budgets (defaults to a fresh
-    :class:`CampaignSpec`); ``seed`` feeds the randomised searches and
-    ``workers`` the portfolio's process fan-out (campaign cells keep the
-    default of 1 because they already run inside worker processes).
+    ``budgets`` is a :class:`~repro.api.query.Query` (or anything carrying
+    its budget fields ``samples``, ``restarts``, ``swaps_per_step``,
+    ``max_steps``, ``exhaustive_max_nodes`` and ``exact_max_nodes``);
+    ``seed`` feeds the randomised searches and ``workers`` the portfolio's
+    process fan-out.
     """
     # Imported here: the engine's lower layers must stay importable without
     # repro.core (which itself imports the engine).
@@ -174,17 +83,15 @@ def make_adversary(
         RotationAdversary,
     )
 
-    if spec is None:
-        spec = CampaignSpec(adversaries=(name,))
     if name == "exhaustive":
-        return ExhaustiveAdversary(max_nodes=spec.exhaustive_max_nodes)
+        return ExhaustiveAdversary(max_nodes=budgets.exhaustive_max_nodes)
     if name == "random-search":
-        return RandomSearchAdversary(samples=spec.samples, seed=seed)
+        return RandomSearchAdversary(samples=budgets.samples, seed=seed)
     if name == "local-search":
         return LocalSearchAdversary(
-            restarts=spec.restarts,
-            swaps_per_step=spec.swaps_per_step,
-            max_steps=spec.max_steps,
+            restarts=budgets.restarts,
+            swaps_per_step=budgets.swaps_per_step,
+            max_steps=budgets.max_steps,
             seed=seed,
         )
     if name == "rotation":
@@ -196,16 +103,12 @@ def make_adversary(
     )
 
     if name == "pruned-exhaustive":
-        return PrunedExhaustiveAdversary(max_nodes=spec.exact_max_nodes)
+        return PrunedExhaustiveAdversary(max_nodes=budgets.exact_max_nodes)
     if name == "branch-and-bound":
-        return BranchAndBoundAdversary(max_nodes=spec.exact_max_nodes)
+        return BranchAndBoundAdversary(max_nodes=budgets.exact_max_nodes)
     if name == "portfolio":
         return PortfolioAdversary(seed=seed, workers=workers)
     raise ConfigurationError(f"unknown adversary {name!r}")
-
-
-def _build_adversary(spec: CampaignSpec, cell: CampaignCell):
-    return make_adversary(cell.adversary, spec, seed=cell.seed)
 
 
 def make_ball_algorithm(name: str, n: int):
@@ -226,99 +129,8 @@ def make_ball_algorithm(name: str, n: int):
     return BallSimulationOfRounds(algorithm)
 
 
-def search_cell_row(
-    spec: CampaignSpec,
-    cell: CampaignCell,
-    graph: Optional[Graph] = None,
-    algorithm=None,
-    adversary=None,
-) -> dict:
-    """Execute one search cell and return its JSON-friendly result row.
-
-    ``graph``, ``algorithm`` and ``adversary`` default to freshly built
-    instances (the behaviour of the worker path); a
-    :class:`repro.api.session.Session` passes its cached objects instead so
-    repeated queries share frontier plans and automorphism groups.
-    """
-    if graph is None:
-        graph = build_topology(cell.topology, cell.n, cell.seed)
-    if algorithm is None:
-        algorithm = make_ball_algorithm(cell.algorithm, graph.n)
-    if adversary is None:
-        adversary = _build_adversary(spec, cell)
-    started = time.perf_counter()
-    with _obs_span(
-        "engine.search_cell",
-        topology=cell.topology,
-        n=cell.n,
-        algorithm=cell.algorithm,
-        adversary=cell.adversary,
-    ):
-        result = adversary.maximise(graph, algorithm, objective=cell.objective)
-    elapsed = time.perf_counter() - started
-    cache_stats = result.cache_stats.as_dict() if result.cache_stats else None
-    certificate = result.certificate
-    return {
-        "certificate": certificate.as_dict() if certificate is not None else None,
-        "index": cell.index,
-        "topology": cell.topology,
-        "n": cell.n,
-        "graph_n": graph.n,
-        "graph": graph.name,
-        "algorithm": cell.algorithm,
-        "adversary": cell.adversary,
-        "objective": cell.objective,
-        "value": result.value,
-        "evaluations": result.evaluations,
-        "exact": result.exact,
-        "witness_ids": list(result.assignment.identifiers()),
-        "cache": cache_stats,
-        "seed": cell.seed,
-        "wall_time_s": elapsed,
-    }
-
-
-def run_cell(payload: tuple[CampaignSpec, CampaignCell]) -> dict:
-    """Worker entry point: execute one campaign cell from a picklable payload."""
-    spec, cell = payload
-    return search_cell_row(spec, cell)
-
-
-def run_campaign_rows(spec: CampaignSpec, workers: Optional[int] = 1) -> list[dict]:
-    """Run every cell of the campaign, optionally sharded across processes.
-
-    Rows come back ordered by cell index, identical at any worker count.
-    This is the engine-internal path; user code should prefer
-    :meth:`repro.api.session.Session.sweep`, which returns the same rows
-    wrapped in a versioned :class:`repro.api.results.Result`.
-    """
-    cells = spec.cells()
-    payloads = [(spec, cell) for cell in cells]
-    rows = BatchExecutor(workers).map(run_cell, payloads)
-    return sorted(rows, key=lambda row: row["index"])
-
-
-def run_campaign(spec: CampaignSpec, workers: Optional[int] = 1) -> list[dict]:
-    """Deprecated: use :meth:`repro.api.session.Session.sweep` instead.
-
-    Thin shim over :func:`run_campaign_rows` (the historical row list is
-    returned unchanged); it exists so pre-API callers keep working while
-    new code goes through the unified query surface.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_campaign is deprecated; use repro.Session().sweep(...) or "
-        "repro.query(mode='sweep', ...) (repro.api), which return the same "
-        "rows inside a versioned Result",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_campaign_rows(spec, workers=workers)
-
-
 def write_rows(rows: Sequence[dict], path: str) -> None:
-    """Write campaign rows as a JSON document with a self-describing header.
+    """Write sweep rows as a JSON document with a self-describing header.
 
     The write is atomic (temp file + :func:`os.replace`), so an interrupted
     run never leaves a truncated document at ``path``.
@@ -340,467 +152,12 @@ def load_rows(path: str) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# distribution campaigns (the `repro dist` grid)
+# distribution grids (the `repro dist` documents)
 # ----------------------------------------------------------------------
 
 #: How a distribution cell is computed: exact orbit-weighted enumeration
 #: (:mod:`repro.dist.exact`) or seeded Monte-Carlo (:mod:`repro.dist.sampling`).
 DIST_METHODS = ("exact", "sample")
-
-
-@dataclass(frozen=True)
-class DistCell:
-    """One fully specified point of a distribution grid.
-
-    ``graph_seed`` is derived *without* the method so that the exact and
-    the sampled cell of one ``(topology, n, algorithm)`` coordinate build
-    the identical graph — the whole point of the comparison; ``seed``
-    additionally folds the method in and feeds the Monte-Carlo sampling.
-    """
-
-    index: int
-    topology: str
-    n: int
-    algorithm: str
-    method: str
-    graph_seed: int
-    seed: int
-    samples: int
-
-
-@dataclass(frozen=True)
-class DistSpec:
-    """A grid of measure-distribution computations.
-
-    The grid is ``topologies × sizes × algorithms × methods``; ``samples``
-    parameterises the Monte-Carlo cells, and the two caps guard the exact
-    cells exactly like the exact adversaries
-    (:data:`repro.dist.exact.DEFAULT_MAX_CLASSES`).
-    """
-
-    topologies: tuple[str, ...] = ("cycle",)
-    sizes: tuple[int, ...] = (6,)
-    algorithms: tuple[str, ...] = ("largest-id",)
-    methods: tuple[str, ...] = ("exact",)
-    seed: int = 0
-    samples: int = 256
-    exact_max_nodes: int = 12
-    max_classes: int = 250_000
-
-    def __post_init__(self) -> None:
-        for name in self.topologies:
-            if name not in TOPOLOGY_BUILDERS:
-                raise ConfigurationError(
-                    f"unknown topology {name!r}; known: {', '.join(sorted(TOPOLOGY_BUILDERS))}"
-                )
-        for name in self.methods:
-            if name not in DIST_METHODS:
-                raise ConfigurationError(
-                    f"unknown distribution method {name!r}; known: {', '.join(DIST_METHODS)}"
-                )
-        if self.samples <= 0:
-            raise ConfigurationError(f"samples must be positive, got {self.samples}")
-
-    def cells(self) -> list[DistCell]:
-        """Expand the grid into deterministic, individually seeded cells."""
-        grid = itertools.product(
-            self.topologies, self.sizes, self.algorithms, self.methods
-        )
-        return [
-            DistCell(
-                index=index,
-                topology=topology,
-                n=n,
-                algorithm=algorithm,
-                method=method,
-                graph_seed=derive_task_seed(self.seed, "dist", topology, n, algorithm),
-                seed=derive_task_seed(self.seed, "dist", topology, n, algorithm, method),
-                samples=self.samples,
-            )
-            for index, (topology, n, algorithm, method) in enumerate(grid)
-        ]
-
-
-def dist_cell_row(
-    spec: DistSpec,
-    cell: DistCell,
-    graph: Optional[Graph] = None,
-    algorithm=None,
-    kernel=None,
-) -> dict:
-    """Execute one distribution cell and return its JSON-friendly row.
-
-    The row embeds the full serialised
-    :class:`~repro.dist.distribution.RoundDistribution` (key
-    ``distribution``) next to the headline statistics of both measures, so
-    consumers can either read the summary columns or reconstruct the whole
-    distribution.  Exact rows carry the
-    :class:`~repro.dist.exact.DistributionCertificate`; sampled rows carry
-    the per-measure standard errors.  Like :func:`search_cell_row`,
-    ``graph``/``algorithm`` accept a session's cached objects, and
-    ``kernel`` a session-cached
-    :class:`~repro.kernel.compile.CompiledInstance` for the sampled method;
-    the row's ``kernel`` entry records which backend and rule evaluated it.
-    """
-    # Imported here for the same reason as make_adversary: the engine's
-    # lower layers must stay importable without the higher dist package.
-    from repro.dist.exact import exact_round_distribution
-    from repro.dist.sampling import sample_round_distribution
-
-    if graph is None:
-        graph = build_topology(cell.topology, cell.n, cell.graph_seed)
-    if algorithm is None:
-        algorithm = make_ball_algorithm(cell.algorithm, graph.n)
-    started = time.perf_counter()
-    with _obs_span(
-        "engine.dist_cell",
-        topology=cell.topology,
-        n=cell.n,
-        method=cell.method,
-    ):
-        if cell.method == "exact":
-            exact = exact_round_distribution(
-                graph,
-                algorithm,
-                max_nodes=spec.exact_max_nodes,
-                max_classes=spec.max_classes,
-            )
-            distribution = exact.distribution
-            certificate = exact.certificate.as_dict()
-            uncertainty = None
-            kernel_info = exact.kernel
-        else:
-            if kernel is None:
-                from repro.kernel.compile import compile_instance
-
-                kernel = compile_instance(graph, algorithm, validate=False)
-            sampled = sample_round_distribution(
-                graph, algorithm, samples=cell.samples, seed=cell.seed, kernel=kernel
-            )
-            distribution = sampled.distribution
-            certificate = None
-            uncertainty = {
-                "average": sampled.average.as_dict(),
-                "maximum": sampled.maximum.as_dict(),
-            }
-            kernel_info = kernel.describe()
-    elapsed = time.perf_counter() - started
-    return _dist_row(cell, graph, distribution, certificate, uncertainty, kernel_info, elapsed)
-
-
-def _dist_row(
-    cell: DistCell,
-    graph: Graph,
-    distribution,
-    certificate,
-    uncertainty,
-    kernel_info,
-    elapsed: float,
-) -> dict:
-    """The shared row schema of :func:`dist_cell_row` and the batched path."""
-    summary = distribution.summary()
-    return {
-        "index": cell.index,
-        "topology": cell.topology,
-        "n": cell.n,
-        "graph_n": graph.n,
-        "graph": graph.name,
-        "algorithm": cell.algorithm,
-        "method": cell.method,
-        "exact": cell.method == "exact",
-        "seed": cell.seed,
-        "samples": None if cell.method == "exact" else cell.samples,
-        "total_weight": distribution.total_weight,
-        "average": summary["average"],
-        "max": summary["max"],
-        "uncertainty": uncertainty,
-        "certificate": certificate,
-        "kernel": kernel_info,
-        "distribution": distribution.as_dict(),
-        "wall_time_s": elapsed,
-    }
-
-
-def dist_cell_row_resumed(
-    spec: DistSpec,
-    cell: DistCell,
-    graph: Optional[Graph] = None,
-    algorithm=None,
-    kernel=None,
-    state: Optional[dict] = None,
-) -> tuple[dict, dict]:
-    """Execute one *sampled* cell resumably; return ``(row, estimator_state)``.
-
-    The service-layer sibling of :func:`dist_cell_row` for ``method ==
-    "sample"`` cells: the cell's draws stream through
-    :func:`repro.dist.sampling.sample_round_distribution_resumable`, so the
-    returned row is identical to :func:`dist_cell_row`'s (same schema, same
-    estimates bit-for-bit, only ``wall_time_s`` differs) while the second
-    return value is the portable estimator state a later, larger-budget
-    repeat of the same cell continues from.  ``state`` accepts that earlier
-    state; ``cell.samples`` is the *total* draw budget.
-    """
-    from repro.dist.sampling import sample_round_distribution_resumable
-
-    if cell.method != "sample":
-        raise ConfigurationError(
-            f"dist_cell_row_resumed handles sampled cells only, got "
-            f"{cell.method!r} (cell {cell.index})"
-        )
-    if graph is None:
-        graph = build_topology(cell.topology, cell.n, cell.graph_seed)
-    if algorithm is None:
-        algorithm = make_ball_algorithm(cell.algorithm, graph.n)
-    if kernel is None:
-        from repro.kernel.compile import compile_instance
-
-        kernel = compile_instance(graph, algorithm, validate=False)
-    started = time.perf_counter()
-    with _obs_span(
-        "engine.dist_cell",
-        topology=cell.topology,
-        n=cell.n,
-        method=cell.method,
-    ):
-        outcome = sample_round_distribution_resumable(
-            graph,
-            algorithm,
-            samples=cell.samples,
-            seed=cell.seed,
-            kernel=kernel,
-            state=state,
-        )
-    elapsed = time.perf_counter() - started
-    sampled = outcome.result
-    uncertainty = {
-        "average": sampled.average.as_dict(),
-        "maximum": sampled.maximum.as_dict(),
-    }
-    row = _dist_row(
-        cell, graph, sampled.distribution, None, uncertainty, kernel.describe(), elapsed
-    )
-    return row, outcome.state
-
-
-def dist_cell_rows_batched(
-    spec: DistSpec,
-    cells: Sequence[DistCell],
-    graph_for: Callable[[DistCell], Graph],
-    algorithm_for: Callable[[DistCell, Graph], Any],
-    kernel_for: Callable[[Graph, Any], Any],
-    workers: int = 1,
-) -> list[dict]:
-    """Evaluate a grid's *sampled* cells as one cross-cell kernel submission.
-
-    Every cell's deterministic draw stream is materialised up front
-    (:func:`repro.dist.sampling.draw_sample_rows`), all streams go through
-    one :func:`repro.kernel.compile.simulate_many` call — a ragged
-    multi-instance batch, so cells sharing a compiled instance merge into
-    one row stream — and each cell's radii fold back into exactly the
-    result :func:`repro.dist.sampling.sample_round_distribution` computes
-    for the same seed.  Rows are identical to :func:`dist_cell_row` apart
-    from timing: a cell's ``wall_time_s`` is its own fold time plus its
-    row-count share of the shared kernel call.
-
-    With ``workers > 1`` the per-cell simulations fan out over the warm
-    :mod:`~repro.engine.pool` instead: each cell's ID matrix is published
-    into shared memory (inline fallback when unavailable), workers
-    reconstruct and cache the graph/kernel per cell family, and affinity
-    keys pin a family's cells to one worker.  The radii — and therefore the
-    folded rows — are bit-identical to the serial batch at any worker
-    count; only the wall-time attribution differs.
-
-    ``graph_for`` / ``algorithm_for`` / ``kernel_for`` resolve per-cell
-    objects, so the session layer can pass its caches.  Exact cells are
-    rejected — route them through :func:`dist_cell_row`.
-    """
-    from repro.dist.sampling import draw_sample_rows, fold_sampled_radii
-    from repro.kernel.compile import BatchRequest, simulate_many
-
-    prepared = []
-    for cell in cells:
-        if cell.method != "sample":
-            raise ConfigurationError(
-                f"dist_cell_rows_batched handles sampled cells only, got "
-                f"{cell.method!r} (cell {cell.index})"
-            )
-        graph = graph_for(cell)
-        algorithm = algorithm_for(cell, graph)
-        kernel = kernel_for(graph, algorithm)
-        rows = draw_sample_rows(graph.n, cell.samples, cell.seed)
-        prepared.append((cell, graph, kernel, rows))
-    if not prepared:
-        return []
-    total_rows = sum(len(rows) for _, _, _, rows in prepared)
-    batch_started = time.perf_counter()
-    executor = BatchExecutor(workers) if workers and workers > 1 else None
-    if executor is not None and len(prepared) > 1 and executor.pool is not None:
-        radii_blocks = _simulate_cells_pooled(executor, prepared)
-    else:
-        radii_blocks = simulate_many(
-            [
-                BatchRequest(kernel, rows, pre_validated=True)
-                for _, _, kernel, rows in prepared
-            ]
-        )
-    batch_elapsed = time.perf_counter() - batch_started
-    out = []
-    for (cell, graph, kernel, rows), radii in zip(prepared, radii_blocks):
-        started = time.perf_counter()
-        with _obs_span(
-            "engine.dist_cell",
-            topology=cell.topology,
-            n=cell.n,
-            method=cell.method,
-        ):
-            sampled = fold_sampled_radii(graph.n, radii, seed=cell.seed)
-        elapsed = (
-            time.perf_counter() - started
-            + batch_elapsed * (len(rows) / total_rows)
-        )
-        uncertainty = {
-            "average": sampled.average.as_dict(),
-            "maximum": sampled.maximum.as_dict(),
-        }
-        out.append(
-            _dist_row(
-                cell,
-                graph,
-                sampled.distribution,
-                None,
-                uncertainty,
-                kernel.describe(),
-                elapsed,
-            )
-        )
-    return out
-
-
-def _simulate_cells_pooled(executor: BatchExecutor, prepared: Sequence[tuple]) -> list:
-    """Fan per-cell simulations out over the warm pool; radii in cell order.
-
-    Each cell's ID matrix is published once into shared memory and shipped
-    as a handle (inline rows when shared memory is unavailable); tasks of
-    the same ``(topology, n, graph_seed, algorithm)`` family share an
-    affinity key so the worker that compiled that family's kernel serves
-    all of them.
-    """
-    pool = executor.pool
-    payloads = []
-    keys = []
-    pinned = []
-    for cell, graph, _, rows in prepared:
-        rows_field: Any = tuple(rows)
-        if pool is not None:
-            flat = array("q")
-            for row in rows:
-                flat.extend(row)
-            ref = pool.publish(flat)
-            if ref is not None:
-                pinned.append(ref)
-                rows_field = ("rows-ref", 0, len(rows), graph.n, ref)
-        payloads.append(
-            (
-                cell.topology,
-                cell.n,
-                cell.graph_seed,
-                cell.algorithm,
-                cell.samples,
-                cell.seed,
-                rows_field,
-            )
-        )
-        keys.append((cell.topology, cell.n, cell.graph_seed, cell.algorithm))
-    try:
-        return executor.map(run_dist_simulate, payloads, keys=keys)
-    finally:
-        for ref in pinned:
-            pool.release(ref)
-
-
-def run_dist_simulate(payload: tuple) -> list:
-    """Worker entry point: simulate one sampled cell's draw stream.
-
-    The payload carries the cell's family coordinates plus its ID matrix
-    (a shared-memory handle or inline rows); the reconstructed graph and
-    compiled kernel are cached per worker via
-    :func:`repro.engine.pool.worker_cache`, and a vanished shared segment
-    degrades to re-drawing the rows from the cell's seed — every path
-    yields the same radii.
-    """
-    from repro.kernel.compile import BatchRequest, compile_instance, simulate_many
-
-    topology, n, graph_seed, algorithm_name, samples, seed, rows_field = payload
-    graph = worker_cache(
-        "dist.graph",
-        (topology, n, graph_seed),
-        lambda: build_topology(topology, n, graph_seed),
-    )
-    kernel = worker_cache(
-        "dist.kernel",
-        (topology, n, graph_seed, algorithm_name),
-        lambda: compile_instance(
-            graph, make_ball_algorithm(algorithm_name, graph.n), validate=False
-        ),
-    )
-    rows = _dist_rows_from_field(rows_field, graph.n, samples, seed)
-    return simulate_many([BatchRequest(kernel, rows, pre_validated=True)])[0]
-
-
-def _dist_rows_from_field(rows_field, n: int, samples: int, seed: int):
-    """Materialise a cell's ID matrix: shm handle, inline rows, or re-draw."""
-    if rows_field and rows_field[0] == "rows-ref":
-        from repro.dist.sampling import draw_sample_rows
-
-        _, offset, count, width, ref = rows_field
-        try:
-            flat = fetch_memoryview(ref).cast("q")
-        except LookupError:
-            # The segment is gone (publisher exited, eviction): the draw
-            # stream is a pure function of (n, samples, seed) — redraw it.
-            return draw_sample_rows(n, samples, seed)
-        return [
-            tuple(flat[(offset + index) * width : (offset + index + 1) * width])
-            for index in range(count)
-        ]
-    return rows_field
-
-
-def run_dist_cell(payload: tuple[DistSpec, DistCell]) -> dict:
-    """Worker entry point: execute one distribution cell from a picklable payload."""
-    spec, cell = payload
-    return dist_cell_row(spec, cell)
-
-
-def run_dist_campaign_rows(spec: DistSpec, workers: Optional[int] = 1) -> list[dict]:
-    """Run every cell of a distribution campaign, optionally across processes.
-
-    Rows come back ordered by cell index, identical at any worker count.
-    Engine-internal; user code should prefer
-    :meth:`repro.api.session.Session.distribution`.
-    """
-    cells = spec.cells()
-    payloads = [(spec, cell) for cell in cells]
-    rows = BatchExecutor(workers).map(run_dist_cell, payloads)
-    return sorted(rows, key=lambda row: row["index"])
-
-
-def run_dist_campaign(spec: DistSpec, workers: Optional[int] = 1) -> list[dict]:
-    """Deprecated: use :meth:`repro.api.session.Session.distribution` instead.
-
-    Thin shim over :func:`run_dist_campaign_rows`; the historical row list
-    is returned unchanged.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_dist_campaign is deprecated; use repro.Session().distribution(...) "
-        "or repro.query(mode='distribution', ...) (repro.api), which return "
-        "the same rows inside a versioned Result",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_dist_campaign_rows(spec, workers=workers)
 
 
 def aggregate_dist_rows(rows: Sequence[dict]) -> list[dict]:
@@ -809,7 +166,7 @@ def aggregate_dist_rows(rows: Sequence[dict]) -> list[dict]:
     Scalar measure marginals of different-sized graphs are pooled by weight
     (:meth:`~repro.dist.distribution.DiscreteDistribution.pooled`), giving
     the distribution of each measure over the whole graph family — the
-    cross-graph aggregation the campaign layer owes the experiments.
+    cross-graph aggregation the experiments read.
     """
     from repro.dist.distribution import DiscreteDistribution, RoundDistribution
 

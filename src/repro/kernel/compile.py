@@ -525,9 +525,9 @@ def simulate_many(
     bit-identical to the sequential one; pass ``pad_same_shape=False`` to
     force sequential evaluation (the benchmarks do, to measure the gap).
 
-    This is how the distribution campaigns submit a whole grid of sampled
+    This is how a distribution query submits a whole grid of sampled
     cells through one kernel entry point (see
-    :func:`repro.engine.campaign.dist_cell_rows_batched`).
+    :meth:`repro.api.session.Session.run`).
     """
     # Normalise per request first so validation errors point at the caller's
     # block, then merge trusted rows per instance.

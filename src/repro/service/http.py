@@ -15,8 +15,12 @@ Three endpoints, JSON in and out, no dependencies beyond ``http.server``:
   (404 when the store has no such object).
 * ``GET /v1/healthz`` — liveness + store statistics.
 
-Malformed bodies and unknown query fields answer 400 with a JSON error
-document; unknown paths 404.  The server is a
+Every request gets an answer.  Malformed bodies, unknown query fields and
+a missing, negative or non-integer ``Content-Length`` answer 400 with a
+JSON error document, a body over :data:`MAX_BODY_BYTES` 413 (both before
+any body byte is read), unknown paths 404, and any other failure 500.  A
+failure after a streamed response has sent its 200 arrives in-band, as a
+final ``{"type": "error"}`` line.  The server is a
 :class:`~http.server.ThreadingHTTPServer` (clients never block each other
 on I/O) over the thread-safe :class:`~repro.service.service.QueryService`.
 """
@@ -24,6 +28,7 @@ on I/O) over the thread-safe :class:`~repro.service.service.QueryService`.
 from __future__ import annotations
 
 import json
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
@@ -33,6 +38,9 @@ from repro.service.service import QueryService
 
 #: The protocol prefix every route lives under.
 API_PREFIX = "/v1"
+
+#: Largest accepted request body, in bytes (a query document is ~1 KiB).
+MAX_BODY_BYTES = 1 << 20
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -79,8 +87,44 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_json(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
+    def _send_error_json(self, status: int, message: str, close: bool = False) -> None:
+        headers = {"Connection": "close"} if close else None
+        self._send_json(status, {"error": message}, headers=headers)
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` once a 400/413 has answered instead.
+
+        The length is checked before anything is read: a negative length
+        would block the read until the client hangs up.  A rejected body
+        stays unread, so the connection closes after the error.
+        """
+        raw = self.headers.get("Content-Length")
+        digits = (raw or "").strip()
+        if not (digits.isascii() and digits.isdigit()):
+            self._send_error_json(
+                400, f"Content-Length must be a non-negative integer, got {raw!r}", close=True
+            )
+            return None
+        length = int(digits)
+        if length > MAX_BODY_BYTES:
+            self._send_error_json(
+                413,
+                f"request body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}",
+                close=True,
+            )
+            return None
+        return self.rfile.read(length)
+
+    def _failure(self, exc: Exception) -> str:
+        """The ``error`` text of a failed request; a non-library error is logged.
+
+        Library errors speak for themselves; anything else is a bug, so its
+        traceback goes to the server log next to the ``500``.
+        """
+        if isinstance(exc, ReproError):
+            return str(exc)
+        self.log_error("internal error on %s\n%s", self.path, traceback.format_exc())
+        return f"internal error: {type(exc).__name__}: {exc}"
 
     def _write_chunk(self, payload: bytes) -> None:
         self.wfile.write(f"{len(payload):x}\r\n".encode("ascii"))
@@ -115,9 +159,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if parsed.path != f"{API_PREFIX}/query":
             self._send_error_json(404, f"unknown path {parsed.path!r}")
             return
+        body = self._read_body()
+        if body is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = self.rfile.read(length)
             document = json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             self._send_error_json(400, f"request body is not valid JSON: {exc}")
@@ -138,8 +183,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 )
         except (ConfigurationError, AnalysisError) as exc:
             self._send_error_json(400, str(exc))
-        except ReproError as exc:
-            self._send_error_json(500, str(exc))
+        except Exception as exc:  # noqa: BLE001 - every request gets an answer
+            self._send_error_json(500, self._failure(exc))
 
     def _stream_query(self, document: dict) -> None:
         """Answer ``POST /v1/query?stream=1`` as chunked NDJSON events."""
@@ -151,9 +196,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Transfer-Encoding", "chunked")
         self.send_header("X-Repro-Hash", query.canonical_hash())
         self.end_headers()
-        for event in self.service.execute_stream(query):
-            line = json.dumps(event, sort_keys=True) + "\n"
-            self._write_chunk(line.encode("utf-8"))
+        try:
+            for event in self.service.execute_stream(query):
+                self._write_chunk((json.dumps(event, sort_keys=True) + "\n").encode("utf-8"))
+        except ConnectionError:
+            self.close_connection = True  # the client is gone
+            return
+        except Exception as exc:  # noqa: BLE001 - the 200 is sent: report in-band
+            error = {"type": "error", "error": self._failure(exc)}
+            self._write_chunk((json.dumps(error, sort_keys=True) + "\n").encode("utf-8"))
         self._write_chunk(b"")
 
 

@@ -13,9 +13,11 @@ document?* — as cheaply as truth allows:
    and the answer is bit-for-bit the one a fresh run with the combined
    budget would produce.
 3. **Miss** — the query computes cold: distribution queries with sampled
-   cells go through the resumable per-cell path in-process (capturing the
-   estimator state that makes step 2 possible next time); everything else
-   dispatches through the :class:`~repro.service.workers.QueryWorkerPool`.
+   cells run on the service's own session through
+   :meth:`Session.run <repro.api.session.Session.run>` — the same path as
+   any library call — and the service persists their estimator state,
+   which makes step 2 possible next time; everything else dispatches
+   through the :class:`~repro.service.workers.QueryWorkerPool`.
 
 Every compute is bracketed by a crash-safety job file (see
 :mod:`repro.service.workers`); :meth:`QueryService.recover` re-runs jobs a
@@ -31,7 +33,6 @@ Metrics (``REPRO_OBS=on``): ``service.requests``, per-tier counters
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from dataclasses import dataclass
@@ -39,9 +40,8 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
 from repro.api.query import Query
-from repro.api.results import Result
 from repro.api.session import Session
-from repro.engine.campaign import dist_cell_row, dist_cell_row_resumed
+from repro.dist.sampling import DistributionFold
 from repro.errors import ConfigurationError
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span as _obs_span
@@ -78,11 +78,6 @@ class ServeOutcome:
         if self.tier in ("l1", "l2"):
             return "hit"
         return self.tier
-
-
-def _cell_key(cell) -> str:
-    """The estimator-state key of one sampled cell (stable across budgets)."""
-    return f"{cell.topology}|{cell.n}|{cell.algorithm}"
 
 
 class QueryService:
@@ -236,53 +231,35 @@ class QueryService:
         """Whether the query's estimators can persist and resume."""
         return query.mode == "distribution" and "sample" in query.methods
 
-    def _load_family_states(self, query: Query) -> dict:
-        """The stored per-cell estimator states usable at this budget."""
+    def _load_family_folds(self, query: Query) -> dict:
+        """The stored per-cell estimator folds usable at this budget."""
         stored = self.store.get_state(query.family_hash())
-        if stored is None:
+        if stored is None or int(stored.get("samples", 0)) > query.samples:
+            # None stored, or drawn under a larger budget: the estimate
+            # cannot run backwards.
             return {}
-        if int(stored.get("samples", 0)) > query.samples:
-            # Drawn under a larger budget: the estimate cannot run backwards.
-            return {}
-        return dict(stored.get("states") or {})
+        return {
+            key: DistributionFold.from_state(state)
+            for key, state in (stored.get("states") or {}).items()
+        }
+
+    def _put_folds(self, query: Query, folds: dict) -> None:
+        """Persist the sampled cells' estimator state under the family hash."""
+        states = {key: fold.state_dict() for key, fold in folds.items()}
+        self.store.put_state(query.family_hash(), query.samples, states)
 
     def _compute_distribution(self, query: Query) -> tuple[dict, str]:
-        """Evaluate a sampled-distribution query resumably, persisting state.
+        """Evaluate a sampled-distribution query on the Session path.
 
-        Sampled cells stream through
-        :func:`~repro.engine.campaign.dist_cell_row_resumed` — continuing
-        stored estimator state when the family has any — and their final
-        states persist under the family hash for the next, larger budget.
-        Exact cells evaluate exactly as in
-        :meth:`~repro.api.session.Session.distribution`.
+        Stored estimator folds of the query's family continue (only the new
+        draws are simulated); the final folds persist for the next, larger
+        budget.
         """
-        spec = query.to_dist_spec()
-        cells = spec.cells()
-        prior = self._load_family_states(query)
-        resumed = False
-        states: dict = {}
-        rows = []
-        for cell in cells:
-            graph = self.session.graph(cell.topology, cell.n, cell.graph_seed)
-            algorithm = self.session.ball_algorithm(cell.algorithm, graph.n)
-            if cell.method == "sample":
-                kernel = self.session.kernel(graph, algorithm)
-                state = prior.get(_cell_key(cell))
-                resumed = resumed or state is not None
-                row, new_state = dist_cell_row_resumed(
-                    spec, cell, graph, algorithm, kernel, state=state
-                )
-                states[_cell_key(cell)] = new_state
-                rows.append(row)
-            else:
-                rows.append(dist_cell_row(spec, cell, graph, algorithm))
-        rows.sort(key=lambda row: row["index"])
-        result = Result.from_rows(
-            "distribution", query.to_dict(), rows, session_cache=self.session.cache_info()
-        )
-        if states:
-            self.store.put_state(query.family_hash(), query.samples, states)
-        return result.as_dict(), ("resume" if resumed else "miss")
+        folds = self._load_family_folds(query)
+        tier = "resume" if folds else "miss"
+        document = self.session.run(query, folds=folds).as_dict()
+        self._put_folds(query, folds)
+        return document, tier
 
     # ------------------------------------------------------------------
     # streaming (chunked progressive responses)
@@ -323,16 +300,15 @@ class QueryService:
         yield {"type": "result", "hash": digest, "cache": ServeOutcome(digest, document, tier).cached, "document": document}
 
     def _stream_distribution(self, query: Query, digest: str, chunks: int) -> Iterator[dict]:
-        """The chunked resumable evaluation behind :meth:`execute_stream`."""
-        spec = query.to_dist_spec()
-        cells = spec.cells()
-        sampled = [cell for cell in cells if cell.method == "sample"]
-        prior = self._load_family_states(query)
-        resumed = any(_cell_key(cell) in prior for cell in sampled)
-        consumed = min(
-            (int(prior[_cell_key(cell)]["draws"]) for cell in sampled if _cell_key(cell) in prior),
-            default=0,
-        )
+        """The chunked resumable evaluation behind :meth:`execute_stream`.
+
+        Runs the Session path once per step of the draw-budget schedule,
+        each step continuing the previous step's folds; steps before the
+        last run the sampled cells only, the last one the whole query.
+        """
+        folds = self._load_family_folds(query)
+        tier = "resume" if folds else "miss"
+        consumed = min((fold.count for fold in folds.values()), default=0)
         total = query.samples
         budgets = sorted(
             {
@@ -343,65 +319,24 @@ class QueryService:
         )
         if not budgets or budgets[-1] != total:
             budgets.append(total)
+        sampled_only = query.with_changes(methods=("sample",))
         write_job(self.config, digest, query.to_dict())
         try:
-            states = dict(prior)
-            final_rows: dict[str, dict] = {}
             for budget in budgets:
-                chunk_spec = dataclasses.replace(spec, samples=budget)
-                progress = []
-                for cell in chunk_spec.cells():
-                    if cell.method != "sample":
-                        continue
-                    graph = self.session.graph(cell.topology, cell.n, cell.graph_seed)
-                    algorithm = self.session.ball_algorithm(cell.algorithm, graph.n)
-                    kernel = self.session.kernel(graph, algorithm)
-                    key = _cell_key(cell)
-                    row, state = dist_cell_row_resumed(
-                        chunk_spec, cell, graph, algorithm, kernel, state=states.get(key)
-                    )
-                    states[key] = state
-                    final_rows[key] = row
-                    mean = row["average"]["mean"]
-                    std_error = (row.get("uncertainty") or {}).get("average", {}).get("std_error")
-                    progress.append(
-                        {
-                            "topology": cell.topology,
-                            "n": cell.n,
-                            "algorithm": cell.algorithm,
-                            "draws": int(state["draws"]),
-                            "mean": mean,
-                            "std_error": std_error,
-                            "ci95": None
-                            if std_error is None
-                            else [mean - 1.96 * std_error, mean + 1.96 * std_error],
-                        }
-                    )
+                step = query if budget == total else sampled_only.with_changes(samples=budget)
+                result = self.session.run(step, folds=folds)
                 yield {
                     "type": "progress",
                     "draws": budget,
                     "samples": total,
-                    "cells": progress,
+                    "cells": [_progress(row) for row in result.rows if row["method"] == "sample"],
                 }
-            rows = [final_rows[_cell_key(cell)] for cell in sampled]
-            for cell in cells:
-                if cell.method == "sample":
-                    continue
-                graph = self.session.graph(cell.topology, cell.n, cell.graph_seed)
-                algorithm = self.session.ball_algorithm(cell.algorithm, graph.n)
-                rows.append(dist_cell_row(spec, cell, graph, algorithm))
-            rows.sort(key=lambda row: row["index"])
-            result = Result.from_rows(
-                "distribution", query.to_dict(), rows, session_cache=self.session.cache_info()
-            )
             document = result.as_dict()
-            if states:
-                self.store.put_state(query.family_hash(), total, states)
+            self._put_folds(query, folds)
             self.store.put(digest, document, meta=self._put_meta(query))
             self._maybe_gc()
         finally:
             clear_job(self.config, digest)
-        tier = "resume" if resumed else "miss"
         _metrics.add(f"service.cache.{self._tier_metric(tier)}")
         yield {"type": "result", "hash": digest, "cache": tier, "document": document}
 
@@ -415,3 +350,18 @@ class QueryService:
             "max_parallel": self.config.max_parallel,
             "store": self.store.stats(),
         }
+
+
+def _progress(row: dict) -> dict:
+    """One sampled cell's entry of a streamed progress event."""
+    mean = row["average"]["mean"]
+    std_error = (row.get("uncertainty") or {}).get("average", {}).get("std_error")
+    return {
+        "topology": row["topology"],
+        "n": row["n"],
+        "algorithm": row["algorithm"],
+        "draws": row["samples"],
+        "mean": mean,
+        "std_error": std_error,
+        "ci95": None if std_error is None else [mean - 1.96 * std_error, mean + 1.96 * std_error],
+    }

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.api.query import Query
-from repro.api.session import Session
+from repro.api.session import Session, worker_session
 from repro.engine.batch import BatchExecutor
 from repro.errors import ConfigurationError
 from repro.utils.io import atomic_write_json
@@ -128,16 +128,12 @@ def run_query_job(document: dict) -> dict:
 
     Module-level (picklable) for :class:`~repro.engine.batch.BatchExecutor`
     dispatch; the returned ``repro-result`` dict travels back to the parent,
-    which owns the store.  The Session is **worker-global** (cached via
-    :func:`repro.engine.pool.worker_cache`): the warm pool keeps its workers
-    alive across dispatches, so repeated jobs reuse the worker's compiled
-    kernels, graphs and plans instead of rebuilding them per job.
+    which owns the store.  The Session is **worker-global**
+    (:func:`~repro.api.session.worker_session`): the warm pool keeps its
+    workers alive across dispatches, so repeated jobs reuse the worker's
+    compiled kernels, graphs and plans instead of rebuilding them per job.
     """
-    from repro.engine.pool import worker_cache
-
-    query = Query.from_dict(document)
-    session = worker_cache("service.session", "session", Session)
-    return session.run(query).as_dict()
+    return worker_session().run(Query.from_dict(document)).as_dict()
 
 
 class QueryWorkerPool:

@@ -1,11 +1,10 @@
-"""Tests for the declarative Query spec (validation, builder, JSON, interop)."""
+"""Tests for the declarative Query spec (validation, builder, JSON)."""
 
 import json
 
 import pytest
 
 from repro.api.query import MODES, Query, QueryBuilder
-from repro.engine.campaign import CampaignSpec, DistSpec
 from repro.errors import ConfigurationError
 
 
@@ -51,11 +50,58 @@ class TestValidation:
             ({"sizes": 0}, "sizes must be positive"),
             ({"samples": 0}, "samples must be positive"),
             ({"workers": 0}, "workers must be"),
+            ({"measure": "avg"}, "unknown measure"),
+            ({"samples": -3}, "samples must be positive"),
         ],
     )
     def test_bad_fields_rejected_eagerly(self, kwargs, match):
         with pytest.raises(ConfigurationError, match=match):
             Query(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", "x"),
+            ("seed", 1.5),
+            ("seed", [1]),
+            ("seed", True),
+            ("seed", None),
+            ("samples", True),
+            ("samples", "5"),
+            ("samples", 2.0),
+            ("workers", "2"),
+            ("restarts", -1),
+            ("restarts", 0),
+            ("swaps_per_step", 0),
+            ("max_steps", "32"),
+            ("exhaustive_max_nodes", 0),
+            ("exact_max_nodes", 1.5),
+            ("max_classes", "a"),
+            ("row_block", False),
+            ("center_chunk", -4),
+            ("sizes", "8"),
+            ("sizes", (8, 2.5)),
+        ],
+    )
+    def test_integer_fields_reject_non_ints_and_non_positive_budgets(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            Query(**{field: value})
+
+    def test_integer_fields_through_the_json_document(self):
+        document = dict(Query().to_dict(), samples="5")
+        with pytest.raises(ConfigurationError, match="samples must be an int"):
+            Query.from_dict(document)
+
+    @pytest.mark.parametrize("seed", [0, -7, 2**70])
+    def test_any_int_seed_is_valid(self, seed):
+        assert Query(seed=seed).seed == seed
+
+    def test_valid_queries_keep_their_canonical_hash(self):
+        # Pinned before the integer checks existed: validation must not
+        # change the preimage of any valid query.
+        assert Query().canonical_hash() == (
+            "c9452be0d4c3e4f3301ca9a620cb5b7236714f92ca407bc6ee95fe072a2df3c1"
+        )
 
 
 class TestBuilder:
@@ -117,40 +163,3 @@ class TestJson:
         path = tmp_path / "spec.json"
         path.write_text(Query(mode="sweep", sizes=6).to_json(), encoding="utf-8")
         assert Query.load(str(path)).mode == "sweep"
-
-
-class TestSpecInterop:
-    def test_campaign_spec_round_trip(self):
-        spec = CampaignSpec(
-            topologies=("cycle", "path"),
-            sizes=(6, 8),
-            algorithms=("largest-id",),
-            adversaries=("rotation", "random-search"),
-            objective="sum",
-            seed=5,
-            samples=7,
-            restarts=3,
-        )
-        query = Query.from_campaign_spec(spec)
-        assert query.mode == "sweep"
-        assert query.to_campaign_spec() == spec
-
-    def test_dist_spec_round_trip(self):
-        spec = DistSpec(
-            topologies=("cycle",),
-            sizes=(5,),
-            algorithms=("largest-id",),
-            methods=("exact", "sample"),
-            seed=2,
-            samples=64,
-        )
-        query = Query.from_dist_spec(spec)
-        assert query.mode == "distribution"
-        assert query.to_dist_spec() == spec
-
-    def test_query_cells_match_campaign_cells(self):
-        query = Query(mode="sweep", topologies=("cycle",), sizes=(6, 8), adversaries=("rotation",), seed=9)
-        assert query.to_campaign_spec().cells() == CampaignSpec(
-            topologies=("cycle",), sizes=(6, 8), adversaries=("rotation",),
-            samples=query.samples, seed=9,
-        ).cells()

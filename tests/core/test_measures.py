@@ -11,24 +11,22 @@ from repro.core.measures import (
     ComplexityReport,
     average_complexity,
     classic_complexity,
-    evaluate_assignment,
     exact_measure_distribution,
     expected_measures_over_random_ids,
     get_measure,
     measure_objective,
     sampled_measure_distribution,
-    worst_case_over_assignments,
 )
+from repro.api.session import Session
 from repro.core.runner import run_ball_algorithm
 from repro.errors import AnalysisError
 from repro.model.identifiers import IdentifierAssignment, random_assignment
 from repro.topology.cycle import cycle_graph
 
 
-class TestEvaluateAssignment:
+class TestSessionReport:
     def test_report_contains_both_measures(self, ring12, ring12_random_ids, largest_id_algorithm):
-        with pytest.warns(DeprecationWarning):
-            report = evaluate_assignment(ring12, ring12_random_ids, largest_id_algorithm)
+        report = Session().report(ring12, ring12_random_ids, largest_id_algorithm)
         assert isinstance(report, ComplexityReport)
         assert report.n == 12
         assert report.max_radius == 6  # the maximum's eccentricity on C_12
@@ -56,13 +54,12 @@ class TestAggregates:
             average_complexity([])
 
 
-class TestWorstCaseOverAssignments:
+class TestAdversaryWorstCase:
     def test_exhaustive_worst_case_on_a_tiny_cycle(self, largest_id_algorithm):
         graph = cycle_graph(5)
-        with pytest.warns(DeprecationWarning):
-            result = worst_case_over_assignments(
-                graph, largest_id_algorithm, ExhaustiveAdversary(), objective="average"
-            )
+        result = ExhaustiveAdversary().maximise(
+            graph, largest_id_algorithm, objective="average"
+        )
         assert result.exact
         # Re-run the winning assignment and confirm the reported value.
         trace = run_ball_algorithm(graph, result.assignment, largest_id_algorithm)

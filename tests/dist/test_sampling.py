@@ -8,9 +8,11 @@ import pytest
 from repro.algorithms.largest_id import LargestIdAlgorithm
 from repro.dist.exact import exact_round_distribution
 from repro.dist.sampling import (
+    DistributionFold,
     ExpectedMeasures,
     P2Quantile,
     StreamingMoments,
+    draw_sample_rows,
     estimate_expected_measures,
     sample_round_distribution,
 )
@@ -168,3 +170,55 @@ class TestExpectedMeasures:
             assert tuple(clone) == tuple(result)
             assert clone.average == result.average
             assert clone.maximum == result.maximum
+
+
+class TestResumableFold:
+    def _fold(self, samples, seed=7, state=None):
+        graph, algorithm = cycle_graph(6), LargestIdAlgorithm()
+        from repro.kernel.compile import compile_instance
+
+        kernel = compile_instance(graph, algorithm)
+        fold = DistributionFold(6, seed) if state is None else DistributionFold.from_state(state)
+        for radii in kernel.batch_radii(draw_sample_rows(6, samples, seed, start=fold.count)):
+            fold.fold(radii)
+        return fold
+
+    def test_rows_drawn_in_continuations_equal_one_draw(self):
+        whole = draw_sample_rows(6, 20, seed=3)
+        assert draw_sample_rows(6, 8, seed=3) + draw_sample_rows(6, 20, seed=3, start=8) == whole
+        assert draw_sample_rows(6, 20, seed=3, start=20) == []
+
+    def test_state_round_trip_through_json_resumes_bit_for_bit(self):
+        import json
+
+        state = json.loads(json.dumps(self._fold(8).state_dict()))
+        resumed = self._fold(32, state=state)
+        assert resumed.state_dict()["draws"] == 32
+        assert resumed.result() == sample_round_distribution(
+            cycle_graph(6), LargestIdAlgorithm(), samples=32, seed=7
+        )
+
+    def test_shrinking_budget_is_rejected(self):
+        with pytest.raises(AnalysisError, match="must not shrink"):
+            draw_sample_rows(6, 4, seed=3, start=8)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"kind": "repro-sweep"}, "not an estimator state"),
+            ({"version": 99}, "unsupported estimator state version"),
+            ({"draws": 5}, "inconsistent"),
+        ],
+    )
+    def test_foreign_or_inconsistent_states_are_rejected(self, change, match):
+        state = dict(self._fold(8).state_dict(), **change)
+        with pytest.raises(AnalysisError, match=match):
+            DistributionFold.from_state(state)
+
+    def test_session_rejects_a_fold_from_another_draw_stream(self):
+        from repro.api import Query, Session
+
+        query = Query(mode="distribution", topologies="cycle", sizes=6, methods="sample", samples=16)
+        folds = {"cycle|6|largest-id": self._fold(8, seed=12345)}
+        with pytest.raises(AnalysisError, match="cannot continue"):
+            Session().run(query, folds=folds)

@@ -1,26 +1,27 @@
-"""Tests for the campaign / sweep API."""
+"""Tests for the grid registries, the cell expansion and the row documents."""
 
 import math
 
 import pytest
 
+from repro.api import Query, Session
+from repro.api.results import strip_volatile
+from repro.api.session import query_cells
 from repro.engine.campaign import (
-    CampaignSpec,
-    DistSpec,
     aggregate_dist_rows,
     build_topology,
     load_dist_rows,
     load_rows,
-    run_campaign_rows,
-    run_dist_campaign_rows,
+    make_adversary,
     write_dist_rows,
     write_rows,
 )
 from repro.errors import ConfigurationError
 
 
-def _small_spec(**overrides):
-    defaults = dict(
+def _sweep(**overrides):
+    fields = dict(
+        mode="sweep",
         topologies=("cycle", "path"),
         sizes=(6, 8),
         algorithms=("largest-id",),
@@ -28,30 +29,45 @@ def _small_spec(**overrides):
         samples=4,
         seed=13,
     )
-    defaults.update(overrides)
-    return CampaignSpec(**defaults)
+    fields.update(overrides)
+    return Query(**fields)
 
 
-class TestCampaignSpec:
-    def test_rejects_unknown_topology(self):
-        with pytest.raises(ConfigurationError, match="unknown topology"):
-            _small_spec(topologies=("moebius",))
+def _dist(**overrides):
+    fields = dict(
+        mode="distribution",
+        topologies=("cycle", "path"),
+        sizes=(6,),
+        algorithms=("largest-id",),
+        methods=("exact", "sample"),
+        samples=16,
+        seed=13,
+    )
+    fields.update(overrides)
+    return Query(**fields)
 
-    def test_rejects_unknown_adversary(self):
-        with pytest.raises(ConfigurationError, match="unknown adversary"):
-            _small_spec(adversaries=("oracle",))
 
-    def test_cells_cover_the_full_grid_with_unique_seeds(self):
-        spec = _small_spec(adversaries=("random-search", "rotation"))
-        cells = spec.cells()
+class TestCells:
+    def test_sweep_cells_cover_the_full_grid_with_unique_seeds(self):
+        cells = query_cells(_sweep(adversaries=("random-search", "rotation")))
         assert len(cells) == 2 * 2 * 1 * 2
         assert [cell.index for cell in cells] == list(range(len(cells)))
         assert len({cell.seed for cell in cells}) == len(cells)
 
+    def test_dist_cells_cover_the_grid_with_unique_seeds(self):
+        cells = query_cells(_dist())
+        assert len(cells) == 2 * 1 * 1 * 2
+        assert [cell.index for cell in cells] == list(range(len(cells)))
+        assert len({cell.seed for cell in cells}) == len(cells)
+
+    def test_worst_case_and_sweep_expand_to_the_same_cells(self):
+        query = _sweep(adversaries=("rotation", "branch-and-bound"))
+        assert query_cells(query) == query_cells(query.with_changes(mode="worst-case"))
+
 
 class TestRunCampaign:
     def test_rows_carry_results_and_cache_stats(self):
-        rows = run_campaign_rows(_small_spec())
+        rows = Session().sweep(_sweep()).rows
         assert len(rows) == 4
         for row in rows:
             assert row["value"] > 0
@@ -61,21 +77,20 @@ class TestRunCampaign:
             assert len(row["witness_ids"]) == row["graph_n"]
 
     def test_exhaustive_cells_are_exact(self):
-        rows = run_campaign_rows(
-            _small_spec(topologies=("cycle",), sizes=(5,), adversaries=("exhaustive",))
-        )
-        (row,) = rows
+        (row,) = Session().sweep(
+            _sweep(topologies=("cycle",), sizes=(5,), adversaries=("exhaustive",))
+        ).rows
         assert row["exact"]
         assert row["evaluations"] == 120
 
     def test_search_adversaries_join_the_grid_with_certificates(self):
-        rows = run_campaign_rows(
-            _small_spec(
+        rows = Session().sweep(
+            _sweep(
                 topologies=("cycle",),
                 sizes=(6,),
                 adversaries=("pruned-exhaustive", "branch-and-bound", "portfolio"),
             )
-        )
+        ).rows
         by_name = {row["adversary"]: row for row in rows}
         assert by_name["pruned-exhaustive"]["exact"]
         assert by_name["branch-and-bound"]["exact"]
@@ -89,29 +104,39 @@ class TestRunCampaign:
         assert by_name["portfolio"]["certificate"]["strategies"]
 
     def test_round_algorithms_join_via_the_ball_compiler(self):
-        rows = run_campaign_rows(
-            _small_spec(
+        (row,) = Session().sweep(
+            _sweep(
                 topologies=("cycle",),
                 sizes=(8,),
                 algorithms=("cole-vishkin",),
                 adversaries=("rotation",),
             )
-        )
-        (row,) = rows
+        ).rows
         # Cole–Vishkin's profile is flat, so the average equals the max.
         assert row["value"] > 0
 
     def test_workers_do_not_change_results(self):
-        spec = _small_spec()
-        serial = run_campaign_rows(spec, workers=1)
-        parallel = run_campaign_rows(spec, workers=2)
-        strip = lambda row: {k: v for k, v in row.items() if k != "wall_time_s"}
-        assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+        serial = Session().sweep(_sweep(workers=1)).rows
+        parallel = Session().sweep(_sweep(workers=2)).rows
+        assert strip_volatile(serial) == strip_volatile(parallel)
+
+
+class TestMakeAdversary:
+    def test_budgets_come_from_the_query_fields(self):
+        query = Query(samples=7, restarts=3, swaps_per_step=5, max_steps=9, exact_max_nodes=10)
+        assert make_adversary("random-search", query).samples == 7
+        local = make_adversary("local-search", query)
+        assert (local.restarts, local.swaps_per_step, local.max_steps) == (3, 5, 9)
+        assert make_adversary("branch-and-bound", query).max_nodes == 10
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown adversary"):
+            make_adversary("oracle", Query())
 
 
 class TestRowsRoundTrip:
     def test_write_then_load(self, tmp_path):
-        rows = run_campaign_rows(_small_spec(topologies=("cycle",), sizes=(6,)))
+        rows = list(Session().sweep(_sweep(topologies=("cycle",), sizes=(6,))).rows)
         path = tmp_path / "rows.json"
         write_rows(rows, str(path))
         assert load_rows(str(path)) == rows
@@ -134,47 +159,9 @@ class TestBuildTopology:
             build_topology("hypercube", 8, seed=0)
 
 
-def test_spec_rejects_unknown_objective_eagerly():
-    with pytest.raises(ConfigurationError, match="unknown objective"):
-        _small_spec(objective="avg")
-
-
-def _small_dist_spec(**overrides):
-    defaults = dict(
-        topologies=("cycle", "path"),
-        sizes=(6,),
-        algorithms=("largest-id",),
-        methods=("exact", "sample"),
-        samples=16,
-        seed=13,
-    )
-    defaults.update(overrides)
-    return DistSpec(**defaults)
-
-
-class TestDistSpec:
-    def test_rejects_unknown_topology(self):
-        with pytest.raises(ConfigurationError, match="unknown topology"):
-            _small_dist_spec(topologies=("moebius",))
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ConfigurationError, match="unknown distribution method"):
-            _small_dist_spec(methods=("oracle",))
-
-    def test_rejects_nonpositive_samples(self):
-        with pytest.raises(ConfigurationError, match="samples"):
-            _small_dist_spec(samples=0)
-
-    def test_cells_cover_the_grid_with_unique_seeds(self):
-        cells = _small_dist_spec().cells()
-        assert len(cells) == 2 * 1 * 1 * 2
-        assert [cell.index for cell in cells] == list(range(len(cells)))
-        assert len({cell.seed for cell in cells}) == len(cells)
-
-
 class TestRunDistCampaign:
     def test_exact_rows_cover_n_factorial_with_certificates(self):
-        rows = run_dist_campaign_rows(_small_dist_spec(methods=("exact",)))
+        rows = Session().distribution(_dist(methods=("exact",))).rows
         assert len(rows) == 2
         for row in rows:
             assert row["exact"]
@@ -188,26 +175,21 @@ class TestRunDistCampaign:
             assert row["distribution"]["kind"] == "round-distribution"
 
     def test_sampled_rows_carry_standard_errors(self):
-        rows = run_dist_campaign_rows(
-            _small_dist_spec(topologies=("cycle",), methods=("sample",))
-        )
-        (row,) = rows
+        (row,) = Session().distribution(_dist(topologies=("cycle",), methods=("sample",))).rows
         assert not row["exact"]
         assert row["total_weight"] == 16
         assert row["certificate"] is None
         assert row["uncertainty"]["average"]["std_error"] >= 0.0
 
     def test_workers_do_not_change_results(self):
-        spec = _small_dist_spec()
-        serial = run_dist_campaign_rows(spec, workers=1)
-        parallel = run_dist_campaign_rows(spec, workers=2)
-        strip = lambda row: {k: v for k, v in row.items() if k != "wall_time_s"}
-        assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+        serial = Session().distribution(_dist(workers=1)).rows
+        parallel = Session().distribution(_dist(workers=2)).rows
+        assert strip_volatile(serial) == strip_volatile(parallel)
 
     def test_exact_and_sample_cells_share_the_graph_on_random_topologies(self):
         # The comparison is meaningless unless both methods see the same
         # instance: the graph seed must not depend on the method.
-        cells = _small_dist_spec(topologies=("random-tree",), sizes=(7,)).cells()
+        cells = query_cells(_dist(topologies=("random-tree",), sizes=(7,)))
         assert len(cells) == 2
         exact_cell, sample_cell = cells
         assert exact_cell.graph_seed == sample_cell.graph_seed
@@ -219,9 +201,8 @@ class TestRunDistCampaign:
         ] == [sample_graph.neighbors(v) for v in sample_graph.positions()]
 
     def test_aggregates_pool_across_graphs(self):
-        rows = run_dist_campaign_rows(_small_dist_spec(methods=("exact",)))
-        aggregates = aggregate_dist_rows(rows)
-        (aggregate,) = aggregates
+        rows = Session().distribution(_dist(methods=("exact",))).rows
+        (aggregate,) = aggregate_dist_rows(rows)
         assert aggregate["cells"] == 2
         assert aggregate["total_weight"] == 2 * math.factorial(6)
         assert aggregate["average"]["mean"] > 0
@@ -229,7 +210,7 @@ class TestRunDistCampaign:
 
 class TestDistRowsRoundTrip:
     def test_write_then_load(self, tmp_path):
-        rows = run_dist_campaign_rows(_small_dist_spec(topologies=("cycle",)))
+        rows = list(Session().distribution(_dist(topologies=("cycle",))).rows)
         path = tmp_path / "dist_rows.json"
         write_dist_rows(rows, str(path))
         assert load_dist_rows(str(path)) == rows

@@ -1,10 +1,10 @@
-"""Old-path-vs-new-path parity for the unified API.
+"""One executor, every way of calling it: the rows never change.
 
-The acceptance bar of the api redesign: for every mode — simulate,
-worst-case, distribution, sweep — the Session path must return results
-equal to the legacy path on cycles, paths, random trees and G(n, p) up to
-``n <= 7``, and the legacy entry points must still work (returning their
-historical shapes) while emitting ``DeprecationWarning``.
+Every mode — simulate, worst-case, sweep, distribution — runs through
+:meth:`Session.run`.  On cycles, paths, random trees and G(n, p) at
+``n in {6, 7}``, a warm session (caches full of the same and other
+instances), a fresh session and a pooled run (``workers`` 2 and 4) must
+return the same rows, and the mode methods must equal ``run`` itself.
 """
 
 import math
@@ -15,128 +15,78 @@ from repro.algorithms.registry import make_algorithm
 from repro.api.query import Query
 from repro.api.results import strip_volatile
 from repro.api.session import Session
-from repro.core.measures import evaluate_assignment, worst_case_over_assignments
 from repro.core.runner import run_ball_algorithm
-from repro.engine.campaign import (
-    build_topology,
-    run_campaign,
-    run_campaign_rows,
-    run_dist_campaign,
-    run_dist_campaign_rows,
-)
+from repro.engine.campaign import build_topology
 from repro.model.identifiers import IdentifierAssignment
 
 #: The four graph families of the acceptance criterion, at n <= 7.
-TOPOLOGIES = ("cycle", "path", "random-tree", "gnp")
-SIZES = (6, 7)
+GRID = dict(topologies=("cycle", "path", "random-tree", "gnp"), sizes=(6, 7), seed=5)
+
+QUERIES = {
+    "simulate": Query(mode="simulate", **GRID),
+    "worst-case": Query(
+        mode="worst-case",
+        adversaries=("rotation", "random-search", "branch-and-bound"),
+        measure="average",
+        samples=4,
+        **GRID,
+    ),
+    "sweep": Query(
+        mode="sweep", adversaries=("rotation", "random-search"), measure="sum", samples=4, **GRID
+    ),
+    "distribution": Query(
+        mode="distribution", methods=("exact", "sample"), samples=8, **GRID
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """Every mode's result from its own fresh, serial session."""
+    return {mode: Session().run(query) for mode, query in QUERIES.items()}
+
+
+@pytest.fixture(scope="module")
+def warm():
+    """One session that has already answered every query of the module."""
+    session = Session()
+    for query in QUERIES.values():
+        session.run(query)
+    return session
+
+
+def _assert_same(result, expected):
+    assert strip_volatile(result.rows) == strip_volatile(expected.rows)
+    assert result.as_dict()["measures"] == expected.as_dict()["measures"]
+
+
+@pytest.mark.parametrize("mode", QUERIES)
+def test_warm_session_mode_method_matches_fresh_run(warm, reference, mode):
+    method = getattr(warm, mode.replace("-", "_"))
+    _assert_same(method(QUERIES[mode]), reference[mode])
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("mode", QUERIES)
+def test_pooled_run_matches_serial(reference, mode, workers):
+    _assert_same(Session().run(QUERIES[mode].with_changes(workers=workers)), reference[mode])
+
+
+def test_worst_case_and_sweep_share_the_search(reference):
+    sweep = QUERIES["worst-case"].with_changes(mode="sweep")
+    assert strip_volatile(Session().run(sweep).rows) == strip_volatile(
+        reference["worst-case"].rows
+    )
 
 
 class TestSimulateParity:
-    def test_session_rows_reproduce_under_the_legacy_runner(self):
-        result = Session().simulate(
-            Query(mode="simulate", topologies=TOPOLOGIES, sizes=SIZES, seed=5)
-        )
-        assert len(result.rows) == len(TOPOLOGIES) * len(SIZES)
-        for row in result.rows:
+    def test_session_rows_reproduce_under_the_legacy_runner(self, reference):
+        rows = reference["simulate"].rows
+        assert len(rows) == len(GRID["topologies"]) * len(GRID["sizes"])
+        for row in rows:
             graph = build_topology(row["topology"], row["n"], row["graph_seed"])
             ids = IdentifierAssignment(row["identifiers"])
             trace = run_ball_algorithm(graph, ids, make_algorithm("largest-id", graph.n))
             assert trace.max_radius == row["classic"]
             assert math.isclose(trace.average_radius, row["average"])
             assert trace.sum_radius == row["sum"]
-
-
-class TestWorstCaseParity:
-    @pytest.mark.parametrize("adversary", ["rotation", "random-search", "branch-and-bound"])
-    def test_session_equals_legacy_campaign_per_cell(self, adversary):
-        query = Query(
-            mode="worst-case",
-            topologies=TOPOLOGIES,
-            sizes=SIZES,
-            adversaries=adversary,
-            measure="average",
-            samples=4,
-            seed=3,
-        )
-        session_rows = Session().worst_case(query).rows
-        legacy_rows = run_campaign_rows(query.to_campaign_spec())
-        assert strip_volatile(session_rows) == strip_volatile(legacy_rows)
-
-
-class TestSweepParity:
-    def test_session_equals_legacy_campaign_rows(self):
-        query = Query(
-            mode="sweep",
-            topologies=TOPOLOGIES,
-            sizes=SIZES,
-            adversaries=("rotation", "random-search"),
-            measure="sum",
-            samples=4,
-            seed=11,
-        )
-        session_rows = Session().sweep(query).rows
-        legacy_rows = run_campaign_rows(query.to_campaign_spec())
-        assert strip_volatile(session_rows) == strip_volatile(legacy_rows)
-
-    def test_parallel_session_sweep_matches_too(self):
-        query = Query(
-            mode="sweep", topologies=("cycle", "gnp"), sizes=6,
-            adversaries="rotation", seed=2, workers=2,
-        )
-        session_rows = Session().sweep(query).rows
-        legacy_rows = run_campaign_rows(query.to_campaign_spec(), workers=2)
-        assert strip_volatile(session_rows) == strip_volatile(legacy_rows)
-
-
-class TestDistributionParity:
-    def test_session_equals_legacy_dist_rows(self):
-        query = Query(
-            mode="distribution",
-            topologies=TOPOLOGIES,
-            sizes=(5, 6),
-            methods=("exact", "sample"),
-            samples=8,
-            seed=7,
-        )
-        session_rows = Session().distribution(query).rows
-        legacy_rows = run_dist_campaign_rows(query.to_dist_spec())
-        assert strip_volatile(session_rows) == strip_volatile(legacy_rows)
-
-
-class TestDeprecatedShims:
-    """Legacy entry points: historical shapes, plus a DeprecationWarning."""
-
-    def test_run_campaign_warns_and_returns_rows(self):
-        spec = Query(mode="sweep", topologies="cycle", sizes=6, adversaries="rotation").to_campaign_spec()
-        with pytest.warns(DeprecationWarning, match="run_campaign is deprecated"):
-            rows = run_campaign(spec)
-        assert strip_volatile(rows) == strip_volatile(run_campaign_rows(spec))
-
-    def test_run_dist_campaign_warns_and_returns_rows(self):
-        spec = Query(mode="distribution", topologies="cycle", sizes=5).to_dist_spec()
-        with pytest.warns(DeprecationWarning, match="run_dist_campaign is deprecated"):
-            rows = run_dist_campaign(spec)
-        assert strip_volatile(rows) == strip_volatile(run_dist_campaign_rows(spec))
-
-    def test_worst_case_over_assignments_warns(self):
-        from repro.search.adversaries import BranchAndBoundAdversary
-        from repro.topology.cycle import cycle_graph
-
-        algorithm = make_algorithm("largest-id", 6)
-        with pytest.warns(DeprecationWarning, match="worst_case_over_assignments"):
-            result = worst_case_over_assignments(
-                cycle_graph(6), algorithm, BranchAndBoundAdversary(), objective="sum"
-            )
-        assert result.exact is True
-        assert result.value == 10.0  # the recurrence value a(6)
-
-    def test_evaluate_assignment_warns_and_matches_session_report(self):
-        from repro.model.identifiers import random_assignment
-        from repro.topology.cycle import cycle_graph
-
-        graph = cycle_graph(6)
-        ids = random_assignment(6, seed=1)
-        algorithm = make_algorithm("largest-id", 6)
-        with pytest.warns(DeprecationWarning, match="evaluate_assignment"):
-            report = evaluate_assignment(graph, ids, algorithm)
-        assert report == Session().report(graph, ids, algorithm)

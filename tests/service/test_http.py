@@ -1,5 +1,6 @@
 """The HTTP front door, end to end over a live (threaded) server."""
 
+import http.client
 import json
 import subprocess
 import sys
@@ -9,7 +10,9 @@ from threading import Thread
 
 import pytest
 
-from repro.api import Query
+from repro.api import Query, Session
+from repro.api.results import strip_volatile
+from repro.errors import AnalysisError
 from repro.obs import enable, metrics_snapshot, reset_metrics
 from repro.service import make_server
 
@@ -174,3 +177,87 @@ def test_store_survives_a_process_restart(server, store_root):
     assert answer["tier"] == "l2"
     assert answer["digest"] == digest
     assert answer["document"] == document
+
+
+def _raw_post(server, headers: dict, body: bytes = b"", path: str = "/v1/query"):
+    """POST with hand-set headers; (status, parsed JSON body). Times out, never hangs."""
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        connection.putrequest("POST", path, skip_accept_encoding=True)
+        for name, value in headers.items():
+            connection.putheader(name, value)
+        connection.endheaders()
+        if body:
+            connection.send(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def test_non_library_error_answers_500_json(server, monkeypatch):
+    def explode(document):
+        raise RuntimeError("kaboom")
+
+    monkeypatch.setattr(server.service, "execute_document", explode)
+    body = json.dumps(SWEEP).encode()
+    status, payload = _raw_post(server, {"Content-Length": str(len(body))}, body)
+    assert status == 500
+    assert "RuntimeError" in payload["error"] and "kaboom" in payload["error"]
+    # ... and the server keeps answering.
+    with urllib.request.urlopen(f"{server.url}/v1/healthz") as response:
+        assert response.status == 200
+
+
+def test_string_budget_answers_400_json(server):
+    body = json.dumps({"kind": "repro-query", "version": 1, "samples": "5"}).encode()
+    status, payload = _raw_post(server, {"Content-Length": str(len(body))}, body)
+    assert status == 400
+    assert "samples" in payload["error"]
+
+
+@pytest.mark.parametrize("length", ["-1", "abc", "1.5", None])
+def test_bad_content_length_answers_400_without_reading(server, length):
+    headers = {} if length is None else {"Content-Length": length}
+    status, payload = _raw_post(server, headers)
+    assert status == 400
+    assert "Content-Length" in payload["error"]
+
+
+def test_oversized_body_answers_413_without_reading(server):
+    from repro.service.http import MAX_BODY_BYTES
+
+    status, payload = _raw_post(server, {"Content-Length": str(MAX_BODY_BYTES + 1)})
+    assert status == 413
+    assert "exceeds" in payload["error"]
+
+
+@pytest.mark.parametrize("error", [RuntimeError("mid-stream"), AnalysisError("mid-stream")])
+def test_stream_failure_after_200_ends_with_an_error_line(server, monkeypatch, error):
+    def failing_stream(query):
+        yield {"type": "progress", "draws": 1, "samples": 2, "cells": []}
+        raise error
+
+    monkeypatch.setattr(server.service, "execute_stream", failing_stream)
+    request = urllib.request.Request(
+        f"{server.url}/v1/query?stream=1", data=json.dumps(SAMPLED).encode()
+    )
+    with urllib.request.urlopen(request, timeout=10) as response:
+        assert response.status == 200
+        lines = response.read().decode().strip().splitlines()
+    events = [json.loads(line) for line in lines]
+    assert [event["type"] for event in events] == ["progress", "error"]
+    assert "mid-stream" in events[-1]["error"]
+
+
+def test_streamed_final_rows_equal_session_rows(server):
+    document = dict(SAMPLED, methods=["exact", "sample"], sizes=[7])
+    request = urllib.request.Request(
+        f"{server.url}/v1/query?stream=1", data=json.dumps(document).encode()
+    )
+    with urllib.request.urlopen(request, timeout=60) as response:
+        final = json.loads(response.read().decode().strip().splitlines()[-1])
+    assert final["type"] == "result"
+    expected = Session().run(Query.from_dict(document))
+    assert strip_volatile(final["document"]["rows"]) == strip_volatile(expected.rows)

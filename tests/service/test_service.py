@@ -211,3 +211,40 @@ def test_gc_drops_evicted_familys_estimator_state(store_root):
     assert service.store.get_state(SAMPLED.family_hash()) is None
     # ... so the sampled query now recomputes cold rather than resuming.
     assert service.execute(SAMPLED.with_changes(samples=32)).tier == "miss"
+
+
+PARITY = Query(
+    mode="distribution",
+    topologies=("cycle", "random-tree"),
+    sizes=(6, 7),
+    algorithms=("largest-id", "greedy-mis"),
+    methods=("exact", "sample"),
+    samples=24,
+    seed=11,
+)
+
+
+def test_service_paths_give_the_session_rows(tmp_path):
+    """Miss, resume and stream all answer with ``Session().run``'s rows."""
+    expected = Session().run(PARITY)
+    miss = QueryService(root=tmp_path / "miss").execute(PARITY)
+    resumer = QueryService(root=tmp_path / "resume")
+    resumer.execute(PARITY.with_changes(samples=10))
+    resumed = resumer.execute(PARITY)
+    streamed = list(QueryService(root=tmp_path / "stream").execute_stream(PARITY))[-1]
+    assert (miss.tier, resumed.tier, streamed["cache"]) == ("miss", "resume", "miss")
+    for document in (miss.document, resumed.document, streamed["document"]):
+        assert strip_volatile(document["rows"]) == strip_volatile(expected.rows)
+        assert document["measures"] == expected.as_dict()["measures"]
+
+
+def test_streamed_resume_continues_the_stored_state(tmp_path):
+    service = QueryService(root=tmp_path / "store")
+    service.execute(PARITY.with_changes(samples=10))
+    events = list(service.execute_stream(PARITY))
+    progress = [event for event in events if event["type"] == "progress"]
+    assert progress[0]["draws"] > 10 and progress[-1]["draws"] == 24
+    assert events[-1]["cache"] == "resume"
+    assert strip_volatile(events[-1]["document"]["rows"]) == strip_volatile(
+        Session().run(PARITY).rows
+    )

@@ -1,5 +1,9 @@
 """The package's public surface: ``__all__`` is sorted and fully importable."""
 
+from pathlib import Path
+
+import pytest
+
 import repro
 
 
@@ -26,3 +30,10 @@ def test_version_is_a_string():
 def test_api_facade_is_exported():
     for name in ("Query", "QueryBuilder", "Result", "Session", "query", "ID_FAMILIES"):
         assert name in repro.__all__
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == repro.__version__

@@ -33,6 +33,7 @@ from repro.kernel import compile_instance, numpy_available, simulate_batch
 from repro.kernel.compile import DEFAULT_BATCH_ROWS
 from repro.model.identifiers import IdentifierAssignment, random_assignment
 from repro.topology.cycle import cycle_graph
+from repro.topology.path import path_graph
 from repro.utils.rng import make_rng
 
 ARTIFACT_PATH = artifact_path("BENCH_kernel.json")
@@ -47,14 +48,9 @@ MIN_SPEEDUP_PYTHON = 4.0
 #: RunnerTableRule fallback (cold cache) on the same assignment stream.
 MIN_SPEEDUP_VECTOR_NUMPY = 6.0
 MIN_SPEEDUP_VECTOR_PYTHON = 4.0
-#: Floor for the padded same-shape fast path over sequential per-instance
-#: evaluation of the same requests (numpy backend only).  The workload is
-#: the campaign-grid shape padding exists for: many small same-shape cells
-#: with a modest sample stream each, where per-call dispatch overhead
-#: dominates sequential evaluation.
-MIN_SPEEDUP_PADDED = 1.5
-PADDED_INSTANCES = 32
-PADDED_ROWS = 16
+#: The largest-ID BFS's numpy gather against its stdlib layer scan, on the
+#: cohorts where the rule selects the gather: it must not lose.
+MIN_SPEEDUP_GATHER = 1.0
 RING_N = 8
 SAMPLES = pick(4096, 512)
 VECTOR_ROWS = pick(512, 64)
@@ -165,67 +161,71 @@ def test_bench_batched_sampling_vs_runner():
         assert numpy_speedup >= MIN_SPEEDUP_NUMPY
 
 
-def test_bench_padded_same_shape_batching():
-    """Padded same-shape stacking beats sequential per-instance evaluation.
+def test_bench_max_scan_gather_vs_scan():
+    """Where the largest-ID BFS takes its numpy gather, the gather wins.
 
-    ``PADDED_INSTANCES`` separately-compiled cycle instances (same ``(n,
-    stream length)`` shape, numpy backend) go through
-    :func:`simulate_many` twice: once with the padded fast path and once
-    with ``pad_same_shape=False``.  Results are asserted bit-identical in
-    the same run, and the speedup lands in the artifact under
-    ``padded_same_shape_numpy`` with its own floor.  Skipped (and omitted
-    from the artifact) without numpy — the padded path is numpy-only.
+    :class:`~repro.kernel.rules.MaxScanScaleRule` gathers layers with numpy
+    only for batches of at least ``NUMPY_ROWS_PER_NODE`` rows per node —
+    the exact enumerations' canonical-leaf cohorts on small graphs.  The
+    sampling stream runs on the 8-path in cohorts of ``DEFAULT_BATCH_ROWS``
+    (pre-validated, as the cohorts are) through the numpy backend (gather)
+    and the stdlib backend (layer scan); radii are asserted equal and the
+    ratio lands under ``max_scan_gather_numpy`` with a floor of 1x.
     """
     import pytest
 
-    from repro.kernel import BatchRequest, simulate_many
+    from repro.kernel.rules import MaxScanScaleRule
 
     if not numpy_available():
-        pytest.skip("padded batching is a numpy-only fast path")
-
-    ring_n = RING_N
-    rows_per_instance = PADDED_ROWS
+        pytest.skip("the gather is the numpy backend's path")
+    graph = path_graph(RING_N)
     algorithm = LargestIdAlgorithm()
-    master = make_rng(20260807)
-    instances = [
-        compile_instance(cycle_graph(ring_n), algorithm, backend="numpy")
-        for _ in range(PADDED_INSTANCES)
+    rows = _assignment_rows()
+    chunks = [
+        rows[start : start + DEFAULT_BATCH_ROWS]
+        for start in range(0, len(rows), DEFAULT_BATCH_ROWS)
     ]
-    streams = [
-        [
-            random_assignment(ring_n, seed=master.getrandbits(64)).identifiers()
-            for _ in range(rows_per_instance)
-        ]
-        for _ in instances
-    ]
-    requests = [
-        BatchRequest(instance, stream)
-        for instance, stream in zip(instances, streams)
-    ]
+    assert DEFAULT_BATCH_ROWS >= MaxScanScaleRule.NUMPY_ROWS_PER_NODE * RING_N
 
-    sequential_s, reference = _best_of(
-        lambda: simulate_many(requests, pad_same_shape=False), repeats=pick(7, 3)
-    )
-    padded_s, padded = _best_of(lambda: simulate_many(requests), repeats=pick(7, 3))
-    assert padded == reference
-    speedup = sequential_s / padded_s
-    _RESULTS["padded_same_shape_numpy"] = {
-        "sequential_s": sequential_s,
-        "kernel_s": padded_s,
+    def run(backend: str):
+        instance = compile_instance(graph, algorithm, backend=backend)
+        assert instance.rule.name == "max-scan"
+
+        def execute():
+            radii = []
+            for chunk in chunks:
+                radii.extend(instance.batch_radii(chunk, pre_validated=True))
+            return radii
+
+        return execute
+
+    scan, gather = run("python"), run("numpy")
+    scan_s = gather_s = float("inf")
+    # Alternate the two so that a slow spell of the machine hits both.
+    for _ in range(pick(9, 5)):
+        best, reference = _best_of(scan, repeats=1)
+        scan_s = min(scan_s, best)
+        best, radii = _best_of(gather, repeats=1)
+        gather_s = min(gather_s, best)
+        assert radii == reference
+    speedup = scan_s / gather_s
+    _RESULTS["max_scan_gather_numpy"] = {
+        "scan_s": scan_s,
+        "kernel_s": gather_s,
         "speedup": speedup,
-        "min_speedup": MIN_SPEEDUP_PADDED,
+        "min_speedup": MIN_SPEEDUP_GATHER,
         "backend": "numpy",
-        "instances": PADDED_INSTANCES,
-        "rows": rows_per_instance,
+        "rule": "max-scan",
+        "rows": len(rows),
+        "cohort_rows": DEFAULT_BATCH_ROWS,
     }
     _write_artifact()
     print(
-        f"\npadded batching x{PADDED_INSTANCES} instances, "
-        f"{rows_per_instance} rows each: sequential {sequential_s:.3f}s, "
-        f"padded {padded_s:.3f}s ({speedup:.1f}x)"
+        f"\nmax-scan on path-{RING_N} x{len(rows)} rows: scan {scan_s:.3f}s, "
+        f"gather {gather_s:.3f}s ({speedup:.2f}x)"
     )
-    assert speedup >= MIN_SPEEDUP_PADDED, (
-        f"padded speedup {speedup:.2f}x below {MIN_SPEEDUP_PADDED:.2f}x"
+    assert speedup >= MIN_SPEEDUP_GATHER, (
+        f"gather speedup {speedup:.2f}x below {MIN_SPEEDUP_GATHER:.2f}x"
     )
 
 
@@ -273,22 +273,28 @@ def test_bench_per_algorithm_vector_rules():
     through the compiled rule under both backends.  Radii are asserted
     bit-identical in the same run, and the per-algorithm speedups land in
     the artifact under ``vector_rule_<backend>_<name>`` with their own
-    floors, re-checked by ``scripts/check_bench_floors.py``.
+    floors, re-checked by ``scripts/check_bench_floors.py``.  Every name
+    runs on the cycle, where largest-ID selects the ring scan; largest-ID
+    also runs on the path (``largest-id-path``), where it selects the
+    early-stop BFS.
     """
     from repro.algorithms.registry import algorithm_registry
     from repro.engine.campaign import make_ball_algorithm
     from repro.kernel.rules import RunnerTableRule
 
-    graph = cycle_graph(RING_N)
     master = make_rng(20260808)
     # Permutations of 0..n-1: valid for every algorithm, including the
     # Cole-Vishkin family whose identifier space is bounded by n.
     rows = [
         tuple(master.sample(range(RING_N), RING_N)) for _ in range(VECTOR_ROWS)
     ]
+    cases = [
+        (name, cycle_graph(RING_N), make_ball_algorithm(name, RING_N), None)
+        for name in sorted(algorithm_registry())
+    ]
+    cases.append(("largest-id-path", path_graph(RING_N), LargestIdAlgorithm(), "max-scan"))
     report_lines = []
-    for name in sorted(algorithm_registry()):
-        algorithm = make_ball_algorithm(name, RING_N)
+    for name, graph, algorithm, expected_rule in cases:
 
         def run_fallback():
             # Constructed inside the timed closure: the decide table starts
@@ -306,6 +312,8 @@ def test_bench_per_algorithm_vector_rules():
                 continue
             instance = compile_instance(graph, algorithm, backend=backend)
             assert instance.vectorized, f"{name} lost its vectorised rule"
+            if expected_rule is not None:
+                assert instance.rule.name == expected_rule, name
             vector_s, radii = _best_of(lambda: simulate_batch(instance, rows))
             assert radii == reference, f"{name}/{backend} radii diverge"
             speedup = fallback_s / vector_s

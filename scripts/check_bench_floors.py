@@ -53,8 +53,8 @@ GATED_RESULTS = {
         # registered algorithm; again, the numpy legs only where available).
         ("vector_rule_python", True),
         ("vector_rule_numpy", False),
-        # Padded same-shape stacking vs sequential (numpy-only fast path).
-        ("padded_same_shape", False),
+        # The largest-ID BFS's numpy gather vs its stdlib scan (numpy only).
+        ("max_scan_gather_numpy", False),
     ),
     # speedup = off_s / on_s; the 0.95 floor tolerates ~5% instrumentation
     # overhead (the noop_span_call entry is informational, hence ungated).

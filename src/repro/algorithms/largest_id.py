@@ -41,34 +41,34 @@ class LargestIdAlgorithm(BallAlgorithm):
         return None
 
     def compile_kernel_rule(self, instance):
-        """Vectorised batch rule: distance to the nearest larger identifier.
+        """The CSR rule of :meth:`compile_scale_rule`, on the instance's CSR.
 
-        The radius of every node is a pure array lookup on a compiled
-        instance (see :class:`~repro.kernel.rules.MaxScanRule`), which is
-        what makes the batched sampling and canonical-leaf cohorts of the
-        upper layers run at array speed for this algorithm.
+        Largest-ID has one rule family in every mode: the ring scan
+        (:class:`~repro.kernel.rules.RingScanScaleRule`) when every
+        position ``v`` is adjacent to exactly ``v - 1`` and ``v + 1`` mod
+        ``n``, the early-stop BFS (:class:`~repro.kernel.rules.MaxScanScaleRule`)
+        otherwise.  Both read only the instance's CSR adjacency, so compiling
+        and evaluating batches builds no frontier plan.
         """
-        from repro.kernel.rules import MaxScanRule
+        from repro.kernel.rules import MaxScanScaleRule, RingScanScaleRule, csr_is_ring
 
-        return MaxScanRule(instance)
+        indptr, indices, _ = instance._csr_arrays()
+        rule = RingScanScaleRule if csr_is_ring(indptr, indices) else MaxScanScaleRule
+        return rule(indptr, indices, instance.backend)
 
     def compile_scale_rule(self, csr):
-        """Plan-free large-n rule: early-stop BFS to the nearest larger ID.
+        """Plan-free rule on a streamed CSR topology: nearest larger ID.
 
-        The scale sibling of :class:`~repro.kernel.rules.MaxScanRule` — no
-        per-centre plans, just the streamed CSR adjacency — which is what
-        lets the ``scale`` query mode sample this algorithm on 10^6-node
-        topologies with bounded memory (see :mod:`repro.kernel.shard`).
-        On the cycle — the paper's own topology — the BFS specialises to a
-        whole-row vectorised ring sweep
-        (:class:`~repro.kernel.shard.RingScanScaleRule`), bit-identical but
-        without the per-centre ball walk.
+        The same rule classes as :meth:`compile_kernel_rule`, built on the
+        streamed arrays, which is what lets the ``scale`` query mode sample
+        this algorithm on 10^6-node topologies with bounded memory (see
+        :mod:`repro.kernel.shard`).  The streamed ``cycle`` family is a ring
+        by construction, so it takes the ring scan without an ``O(n)`` check.
         """
-        from repro.kernel.shard import MaxScanScaleRule, RingScanScaleRule
+        from repro.kernel.rules import MaxScanScaleRule, RingScanScaleRule
 
-        if csr.topology == "cycle":
-            return RingScanScaleRule(csr)
-        return MaxScanScaleRule(csr)
+        rule = RingScanScaleRule if csr.topology == "cycle" else MaxScanScaleRule
+        return rule(csr.indptr, csr.indices)
 
 
 def predicted_largest_id_radii(graph: Graph, ids: IdentifierAssignment) -> dict[int, int]:

@@ -75,13 +75,16 @@ class BallAlgorithm(abc.ABC):
 
         ``instance`` is the :class:`~repro.kernel.compile.CompiledInstance`
         being built for this algorithm on one fixed graph.  Algorithms whose
-        stopping radius has an array-friendly closed form (largest-ID's
-        distance-to-nearest-larger-identifier, for example) return a
+        stopping radius has an array-friendly closed form return a
         :class:`~repro.kernel.rules.KernelRule` here and get whole-matrix
-        batch evaluation; the default ``None`` selects the decide-backed
-        fallback, which is sound for every deterministic algorithm.  Any
-        returned rule must be bit-identical to the single-assignment
-        reference path — the kernel property suite enforces this.
+        batch evaluation — largest-ID returns the CSR rule of its
+        :meth:`compile_scale_rule` built on ``instance._csr_arrays()``; rules
+        that need per-centre plan tables read ``instance.discovery`` /
+        ``instance.distances``, which are built on first access.  The
+        default ``None`` selects the decide-backed fallback, which is sound
+        for every deterministic algorithm.  Any returned rule must be
+        bit-identical to the single-assignment reference path — the kernel
+        property suite enforces this.
         """
         return None
 
@@ -91,12 +94,14 @@ class BallAlgorithm(abc.ABC):
         ``csr`` is a :class:`~repro.topology.stream.CSRTopology`.  Algorithms
         whose stopping radius can be evaluated directly against flat CSR
         adjacency — without per-centre frontier plans — return a
-        :class:`~repro.kernel.shard.ScaleRule` here and become usable in the
+        :class:`~repro.kernel.rules.ScaleRule` here and become usable in the
         ``scale`` query mode at millions of nodes (largest-ID's early-stop
-        BFS, :class:`~repro.kernel.shard.MaxScanScaleRule`, is the
-        reference).  The default ``None`` keeps the algorithm out of the
-        scale path; :data:`~repro.kernel.shard.SCALE_ALGORITHMS` must list
-        exactly the registry names that override this.
+        BFS, :class:`~repro.kernel.rules.MaxScanScaleRule`, is the
+        reference; its :meth:`compile_kernel_rule` returns the same rule on
+        a compiled instance's CSR).  The default ``None`` keeps the
+        algorithm out of the scale path;
+        :data:`~repro.kernel.shard.SCALE_ALGORITHMS` must list exactly the
+        registry names that override this.
         """
         return None
 

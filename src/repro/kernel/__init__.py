@@ -33,15 +33,18 @@ from repro.kernel.compile import (
     simulate_batch,
     simulate_many,
 )
-from repro.kernel.compile import PlanStats
 from repro.kernel.cone import GreedyConeRule, RingMISConeRule
 from repro.kernel.cvring import ColeVishkinRingRule
-from repro.kernel.rules import KernelRule, MaxScanRule, RunnerTableRule
+from repro.kernel.rules import (
+    KernelRule,
+    MaxScanScaleRule,
+    RingScanScaleRule,
+    RunnerTableRule,
+    ScaleRule,
+)
 from repro.kernel.shard import (
     SCALE_ALGORITHMS,
-    MaxScanScaleRule,
     ScaleRowStats,
-    ScaleRule,
     ShardedKernelExecutor,
     run_scale_probe,
     scale_rule_for,
@@ -57,10 +60,9 @@ __all__ = [
     "KERNEL_ENV",
     "KernelRule",
     "KernelStats",
-    "MaxScanRule",
     "MaxScanScaleRule",
-    "PlanStats",
     "RingMISConeRule",
+    "RingScanScaleRule",
     "RunnerTableRule",
     "SCALE_ALGORITHMS",
     "ScaleRowStats",

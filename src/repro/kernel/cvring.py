@@ -3,8 +3,9 @@
 :class:`~repro.algorithms.cole_vishkin.ColeVishkinRing` commits every node at
 exactly round ``R = iterations_until_six_colors(n) + 3``, so under the
 ball simulation (:class:`~repro.algorithms.full_gather.BallSimulationOfRounds`)
-the output radius is assignment-independent: ``min(R, saturation(v))`` (a
-ball covering the whole graph replays the execution to completion early).
+the output radius is assignment-independent: ``min(R, n // 2)`` (a ball
+covering the whole ring, at radius ``n // 2``, replays the execution to
+completion early).
 The outputs themselves come from replaying the global synchronous execution
 on whole identifier matrices: ``cv_iterations`` batched bit-trick steps
 (:func:`~repro.algorithms.color_reduction.cv_step` as array arithmetic —
@@ -50,9 +51,9 @@ class ColeVishkinRingRule(KernelRule):
         self._id_bound = algorithm.n
         self._iterations = algorithm.cv_iterations
         commit_round = self._iterations + len(_REDUCE_TARGETS)
-        self._radii_row = tuple(
-            min(commit_round, saturation) for saturation in instance.saturation
-        )
+        # Every centre of a consistently oriented ring saturates at n // 2,
+        # so the cap needs no plan table.
+        self._radii_row = (min(commit_round, self._n // 2),) * self._n
         graph = instance.graph
         self._successor = tuple(
             graph.neighbors(v)[SUCCESSOR_PORT] for v in graph.positions()

@@ -1,13 +1,14 @@
 """Sharded, memory-bounded kernel execution for million-node instances.
 
-:class:`~repro.kernel.compile.CompiledInstance` precomputes per-centre BFS
-plans — O(n · ball) memory — which is exactly right up to ~10^4 nodes and
-exactly wrong at 10^6.  This module is the large-n path: no plans at all.
-A :class:`ScaleRule` evaluates centres directly against the streamed CSR
-adjacency of a :class:`~repro.topology.stream.CSRTopology`, one early-stop
-BFS per centre, and a :class:`ShardedKernelExecutor` splits the work into
-**row blocks × centre chunks** over a :class:`~repro.engine.batch.BatchExecutor`
-process pool.
+The large-n path of the batch kernel.  A :class:`~repro.kernel.rules.ScaleRule`
+— the same CSR rule a :class:`~repro.kernel.compile.CompiledInstance`
+evaluates largest-ID with — reads nothing but the streamed CSR adjacency of a
+:class:`~repro.topology.stream.CSRTopology`: no frontier plans, one
+early-stop BFS per centre shared by the rows of a block.  A
+:class:`ShardedKernelExecutor` splits the work into **row blocks × centre
+chunks** and runs them in-process (``workers == 1``, on the executor's own
+CSR and rule) or over a :class:`~repro.engine.batch.BatchExecutor` process
+pool.
 
 Determinism is structural, not scheduled: every radius is a pure integer
 function of ``(topology, n, seed, row)``, the task decomposition is fixed by
@@ -31,10 +32,11 @@ row's state.
 Algorithms opt in through
 :meth:`~repro.core.algorithm.BallAlgorithm.compile_scale_rule`;
 :data:`SCALE_ALGORITHMS` names the registry entries that do (the paper's
-largest-ID algorithm, whose :class:`MaxScanScaleRule` fuses the BFS with the
-stopping rule so the expected per-centre work is the *output* radius, not
-the graph size).  On the paper's own topology — the cycle — the algorithm
-specialises further: :class:`RingScanScaleRule` replaces the per-centre BFS
+largest-ID algorithm, whose :class:`~repro.kernel.rules.MaxScanScaleRule`
+fuses the BFS with the stopping rule so the expected per-centre work is the
+*output* radius, not the graph size).  On the paper's own topology — the
+cycle — the algorithm specialises further:
+:class:`~repro.kernel.rules.RingScanScaleRule` replaces the per-centre BFS
 with a whole-row vectorised ring sweep (every undecided centre advances one
 ring distance per round), which removes the ``O(log n)`` per-centre factor
 and keeps nodes/s flat from 10^4 to 10^6.
@@ -51,7 +53,7 @@ from typing import Optional, Sequence
 from repro.engine.batch import BatchExecutor, derive_task_seed
 from repro.engine.pool import ShmRef, fetch_memoryview, worker_cache
 from repro.errors import ConfigurationError, IdentifierError, TopologyError
-from repro.kernel.backend import numpy_available, numpy_module
+from repro.kernel.rules import ScaleRule, segment_stats
 from repro.obs import metrics as _metrics
 from repro.obs.spans import obs_enabled as _obs_enabled, span as _obs_span
 from repro.topology.stream import CSRTopology, build_csr
@@ -68,228 +70,6 @@ DEFAULT_ROW_BLOCK = 4
 #: Default centres per sharded task.  16 chunks at n = 10^6: coarse enough
 #: to amortise the per-task CSR lookup, fine enough to fan out.
 DEFAULT_CENTER_CHUNK = 65536
-
-
-class ScaleRule:
-    """Plan-free evaluation of one algorithm against a CSR topology."""
-
-    #: Short rule identifier recorded in result rows and benchmark artifacts.
-    name: str = "scale-rule"
-
-    #: Rules that evaluate a whole row at once (see :class:`RingScanScaleRule`)
-    #: set this; :func:`run_scale_task` then computes :meth:`full_radii` once
-    #: per row, caches it per worker, and serves centre chunks by slicing.
-    full_row: bool = False
-
-    def row_radii(self, ids: Sequence[int], start: int, stop: int) -> list[int]:
-        """Output radii of centres ``start..stop-1`` under one assignment."""
-        raise NotImplementedError
-
-    def row_stats(self, ids: Sequence[int], start: int, stop: int) -> tuple[int, int]:
-        """``(sum, max)`` of the radii of centres ``start..stop-1``."""
-        radii = self.row_radii(ids, start, stop)
-        return sum(radii), max(radii)
-
-    def full_radii(self, ids: Sequence[int]) -> Sequence[int]:
-        """All ``n`` radii of one assignment (only on ``full_row`` rules)."""
-        raise NotImplementedError
-
-
-class MaxScanScaleRule(ScaleRule):
-    """Largest-ID at scale: early-stop BFS fused with the stopping rule.
-
-    A centre's radius is the BFS distance to the nearest strictly larger
-    identifier — so the BFS stops at the first layer containing one, and the
-    expected work per centre is proportional to the (typically tiny) output
-    ball, not to ``n``.  Only the centre carrying the row's maximum
-    identifier saturates; its radius is its eccentricity, which is
-    assignment-independent and therefore cached across rows.
-
-    Bit-identical to :class:`~repro.kernel.rules.MaxScanRule` on the
-    materialised graph: both compute the same uniquely defined integers
-    (``tests/kernel/test_shard.py`` cross-checks them).
-    """
-
-    name = "max-scan-stream"
-
-    def __init__(self, csr: CSRTopology) -> None:
-        self._csr = csr
-        self._indptr = csr.indptr
-        self._indices = csr.indices
-        self._n = csr.n
-        self._visited: Optional[array] = None
-        self._stamp = 0
-        # centre -> eccentricity; only ever holds argmax centres seen so far.
-        self._eccentricity: dict[int, int] = {}
-
-    def _radius(self, ids: Sequence[int], center: int) -> int:
-        """Distance to the nearest larger identifier (eccentricity if none)."""
-        if self._visited is None:
-            self._visited = array("q", bytes(8 * self._n))
-        indptr, indices, visited = self._indptr, self._indices, self._visited
-        self._stamp += 1
-        stamp = self._stamp
-        own = ids[center]
-        visited[center] = stamp
-        frontier = [center]
-        radius = 0
-        while True:
-            next_layer = []
-            for u in frontier:
-                for k in range(indptr[u], indptr[u + 1]):
-                    w = indices[k]
-                    if visited[w] != stamp:
-                        visited[w] = stamp
-                        next_layer.append(w)
-            if not next_layer:
-                # The whole graph is smaller: this centre holds the global
-                # maximum and its radius is its eccentricity.
-                self._eccentricity.setdefault(center, radius)
-                return radius
-            radius += 1
-            for w in next_layer:
-                if ids[w] > own:
-                    return radius
-            frontier = next_layer
-
-    def row_radii(self, ids: Sequence[int], start: int, stop: int) -> list[int]:
-        row_max = max(ids)
-        radii = []
-        for v in range(start, stop):
-            if ids[v] == row_max:
-                cached = self._eccentricity.get(v)
-                radii.append(cached if cached is not None else self._radius(ids, v))
-            else:
-                radii.append(self._radius(ids, v))
-        return radii
-
-    def row_stats(self, ids: Sequence[int], start: int, stop: int) -> tuple[int, int]:
-        row_max = max(ids)
-        total = 0
-        worst = 0
-        for v in range(start, stop):
-            if ids[v] == row_max:
-                radius = self._eccentricity.get(v)
-                if radius is None:
-                    radius = self._radius(ids, v)
-            else:
-                radius = self._radius(ids, v)
-            total += radius
-            if radius > worst:
-                worst = radius
-        return total, worst
-
-
-class RingScanScaleRule(ScaleRule):
-    """Largest-ID on the cycle: one vectorised ring sweep per row.
-
-    On a cycle the BFS layer at distance ``r`` from centre ``v`` is exactly
-    ``{v - r, v + r} (mod n)``, so a centre's output radius is the first
-    ``r`` at which either ring position carries a larger identifier — no
-    adjacency walk, no visited set.  The sweep advances *all* undecided
-    centres one distance per round with two gather-and-compare array
-    operations; a centre leaves the active set the round it decides.  The
-    row's maximum identifier never finds a larger one and outputs at its
-    eccentricity ``n // 2``.
-
-    This removes the ``O(log n)`` expected per-centre BFS factor of
-    :class:`MaxScanScaleRule` — per-row work is ``O(sum of radii)`` with an
-    array-speed constant — which is what keeps scale-mode nodes/s flat from
-    10^4 to 10^6 (``BENCH_scale.json`` gates the ratio).  Bit-identical to
-    the BFS rule: both compute the same uniquely defined integers, which the
-    parity tests in ``tests/kernel/test_shard.py`` cross-check.
-
-    Runs on the numpy backend when available and falls back to a pure-Python
-    two-pointer scan under ``REPRO_KERNEL=python`` (same integers, smaller
-    constant than the BFS either way).
-    """
-
-    name = "ring-scan-stream"
-    full_row = True
-
-    #: Below this many undecided centres the sweep finishes them directly
-    #: (per-centre nearest-larger scan) instead of paying whole-array rounds
-    #: for a tiny tail.  Any threshold yields the same radii.
-    TAIL_DIRECT = 64
-
-    def __init__(self, csr: CSRTopology) -> None:
-        if csr.topology != "cycle":
-            raise ConfigurationError(
-                f"RingScanScaleRule requires a cycle, got {csr.topology!r}"
-            )
-        self._csr = csr
-        self._n = csr.n
-
-    def full_radii(self, ids: Sequence[int]) -> Sequence[int]:
-        if numpy_available():
-            return self._full_radii_numpy(ids)
-        return self._full_radii_python(ids)
-
-    def _full_radii_numpy(self, ids: Sequence[int]):
-        np = numpy_module()
-        n = self._n
-        a = np.frombuffer(ids, dtype=np.int64) if isinstance(ids, array) else np.asarray(
-            ids, dtype=np.int64
-        )
-        radii = np.zeros(n, dtype=np.int64)
-        half = n // 2
-        largest = int(a.argmax())
-        active = np.arange(n, dtype=np.int64)
-        active = active[active != largest]
-        own = a[active]
-        r = 0
-        while active.size:
-            r += 1
-            if active.size <= self.TAIL_DIRECT or r > half:
-                # Finish stragglers directly: nearest larger id by ring
-                # distance (min of clockwise and counter-clockwise).
-                for pos, mine in zip(active.tolist(), own.tolist()):
-                    higher = np.nonzero(a > mine)[0]
-                    delta = np.abs(higher - pos)
-                    radii[pos] = int(np.minimum(delta, n - delta).min())
-                break
-            left = a[(active - r) % n]
-            right = a[(active + r) % n]
-            decided = (left > own) | (right > own)
-            if decided.any():
-                radii[active[decided]] = r
-                keep = ~decided
-                active = active[keep]
-                own = own[keep]
-        radii[largest] = half
-        return radii
-
-    def _full_radii_python(self, ids: Sequence[int]) -> list[int]:
-        n = self._n
-        half = n // 2
-        radii = [0] * n
-        largest = max(range(n), key=ids.__getitem__)
-        for v in range(n):
-            if v == largest:
-                radii[v] = half
-                continue
-            own = ids[v]
-            r = 1
-            # Some strictly larger id sits within ring distance n // 2, so
-            # this terminates with r <= half for every non-maximum centre.
-            while ids[v - r] <= own and ids[(v + r) % n] <= own:
-                r += 1
-            radii[v] = r
-        return radii
-
-    def row_radii(self, ids: Sequence[int], start: int, stop: int) -> list[int]:
-        return [int(radius) for radius in self.full_radii(ids)[start:stop]]
-
-    def row_stats(self, ids: Sequence[int], start: int, stop: int) -> tuple[int, int]:
-        return segment_stats(self.full_radii(ids), start, stop)
-
-
-def segment_stats(radii: Sequence[int], start: int, stop: int) -> tuple[int, int]:
-    """``(sum, max)`` of one centre range of a full-row radii vector."""
-    segment = radii[start:stop]
-    if hasattr(segment, "sum"):  # numpy path
-        return int(segment.sum()), int(segment.max())
-    return sum(segment), max(segment)
 
 
 def scale_rule_for(algorithm, csr: CSRTopology) -> ScaleRule:
@@ -376,46 +156,55 @@ def run_scale_task(payload: tuple) -> list:
 
     Two payload shapes, discriminated by the first element (each may carry
     one trailing element: the :class:`~repro.engine.pool.ShmRef` pair of the
-    published CSR arrays, absent on the serial path or when shared memory is
-    unavailable):
+    published CSR arrays, absent when shared memory is unavailable):
 
     * ``("stats", spec, algorithm, base_seed, row_start, row_stop, c0, c1[, refs])``
       → per-row ``(sum, max)`` partials over the centre range;
     * ``("radii", spec, algorithm, rows, c0, c1[, refs])``
-      → per-row radii lists over the centre range (explicit-row path), where
+      → per-row radii tuples over the centre range (explicit-row path), where
       ``rows`` is either a tuple of inline identifier rows or
       ``("rows-ref", offset, count, width, ref)`` naming a published row
       matrix.
 
-    ``full_row`` rules compute each row's complete radii vector once, cache
-    it per worker keyed by ``(spec, algorithm, seed, row)``, and serve every
-    centre chunk by slicing — which is why the executor gives all chunks of
-    one row block the same affinity key.
+    The worker rebuilds (or attaches) the CSR and rule once per spec, then
+    evaluates the shard exactly like the serial path does.
     """
-    kind = payload[0]
+    size = 8 if payload[0] == "stats" else 6
+    refs = payload[size] if len(payload) > size else None
+    rule = _rule_for_spec(payload[1], payload[2], refs)
+    return _evaluate_shard(rule, payload[:size])
+
+
+def _evaluate_shard(rule: ScaleRule, payload: tuple) -> list:
+    """One shard of :func:`run_scale_task` on an already-built rule.
+
+    The serial executor path calls this with its own rule, so a serial scale
+    query builds its CSR and rule exactly once.  ``full_row`` rules compute
+    each row's complete radii vector once, cache it per process keyed by
+    ``(spec, algorithm, seed, row)``, and serve every centre chunk by
+    slicing — which is why the executor gives all chunks of one row block
+    the same affinity key.  Other rules evaluate the whole row block over
+    the centre range in one batch.
+    """
+    kind, spec, algorithm_name = payload[:3]
     if kind == "stats":
-        _, spec, algorithm_name, base_seed, row_start, row_stop, c0, c1 = payload[:8]
-        refs = payload[8] if len(payload) > 8 else None
-        rule = _rule_for_spec(spec, algorithm_name, refs)
+        base_seed, row_start, row_stop, c0, c1 = payload[3:8]
         n = spec[1]
         if rule.full_row:
+            # One row per cached vector keeps the cache at n radii per entry.
             partials = []
             for row in range(row_start, row_stop):
                 radii = worker_cache(
                     "shard.radii",
                     (spec, algorithm_name, base_seed, row),
-                    lambda row=row: rule.full_radii(_row_for(n, base_seed, row)),
+                    lambda row=row: rule.block_radii([_row_for(n, base_seed, row)])[0],
                 )
                 partials.append(segment_stats(radii, c0, c1))
             return partials
-        return [
-            rule.row_stats(_row_for(n, base_seed, row), c0, c1)
-            for row in range(row_start, row_stop)
-        ]
-    _, spec, algorithm_name, rows, c0, c1 = payload[:6]
-    refs = payload[6] if len(payload) > 6 else None
-    rule = _rule_for_spec(spec, algorithm_name, refs)
-    return [rule.row_radii(ids, c0, c1) for ids in _rows_from_payload(rows)]
+        rows = [_row_for(n, base_seed, row) for row in range(row_start, row_stop)]
+        return rule.block_stats(rows, c0, c1)
+    rows, c0, c1 = payload[3:6]
+    return rule.batch_radii(_rows_from_payload(rows), c0, c1)
 
 
 @dataclass(frozen=True)
@@ -507,9 +296,9 @@ class ShardedKernelExecutor:
                     centers=payload[-1] - payload[-2],
                     rule=self._rule.name,
                 ):
-                    results.append(run_scale_task(payload))
+                    results.append(_evaluate_shard(self._rule, payload))
             else:
-                results.append(run_scale_task(payload))
+                results.append(_evaluate_shard(self._rule, payload))
         return results
 
     # ------------------------------------------------------------------

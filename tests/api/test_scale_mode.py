@@ -63,7 +63,7 @@ class TestSessionScale:
         assert row["nodes_per_s"] > 0
         # The cycle engages the vectorised ring sweep (the BFS rule's
         # bit-identical specialisation for the paper's own topology).
-        assert row["kernel"]["rule"] == "ring-scan-stream"
+        assert row["kernel"]["rule"] == "ring-scan"
 
     def test_measures_headline_average_and_classic(self, result):
         assert result.measures["classic"] == 32.0
@@ -114,6 +114,29 @@ class TestSessionScale:
         session.scale(topologies="cycle", sizes=48, samples=2)
         after = session.cache_info()
         assert after["hits"] > before["hits"]
+
+    @pytest.mark.parametrize("topology", ["cycle", "random-tree"])
+    def test_serial_query_builds_its_csr_once(self, monkeypatch, topology):
+        # The serial shards evaluate on the executor's own CSR and rule; the
+        # per-process shard caches must not rebuild a second copy.
+        import repro.api.session
+        import repro.kernel.shard
+        from repro.engine.pool import clear_worker_caches
+        from repro.topology.stream import build_csr
+
+        builds = []
+
+        def counting_build_csr(*args, **kwargs):
+            builds.append(args)
+            return build_csr(*args, **kwargs)
+
+        monkeypatch.setattr(repro.api.session, "build_csr", counting_build_csr)
+        monkeypatch.setattr(repro.kernel.shard, "build_csr", counting_build_csr)
+        clear_worker_caches()
+        Session().scale(
+            topologies=topology, sizes=40, samples=6, seed=11, workers=1, center_chunk=16
+        )
+        assert len(builds) == 1
 
 
 class TestScaleCLI:

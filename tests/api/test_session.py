@@ -205,7 +205,7 @@ class TestSessionCaches:
             topologies="cycle", sizes=6, methods="sample", samples=8, seed=1
         )
         assert len(session._kernels) == kernels_after_first == 1
-        assert result.rows[0]["kernel"]["rule"] in ("max-scan", "runner-table")
+        assert result.rows[0]["kernel"]["rule"] in ("ring-scan", "runner-table")
         assert result.kernel["rows"] == 1
 
     def test_cache_limits_must_be_positive(self):

@@ -7,8 +7,9 @@ import pytest
 from repro.algorithms.greedy_coloring import GreedyColoringByID
 from repro.algorithms.largest_id import LargestIdAlgorithm
 from repro.core.algorithm import FunctionBallAlgorithm
+from repro.engine.frontier import engine_structure
 from repro.errors import IdentifierError, TopologyError
-from repro.kernel import compile_instance, simulate_batch
+from repro.kernel import BatchRequest, compile_instance, simulate_batch, simulate_many
 from repro.model.graph import Graph
 from repro.model.identifiers import random_assignment
 from repro.topology.cycle import cycle_graph
@@ -35,19 +36,38 @@ class TestCompiledStructure:
             distances = instance.distances[v]
             assert sorted(discovery) == list(graph.positions())
             assert discovery[0] == v and distances[0] == 0
-            # Layers are monotone, and member_counts are their prefix sums.
+            # Layers are monotone.
             assert list(distances) == sorted(distances)
-            for radius, count in enumerate(instance.member_counts[v]):
-                assert sum(1 for d in distances if d <= radius) == count
             # Saturation: the 8-cycle saturates every centre at radius 4.
             assert instance.saturation[v] == 4
-            assert instance.caps[v] == 5
 
-    def test_plans_are_shared_with_the_engine_through_the_graph(self):
+    @pytest.mark.parametrize(
+        "algorithm,topology",
+        [
+            ("largest-id", "cycle"),
+            ("largest-id", "path"),
+            ("cole-vishkin", "cycle"),
+            ("cole-vishkin-ball", "cycle"),
+        ],
+    )
+    def test_compile_and_batches_build_no_plans(self, algorithm, topology):
+        from repro.engine.campaign import build_topology, make_ball_algorithm
+
+        graph = build_topology(topology, 6, seed=0)
+        instance = compile_instance(graph, make_ball_algorithm(algorithm, 6))
+        rows = [random_assignment(6, seed=seed).identifiers() for seed in range(4)]
+        simulate_batch(instance, rows)
+        instance.batch_traces(rows)
+        simulate_many([BatchRequest(instance, rows)])
+        _, plans, _ = engine_structure(graph)
+        assert plans == {}
+
+    def test_cone_rules_share_plans_with_the_engine_through_the_graph(self):
         graph = cycle_graph(6)
-        compile_instance(graph, LargestIdAlgorithm())
+        instance = compile_instance(graph, GreedyColoringByID())
         _, plans, _ = graph._engine_structure
         assert set(plans) == set(graph.positions())
+        assert instance.discovery == tuple(plans[v].discovery for v in graph.positions())
 
     def test_rule_selection(self):
         graph = cycle_graph(6)
@@ -66,7 +86,7 @@ class TestCompiledStructure:
             ),
         )
         assert vectorized.vectorized
-        assert vectorized.describe()["rule"] == "max-scan"
+        assert vectorized.describe()["rule"] == "ring-scan"
         assert cone.vectorized
         assert cone.describe()["rule"] == "greedy-cone-coloring"
         assert not fallback.vectorized

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algorithms.largest_id import predicted_largest_id_radii
 from repro.algorithms.registry import algorithm_registry
 from repro.engine.campaign import make_ball_algorithm
 from repro.kernel import (
@@ -9,40 +10,53 @@ from repro.kernel import (
     MaxScanScaleRule,
     ShardedKernelExecutor,
     compile_instance,
+    numpy_available,
     run_scale_probe,
     scale_rule_for,
 )
 from repro.kernel.shard import scale_row_ids
+from repro.model.identifiers import IdentifierAssignment
 from repro.topology.stream import STREAM_TOPOLOGIES, build_csr
+
+BACKENDS = ("python",) + (("numpy",) if numpy_available() else ())
 
 
 class TestScaleRuleParity:
     @pytest.mark.parametrize("topology", STREAM_TOPOLOGIES)
-    def test_scale_radii_match_the_compiled_kernel(self, topology):
-        """The plan-free early-stop BFS equals the plan-table kernel."""
+    def test_scale_radii_match_the_oracle(self, topology):
+        """The streamed-CSR rule and the compiled instance equal the closed form."""
         csr = build_csr(topology, 19, seed=4)
+        graph = csr.to_graph()
         rule = scale_rule_for(make_ball_algorithm("largest-id", 19), csr)
-        instance = compile_instance(csr.to_graph(), make_ball_algorithm("largest-id", 19))
+        instance = compile_instance(graph, make_ball_algorithm("largest-id", 19))
+        assert instance.describe()["rule"] == rule.name
         for row_seed in range(4):
             ids = scale_row_ids(19, 7, row_seed)
-            expected = instance.batch_radii([tuple(ids)])[0]
-            assert tuple(rule.row_radii(ids, 0, 19)) == expected
+            radii = predicted_largest_id_radii(graph, IdentifierAssignment(tuple(ids)))
+            expected = tuple(radii[v] for v in graph.positions())
+            assert rule.batch_radii([ids])[0] == expected
+            assert instance.batch_radii([tuple(ids)])[0] == expected
 
-    def test_row_stats_fold_the_full_row(self):
+    def test_block_stats_fold_the_full_row(self):
         csr = build_csr("cycle", 12)
-        rule = MaxScanScaleRule(csr)
-        ids = scale_row_ids(12, 3, 0)
-        radii = rule.row_radii(ids, 0, 12)
-        total, largest = rule.row_stats(ids, 0, 12)
-        assert total == sum(radii)
-        assert largest == max(radii)
+        rule = MaxScanScaleRule(csr.indptr, csr.indices)
+        rows = [scale_row_ids(12, 3, index) for index in range(3)]
+        for radii, (total, largest) in zip(
+            rule.batch_radii(rows), rule.block_stats(rows, 0, 12)
+        ):
+            assert total == sum(radii)
+            assert largest == max(radii)
 
-    def test_partial_center_ranges_compose(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_partial_center_ranges_compose(self, backend):
         csr = build_csr("random-tree", 15, seed=9)
-        rule = MaxScanScaleRule(csr)
-        ids = scale_row_ids(15, 11, 2)
-        whole = rule.row_radii(ids, 0, 15)
-        assert rule.row_radii(ids, 0, 7) + rule.row_radii(ids, 7, 15) == whole
+        rule = MaxScanScaleRule(csr.indptr, csr.indices, backend)
+        # Enough rows for the numpy backend's gather path.
+        count = MaxScanScaleRule.NUMPY_ROWS_PER_NODE * 15
+        rows = [scale_row_ids(15, 11, index) for index in range(count)]
+        whole = rule.batch_radii(rows)
+        halves = zip(rule.batch_radii(rows, 0, 7), rule.batch_radii(rows, 7, 15))
+        assert [left + right for left, right in halves] == whole
 
 
 class TestRegistryHooks:

@@ -11,9 +11,11 @@ serial single-shard reference.
 
 import pytest
 
+from repro.algorithms.largest_id import predicted_largest_id_radii
 from repro.engine.campaign import make_ball_algorithm
-from repro.kernel import ShardedKernelExecutor, compile_instance
+from repro.kernel import ShardedKernelExecutor
 from repro.kernel.shard import scale_row_ids
+from repro.model.identifiers import IdentifierAssignment
 from repro.topology.stream import STREAM_TOPOLOGIES, build_csr
 
 SAMPLES = 3
@@ -64,16 +66,14 @@ class TestDecompositionInvariance:
         assert stats == reference
 
 
-class TestAgainstTheCompiledKernel:
-    def test_sampled_rows_match_the_plan_table_kernel(self, csr):
-        """Shard measures equal folding the eager kernel's radii directly."""
-        instance = compile_instance(
-            csr.to_graph(), make_ball_algorithm("largest-id", csr.n)
-        )
+class TestAgainstTheOracle:
+    def test_sampled_rows_match_the_oracle(self, csr):
+        """Shard measures equal folding the closed-form largest-ID radii."""
+        graph = csr.to_graph()
         executor = _executor(csr, row_block=2, center_chunk=8)
         stats = executor.sample_measures(SAMPLES, seed=SEED)
         for row_stats in stats:
             ids = scale_row_ids(csr.n, SEED, row_stats.row)
-            radii = instance.batch_radii([tuple(ids)])[0]
-            assert row_stats.sum_radius == sum(radii)
-            assert row_stats.max_radius == max(radii)
+            radii = predicted_largest_id_radii(graph, IdentifierAssignment(tuple(ids)))
+            assert row_stats.sum_radius == sum(radii.values())
+            assert row_stats.max_radius == max(radii.values())

@@ -136,7 +136,7 @@ from repro.api import (
 # The query service sits on top of the API (store-backed `repro serve`).
 from repro.service import QueryService, ResultStore
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AlgorithmError",

@@ -105,12 +105,12 @@ class ColeVishkinRing(RoundAlgorithm):
         return _CVMemory(color=identifier, phase=phase, iteration=0, reduce_target=5)
 
     def compile_ball_kernel_rule(self, instance):
-        """Batched bit-trick kernel (:class:`~repro.kernel.cvring.ColeVishkinRingRule`).
+        """Constant-radius kernel rule (:class:`~repro.kernel.cvring.ColeVishkinRingRule`).
 
         Every node commits at the same fixed round, so the output radius is
-        assignment-independent and the outputs are one batched replay of the
-        global execution.  Only claimed on consistently oriented rings — on
-        anything else the fallback reproduces the reference errors.
+        assignment-independent.  Only claimed on consistently oriented
+        rings — on anything else the fallback reproduces the reference
+        errors.
         """
         if not is_consistently_oriented_ring(instance.graph):
             return None

@@ -50,8 +50,7 @@ class GreedyColoringByID(BallAlgorithm):
     def compile_kernel_rule(self, instance):
         """Dependency-cone rule (:class:`~repro.kernel.cone.GreedyConeRule`):
         the radius is the largest neighbourhood extent over the centre's
-        cone of increasing-identifier paths, the colour the global greedy
-        mex — both batchable over whole assignment matrices."""
+        cone of increasing-identifier paths, one stdlib sweep per row."""
         from repro.kernel.cone import GreedyConeRule
 
         return GreedyConeRule(instance, problem="coloring")

@@ -40,8 +40,7 @@ class GreedyMISByID(BallAlgorithm):
 
     def compile_kernel_rule(self, instance):
         """Dependency-cone rule (:class:`~repro.kernel.cone.GreedyConeRule`):
-        same cone-extent radius as greedy colouring, with membership
-        resolved by the batched descending-identifier recursion."""
+        the same cones, hence the same radii, as greedy colouring."""
         from repro.kernel.cone import GreedyConeRule
 
         return GreedyConeRule(instance, problem="mis")

@@ -11,14 +11,14 @@ therefore compute its own output as soon as its ball contains the whole
 individual algorithms only supply the combination rule ("my output given my
 higher neighbours' outputs").
 
-The kernel's vectorised rules (:mod:`repro.kernel.cone`) run the same
-recursion over whole assignment matrices.  Two assignment-level helpers live
-here so the ball-based reference and the batch form share one definition:
+The kernel's cone rules (:mod:`repro.kernel.cone`) run the same recursion
+once per assignment row.  Two assignment-level helpers live here so the
+ball-based reference and the batch form share one definition:
 
 * :func:`resolve_assignment_row` — the full-graph, single-pass form of
   :func:`resolve_by_descending_id`: one descending-identifier sweep yields
-  every node's greedy output *and* its dependency cone (as a position
-  bitmask).
+  every node's dependency cone (as a position bitmask) and its greedy MIS
+  membership.
 * :func:`neighborhood_extent_table` — the assignment-independent radius at
   which a centre's ball contains all of another node's neighbours, which
   turns a cone into an output radius: a node decides at the first radius
@@ -69,8 +69,7 @@ def resolve_assignment_row(
     ids: Sequence[int],
     indptr: Sequence[int],
     indices: Sequence[int],
-    problem: str,
-) -> tuple[list[int], list[Any]]:
+) -> tuple[list[int], list[bool]]:
     """One descending-ID sweep over a *full* assignment row.
 
     The batch-kernel form of :func:`resolve_by_descending_id`: with the whole
@@ -78,47 +77,35 @@ def resolve_assignment_row(
     decreasing identifier order yields, per position ``u``:
 
     * ``cones[u]`` — the dependency cone of ``u`` as a bitmask of positions
-      (``u`` itself plus the cones of its higher-identifier neighbours); and
-    * ``values[u]`` — the greedy output: the smallest colour unused by the
-      higher neighbours (``problem="coloring"``) or membership in the greedy
-      MIS (``problem="mis"``, ``True`` iff no higher neighbour joined).
+      (``u`` itself plus the cones of its higher-identifier neighbours),
+      which is the same for every greedy-by-ID problem; and
+    * ``in_mis[u]`` — membership in the greedy MIS (``True`` iff no higher
+      neighbour joined), which the MIS-based ring colouring's radius reads.
 
     ``indptr``/``indices`` are the CSR adjacency of the graph in position
     space (:attr:`repro.kernel.compile.CompiledInstance.indices`).
     """
-    if problem not in ("coloring", "mis"):
-        raise ValueError(f"unknown greedy-by-ID problem {problem!r}")
-    coloring = problem == "coloring"
     n = len(ids)
     order = sorted(range(n), key=ids.__getitem__, reverse=True)
     cones = [0] * n
-    values: list[Any] = [0] * n
+    in_mis = [False] * n
     for u in order:
         cone = 1 << u
-        used = 0  # colour bitmask ("coloring") / higher-member flag ("mis")
+        member = True
         own = ids[u]
         for k in range(indptr[u], indptr[u + 1]):
             w = indices[k]
             if ids[w] > own:
                 cone |= cones[w]
-                if coloring:
-                    used |= 1 << values[w]
-                elif values[w]:
-                    used = 1
+                if in_mis[w]:
+                    member = False
         cones[u] = cone
-        if coloring:
-            unused = ~used
-            values[u] = (unused & -unused).bit_length() - 1
-        else:
-            values[u] = not used
-    return cones, values
+        in_mis[u] = member
+    return cones, in_mis
 
 
 def neighborhood_extent_table(
-    indptr: Sequence[int],
-    indices: Sequence[int],
-    discovery: Sequence[Sequence[int]],
-    distances: Sequence[Sequence[int]],
+    indptr: Sequence[int], indices: Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
     """``extent[v][u]``: first radius at which ``v``'s ball holds all of ``N(u)``.
 
@@ -126,17 +113,27 @@ def neighborhood_extent_table(
     ``v`` outputs at the first radius whose ball contains the neighbourhood
     of every member of its dependency cone (visibility of ``N(u)`` is what
     :func:`resolve_by_descending_id` demands before determining ``u``), so
-    ``radius(v) = max(extent[v][u] for u in cone(v))``.  ``discovery`` and
-    ``distances`` are the per-centre BFS prefixes of a compiled instance.
+    ``radius(v) = max(extent[v][u] for u in cone(v))``.  Each row is one
+    BFS of the centre over the CSR adjacency ``indptr``/``indices`` of a
+    connected graph: ``extent[v][u] = max(dist(v, w) for w in N(u))``.
     """
     n = len(indptr) - 1
     table = []
     for v in range(n):
-        dist_v = [0] * n
-        row_discovery = discovery[v]
-        row_distances = distances[v]
-        for index in range(len(row_discovery)):
-            dist_v[row_discovery[index]] = row_distances[index]
+        dist_v = [-1] * n
+        dist_v[v] = 0
+        frontier = [v]
+        depth = 0
+        while frontier:
+            depth += 1
+            layer = []
+            for u in frontier:
+                for k in range(indptr[u], indptr[u + 1]):
+                    w = indices[k]
+                    if dist_v[w] < 0:
+                        dist_v[w] = depth
+                        layer.append(w)
+            frontier = layer
         row = []
         for u in range(n):
             extent = 0

@@ -78,13 +78,14 @@ class BallAlgorithm(abc.ABC):
         stopping radius has an array-friendly closed form return a
         :class:`~repro.kernel.rules.KernelRule` here and get whole-matrix
         batch evaluation — largest-ID returns the CSR rule of its
-        :meth:`compile_scale_rule` built on ``instance._csr_arrays()``; rules
-        that need per-centre plan tables read ``instance.discovery`` /
-        ``instance.distances``, which are built on first access.  The
-        default ``None`` selects the decide-backed fallback, which is sound
-        for every deterministic algorithm.  Any returned rule must be
-        bit-identical to the single-assignment reference path — the kernel
-        property suite enforces this.
+        :meth:`compile_scale_rule` built on ``instance._csr_arrays()``, the
+        greedy-by-ID cone rules read ``instance.indptr`` /
+        ``instance.indices``.  A rule reads only that CSR and returns only
+        radii; it never builds frontier plans.  The default ``None`` selects
+        the decide-backed fallback, which is sound for every deterministic
+        algorithm.  Any returned rule must be bit-identical to the
+        single-assignment reference path — the kernel property suite
+        enforces this.
         """
         return None
 

@@ -203,9 +203,9 @@ def center_plan(graph: Graph, center: int) -> _CenterPlan:
     """The (cached) frontier plan of ``center`` on ``graph``.
 
     The single construction point for :class:`_CenterPlan` objects:
-    :meth:`FrontierRunner._plan` and the kernel's compiled instances both
-    resolve plans through here, so the shared per-graph table can never
-    hold plans built two different ways.
+    :meth:`FrontierRunner._plan` (and through it the search layer) resolves
+    plans here, so the shared per-graph table can never hold plans built two
+    different ways.  The batch kernel builds none: it reads only the CSR.
     """
     adjacency, plans, degrees = engine_structure(graph)
     plan = plans.get(center)

@@ -13,19 +13,21 @@ does not depend on the assignment out of that loop, once per pair:
   otherwise the decide-backed :class:`~repro.kernel.rules.RunnerTableRule`
   fallback behind the same interface.
 
-No frontier plan is built at construction.  The per-centre plan tables
-(``discovery``, ``distances``, ``saturation``) are built on first access,
-from the engine's :class:`~repro.engine.frontier._CenterPlan` objects cached
-on the graph, and only the rules that read them ask: the cone rules.  The
-largest-ID rules evaluate straight from the CSR with an early-stopping BFS
-(:class:`~repro.kernel.rules.ScaleRule`), so a largest-ID compile plus any
-number of batches builds no plan at all.
+The kernel reads nothing but that CSR: no frontier plan is built at
+construction or by any vectorised rule.  The largest-ID rules evaluate with
+an early-stopping BFS (:class:`~repro.kernel.rules.ScaleRule`), the cone
+rules compute their extent table by one BFS per centre, so a compile plus
+any number of batches leaves the graph's plan table empty.  Frontier plans
+belong to the engine and search layers; the fallback rule reaches them only
+through its own :class:`~repro.engine.frontier.FrontierRunner`.
 
 :func:`simulate_batch` then evaluates a whole **matrix** of assignments per
 call — rows are assignments, columns are positions — and returns the matrix
-of per-node output radii.  The numpy fast path and the pure-stdlib fallback
-are chosen at import time (see :mod:`repro.kernel.backend`) and can be
-overridden per instance; both are bit-identical to
+of per-node output radii.  It returns radii only; outputs come from
+:class:`~repro.engine.frontier.FrontierRunner` traces.  The numpy fast path
+and the pure-stdlib fallback are chosen at import time (see
+:mod:`repro.kernel.backend`) and can be overridden per instance; both
+are bit-identical to
 :meth:`FrontierRunner.run <repro.engine.frontier.FrontierRunner.run>`,
 which stays as the single-assignment reference path.
 """
@@ -35,12 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from repro.engine.frontier import center_plan, engine_structure
+from repro.engine.frontier import engine_structure
 from repro.errors import IdentifierError, TopologyError
 from repro.kernel.backend import resolve_backend
 from repro.kernel.rules import KernelRule, RunnerTableRule
 from repro.model.graph import Graph
-from repro.model.trace import ExecutionTrace, NodeRecord
 from repro.obs import metrics as _metrics
 from repro.obs.spans import obs_enabled as _obs_enabled, span as _obs_span
 
@@ -112,7 +113,6 @@ class CompiledInstance:
         self.max_table_entries = max_table_entries
         self.n = graph.n
         self._csr: Optional[tuple[tuple[int, ...], ...]] = None
-        self._plan_tables: Optional[tuple] = None
         self.stats = KernelStats()
         # The vectorised rule (or None) is compiled eagerly — it is cheap
         # and callers branch on `vectorized` before ever running a batch.
@@ -137,40 +137,6 @@ class CompiledInstance:
     def vectorized(self) -> bool:
         """Whether the instance evaluates batches with array expressions."""
         return self._vector_rule is not None and self._vector_rule.vectorized
-
-    def _plans(self) -> tuple:
-        """``(discovery, distances, saturation)``, built on first access.
-
-        Straight from the graph's shared
-        :class:`~repro.engine.frontier._CenterPlan` objects (see
-        :func:`~repro.engine.frontier.center_plan`), so an engine runner on
-        the same graph reuses them.  Only the rules that read plan tables
-        (the cone rules) ever trigger the build.
-        """
-        if self._plan_tables is None:
-            plans = [center_plan(self.graph, v) for v in self.graph.positions()]
-            self._plan_tables = (
-                tuple(plan.discovery for plan in plans),
-                tuple(plan.distances for plan in plans),
-                tuple(plan.saturation_radius() for plan in plans),
-            )
-        return self._plan_tables
-
-    @property
-    def discovery(self) -> tuple[tuple[int, ...], ...]:
-        """Per-centre ball members in BFS discovery order (built lazily)."""
-        return self._plans()[0]
-
-    @property
-    def distances(self) -> tuple[tuple[int, ...], ...]:
-        """Per-centre discovery layers: ``distances[v][i]`` is the radius at
-        which ``discovery[v][i]`` joins the ball (built lazily)."""
-        return self._plans()[1]
-
-    @property
-    def saturation(self) -> tuple[int, ...]:
-        """Per-centre radius whose ball covers the graph (built lazily)."""
-        return self._plans()[2]
 
     def _csr_arrays(self) -> tuple[tuple[int, ...], ...]:
         """CSR adjacency (built on first access): neighbours of position
@@ -274,41 +240,6 @@ class CompiledInstance:
             ):
                 return self.rule.batch_radii(rows)
         return self.rule.batch_radii(rows)
-
-    def batch_traces(self, ids_matrix: Iterable) -> list[ExecutionTrace]:
-        """Full :class:`ExecutionTrace` objects for a matrix of assignments.
-
-        The trace-parity surface: the property suite asserts these are
-        bit-identical to :meth:`FrontierRunner.run` for every registered
-        algorithm under both backends.
-        """
-        rows = self.normalize_rows(ids_matrix)
-        if not rows:
-            return []
-        self.stats.batches += 1
-        self.stats.rows += len(rows)
-        if _obs_enabled():
-            _metrics.add("kernel.batches")
-            _metrics.add("kernel.rows", len(rows))
-            with _obs_span(
-                "kernel.simulate_batch", rows=len(rows), backend=self.backend
-            ):
-                radii_rows, output_rows = self.rule.batch_radii_outputs(rows)
-        else:
-            radii_rows, output_rows = self.rule.batch_radii_outputs(rows)
-        traces = []
-        for ids, radii, outputs in zip(rows, radii_rows, output_rows):
-            records = {
-                position: NodeRecord(
-                    position=position,
-                    identifier=ids[position],
-                    radius=radii[position],
-                    output=outputs[position],
-                )
-                for position in range(self.n)
-            }
-            traces.append(ExecutionTrace(records))
-        return traces
 
 
 def compile_instance(

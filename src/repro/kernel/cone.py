@@ -1,4 +1,4 @@
-"""Vectorised dependency-cone rules for the greedy-by-ID family.
+"""Dependency-cone rules for the greedy-by-ID family.
 
 The greedy-by-ID algorithms (greedy colouring, greedy MIS, and the MIS-based
 ring 3-colouring built on top of them) all decide through
@@ -6,21 +6,20 @@ ring 3-colouring built on top of them) all decide through
 outputs once its ball contains its whole *dependency cone* — the closure of
 itself under edges towards strictly higher identifiers — together with every
 cone member's neighbourhood.  That characterisation turns the per-ball
-recursion into two batchable ingredients:
+recursion into two ingredients:
 
 * an assignment-independent table ``extent[v][u]`` (the first radius at which
-  ``v`` sees all of ``u``'s neighbours, precomputed once per instance by
-  :func:`~repro.algorithms.priority_resolution.neighborhood_extent_table`);
+  ``v`` sees all of ``u``'s neighbours, computed once per instance from the
+  CSR by :func:`~repro.algorithms.priority_resolution.neighborhood_extent_table`);
 * a per-row cone computation: ``radius(v) = max(extent[v][u] for u in
-  cone(v))`` and the greedy outputs themselves, both products of one
+  cone(v))``, with every cone a position bitmask from one
   descending-identifier sweep
   (:func:`~repro.algorithms.priority_resolution.resolve_assignment_row`).
 
-The stdlib path runs the sweep with integer bitmasks per row; the numpy path
-computes the cone closure of all rows at once (boolean matrix squaring of
-the higher-identifier relation) and resolves outputs as batched fixpoint
-iterations, which converge within the longest strictly-increasing-ID path
-because every node's value depends only on strictly higher neighbours.
+Both read only the instance's CSR adjacency, so the rules build no frontier
+plan, and both backends run the same stdlib sweep: it costs ``O(n + m)``
+bitmask operations per row where a dense closure of the higher-identifier
+relation would cost ``O(n^3)``.
 """
 
 from __future__ import annotations
@@ -57,147 +56,44 @@ class _ConeRule(KernelRule):
     vectorized = True
 
     def __init__(self, instance: "CompiledInstance") -> None:
-        self._backend = instance.backend
         self._n = instance.n
         self._indptr = instance.indptr
         self._indices = instance.indices
-        self._extent = neighborhood_extent_table(
-            instance.indptr, instance.indices, instance.discovery, instance.distances
-        )
-        self._np_tables = None
-
-    # ------------------------------------------------------------------
-    # numpy helpers (imported lazily so REPRO_KERNEL=python stays numpy-free)
-    # ------------------------------------------------------------------
-    def _tables(self):
-        """Static per-instance arrays, built on the first numpy batch."""
-        if self._np_tables is None:
-            from repro.kernel.backend import numpy_module
-
-            np = numpy_module()
-            n = self._n
-            adjacency = np.zeros((n, n), dtype=bool)
-            for v in range(n):
-                for k in range(self._indptr[v], self._indptr[v + 1]):
-                    adjacency[v, self._indices[k]] = True
-            self._np_tables = (
-                np,
-                adjacency,
-                np.asarray(self._extent, dtype=np.int64),
-                np.eye(n, dtype=bool),
-            )
-        return self._np_tables
-
-    def _numpy_state(self, rows: Rows):
-        """Per-batch higher-ID relation and its reflexive-transitive closure."""
-        np, adjacency, extent, eye = self._tables()
-        ids = np.asarray(rows, dtype=np.int64)
-        # higher[b, u, w]: w is a neighbour of u carrying a larger identifier.
-        higher = adjacency[None, :, :] & (ids[:, None, :] > ids[:, :, None])
-        closure = higher | eye[None, :, :]
-        while True:
-            counts = closure.astype(np.int32)
-            squared = (counts @ counts) > 0
-            if np.array_equal(squared, closure):
-                break
-            closure = squared
-        return np, ids, higher, closure, extent
-
-    def _numpy_mis(self, np, higher):
-        """Greedy MIS membership per row, as a batched fixpoint iteration."""
-        batch, n = higher.shape[:2]
-        in_mis = np.ones((batch, n), dtype=bool)
-        for _ in range(n + 1):
-            new = ~((higher & in_mis[:, None, :]).any(axis=2))
-            if np.array_equal(new, in_mis):
-                break
-            in_mis = new
-        return in_mis
-
-    def _numpy_colors(self, np, higher):
-        """Greedy colours per row: batched mex over higher-neighbour colours."""
-        batch, n = higher.shape[:2]
-        max_degree = max(
-            self._indptr[v + 1] - self._indptr[v] for v in range(n)
-        )
-        palette = max_degree + 1  # greedy never needs colour > degree
-        colors = np.zeros((batch, n), dtype=np.int64)
-        for _ in range(n + 1):
-            used = np.zeros((batch, n, palette + 1), dtype=bool)
-            for color in range(palette):
-                used[:, :, color] = (higher & (colors[:, None, :] == color)).any(axis=2)
-            new = (~used).argmax(axis=2).astype(np.int64)
-            if np.array_equal(new, colors):
-                break
-            colors = new
-        return colors
+        self._extent = neighborhood_extent_table(self._indptr, self._indices)
 
 
 class GreedyConeRule(_ConeRule):
-    """Vectorised greedy colouring / greedy MIS by descending identifier.
+    """Greedy colouring / greedy MIS by descending identifier.
 
     ``radius(v)`` is the largest neighbourhood extent over ``v``'s dependency
-    cone; the output is the node's value in the global greedy recursion
-    (which the ball recursion reproduces exactly once the cone is visible).
+    cone.  The cones do not depend on the combination rule, so both problems
+    share one evaluation; ``problem`` only names the rule.
     """
 
     def __init__(self, instance: "CompiledInstance", problem: str) -> None:
         super().__init__(instance)
         if problem not in ("coloring", "mis"):
             raise ValueError(f"unknown greedy-by-ID problem {problem!r}")
-        self._problem = problem
         self.name = f"greedy-cone-{problem}"
 
-    # -- stdlib path ----------------------------------------------------
-    def _row(self, ids):
-        cones, values = resolve_assignment_row(
-            ids, self._indptr, self._indices, self._problem
-        )
-        radii = tuple(
-            _mask_extent(cones[v], self._extent[v]) for v in range(self._n)
-        )
-        return radii, tuple(values)
-
-    # -- numpy path -----------------------------------------------------
-    def _batch_numpy(self, rows: Rows, want_outputs: bool):
-        np, _, higher, closure, extent = self._numpy_state(rows)
-        radii = np.where(closure, extent[None, :, :], 0).max(axis=2)
-        if not want_outputs:
-            return radii, None
-        if self._problem == "mis":
-            values = self._numpy_mis(np, higher)
-        else:
-            values = self._numpy_colors(np, higher)
-        return radii, values
-
-    # -- KernelRule interface -------------------------------------------
     def batch_radii(self, rows: Rows) -> list[tuple[int, ...]]:
-        if self._backend == "numpy":
-            radii, _ = self._batch_numpy(rows, want_outputs=False)
-            return [tuple(row) for row in radii.tolist()]
-        return [self._row(ids)[0] for ids in rows]
-
-    def batch_radii_outputs(self, rows: Rows):
-        if self._backend == "numpy":
-            radii, values = self._batch_numpy(rows, want_outputs=True)
-            return (
-                [tuple(row) for row in radii.tolist()],
-                [tuple(row) for row in values.tolist()],
+        extent = self._extent
+        radii = []
+        for ids in rows:
+            cones, _ = resolve_assignment_row(ids, self._indptr, self._indices)
+            radii.append(
+                tuple(_mask_extent(cones[v], extent[v]) for v in range(self._n))
             )
-        results = [self._row(ids) for ids in rows]
-        return [radii for radii, _ in results], [outputs for _, outputs in results]
+        return radii
 
 
 class RingMISConeRule(_ConeRule):
-    """Vectorised MIS-based ring 3-colouring.
+    """MIS-based ring 3-colouring.
 
-    A member of the greedy MIS outputs ``0`` once its own cone is visible; a
+    A member of the greedy MIS outputs once its own cone is visible; a
     non-member additionally waits for both ring neighbours' membership, so
-    its radius spans the union of the three cones.  Colours follow
-    :class:`~repro.algorithms.ring_coloring_via_mis.RingColoringViaMIS`:
-    members take 0, nodes between two members take 1, and the identifier
-    breaks the tie between two adjacent non-members (only ever two in a row,
-    by maximality).
+    its radius spans the union of the three cones (see
+    :class:`~repro.algorithms.ring_coloring_via_mis.RingColoringViaMIS`).
     """
 
     name = "ring-mis-cone"
@@ -205,81 +101,25 @@ class RingMISConeRule(_ConeRule):
     def __init__(self, instance: "CompiledInstance") -> None:
         super().__init__(instance)
         # On a cycle every position has exactly two neighbours.
-        self._left = tuple(
-            self._indices[self._indptr[v]] for v in range(self._n)
-        )
+        self._left = tuple(self._indices[self._indptr[v]] for v in range(self._n))
         self._right = tuple(
             self._indices[self._indptr[v] + 1] for v in range(self._n)
         )
 
-    # -- stdlib path ----------------------------------------------------
-    def _row(self, ids):
-        cones, in_mis = resolve_assignment_row(
-            ids, self._indptr, self._indices, "mis"
-        )
-        radii = []
-        outputs = []
-        for v in range(self._n):
-            left = self._left[v]
-            right = self._right[v]
-            if in_mis[v]:
-                mask = cones[v]
-                output = 0
-            else:
-                mask = cones[v] | cones[left] | cones[right]
-                if in_mis[left] and in_mis[right]:
-                    output = 1
-                elif in_mis[left]:
-                    output = 1 if ids[v] > ids[right] else 2
-                else:
-                    output = 1 if ids[v] > ids[left] else 2
-            radii.append(_mask_extent(mask, self._extent[v]))
-            outputs.append(output)
-        return tuple(radii), tuple(outputs)
-
-    # -- numpy path -----------------------------------------------------
-    def _batch_numpy(self, rows: Rows):
-        np, ids, higher, closure, extent = self._numpy_state(rows)
-        if self._np_ring is None:
-            self._np_ring = (
-                np.asarray(self._left, dtype=np.int64),
-                np.asarray(self._right, dtype=np.int64),
-            )
-        left, right = self._np_ring
-        in_mis = self._numpy_mis(np, higher)
-        own_reach = np.where(closure, extent[None, :, :], 0).max(axis=2)
-        union = closure | closure[:, left, :] | closure[:, right, :]
-        full_reach = np.where(union, extent[None, :, :], 0).max(axis=2)
-        radii = np.where(in_mis, own_reach, full_reach)
-        left_member = in_mis[:, left]
-        right_member = in_mis[:, right]
-        other_ids = np.where(left_member, ids[:, right], ids[:, left])
-        outputs = np.where(
-            in_mis,
-            0,
-            np.where(
-                left_member & right_member,
-                1,
-                np.where(ids > other_ids, 1, 2),
-            ),
-        )
-        return radii, outputs
-
-    _np_ring = None
-
-    # -- KernelRule interface -------------------------------------------
     def batch_radii(self, rows: Rows) -> list[tuple[int, ...]]:
-        if self._backend == "numpy":
-            radii, _ = self._batch_numpy(rows)
-            return [tuple(row) for row in radii.tolist()]
-        return [self._row(ids)[0] for ids in rows]
-
-    def batch_radii_outputs(self, rows: Rows):
-        if self._backend == "numpy":
-            radii, outputs = self._batch_numpy(rows)
-            return (
-                [tuple(row) for row in radii.tolist()],
-                [tuple(row) for row in outputs.tolist()],
+        extent, left, right = self._extent, self._left, self._right
+        radii = []
+        for ids in rows:
+            cones, in_mis = resolve_assignment_row(ids, self._indptr, self._indices)
+            radii.append(
+                tuple(
+                    _mask_extent(
+                        cones[v]
+                        if in_mis[v]
+                        else cones[v] | cones[left[v]] | cones[right[v]],
+                        extent[v],
+                    )
+                    for v in range(self._n)
+                )
             )
-        results = [self._row(ids) for ids in rows]
-        return [radii for radii, _ in results], [outputs for _, outputs in results]
+        return radii

@@ -3,8 +3,10 @@
 A :class:`KernelRule` answers *whole matrices* of identifier assignments
 for one compiled ``(graph, algorithm)`` pair: given rows of
 position -> identifier tuples it returns, per row, the radius at which every
-node outputs (and, on request, the outputs themselves).  Rules come in
-three flavours:
+node outputs.  Outputs are not part of the interface: whoever needs them
+(certification, ``simulate`` rows) reads them from
+:class:`~repro.engine.frontier.FrontierRunner` traces.  Rules come in three
+flavours:
 
 * **CSR rules** (:class:`ScaleRule`) read nothing but the flat CSR
   adjacency of the graph — no frontier plans — so one rule object serves a
@@ -19,11 +21,11 @@ three flavours:
   ``{v - r, v + r}`` and every undecided ``(row, centre)`` pair advances
   one ring distance per round.
 
-* other **vectorised** rules (``vectorized = True``) know a closed-form,
-  array-friendly description of the algorithm's stopping radius and run it
-  either as numpy expressions or as tight stdlib loops (the cone rules of
-  :mod:`repro.kernel.cone`, the Cole–Vishkin rule of
-  :mod:`repro.kernel.cvring`).  Algorithms opt in through
+* other **vectorised** rules (``vectorized = True``) know a closed-form
+  description of the algorithm's stopping radius and evaluate it in tight
+  stdlib loops over the CSR, on both backends: the dependency-cone rules of
+  :mod:`repro.kernel.cone` and the constant-radius Cole–Vishkin rule of
+  :mod:`repro.kernel.cvring`.  Algorithms opt in through
   :meth:`repro.core.algorithm.BallAlgorithm.compile_kernel_rule`.
 
 * the **decide-backed** fallback (:class:`RunnerTableRule`) for everything
@@ -34,9 +36,10 @@ three flavours:
   patterns), so the kernel interface stays uniform and the results stay
   bit-identical to the single-assignment reference path by construction.
 
-Every rule must agree with :class:`~repro.engine.frontier.FrontierRunner`
-bit for bit — ``tests/property/test_property_kernel.py`` enforces this for
-every registered algorithm under both backends, and
+Every rule's radii must agree with
+:class:`~repro.engine.frontier.FrontierRunner` bit for bit —
+``tests/property/test_property_kernel.py`` enforces this for every
+registered algorithm under both backends, and
 ``tests/property/test_property_largest_id.py`` holds the largest-ID rules to
 the closed-form oracle.
 """
@@ -44,7 +47,7 @@ the closed-form oracle.
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.engine.cache import DecisionCache
 from repro.engine.frontier import FrontierRunner
@@ -63,20 +66,15 @@ class KernelRule:
     #: Short rule identifier recorded in result rows and benchmark artifacts.
     name: str = "kernel-rule"
 
-    #: Whether the rule evaluates whole matrices with array expressions.
-    #: Non-vectorised rules fall back to per-row execution; batching them is
-    #: an interface convenience, not a throughput win, and callers like the
-    #: swap evaluator use this flag to decide whether batching pays.
+    #: Whether the rule evaluates whole matrices without the engine (array
+    #: expressions or closed-form stdlib loops).  Non-vectorised rules run
+    #: each row through a frontier session; batching them is an interface
+    #: convenience, not a throughput win, and callers like the swap
+    #: evaluator use this flag to decide whether batching pays.
     vectorized: bool = False
 
     def batch_radii(self, rows: Rows) -> list[tuple[int, ...]]:
         """Per-row tuple of per-position output radii."""
-        raise NotImplementedError
-
-    def batch_radii_outputs(
-        self, rows: Rows
-    ) -> tuple[list[tuple[int, ...]], list[tuple[Any, ...]]]:
-        """Per-row radii and outputs (the trace-parity surface)."""
         raise NotImplementedError
 
 
@@ -104,21 +102,11 @@ class RunnerTableRule(KernelRule):
         )
 
     def batch_radii(self, rows: Rows) -> list[tuple[int, ...]]:
-        return [radii for radii, _ in map(self._run_row, rows)]
-
-    def batch_radii_outputs(self, rows):
-        results = [self._run_row(row) for row in rows]
-        return [radii for radii, _ in results], [outputs for _, outputs in results]
-
-    def _run_row(self, row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[Any, ...]]:
-        trace = self._runner.run(IdentifierAssignment(row))
-        radii = trace.radii()
-        outputs = trace.outputs_by_position()
-        positions = range(len(row))
-        return (
-            tuple(radii[position] for position in positions),
-            tuple(outputs[position] for position in positions),
-        )
+        radii_rows = []
+        for row in rows:
+            radii = self._runner.run(IdentifierAssignment(row)).radii()
+            radii_rows.append(tuple(radii[position] for position in range(len(row))))
+        return radii_rows
 
 
 def _id_matrix(np, rows: Sequence[Sequence[int]]):
@@ -232,15 +220,6 @@ class ScaleRule(KernelRule):
         return [tuple(row) for row in radii]
 
 
-def _largest_id_outputs(rows: Rows) -> list[tuple[bool, ...]]:
-    """Largest-ID outputs ``True`` exactly at each row's maximum identifier."""
-    outputs = []
-    for ids in rows:
-        largest = max(ids)
-        outputs.append(tuple(identifier == largest for identifier in ids))
-    return outputs
-
-
 class MaxScanScaleRule(ScaleRule):
     """Largest-ID on any graph: early-stop BFS shared by the rows of a batch.
 
@@ -312,9 +291,6 @@ class MaxScanScaleRule(ScaleRule):
             radius = sum(1 for _ in self._layers(center))
             self._eccentricity[center] = radius
         return radius
-
-    def batch_radii_outputs(self, rows: Rows):
-        return self.batch_radii(rows), _largest_id_outputs(rows)
 
     def block_radii(self, rows: Rows, start: int = 0, stop: Optional[int] = None):
         stop = self._n if stop is None else stop
@@ -439,9 +415,6 @@ class RingScanScaleRule(ScaleRule):
     #: ``(row, centre)`` pairs per numpy sweep: bounds the sweep's
     #: temporaries to a few tens of megabytes whatever the batch size.
     PAIR_BUDGET = 1 << 20
-
-    def batch_radii_outputs(self, rows: Rows):
-        return self.batch_radii(rows), _largest_id_outputs(rows)
 
     def block_radii(self, rows: Rows, start: int = 0, stop: Optional[int] = None):
         stop = self._n if stop is None else stop

@@ -28,19 +28,6 @@ class TestCompiledStructure:
                 assert instance.ports[start + offset] == offset
         assert instance.indptr[-1] == 2 * graph.m
 
-    def test_frontier_prefixes_cover_the_graph_in_bfs_order(self):
-        graph = cycle_graph(8)
-        instance = compile_instance(graph, LargestIdAlgorithm())
-        for v in graph.positions():
-            discovery = instance.discovery[v]
-            distances = instance.distances[v]
-            assert sorted(discovery) == list(graph.positions())
-            assert discovery[0] == v and distances[0] == 0
-            # Layers are monotone.
-            assert list(distances) == sorted(distances)
-            # Saturation: the 8-cycle saturates every centre at radius 4.
-            assert instance.saturation[v] == 4
-
     @pytest.mark.parametrize(
         "algorithm,topology",
         [
@@ -48,6 +35,11 @@ class TestCompiledStructure:
             ("largest-id", "path"),
             ("cole-vishkin", "cycle"),
             ("cole-vishkin-ball", "cycle"),
+            ("greedy-coloring", "cycle"),
+            ("greedy-coloring", "random-tree"),
+            ("greedy-mis", "path"),
+            ("greedy-mis", "random-tree"),
+            ("ring-coloring-via-mis", "cycle"),
         ],
     )
     def test_compile_and_batches_build_no_plans(self, algorithm, topology):
@@ -57,17 +49,9 @@ class TestCompiledStructure:
         instance = compile_instance(graph, make_ball_algorithm(algorithm, 6))
         rows = [random_assignment(6, seed=seed).identifiers() for seed in range(4)]
         simulate_batch(instance, rows)
-        instance.batch_traces(rows)
         simulate_many([BatchRequest(instance, rows)])
         _, plans, _ = engine_structure(graph)
         assert plans == {}
-
-    def test_cone_rules_share_plans_with_the_engine_through_the_graph(self):
-        graph = cycle_graph(6)
-        instance = compile_instance(graph, GreedyColoringByID())
-        _, plans, _ = graph._engine_structure
-        assert set(plans) == set(graph.positions())
-        assert instance.discovery == tuple(plans[v].discovery for v in graph.positions())
 
     def test_rule_selection(self):
         graph = cycle_graph(6)
@@ -130,11 +114,10 @@ class TestValidation:
         from repro.kernel import numpy_available
 
         huge = (2**63, 1, 2, 3, 4)
-        python_instance = compile_instance(
-            cycle_graph(5), LargestIdAlgorithm(), backend="python"
-        )
+        graph = cycle_graph(5)
+        python_instance = compile_instance(graph, LargestIdAlgorithm(), backend="python")
         # The stdlib backend has no identifier-size limit.
-        assert simulate_batch(python_instance, [huge])[0][0] == python_instance.saturation[0]
+        assert simulate_batch(python_instance, [huge])[0][0] == graph.eccentricity(0)
         if numpy_available():
             numpy_instance = compile_instance(
                 cycle_graph(5), LargestIdAlgorithm(), backend="numpy"

@@ -86,9 +86,6 @@ def test_kernel_equals_the_oracle(label, graph, rule, batch, backend):
     rows = _rows(graph.n, count, seed=graph.n + count)
     expected = [_oracle(graph, row) for row in rows]
     assert instance.batch_radii(rows) == expected, label
-    radii, outputs = instance.rule.batch_radii_outputs(rows)
-    assert radii == expected, label
-    assert outputs == [tuple(i == max(row) for i in row) for row in rows], label
 
 
 @pytest.mark.parametrize("batch", BATCH_SIZES)

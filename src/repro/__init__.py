@@ -118,7 +118,6 @@ from repro.topology import (
     cycle_graph,
     grid_graph,
     path_graph,
-    random_tree,
 )
 
 # The unified query API sits on top of every other layer, so it is imported
@@ -136,7 +135,7 @@ from repro.api import (
 # The query service sits on top of the API (store-backed `repro serve`).
 from repro.service import QueryService, ResultStore
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AlgorithmError",
@@ -195,7 +194,6 @@ __all__ = [
     "path_graph",
     "query",
     "random_assignment",
-    "random_tree",
     "run_ball_algorithm",
     "run_round_algorithm",
     "run_simulation_batch",

@@ -49,6 +49,18 @@ MODES = ("simulate", "worst-case", "distribution", "sweep", "scale")
 QUERY_KIND = "repro-query"
 QUERY_VERSION = 1
 
+#: The answer epoch, hashed into every content address (:meth:`Query.canonical_hash`
+#: and :meth:`Query.family_hash`) but never written into a query document.
+#: Rule: bump it in every change that alters the answer to an unchanged
+#: ``Query`` — a different graph behind a topology name, a different
+#: estimator, a different row field.  Stored results and resumable sampling
+#: states of the old epoch are then never served: their addresses no longer
+#: match, so every such query is a miss and is recomputed.  Epoch 1: the
+#: ``random-tree`` and ``gnp`` families are built from their streamed
+#: generators in every mode, and row ``graph`` names lost the ``-stream``
+#: and ``-p`` suffixes.
+ANSWER_EPOCH = 1
+
 #: Budget/execution fields excluded from the *family* hash: two sampling
 #: queries that differ only here describe the same estimand, so a stored
 #: result for one can be resumed (its estimators continued) to answer the
@@ -88,6 +100,16 @@ def _as_tuple(value, kind) -> tuple:
         return tuple(value)
     except TypeError as exc:
         raise ConfigurationError(f"{kind} must be a name or a sequence, got {value!r}") from exc
+
+
+def _preimage(document: dict) -> str:
+    """Compact key-sorted JSON of ``document`` stamped with :data:`ANSWER_EPOCH`."""
+    return json.dumps(
+        dict(document, answer_epoch=ANSWER_EPOCH),
+        sort_keys=True,
+        separators=(",", ":"),
+        ensure_ascii=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -243,13 +265,12 @@ class Query:
         Compact key-sorted JSON of :meth:`to_dict` — i.e. of the *validated*
         query, after scalar→tuple promotion and with every defaulted field
         written out explicitly, with the document kind and schema version in
-        the preimage.  Two semantically equal queries (scalar vs tuple
-        spellings, any key order, defaulted vs explicit fields) therefore
-        serialise identically, and a schema bump re-keys the store.
+        the preimage — plus :data:`ANSWER_EPOCH` under ``answer_epoch``.
+        Two semantically equal queries (scalar vs tuple spellings, any key
+        order, defaulted vs explicit fields) therefore serialise
+        identically, and a schema or epoch bump re-keys the store.
         """
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=True
-        )
+        return _preimage(self.to_dict())
 
     def canonical_hash(self) -> str:
         """The content address of this query: SHA-256 of the canonical preimage.
@@ -275,10 +296,7 @@ class Query:
         document["kind"] = QUERY_KIND + "-family"
         for field in FAMILY_EXCLUDED_FIELDS:
             document.pop(field, None)
-        preimage = json.dumps(
-            document, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-        )
-        return hashlib.sha256(preimage.encode("ascii")).hexdigest()
+        return hashlib.sha256(_preimage(document).encode("ascii")).hexdigest()
 
     @classmethod
     def from_dict(cls, document: Mapping) -> "Query":

@@ -57,7 +57,6 @@ from repro.dist.sampling import DistributionFold, draw_sample_rows, fold_scale_s
 from repro.engine.batch import BatchExecutor, derive_task_seed
 from repro.engine.cache import DecisionCache
 from repro.engine.campaign import (
-    DETERMINISTIC_TOPOLOGIES,
     build_topology,
     make_adversary,
     make_ball_algorithm,
@@ -72,7 +71,7 @@ from repro.kernel.compile import (
     simulate_many,
 )
 from repro.kernel.shard import ShardedKernelExecutor
-from repro.topology.stream import STREAM_DETERMINISTIC, CSRTopology, build_csr
+from repro.topology.stream import DETERMINISTIC_TOPOLOGIES, CSRTopology, build_csr
 from repro.model.graph import Graph
 from repro.model.identifiers import IdentifierAssignment, make_identifier_assignment
 from repro.model.trace import ExecutionTrace
@@ -590,7 +589,7 @@ class Session:
         small (:data:`SESSION_MAX_CSRS`) because each entry can be tens of
         megabytes at n = 10^6.
         """
-        key = (topology, n, 0 if topology in STREAM_DETERMINISTIC else seed)
+        key = (topology, n, 0 if topology in DETERMINISTIC_TOPOLOGIES else seed)
         csr = self._csrs.get(key)
         if csr is None:
             csr = build_csr(topology, n, seed)

@@ -41,7 +41,7 @@ from repro.utils.rng import SeedLike
 if TYPE_CHECKING:  # imported lazily at runtime to keep the layers acyclic
     from repro.dist.distribution import DiscreteDistribution
     from repro.dist.exact import ExactDistributionResult
-    from repro.dist.sampling import ExpectedMeasures, SampledDistributionResult
+    from repro.dist.sampling import SampledDistributionResult
 
 
 @dataclass(frozen=True)
@@ -311,41 +311,35 @@ def expected_measures_over_random_ids(
     assignments: Optional[Sequence[IdentifierAssignment]] = None,
     samples: int = 64,
     seed: SeedLike = None,
-) -> "ExpectedMeasures":
+) -> "SampledDistributionResult":
     """Monte-Carlo estimate of the *expected* measures under random identifiers.
 
     This is the quantity the paper's conclusion proposes to study ("the
     expectancy of the running time ... where the permutation of the
     identifiers is taken uniformly at random").  The estimate is computed by
     the streaming estimators of :mod:`repro.dist.sampling`: either over the
-    explicitly supplied ``assignments`` (the legacy contract) or, when
-    ``assignments`` is omitted, over ``samples`` permutations drawn under
-    the explicit ``seed`` — the reproducibility contract the original
-    helper lacked.
+    explicitly supplied ``assignments`` or, when ``assignments`` is omitted,
+    over ``samples`` permutations drawn under the explicit ``seed``.
 
-    The returned :class:`~repro.dist.sampling.ExpectedMeasures` still
-    unpacks like the historical ``(expected_average, expected_max)``
-    2-tuple (the deprecation shim), but additionally carries the full
-    per-measure estimates — standard errors included — on ``.average`` and
-    ``.maximum``.
+    The expectations are ``.average.mean`` and ``.maximum.mean`` of the
+    returned :class:`~repro.dist.sampling.SampledDistributionResult`, whose
+    per-measure estimates also carry standard errors and confidence
+    intervals.
 
     >>> from repro.algorithms.largest_id import LargestIdAlgorithm
     >>> from repro.topology.cycle import cycle_graph
-    >>> expected_avg, expected_max = expected_measures_over_random_ids(
-    ...     cycle_graph(8), LargestIdAlgorithm(), samples=16, seed=1
-    ... )
-    >>> expected_max  # the maximum's node always sees half the cycle
-    4.0
     >>> result = expected_measures_over_random_ids(
     ...     cycle_graph(8), LargestIdAlgorithm(), samples=16, seed=1
     ... )
+    >>> result.maximum.mean  # the maximum's node always sees half the cycle
+    4.0
     >>> result.average.std_error > 0
     True
     """
-    from repro.dist.sampling import estimate_expected_measures
+    from repro.dist.sampling import sample_round_distribution
 
-    return estimate_expected_measures(
-        graph, algorithm, assignments=assignments, samples=samples, seed=seed
+    return sample_round_distribution(
+        graph, algorithm, samples=samples, seed=seed, assignments=assignments
     )
 
 

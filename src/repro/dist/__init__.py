@@ -35,14 +35,12 @@ from repro.dist.exact import (
 )
 from repro.dist.sampling import (
     DistributionFold,
-    ExpectedMeasures,
     MeasureEstimate,
     P2Quantile,
     SampledDistributionResult,
     ScaleSampleResult,
     StreamingMoments,
     draw_sample_rows,
-    estimate_expected_measures,
     fold_scale_stats,
     sample_round_distribution,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "DistributionCertificate",
     "DistributionFold",
     "ExactDistributionResult",
-    "ExpectedMeasures",
     "MeasureEstimate",
     "P2Quantile",
     "RoundDistribution",
@@ -62,7 +59,6 @@ __all__ = [
     "ascii_pmf",
     "brute_force_round_distribution",
     "draw_sample_rows",
-    "estimate_expected_measures",
     "fold_scale_stats",
     "exact_round_distribution",
     "sample_round_distribution",

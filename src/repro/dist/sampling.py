@@ -17,10 +17,7 @@ statistic is maintained in a single streaming pass:
   of the same estimate split around an external kernel evaluation (the
   session batches many cells' draws through one submission), with a fold
   that exports and restores its complete state, so an estimate can resume
-  under a larger budget;
-* :func:`estimate_expected_measures` — the estimator behind
-  :func:`repro.core.measures.expected_measures_over_random_ids`, returning
-  an :class:`ExpectedMeasures` that still unpacks like the legacy 2-tuple.
+  under a larger budget.
 
 All sampling streams through the batch kernel: one
 :class:`~repro.kernel.compile.CompiledInstance` per call (or an injected,
@@ -282,37 +279,6 @@ class MeasureEstimate:
             "median": self.median,
             "q90": self.q90,
         }
-
-
-class ExpectedMeasures(tuple):
-    """Expected measures with uncertainty, unpackable like the legacy 2-tuple.
-
-    Historically :func:`repro.core.measures.expected_measures_over_random_ids`
-    returned a bare ``(expected_average, expected_max)`` pair.  This class
-    is the deprecation shim: it *is* that 2-tuple (so existing unpacking
-    call sites keep working unchanged) while carrying the full
-    :class:`MeasureEstimate` of each measure on ``.average`` / ``.maximum``.
-
-    >>> import types
-    >>> avg = types.SimpleNamespace(mean=1.5)
-    >>> mx = types.SimpleNamespace(mean=3.0)
-    >>> pair = ExpectedMeasures(avg, mx)
-    >>> tuple(pair)
-    (1.5, 3.0)
-    >>> pair.average.mean
-    1.5
-    """
-
-    def __new__(cls, average, maximum) -> "ExpectedMeasures":
-        """Build from the two per-measure estimates (average first)."""
-        self = super().__new__(cls, (average.mean, maximum.mean))
-        self.average = average
-        self.maximum = maximum
-        return self
-
-    def __getnewargs__(self) -> tuple:
-        """Reconstruction args for pickle/copy (``__new__`` takes the estimates)."""
-        return (self.average, self.maximum)
 
 
 @dataclass(frozen=True)
@@ -680,23 +646,3 @@ def sample_round_distribution(
             for radii in kernel.batch_radii(chunk, pre_validated=trusted):
                 fold.fold(radii)
     return fold.result()
-
-
-def estimate_expected_measures(
-    graph: Graph,
-    algorithm: BallAlgorithm,
-    assignments: Optional[Sequence[IdentifierAssignment]] = None,
-    samples: int = 64,
-    seed: SeedLike = None,
-) -> ExpectedMeasures:
-    """Expected measures under random identifiers, with standard errors.
-
-    The estimator behind
-    :func:`repro.core.measures.expected_measures_over_random_ids`: either
-    average over the supplied ``assignments`` (the legacy contract) or draw
-    ``samples`` permutations under the explicit ``seed``.
-    """
-    result = sample_round_distribution(
-        graph, algorithm, samples=samples, seed=seed, assignments=assignments
-    )
-    return ExpectedMeasures(result.average, result.maximum)

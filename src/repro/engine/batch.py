@@ -22,7 +22,6 @@ process pays the per-graph precomputation once per shard, not once per task.
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 from repro.engine.cache import DecisionCache
@@ -31,25 +30,13 @@ from repro.engine.frontier import FrontierRunner
 from repro.model.graph import Graph
 from repro.model.identifiers import IdentifierAssignment
 from repro.model.trace import ExecutionTrace
+from repro.utils.rng import derive_task_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.core.algorithm import BallAlgorithm
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def derive_task_seed(base_seed: int, *coordinates: object) -> int:
-    """A deterministic 63-bit seed for the task at the given coordinates.
-
-    Stable across processes, Python versions and worker counts (it hashes the
-    ``repr`` of the coordinates with BLAKE2b rather than relying on
-    ``hash()``, which is salted per interpreter).
-    """
-    digest = hashlib.blake2b(
-        repr((base_seed,) + coordinates).encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") >> 1
 
 
 class BatchExecutor:

@@ -22,23 +22,20 @@ from repro.topology.complete import complete_graph
 from repro.topology.cycle import cycle_graph
 from repro.topology.grid import grid_graph
 from repro.topology.path import path_graph
-from repro.topology.random_graphs import gnp_random_graph, random_tree
+from repro.topology.stream import build_csr
 
 #: Topology name -> builder ``(n, seed) -> Graph``.  Every query mode and
-#: the CLI share this registry.
+#: the CLI share this registry.  The random families are materialised from
+#: their streamed generators, so ``scale`` mode and every other mode answer
+#: on the same graph for one ``(topology, n, seed)``.
 TOPOLOGY_BUILDERS: dict[str, Callable[[int, int], Graph]] = {
     "cycle": lambda n, seed: cycle_graph(n),
     "path": lambda n, seed: path_graph(n),
     "grid": lambda n, seed: grid_graph(max(2, int(round(n**0.5))), max(2, int(round(n**0.5)))),
     "complete": lambda n, seed: complete_graph(n),
-    "random-tree": lambda n, seed: random_tree(n, seed=seed),
-    "gnp": lambda n, seed: gnp_random_graph(n, min(0.9, 8.0 / n), seed=seed),
+    "random-tree": lambda n, seed: build_csr("random-tree", n, seed).to_graph(),
+    "gnp": lambda n, seed: build_csr("gnp", n, seed).to_graph(),
 }
-
-#: Topologies whose builders ignore the seed (deterministic structure).
-#: Session-level graph caches key these by ``seed = 0`` so frontier plans
-#: and automorphism groups are shared across differently seeded queries.
-DETERMINISTIC_TOPOLOGIES = frozenset({"cycle", "path", "grid", "complete"})
 
 #: Adversary strategies a search cell can request.  The first four are
 #: the first-generation (reference) searches; the last three come from the

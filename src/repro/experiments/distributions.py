@@ -28,10 +28,10 @@ from typing import Sequence
 from repro.algorithms.largest_id import LargestIdAlgorithm
 from repro.core.measures import exact_measure_distribution, sampled_measure_distribution
 from repro.dist.distribution import ascii_pmf
+from repro.engine.campaign import build_topology
 from repro.experiments.harness import ExperimentResult
 from repro.theory.bounds import largest_id_average_upper_bound
 from repro.topology.cycle import cycle_graph
-from repro.topology.random_graphs import random_tree
 from repro.utils.tables import Table
 
 #: Fixed tree seed: E13 compares methods on one deterministic instance.
@@ -77,7 +77,7 @@ def run(
     algorithm = LargestIdAlgorithm()
     families = (
         ("cycle", lambda n: cycle_graph(n)),
-        ("tree", lambda n: random_tree(n, seed=TREE_SEED + n)),
+        ("tree", lambda n: build_topology("random-tree", n, TREE_SEED + n)),
     )
     exact_by_key: dict[tuple[str, int], dict] = {}
     sampled_by_key: dict[tuple[str, int], dict] = {}

@@ -7,16 +7,13 @@ incident edges with *port numbers* ``0 .. deg(v)-1``; algorithms may only
 refer to neighbours through ports, never through global positions.
 
 The class below is a thin, validated adjacency-list structure with the graph
-queries the simulators need (BFS balls, distances, eccentricities) plus
-conversions to and from :mod:`networkx` for the random-topology builders.
+queries the simulators need (BFS balls, distances, eccentricities).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Iterable, Iterator, Sequence
-
-import networkx as nx
 
 from repro.errors import TopologyError
 from repro.utils.validation import require_non_negative_int
@@ -69,26 +66,6 @@ class Graph:
             adjacency[u].append(v)
             adjacency[v].append(u)
         return cls(adjacency, name=name)
-
-    @classmethod
-    def from_networkx(cls, graph: nx.Graph, name: str | None = None) -> "Graph":
-        """Convert a :class:`networkx.Graph`; node labels must be ``0..n-1``."""
-        n = graph.number_of_nodes()
-        labels = set(graph.nodes())
-        if labels != set(range(n)):
-            raise TopologyError(
-                "networkx graph must be labelled 0..n-1; "
-                "use networkx.convert_node_labels_to_integers first"
-            )
-        edges = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
-        return cls.from_edges(n, edges, name=name or str(graph))
-
-    def to_networkx(self) -> nx.Graph:
-        """Return an equivalent :class:`networkx.Graph` (ports are dropped)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n))
-        graph.add_edges_from(self.edges())
-        return graph
 
     # ------------------------------------------------------------------
     # validation

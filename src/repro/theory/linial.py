@@ -11,14 +11,13 @@ For completeness the module also constructs Linial's *neighbourhood graph*
 ``t`` views and whose chromatic number decides whether a ``t``-round
 3-colouring algorithm can exist — together with a small exact colourability
 checker usable on the tiny instances where the construction fits in memory.
+Graphs here are plain adjacency dicts (``vertex -> set of neighbours``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-
-import networkx as nx
 
 from repro.errors import ConfigurationError
 from repro.utils.math_functions import log_star
@@ -35,7 +34,7 @@ def linial_lower_bound_radius(n: int) -> int:
     return max(1, math.ceil(0.5 * log_star(max(2, n // 2))))
 
 
-def neighborhood_graph(n: int, t: int) -> nx.Graph:
+def neighborhood_graph(n: int, t: int) -> dict[tuple, set]:
     """Linial's neighbourhood graph ``B_{t,n}`` of the directed ``n``-cycle.
 
     Vertices are the ordered ``(2t+1)``-tuples of distinct identifiers from
@@ -64,20 +63,20 @@ def neighborhood_graph(n: int, t: int) -> nx.Graph:
             f"B_(t={t}, n={n}) would have {vertex_count} vertices; "
             "refusing to build such a large neighbourhood graph"
         )
-    graph = nx.Graph()
-    views = list(itertools.permutations(range(n), view_length))
-    graph.add_nodes_from(views)
-    for view in views:
+    graph: dict[tuple, set] = {
+        view: set() for view in itertools.permutations(range(n), view_length)
+    }
+    for view in graph:
         suffix = view[1:]
         for extra in range(n):
             if extra not in view:
                 neighbour = suffix + (extra,)
-                if neighbour != view:
-                    graph.add_edge(view, neighbour)
+                graph[view].add(neighbour)
+                graph[neighbour].add(view)
     return graph
 
 
-def is_k_colorable(graph: nx.Graph, k: int, node_limit: int = 500) -> bool:
+def is_k_colorable(graph: dict, k: int, node_limit: int = 500) -> bool:
     """Exact ``k``-colourability by backtracking (small graphs only).
 
     Nodes are coloured in decreasing degree order with forward checking; the
@@ -85,7 +84,7 @@ def is_k_colorable(graph: nx.Graph, k: int, node_limit: int = 500) -> bool:
     unreasonably long.
     """
     require_positive_int(k, "k")
-    nodes = sorted(graph.nodes(), key=graph.degree, reverse=True)
+    nodes = sorted(graph, key=lambda v: len(graph[v]), reverse=True)
     if len(nodes) > node_limit:
         raise ConfigurationError(
             f"exact colourability limited to {node_limit} nodes, got {len(nodes)}"
@@ -96,7 +95,7 @@ def is_k_colorable(graph: nx.Graph, k: int, node_limit: int = 500) -> bool:
         if index == len(nodes):
             return True
         node = nodes[index]
-        forbidden = {coloring[w] for w in graph.neighbors(node) if w in coloring}
+        forbidden = {coloring[w] for w in graph[node] if w in coloring}
         for color in range(k):
             if color in forbidden:
                 continue
@@ -109,12 +108,12 @@ def is_k_colorable(graph: nx.Graph, k: int, node_limit: int = 500) -> bool:
     return backtrack(0)
 
 
-def neighborhood_graph_chromatic_number(graph: nx.Graph, max_colors: int = 8) -> int:
+def neighborhood_graph_chromatic_number(graph: dict, max_colors: int = 8) -> int:
     """Smallest ``k`` for which :func:`is_k_colorable` succeeds."""
     require_positive_int(max_colors, "max_colors")
-    if graph.number_of_nodes() == 0:
+    if not graph:
         return 0
-    if graph.number_of_edges() == 0:
+    if not any(graph.values()):
         return 1
     for k in range(2, max_colors + 1):
         if is_k_colorable(graph, k):
@@ -124,9 +123,14 @@ def neighborhood_graph_chromatic_number(graph: nx.Graph, max_colors: int = 8) ->
     )
 
 
-def greedy_chromatic_upper_bound(graph: nx.Graph) -> int:
-    """Fast upper bound on the chromatic number (largest-first greedy)."""
-    if graph.number_of_nodes() == 0:
-        return 0
-    coloring = nx.greedy_color(graph, strategy="largest_first")
-    return max(coloring.values()) + 1
+def greedy_chromatic_upper_bound(graph: dict) -> int:
+    """Fast upper bound on the chromatic number (largest-first greedy).
+
+    Vertices are coloured in decreasing degree order, each with the
+    smallest colour none of its already coloured neighbours uses.
+    """
+    coloring: dict = {}
+    for node in sorted(graph, key=lambda v: len(graph[v]), reverse=True):
+        used = {coloring[w] for w in graph[node] if w in coloring}
+        coloring[node] = next(c for c in itertools.count() if c not in used)
+    return max(coloring.values(), default=-1) + 1

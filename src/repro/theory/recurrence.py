@@ -65,18 +65,23 @@ def segment_radii(identifiers: Sequence[int]) -> list[int]:
     * the distance to the nearest strictly larger identifier in the segment,
     * ``i + 1`` (reach past the left endpoint and meet the global maximum),
     * ``len(identifiers) - i`` (same through the right endpoint).
+
+    Linear time: one monotonic-stack pass per direction finds each vertex's
+    nearest larger identifier on that side.
     """
     values = list(identifiers)
     if len(set(values)) != len(values):
         raise ConfigurationError("segment identifiers must be pairwise distinct")
     p = len(values)
-    radii: list[int] = []
-    for i, own in enumerate(values):
-        best = min(i + 1, p - i)
-        for j, other in enumerate(values):
-            if other > own:
-                best = min(best, abs(i - j))
-        radii.append(best)
+    radii = [min(i + 1, p - i) for i in range(p)]
+    for order in (range(p), range(p - 1, -1, -1)):
+        larger: list[int] = []  # indices of a decreasing run of identifiers
+        for i in order:
+            while larger and values[larger[-1]] < values[i]:
+                larger.pop()
+            if larger:
+                radii[i] = min(radii[i], abs(i - larger[-1]))
+            larger.append(i)
     return radii
 
 

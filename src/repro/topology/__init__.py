@@ -11,14 +11,9 @@ from repro.topology.complete import complete_graph, star_graph
 from repro.topology.cycle import cycle_graph, cycle_successor_ports
 from repro.topology.grid import grid_graph, torus_graph
 from repro.topology.path import path_graph
-from repro.topology.random_graphs import (
-    gnp_random_graph,
-    random_regular_graph,
-    random_tree,
-)
 from repro.topology.stream import (
     DEFAULT_STREAM_CHUNK,
-    STREAM_DETERMINISTIC,
+    DETERMINISTIC_TOPOLOGIES,
     STREAM_TOPOLOGIES,
     CSRChunk,
     CSRTopology,
@@ -31,7 +26,7 @@ __all__ = [
     "CSRChunk",
     "CSRTopology",
     "DEFAULT_STREAM_CHUNK",
-    "STREAM_DETERMINISTIC",
+    "DETERMINISTIC_TOPOLOGIES",
     "STREAM_TOPOLOGIES",
     "balanced_tree",
     "build_csr",
@@ -39,11 +34,8 @@ __all__ = [
     "complete_graph",
     "cycle_graph",
     "cycle_successor_ports",
-    "gnp_random_graph",
     "grid_graph",
     "path_graph",
-    "random_regular_graph",
-    "random_tree",
     "spider_tree",
     "star_graph",
     "stream_adjacency",

@@ -18,12 +18,15 @@ Three families stream (:data:`STREAM_TOPOLOGIES`):
 * ``gnp`` — a sparse connected Erdős–Rényi-style family: a random-attachment
   backbone tree plus ``n`` deduplicated uniform extra edges (average degree
   ≈ 4).  The backbone guarantees connectivity without a giant-component
-  extraction, which is what makes the family streamable; it is therefore a
-  *scale sibling* of :func:`~repro.topology.random_graphs.gnp_random_graph`,
-  not the identical distribution.
+  extraction, which is what makes the family streamable.
+
+These generators are the only definition of ``random-tree`` and ``gnp``:
+:data:`~repro.engine.campaign.TOPOLOGY_BUILDERS` builds both families as
+``build_csr(name, n, seed).to_graph()``, so a ``(topology, n, seed)`` names
+one graph in every query mode.
 
 Determinism: random draws are seeded per fixed-size block of
-:data:`SEED_BLOCK` nodes via :func:`~repro.engine.batch.derive_task_seed`,
+:data:`SEED_BLOCK` nodes via :func:`~repro.utils.rng.derive_task_seed`,
 so the emitted adjacency is a pure function of ``(topology, n, seed)`` —
 independent of the caller's emission chunk size, the worker count, and the
 process that rebuilds it (sharded kernel workers reconstruct the CSR from
@@ -36,19 +39,21 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.engine.batch import derive_task_seed
 from repro.errors import ConfigurationError
 from repro.model.graph import Graph
 from repro.obs.spans import span as _obs_span
-from repro.utils.rng import make_rng
+from repro.utils.rng import derive_task_seed, make_rng
 from repro.utils.validation import require_positive_int
 
-#: The streamable families (names shared with the object builders where the
-#: structure matches; see the module docstring for the ``gnp`` caveat).
+#: The streamable families; each names the same graph as the object builder
+#: of :data:`~repro.engine.campaign.TOPOLOGY_BUILDERS` under that name.
 STREAM_TOPOLOGIES = ("cycle", "random-tree", "gnp")
 
-#: Stream topologies whose structure ignores the seed entirely.
-STREAM_DETERMINISTIC = frozenset({"cycle"})
+#: Topologies whose structure ignores the seed, in every mode.  Caches key
+#: them by ``seed = 0`` so one instance (with its frontier plans and
+#: automorphism group) serves differently seeded queries, and a streamed
+#: :class:`CSRTopology` records ``seed = 0`` for them.
+DETERMINISTIC_TOPOLOGIES = frozenset({"cycle", "path", "grid", "complete"})
 
 #: Nodes per emitted adjacency chunk (the caller may override; emission
 #: granularity never changes the adjacency).
@@ -104,7 +109,8 @@ class CSRTopology:
 
     @property
     def name(self) -> str:
-        return f"{self.topology}-stream-{self.n}"
+        """The graph's label, identical to the object builder's (``cycle-8``)."""
+        return f"{self.topology}-{self.n}"
 
     @property
     def spec(self) -> tuple[str, int, int]:
@@ -121,10 +127,10 @@ class CSRTopology:
     def to_graph(self) -> Graph:
         """Materialise the object :class:`Graph` (small ``n`` only).
 
-        Ports follow CSR neighbour order; for ``cycle`` the result is
-        structurally identical to :func:`~repro.topology.cycle.cycle_graph`.
-        This is the parity bridge the scale tests use to compare the sharded
-        executor against the compiled-instance kernel.
+        Ports follow CSR neighbour order.  For ``cycle`` the result equals
+        :func:`~repro.topology.cycle.cycle_graph`; for the random families it
+        *is* the object builder (:func:`~repro.engine.campaign.build_topology`
+        calls this), so every mode answers on the same graph.
         """
         adjacency = [
             tuple(self.indices[self.indptr[v] : self.indptr[v + 1]])
@@ -304,5 +310,5 @@ def build_csr(
             indptr.extend(base + offset for offset in chunk.indptr[1:])
             indices.extend(chunk.indices)
             chunks += 1
-    normalized = 0 if topology in STREAM_DETERMINISTIC else seed
+    normalized = 0 if topology in DETERMINISTIC_TOPOLOGIES else seed
     return CSRTopology(topology, n, normalized, indptr, indices)

@@ -9,6 +9,7 @@ the same seed yields bit-identical series.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from typing import Optional, Union
 
@@ -44,3 +45,16 @@ def spawn_rngs(seed: SeedLike, count: int) -> list[random.Random]:
         raise ValueError(f"count must be non-negative, got {count}")
     master = make_rng(seed)
     return [random.Random(master.getrandbits(64)) for _ in range(count)]
+
+
+def derive_task_seed(base_seed: int, *coordinates: object) -> int:
+    """A deterministic 63-bit seed for the task at the given coordinates.
+
+    Stable across processes, Python versions and worker counts (it hashes the
+    ``repr`` of the coordinates with BLAKE2b rather than relying on
+    ``hash()``, which is salted per interpreter).
+    """
+    digest = hashlib.blake2b(
+        repr((base_seed,) + coordinates).encode("utf-8"), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "big") >> 1

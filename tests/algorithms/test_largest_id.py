@@ -19,7 +19,7 @@ from repro.topology.complete import complete_graph, star_graph
 from repro.topology.cycle import cycle_graph
 from repro.topology.grid import grid_graph
 from repro.topology.path import path_graph
-from repro.topology.random_graphs import random_tree
+from repro.engine.campaign import build_topology
 
 
 class TestCorrectness:
@@ -37,7 +37,7 @@ class TestCorrectness:
             lambda: complete_graph(6),
             lambda: star_graph(5),
             lambda: grid_graph(3, 4),
-            lambda: random_tree(15, seed=2),
+            lambda: build_topology("random-tree", 15, 2),
         ],
     )
     def test_output_is_correct_beyond_cycles(self, builder):
@@ -71,7 +71,7 @@ class TestRadii:
         assert trace.radii() == predicted_largest_id_radii(graph, ids)
 
     def test_oracle_matches_on_trees_as_well(self):
-        graph = random_tree(20, seed=5)
+        graph = build_topology("random-tree", 20, 5)
         ids = random_assignment(20, seed=6)
         trace = run_ball_algorithm(graph, ids, LargestIdAlgorithm())
         assert trace.radii() == predicted_largest_id_radii(graph, ids)

@@ -128,3 +128,17 @@ def test_family_hash_ignores_exactly_the_resumable_budgets():
 def test_family_hash_never_equals_a_canonical_hash():
     base = Query(mode="distribution", methods="sample")
     assert base.family_hash() != base.canonical_hash()
+
+
+def test_answer_epoch_keys_both_hashes_but_stays_out_of_the_document(monkeypatch):
+    import importlib
+
+    module = importlib.import_module("repro.api.query")
+    query = Query(mode="distribution", methods="sample")
+    digest, family = query.canonical_hash(), query.family_hash()
+    assert json.loads(query.canonical_preimage())["answer_epoch"] == module.ANSWER_EPOCH
+    assert "answer_epoch" not in query.to_dict()
+    assert Query.from_dict(query.to_dict()) == query
+    monkeypatch.setattr(module, "ANSWER_EPOCH", module.ANSWER_EPOCH - 1)
+    assert query.canonical_hash() != digest
+    assert query.family_hash() != family

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api.query import MODES, Query, QueryBuilder
+from repro.api.query import ANSWER_EPOCH, MODES, Query, QueryBuilder
 from repro.errors import ConfigurationError
 
 
@@ -97,10 +97,11 @@ class TestValidation:
         assert Query(seed=seed).seed == seed
 
     def test_valid_queries_keep_their_canonical_hash(self):
-        # Pinned before the integer checks existed: validation must not
-        # change the preimage of any valid query.
+        # Pinned at answer epoch 1: validation must not change the preimage
+        # of any valid query, and only an epoch bump may re-key it.
+        assert ANSWER_EPOCH == 1
         assert Query().canonical_hash() == (
-            "c9452be0d4c3e4f3301ca9a620cb5b7236714f92ca407bc6ee95fe072a2df3c1"
+            "be45c2d8130213b1afb4889cbc0c6edea4f18175a2caf034ea78f1f97fc87267"
         )
 
 

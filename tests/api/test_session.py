@@ -143,9 +143,9 @@ class TestObjectLevelHelpers:
         from repro.algorithms.largest_id import LargestIdAlgorithm
         from repro.core.runner import run_ball_algorithm
         from repro.model.identifiers import random_assignment
-        from repro.topology.random_graphs import random_tree
+        from repro.engine.campaign import build_topology
 
-        graph = random_tree(9, seed=5)
+        graph = build_topology("random-tree", 9, 5)
         ids = random_assignment(9, seed=6)
         algorithm = LargestIdAlgorithm()
         session_trace = Session().trace(graph, ids, algorithm)

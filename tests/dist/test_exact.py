@@ -13,13 +13,13 @@ from repro.errors import ConfigurationError
 from repro.topology.complete import complete_graph
 from repro.topology.cycle import cycle_graph
 from repro.topology.path import path_graph
-from repro.topology.random_graphs import random_tree
+from repro.engine.campaign import build_topology
 
 
 class TestExactEqualsBruteForce:
     @pytest.mark.parametrize(
         "graph",
-        [cycle_graph(5), cycle_graph(6), path_graph(5), random_tree(6, seed=99)],
+        [cycle_graph(5), cycle_graph(6), path_graph(5), build_topology("random-tree", 6, 99)],
         ids=lambda graph: graph.name,
     )
     def test_joint_and_marginals_match(self, graph, largest_id_algorithm):

@@ -7,13 +7,13 @@ import pytest
 
 from repro.algorithms.largest_id import LargestIdAlgorithm
 from repro.dist.exact import exact_round_distribution
+from repro.core.measures import expected_measures_over_random_ids
 from repro.dist.sampling import (
     DistributionFold,
-    ExpectedMeasures,
     P2Quantile,
+    SampledDistributionResult,
     StreamingMoments,
     draw_sample_rows,
-    estimate_expected_measures,
     sample_round_distribution,
 )
 from repro.errors import AnalysisError
@@ -141,19 +141,18 @@ class TestSampleRoundDistribution:
 
 
 class TestExpectedMeasures:
-    def test_unpacks_like_the_legacy_two_tuple(self, largest_id_algorithm):
+    def test_returns_the_sampled_result(self, largest_id_algorithm):
         graph = cycle_graph(8)
-        result = estimate_expected_measures(
+        result = expected_measures_over_random_ids(
             graph, largest_id_algorithm, samples=16, seed=1
         )
-        assert isinstance(result, ExpectedMeasures)
-        expected_avg, expected_max = result
-        assert expected_avg == result.average.mean
-        assert expected_max == result.maximum.mean
-        assert len(result) == 2
+        assert isinstance(result, SampledDistributionResult)
+        assert result == sample_round_distribution(
+            graph, largest_id_algorithm, samples=16, seed=1
+        )
 
     def test_carries_standard_errors(self, largest_id_algorithm):
-        result = estimate_expected_measures(
+        result = expected_measures_over_random_ids(
             cycle_graph(8), largest_id_algorithm, samples=16, seed=1
         )
         assert result.average.std_error > 0
@@ -163,11 +162,10 @@ class TestExpectedMeasures:
         import copy
         import pickle
 
-        result = estimate_expected_measures(
+        result = expected_measures_over_random_ids(
             cycle_graph(8), largest_id_algorithm, samples=8, seed=1
         )
         for clone in (copy.copy(result), pickle.loads(pickle.dumps(result))):
-            assert tuple(clone) == tuple(result)
             assert clone.average == result.average
             assert clone.maximum == result.maximum
 

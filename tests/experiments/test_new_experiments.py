@@ -30,16 +30,16 @@ class TestE11GeneralGraphs:
         result = general_graphs.run(n=64, samples=2)
         assert result.experiment_id == "E11"
         families = set(result.table.column("family"))
-        assert {"cycle", "path", "grid", "torus", "random-tree", "gnp-dense"} <= families
+        assert {"cycle", "path", "grid", "torus", "random-tree", "gnp"} <= families
 
     def test_no_radius_exceeds_the_diameter(self):
         result = general_graphs.run(n=64, samples=2)
         assert all(row["max_radius"] <= row["diameter"] for row in result.table.rows)
 
-    def test_dense_graphs_have_small_gaps(self):
+    def test_low_diameter_random_graphs_have_small_gaps(self):
         result = general_graphs.run(n=100, samples=2)
         rows = {row["family"]: row for row in result.table.rows}
-        assert rows["gnp-dense"]["gap_max_over_avg"] < rows["cycle"]["gap_max_over_avg"]
+        assert rows["gnp"]["gap_max_over_avg"] < rows["cycle"]["gap_max_over_avg"]
 
 
 class TestE13Distributions:

@@ -12,7 +12,7 @@ from repro.core.runner import run_ball_algorithm
 from repro.model.identifiers import random_assignment
 from repro.model.rounds import run_round_algorithm
 from repro.topology.cycle import cycle_graph
-from repro.topology.random_graphs import random_tree
+from repro.engine.campaign import build_topology
 
 
 @pytest.mark.parametrize("algorithm_factory", [LargestIdAlgorithm, GreedyColoringByID, GreedyMISByID])
@@ -30,7 +30,7 @@ def test_ball_algorithms_survive_round_compilation(algorithm_factory, n):
 
 
 def test_round_compilation_on_a_tree_topology():
-    graph = random_tree(18, seed=4)
+    graph = build_topology("random-tree", 18, 4)
     ids = random_assignment(graph.n, seed=5)
     algorithm = LargestIdAlgorithm()
     ball_trace = run_ball_algorithm(graph, ids, algorithm)

@@ -111,6 +111,19 @@ class TestEnvironmentOverride:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "ok"
 
+    def test_importing_the_library_does_not_import_networkx(self):
+        # The package has no runtime dependency: no public entry point may
+        # pull a graph library in, even where one is installed.
+        code = (
+            "import sys\n"
+            "import repro, repro.api, repro.cli, repro.theory, repro.experiments\n"
+            "assert 'networkx' not in sys.modules, 'networkx imported'\n"
+            "print('ok')\n"
+        )
+        result = _run_subprocess(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
+
     @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     def test_numpy_mode_selects_numpy(self):
         code = (

@@ -15,12 +15,12 @@ from repro.algorithms.registry import algorithm_registry
 from repro.engine.campaign import make_ball_algorithm
 from repro.kernel import compile_instance
 from repro.topology.cycle import cycle_graph
-from repro.topology.random_graphs import random_tree
+from repro.engine.campaign import build_topology
 
 #: The reference instances of the coverage gate: one cycle, one tree.
 REFERENCE_GRAPHS = [
     ("cycle-7", cycle_graph(7)),
-    ("random-tree-7", random_tree(7, seed=5)),
+    ("random-tree-7", build_topology("random-tree", 7, 5)),
 ]
 
 

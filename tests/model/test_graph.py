@@ -1,6 +1,5 @@
 """Tests for the port-numbered graph structure."""
 
-import networkx as nx
 import pytest
 
 from repro.errors import TopologyError
@@ -47,19 +46,6 @@ class TestConstruction:
     def test_rejects_repeated_neighbour_in_adjacency(self):
         with pytest.raises(TopologyError, match="twice"):
             Graph([(1, 1), (0, 0)])
-
-
-class TestNetworkxConversion:
-    def test_round_trip_preserves_edge_set(self):
-        original = cycle_graph(8)
-        converted = Graph.from_networkx(original.to_networkx())
-        assert set(original.edges()) == set(converted.edges())
-
-    def test_from_networkx_requires_contiguous_labels(self):
-        graph = nx.Graph()
-        graph.add_edge("a", "b")
-        with pytest.raises(TopologyError, match="0..n-1"):
-            Graph.from_networkx(graph)
 
 
 class TestQueries:

@@ -25,14 +25,14 @@ from repro.dist.sampling import sample_round_distribution
 from repro.engine.campaign import make_ball_algorithm
 from repro.topology.cycle import cycle_graph
 from repro.topology.path import path_graph
-from repro.topology.random_graphs import random_tree
+from repro.engine.campaign import build_topology
 
 #: (label, builder) for the graph families of the equivalence suite —
 #: the same families as the search-layer property tests.
 FAMILIES = (
     ("cycle", lambda n: cycle_graph(n)),
     ("path", lambda n: path_graph(n)),
-    ("tree", lambda n: random_tree(n, seed=1234 + n)),
+    ("tree", lambda n: build_topology("random-tree", n, 1234 + n)),
 )
 
 SMALL_SIZES = (5, 6)

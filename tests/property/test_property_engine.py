@@ -19,15 +19,15 @@ from repro.engine.frontier import FrontierRunner
 from repro.model.identifiers import random_assignment
 from repro.topology.cycle import cycle_graph
 from repro.topology.grid import grid_graph
-from repro.topology.random_graphs import gnp_random_graph, random_tree
+from repro.engine.campaign import build_topology
 
 #: (label, graph) — every family from the satellite checklist.
 GRAPH_FAMILIES = [
     ("cycle-9", cycle_graph(9)),
     ("cycle-12", cycle_graph(12)),
     ("grid-3x4", grid_graph(3, 4)),
-    ("random-tree-11", random_tree(11, seed=7)),
-    ("gnp-12", gnp_random_graph(12, 0.4, seed=11)),
+    ("random-tree-11", build_topology("random-tree", 11, 7)),
+    ("gnp-12", build_topology("gnp", 12, 11)),
 ]
 
 ASSIGNMENT_SEEDS = (0, 1, 2)
@@ -97,7 +97,7 @@ def test_cached_session_is_consistent_across_repeated_assignments():
 
 
 def test_batch_executor_matches_serial_runs():
-    graph = random_tree(12, seed=3)
+    graph = build_topology("random-tree", 12, 3)
     from repro.algorithms.largest_id import LargestIdAlgorithm
 
     algorithm = LargestIdAlgorithm()

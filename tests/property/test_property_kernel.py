@@ -22,16 +22,16 @@ from repro.model.identifiers import IdentifierAssignment, random_assignment
 from repro.topology.cycle import cycle_graph
 from repro.topology.grid import grid_graph
 from repro.topology.path import path_graph
-from repro.topology.random_graphs import gnp_random_graph, random_tree
+from repro.engine.campaign import build_topology
 
 #: (label, graph) — every family from the tentpole checklist, n <= 7.
 GRAPH_FAMILIES = [
     ("cycle-6", cycle_graph(6)),
     ("cycle-7", cycle_graph(7)),
     ("path-6", path_graph(6)),
-    ("random-tree-7", random_tree(7, seed=5)),
+    ("random-tree-7", build_topology("random-tree", 7, 5)),
     ("grid-2x3", grid_graph(2, 3)),
-    ("gnp-7", gnp_random_graph(7, 0.45, seed=13)),
+    ("gnp-7", build_topology("gnp", 7, 13)),
 ]
 
 ASSIGNMENT_SEEDS = tuple(range(6))
@@ -154,7 +154,7 @@ def test_repeated_batches_reuse_one_instance():
 
 def test_kernel_matches_runner_under_identifier_assignment_inputs():
     # IdentifierAssignment objects are accepted directly as matrix rows.
-    graph = random_tree(6, seed=9)
+    graph = build_topology("random-tree", 6, 9)
     from repro.algorithms.largest_id import LargestIdAlgorithm
 
     algorithm = LargestIdAlgorithm()
@@ -178,7 +178,7 @@ def test_simulate_many_matches_per_instance_batches(backend):
 
     cycle = compile_instance(cycle_graph(7), LargestIdAlgorithm(), backend=backend)
     tree = compile_instance(
-        random_tree(5, seed=3), GreedyColoringByID(), backend=backend
+        build_topology("random-tree", 5, 3), GreedyColoringByID(), backend=backend
     )
     ring = compile_instance(
         cycle_graph(6), make_ball_algorithm("cole-vishkin", 6), backend=backend

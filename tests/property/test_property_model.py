@@ -7,7 +7,7 @@ from repro.model.ball import extract_ball
 from repro.model.identifiers import IdentifierAssignment
 from repro.topology.cycle import cycle_graph
 from repro.topology.path import path_graph
-from repro.topology.random_graphs import random_tree
+from repro.engine.campaign import build_topology
 
 
 permutations = st.integers(min_value=3, max_value=24).flatmap(
@@ -69,7 +69,7 @@ def test_ball_views_are_internally_consistent_on_paths(n, radius):
 @given(st.integers(min_value=2, max_value=25), st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=1000))
 @settings(max_examples=50, deadline=None)
 def test_covers_whole_graph_exactly_when_radius_reaches_eccentricity(n, radius, seed):
-    graph = random_tree(n, seed=seed)
+    graph = build_topology("random-tree", n, seed)
     ids = IdentifierAssignment(range(graph.n))
     center = seed % graph.n
     ball = extract_ball(graph, ids, center, radius)

@@ -35,13 +35,13 @@ from repro.search.incremental import SwapEvaluator
 from repro.topology.cycle import cycle_graph
 from repro.topology.grid import grid_graph
 from repro.topology.path import path_graph
-from repro.topology.random_graphs import random_tree
+from repro.engine.campaign import build_topology
 
 #: (label, builder) for the graph families of the equivalence suite.
 FAMILIES = (
     ("cycle", lambda n: cycle_graph(n)),
     ("path", lambda n: path_graph(n)),
-    ("tree", lambda n: random_tree(n, seed=1234 + n)),
+    ("tree", lambda n: build_topology("random-tree", n, 1234 + n)),
 )
 
 #: Sizes: every registered algorithm runs at n <= 6; the cheap ring pair
@@ -112,7 +112,7 @@ def test_swap_evaluator_matches_full_resimulation(seed, family, objective):
     elif family == "path":
         graph = path_graph(rng.randint(2, 14))
     elif family == "tree":
-        graph = random_tree(rng.randint(2, 12), seed=seed)
+        graph = build_topology("random-tree", rng.randint(2, 12), seed)
     else:
         graph = grid_graph(rng.randint(2, 4), rng.randint(2, 4))
     name = rng.choice(["largest-id", "greedy-coloring", "greedy-mis"])

@@ -1,6 +1,6 @@
 """Property-based tests for the theory toolkit."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.theory.oeis import A000788, A000788_closed_form, popcount
@@ -41,6 +41,34 @@ def test_recurrence_increments_are_the_binary_digit_counts(p):
 @settings(max_examples=100, deadline=None)
 def test_no_identifier_order_beats_the_recurrence(order):
     assert segment_radius_sum(order) <= worst_case_segment_sum(len(order))
+
+
+def quadratic_segment_radii(values):
+    """The definition, evaluated pair by pair: the oracle of the fast version."""
+    p = len(values)
+    radii = []
+    for i, own in enumerate(values):
+        best = min(i + 1, p - i)
+        for j, other in enumerate(values):
+            if other > own:
+                best = min(best, abs(i - j))
+        radii.append(best)
+    return radii
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=64).flatmap(
+            lambda p: st.permutations(list(range(p)))
+        ),
+        st.lists(st.integers(min_value=-(2**70), max_value=2**70), unique=True, max_size=64),
+    )
+)
+@example([])
+@example([7])
+@settings(max_examples=300, deadline=None)
+def test_segment_radii_match_the_quadratic_definition(order):
+    assert segment_radii(order) == quadratic_segment_radii(order)
 
 
 @given(segment_orders)

@@ -17,7 +17,7 @@ from repro.topology.complete import complete_graph, star_graph
 from repro.topology.cycle import cycle_graph
 from repro.topology.grid import grid_graph
 from repro.topology.path import path_graph
-from repro.topology.random_graphs import gnp_random_graph, random_tree
+from repro.engine.campaign import build_topology
 
 
 def assert_is_adjacency_automorphism(graph: Graph, sigma: tuple[int, ...]) -> None:
@@ -67,7 +67,7 @@ class TestPortPreservingAutomorphisms:
                 assert_is_port_automorphism(graph, sigma)
 
     def test_identity_always_present(self):
-        for graph in (cycle_graph(5), random_tree(7, seed=1)):
+        for graph in (cycle_graph(5), build_topology("random-tree", 7, 1)):
             assert tuple(graph.positions()) in port_preserving_automorphisms(graph)
 
     def test_disconnected_graph_gets_the_trivial_group(self):
@@ -128,14 +128,14 @@ class TestAutomorphismGroup:
         assert first is second
 
     def test_trivial_group_detection(self):
-        graph = gnp_random_graph(9, 0.4, seed=11)
+        graph = build_topology("gnp", 9, 11)
         group = automorphism_group(graph, respect_ports=True)
         assert isinstance(group, AutomorphismGroup)
         for sigma in group.elements:
             assert_is_port_automorphism(graph, sigma)
 
     def test_orbits_partition_the_positions(self):
-        for graph in (path_graph(6), grid_graph(3, 4), random_tree(9, seed=4)):
+        for graph in (path_graph(6), grid_graph(3, 4), build_topology("random-tree", 9, 4)):
             group = automorphism_group(graph, respect_ports=False)
             orbits = orbit_partition(group)
             flattened = sorted(v for orbit in orbits for v in orbit)

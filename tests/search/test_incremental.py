@@ -11,7 +11,7 @@ from repro.errors import AnalysisError
 from repro.model.identifiers import identity_assignment, random_assignment
 from repro.search.incremental import SwapEvaluator
 from repro.topology.cycle import cycle_graph
-from repro.topology.random_graphs import random_tree
+from repro.engine.campaign import build_topology
 
 
 class TestSwapEvaluator:
@@ -44,7 +44,7 @@ class TestSwapEvaluator:
             assert delta.value == pytest.approx(expected)
 
     def test_commit_then_trace_is_consistent(self, largest_id_algorithm):
-        graph = random_tree(10, seed=8)
+        graph = build_topology("random-tree", 10, 8)
         evaluator = SwapEvaluator(
             graph, largest_id_algorithm, "sum", ids=random_assignment(10, seed=3)
         )

@@ -1,5 +1,6 @@
 """QueryService: cache tiers, resume semantics, crash recovery, dispatch."""
 
+import importlib
 import json
 
 from repro.api import Query, Session
@@ -248,3 +249,39 @@ def test_streamed_resume_continues_the_stored_state(tmp_path):
     assert strip_volatile(events[-1]["document"]["rows"]) == strip_volatile(
         Session().run(PARITY).rows
     )
+
+
+TREE = Query(
+    mode="distribution",
+    topologies="random-tree",
+    sizes=9,
+    algorithms="largest-id",
+    methods="sample",
+    samples=16,
+    seed=5,
+)
+
+
+def test_an_answer_epoch_bump_makes_old_results_and_states_misses(store_root, tmp_path, monkeypatch):
+    """Results and estimator states stored under an older epoch are never served."""
+    query_module = importlib.import_module("repro.api.query")
+    monkeypatch.setattr(query_module, "ANSWER_EPOCH", query_module.ANSWER_EPOCH - 1)
+    primer = QueryService(root=store_root)
+    assert primer.execute(TREE).tier == "miss"
+    assert primer.execute(TREE.with_changes(samples=32)).tier == "resume"
+    monkeypatch.undo()
+
+    service = QueryService(root=store_root)
+    larger = TREE.with_changes(samples=48)
+    # The old family state (32 draws) must not be continued...
+    resumed = service.execute(larger)
+    assert resumed.tier == "miss"
+    # ... and the old stored result must not be served.
+    recomputed = service.execute(TREE)
+    assert recomputed.tier == "miss"
+    fresh = QueryService(root=tmp_path / "fresh")
+    for outcome, query in ((resumed, larger), (recomputed, TREE)):
+        assert strip_volatile(outcome.document["rows"]) == strip_volatile(
+            fresh.execute(query).document["rows"]
+        )
+    assert service.execute(TREE).tier == "l1"

@@ -50,12 +50,13 @@ class TestLinialThreshold:
 class TestNeighborhoodGraph:
     def test_vertex_count_is_falling_factorial(self):
         graph = neighborhood_graph(5, 1)
-        assert graph.number_of_nodes() == 5 * 4 * 3
+        assert len(graph) == 5 * 4 * 3
 
     def test_views_are_adjacent_when_they_overlap_by_a_shift(self):
         graph = neighborhood_graph(4, 1)
-        assert graph.has_edge((0, 1, 2), (1, 2, 3))
-        assert not graph.has_edge((0, 1, 2), (3, 2, 1))
+        assert (1, 2, 3) in graph[(0, 1, 2)]
+        assert (0, 1, 2) in graph[(1, 2, 3)]
+        assert (3, 2, 1) not in graph[(0, 1, 2)]
 
     def test_radius_too_large_for_identifier_pool_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -76,36 +77,57 @@ class TestNeighborhoodGraph:
     def test_chromatic_number_of_tiny_neighbourhood_graph(self):
         graph = neighborhood_graph(4, 1)
         chromatic = neighborhood_graph_chromatic_number(graph)
-        assert graph.number_of_edges() > 0
+        assert any(graph.values())
         assert 2 <= chromatic <= greedy_chromatic_upper_bound(graph)
+
+    @pytest.mark.parametrize(
+        "n, edges, greedy", [(4, 24, 2), (5, 120, 3), (6, 360, 4), (7, 840, 5)]
+    )
+    def test_edge_counts_and_greedy_bounds_are_pinned(self, n, edges, greedy):
+        # Values of the earlier graph-library construction and its
+        # largest-first greedy colouring, which the dict form reproduces.
+        graph = neighborhood_graph(n, 1)
+        assert sum(len(neighbours) for neighbours in graph.values()) == 2 * edges
+        assert greedy_chromatic_upper_bound(graph) == greedy
+
+
+def _cycle(n):
+    return {v: {(v - 1) % n, (v + 1) % n} for v in range(n)}
+
+
+def _complete(n):
+    return {v: set(range(n)) - {v} for v in range(n)}
+
+
+def _path(n):
+    return {v: {u for u in (v - 1, v + 1) if 0 <= u < n} for v in range(n)}
 
 
 class TestColorability:
     def test_even_cycle_is_two_colorable_odd_is_not(self):
-        import networkx as nx
-
-        assert is_k_colorable(nx.cycle_graph(6), 2)
-        assert not is_k_colorable(nx.cycle_graph(7), 2)
-        assert is_k_colorable(nx.cycle_graph(7), 3)
+        assert is_k_colorable(_cycle(6), 2)
+        assert not is_k_colorable(_cycle(7), 2)
+        assert is_k_colorable(_cycle(7), 3)
 
     def test_complete_graph_needs_all_colours(self):
-        import networkx as nx
-
-        assert not is_k_colorable(nx.complete_graph(5), 4)
-        assert is_k_colorable(nx.complete_graph(5), 5)
-        assert neighborhood_graph_chromatic_number(nx.complete_graph(5)) == 5
+        assert not is_k_colorable(_complete(5), 4)
+        assert is_k_colorable(_complete(5), 5)
+        assert neighborhood_graph_chromatic_number(_complete(5)) == 5
+        assert greedy_chromatic_upper_bound(_complete(5)) == 5
 
     def test_empty_and_edgeless_graphs(self):
-        import networkx as nx
+        assert neighborhood_graph_chromatic_number({}) == 0
+        assert neighborhood_graph_chromatic_number({v: set() for v in range(4)}) == 1
+        assert greedy_chromatic_upper_bound({}) == 0
+        assert greedy_chromatic_upper_bound({v: set() for v in range(4)}) == 1
 
-        assert neighborhood_graph_chromatic_number(nx.Graph()) == 0
-        assert neighborhood_graph_chromatic_number(nx.empty_graph(4)) == 1
+    def test_greedy_colours_odd_cycles_and_paths(self):
+        assert greedy_chromatic_upper_bound(_cycle(7)) == 3
+        assert greedy_chromatic_upper_bound(_path(9)) == 2
 
     def test_node_limit_guard(self):
-        import networkx as nx
-
         with pytest.raises(ConfigurationError):
-            is_k_colorable(nx.path_graph(50), 2, node_limit=10)
+            is_k_colorable(_path(50), 2, node_limit=10)
 
     def test_power_tower_and_log_star_are_inverse_on_small_heights(self):
         for height in range(5):

@@ -6,7 +6,7 @@ from repro.errors import ConfigurationError
 from repro.topology.cycle import cycle_graph
 from repro.topology.stream import (
     DEFAULT_STREAM_CHUNK,
-    STREAM_DETERMINISTIC,
+    DETERMINISTIC_TOPOLOGIES,
     STREAM_TOPOLOGIES,
     CSRTopology,
     build_csr,
@@ -40,7 +40,7 @@ class TestStreamAdjacency:
             stream_adjacency(topology, 33, seed=4)
         )
 
-    @pytest.mark.parametrize("topology", sorted(set(STREAM_TOPOLOGIES) - STREAM_DETERMINISTIC))
+    @pytest.mark.parametrize("topology", sorted(set(STREAM_TOPOLOGIES) - DETERMINISTIC_TOPOLOGIES))
     def test_different_seed_different_graph(self, topology):
         # Random families must actually vary with the seed.
         streams = {

@@ -7,9 +7,9 @@ experiment at the benchmark sizes and writes one section per experiment:
 the claim, what the paper predicts, the measured table, and the shape checks
 that passed.
 
-Sweep campaigns produced by ``repro sweep --output rows.json`` (or
-``Session().sweep(...)`` rows written with ``write_rows``) can be appended
-as an extra section with ``--campaign rows.json``.
+Sweep campaigns saved as ``repro-result`` documents — ``repro sweep
+--output rows.json`` or ``Session().sweep(...).save("rows.json")`` — can be
+appended as an extra section with ``--campaign rows.json``.
 
 Usage:  python scripts/generate_experiments_md.py [output-path] [--campaign rows.json]
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.engine.campaign import load_rows
+from repro.api.results import Result
 
 from repro.experiments import (
     characterization,
@@ -280,7 +280,7 @@ def main() -> None:
             parts.append("")
         print(f"{experiment_id}: done")
     if args.campaign:
-        parts.extend(render_campaign_section(load_rows(args.campaign)))
+        parts.extend(render_campaign_section(list(Result.load(args.campaign).rows)))
         print(f"campaign: appended rows from {args.campaign}")
     output_path.write_text("\n".join(parts) + "\n", encoding="utf-8")
     print(f"wrote {output_path}")

@@ -18,7 +18,7 @@ for the LOCAL Model* (PODC 2015).  The library provides:
   frontier ball growth, memoised decisions and multiprocessing fan-out —
   that powers all of the above; and
 * a second-generation adversary search (:mod:`repro.search`) — graph
-  automorphism pruning, exact branch and bound with certificates,
+  automorphism pruning, exact canonical enumeration with certificates,
   incremental swap evaluation and a parallel strategy portfolio — for the
   outer worst-case-over-assignments maximisation; and
 * a distributional measure layer (:mod:`repro.dist`) — the exact joint
@@ -129,13 +129,13 @@ from repro.api import (
     Result,
     Session,
     default_session,
-    query,
 )
+from repro.api.session import query
 
 # The query service sits on top of the API (store-backed `repro serve`).
 from repro.service import QueryService, ResultStore
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "AlgorithmError",

@@ -52,7 +52,7 @@ class LargestIdAlgorithm(BallAlgorithm):
         """
         from repro.kernel.rules import MaxScanScaleRule, RingScanScaleRule, csr_is_ring
 
-        indptr, indices, _ = instance._csr_arrays()
+        indptr, indices = instance.indptr, instance.indices
         rule = RingScanScaleRule if csr_is_ring(indptr, indices) else MaxScanScaleRule
         return rule(indptr, indices, instance.backend)
 

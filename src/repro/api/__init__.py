@@ -12,7 +12,8 @@ This package is the consolidated public surface on top of all of them:
   automorphism groups, decision caches, the process pool) and
   :meth:`Session.run <repro.api.session.Session.run>`, the one executor
   behind every mode, plus the module-level
-  default session behind :func:`repro.query <repro.api.session.query>`;
+  default session behind :func:`repro.query <repro.api.session.query>`
+  (re-exported at the top level only: ``repro.api.query`` names the module);
 * :mod:`repro.api.results` — :class:`Result`, the single versioned result
   type every mode returns (spec echo, rows with certificates/standard
   errors, headline measures, cache stats, timing), with ``.table()`` and a
@@ -26,7 +27,7 @@ schemas.
 
 from repro.api.query import MODES, Query, QueryBuilder
 from repro.api.results import Result
-from repro.api.session import Session, default_session, query, reset_default_session
+from repro.api.session import Session, default_session, reset_default_session
 from repro.model.identifiers import ID_FAMILIES
 
 __all__ = [
@@ -37,6 +38,5 @@ __all__ = [
     "Result",
     "Session",
     "default_session",
-    "query",
     "reset_default_session",
 ]

@@ -58,8 +58,10 @@ QUERY_VERSION = 1
 #: match, so every such query is a miss and is recomputed.  Epoch 1: the
 #: ``random-tree`` and ``gnp`` families are built from their streamed
 #: generators in every mode, and row ``graph`` names lost the ``-stream``
-#: and ``-p`` suffixes.
-ANSWER_EPOCH = 1
+#: and ``-p`` suffixes.  Epoch 2: the exact adversaries enumerate every
+#: canonical leaf (no bound pruning), which changes the certificate
+#: counters, ``evaluations`` and ``cache`` of search rows.
+ANSWER_EPOCH = 2
 
 #: Budget/execution fields excluded from the *family* hash: two sampling
 #: queries that differ only here describe the same estimand, so a stored

@@ -9,9 +9,7 @@ where the engine produced them.
 
 The JSON document (``kind: "repro-result"``, ``version: 1``; schema in
 ``docs/api.md``) round-trips through :meth:`Result.to_json` /
-:meth:`Result.from_json`.  ``from_json`` additionally *adopts* the two
-pre-API document kinds — ``repro-sweep`` and ``repro-dist`` — so archived
-campaign outputs remain readable through the new surface.
+:meth:`Result.from_json`; every ``--output`` of the CLI writes it.
 """
 
 from __future__ import annotations
@@ -317,43 +315,31 @@ class Result:
 
     @classmethod
     def from_dict(cls, document: Mapping) -> "Result":
-        """Parse a result document (native, or an adopted legacy kind).
-
-        Native ``repro-result`` documents reconstruct the Result exactly.
-        The two pre-API kinds are adopted by recomputing the aggregates
-        from their rows: ``repro-sweep`` becomes a ``sweep`` result and
-        ``repro-dist`` a ``distribution`` result (with an empty spec echo,
-        since the legacy documents never recorded their spec).
-        """
+        """Parse a ``repro-result`` document; reconstructs the Result exactly."""
         if not isinstance(document, Mapping):
             raise AnalysisError(
                 f"a result document must be an object, got {type(document).__name__}"
             )
         kind = document.get("kind")
-        if kind == RESULT_KIND:
-            if document.get("version") != RESULT_VERSION:
-                raise AnalysisError(
-                    f"unsupported {RESULT_KIND} version {document.get('version')!r} "
-                    f"(this library reads version {RESULT_VERSION})"
-                )
-            return cls(
-                mode=document["mode"],
-                query=dict(document["query"]),
-                rows=tuple(document["rows"]),
-                measures=dict(document["measures"]),
-                exact=document.get("exact"),
-                cache=document.get("cache"),
-                kernel=document.get("kernel"),
-                timing=dict(document.get("timing") or {}),
-                profile=document.get("profile"),
+        if kind != RESULT_KIND:
+            raise AnalysisError(
+                f"not a result document: kind={kind!r} (expected {RESULT_KIND})"
             )
-        if kind == "repro-sweep":
-            return cls.from_rows("sweep", {}, document["rows"])
-        if kind == "repro-dist":
-            return cls.from_rows("distribution", {}, document["rows"])
-        raise AnalysisError(
-            f"not a result document: kind={kind!r} (expected {RESULT_KIND}, "
-            f"repro-sweep or repro-dist)"
+        if document.get("version") != RESULT_VERSION:
+            raise AnalysisError(
+                f"unsupported {RESULT_KIND} version {document.get('version')!r} "
+                f"(this library reads version {RESULT_VERSION})"
+            )
+        return cls(
+            mode=document["mode"],
+            query=dict(document["query"]),
+            rows=tuple(document["rows"]),
+            measures=dict(document["measures"]),
+            exact=document.get("exact"),
+            cache=document.get("cache"),
+            kernel=document.get("kernel"),
+            timing=dict(document.get("timing") or {}),
+            profile=document.get("profile"),
         )
 
     @classmethod

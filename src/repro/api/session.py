@@ -466,30 +466,23 @@ class Session:
     caches only ever make repeated queries faster, never change their
     answers, and they are bounded (least-recently-used eviction at
     :data:`SESSION_MAX_GRAPHS` / :data:`SESSION_MAX_ALGORITHMS` /
-    :data:`SESSION_MAX_RUNNERS` / :data:`SESSION_MAX_KERNELS` entries), so
+    :data:`SESSION_MAX_RUNNERS` / :data:`SESSION_MAX_KERNELS` /
+    :data:`SESSION_MAX_CSRS` entries), so
     memory stays flat even when a long-lived session streams arbitrarily
     many distinct instances — and a hot instance keeps its warmth through a
     sweep of cold ones.  The combined hit/miss/eviction counters surface on
     every result under ``cache["session"]``.  Sessions are not thread-safe.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        max_graphs: int = SESSION_MAX_GRAPHS,
-        max_algorithms: int = SESSION_MAX_ALGORITHMS,
-        max_runners: int = SESSION_MAX_RUNNERS,
-        max_kernels: int = SESSION_MAX_KERNELS,
-        max_csrs: int = SESSION_MAX_CSRS,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._graphs = _LruCache(max_graphs)
-        self._algorithms = _LruCache(max_algorithms)
-        self._runners = _LruCache(max_runners)
-        self._kernels = _LruCache(max_kernels)
-        self._csrs = _LruCache(max_csrs)
+        self._graphs = _LruCache(SESSION_MAX_GRAPHS)
+        self._algorithms = _LruCache(SESSION_MAX_ALGORITHMS)
+        self._runners = _LruCache(SESSION_MAX_RUNNERS)
+        self._kernels = _LruCache(SESSION_MAX_KERNELS)
+        self._csrs = _LruCache(SESSION_MAX_CSRS)
         #: Queries executed so far (diagnostic only).
         self.queries = 0
 

@@ -45,10 +45,9 @@ Every data-producing subcommand is a thin front-end over one shared
 :class:`repro.api.session.Session`: ``simulate``/``search``/``sweep``/``dist``
 build the equivalent :class:`~repro.api.query.Query` from their flags, and
 ``query`` reads one straight from disk.  The CLI prints plain text (tables
-and, where helpful, ASCII plots); ``sweep`` and ``dist`` additionally emit
-the historical machine-readable JSON documents (``--output``, schemas in
-``docs/distributions.md``) while ``query --output`` writes the unified
-``repro-result`` schema of ``docs/api.md``.
+and, where helpful, ASCII plots); ``--output`` on ``sweep``, ``dist``,
+``scale`` and ``query`` writes the result as one ``repro-result`` document
+(schema in ``docs/api.md``), which ``Result.load`` reads back.
 
 ``query --profile`` / ``query --trace out.json`` switch on the
 instrumentation subsystem (``docs/observability.md``) for the run: the
@@ -69,8 +68,6 @@ from repro.engine.campaign import (
     DIST_METHODS,
     TOPOLOGY_BUILDERS,
     aggregate_dist_rows,
-    write_dist_rows,
-    write_rows,
 )
 from repro.errors import ConfigurationError
 from repro.kernel.backend import active_backend
@@ -232,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the cell grid (default: REPRO_WORKERS, then 1)",
     )
     sweep_parser.add_argument(
-        "--output", default=None, help="write the result rows to this JSON file"
+        "--output",
+        default=None,
+        help="write the result as a repro-result JSON document",
     )
 
     dist_parser = commands.add_parser(
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist_parser.add_argument(
         "--output",
         default=None,
-        help="write rows + aggregates as a repro-dist JSON document",
+        help="write the result as a repro-result JSON document",
     )
 
     scale_parser = commands.add_parser(
@@ -531,8 +530,8 @@ def _cmd_sweep(args: argparse.Namespace, session: Session) -> int:
     print(result.table())
     print(format_timing(result))
     if args.output:
-        write_rows(result.rows, args.output)
-        print(f"wrote {len(result.rows)} rows to {args.output}")
+        result.save(args.output)
+        print(f"wrote repro-result document to {args.output}")
     return 0
 
 
@@ -554,7 +553,6 @@ def _cmd_dist(args: argparse.Namespace, session: Session) -> int:
     rows = result.rows
     print(result.table())
     print(format_timing(result))
-    aggregates = None
     if len(rows) > 1:
         aggregates = aggregate_dist_rows(rows)
         aggregate_table = Table(
@@ -582,8 +580,8 @@ def _cmd_dist(args: argparse.Namespace, session: Session) -> int:
             )
             print(ascii_pmf(distribution.average_distribution()))
     if args.output:
-        write_dist_rows(rows, args.output, aggregates=aggregates)
-        print(f"wrote {len(rows)} rows to {args.output}")
+        result.save(args.output)
+        print(f"wrote repro-result document to {args.output}")
     return 0
 
 

@@ -19,7 +19,7 @@ reported on :attr:`AdversaryResult.cache_stats`.
 
 The classes in this module are the first-generation (reference) searches.
 The second-generation subsystem in :mod:`repro.search` — symmetry-pruned
-branch and bound, incremental swap evaluation, a parallel strategy
+canonical enumeration, incremental swap evaluation, a parallel strategy
 portfolio — implements the same :class:`Adversary` interface and is
 re-exported here (lazily, to keep the import graph acyclic) as
 :class:`PrunedExhaustiveAdversary`, :class:`BranchAndBoundAdversary` and

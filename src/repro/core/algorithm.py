@@ -78,9 +78,8 @@ class BallAlgorithm(abc.ABC):
         stopping radius has an array-friendly closed form return a
         :class:`~repro.kernel.rules.KernelRule` here and get whole-matrix
         batch evaluation — largest-ID returns the CSR rule of its
-        :meth:`compile_scale_rule` built on ``instance._csr_arrays()``, the
-        greedy-by-ID cone rules read ``instance.indptr`` /
-        ``instance.indices``.  A rule reads only that CSR and returns only
+        :meth:`compile_scale_rule`, the greedy-by-ID cone rules their cone
+        rule, all built on ``instance.indptr`` / ``instance.indices``.  A rule reads only that CSR and returns only
         radii; it never builds frontier plans.  The default ``None`` selects
         the decide-backed fallback, which is sound for every deterministic
         algorithm.  Any returned rule must be bit-identical to the

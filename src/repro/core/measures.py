@@ -249,8 +249,8 @@ def exact_worst_case(
 ) -> AdversaryResult:
     """Certified-exact ``max`` over identifier assignments of the chosen measure.
 
-    Runs the symmetry-pruned branch-and-bound search of
-    :mod:`repro.search`: the result carries ``exact=True``, a witness
+    Runs the symmetry-pruned exact search of :mod:`repro.search` (the
+    ``branch-and-bound`` adversary): the result carries ``exact=True``, a witness
     assignment, and a :class:`~repro.search.branch_bound.SearchCertificate`
     describing the enumeration.  Feasibility reaches well past the legacy
     ``n <= 9`` exhaustive limit on symmetric topologies.

@@ -4,7 +4,7 @@ The brute-force way to know how ``(max_radius, average_radius)`` is
 distributed over identifier assignments is to simulate all ``n!`` of them.
 This module computes the *same* distribution from ``n!/|Aut|`` simulations:
 the canonical enumeration of :class:`~repro.search.branch_bound.BranchAndBoundSearch`
-(bound pruning disabled) visits exactly one representative per orbit of the
+visits exactly one representative per orbit of the
 graph's automorphism group, and because the group acts **freely** on
 bijective assignments, every orbit has exactly ``|Aut|`` members — each
 canonical leaf carries multiplicity ``|Aut|``, and the weighted total is
@@ -84,12 +84,11 @@ class DistributionCertificate:
 class ExactDistributionResult:
     """An exact :class:`RoundDistribution` plus its certificate.
 
-    ``kernel`` records how the canonical leaves were evaluated: for
-    vectorised algorithms the backend/rule of the search's
-    :class:`~repro.kernel.compile.CompiledInstance` (leaf cohorts ran as
-    batches through
-    :meth:`~repro.search.branch_bound.BranchAndBoundSearch.run_batched`);
-    ``None`` when the eager in-DFS evaluation ran instead.
+    ``kernel`` records how the canonical leaves were evaluated: the
+    backend/rule of the search's
+    :class:`~repro.kernel.compile.CompiledInstance`, on which
+    :meth:`~repro.search.branch_bound.BranchAndBoundSearch.run` evaluates
+    leaf cohorts.
     """
 
     distribution: RoundDistribution
@@ -107,8 +106,7 @@ def exact_round_distribution(
     """The exact distribution of ``(max_radius, sum_radius)`` over all ``n!``.
 
     One representative per canonical assignment class is simulated through
-    the symmetry-pruned enumerator (bound pruning disabled — every class
-    must be *visited*, not just dominated) and weighted by the class
+    the symmetry-pruned enumerator and weighted by the class
     multiplicity ``|Aut|``.  The result equals
     :func:`brute_force_round_distribution` exactly, at a fraction of the
     simulations on symmetric topologies.
@@ -132,7 +130,6 @@ def exact_round_distribution(
         graph,
         algorithm,
         objective="sum",
-        use_bound=False,
         respect_ports=respect_ports,
     )
     group = search.group
@@ -194,14 +191,10 @@ def exact_round_distribution(
         nodes_expanded=outcome.certificate.nodes_expanded,
     )
     assert certificate.total_weight == certificate.space_size
-    # Only claim kernel evaluation when the search actually delegated to
-    # the batched cohort path (vectorised rules); eager in-DFS evaluation
-    # reports no kernel so coverage numbers stay honest.
-    kernel = search.kernel.describe() if search.kernel.vectorized else None
     return ExactDistributionResult(
         distribution=distribution,
         certificate=certificate,
-        kernel=kernel,
+        kernel=search.kernel.describe(),
     )
 
 

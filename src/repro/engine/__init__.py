@@ -11,8 +11,7 @@ The fast execution path for the whole library, layered as:
 * :mod:`repro.engine.batch` — :class:`BatchExecutor`, deterministic
   multiprocessing fan-out with per-task seeding;
 * :mod:`repro.engine.campaign` — the grid registries (topologies,
-  adversaries, distribution methods), their factories, and the
-  ``repro sweep`` / ``repro dist`` row documents.
+  adversaries, distribution methods) and their factories.
 
 The legacy entry points (:func:`repro.core.runner.run_ball_algorithm`, the
 adversaries, the measures) are thin wrappers over this package, so existing
@@ -27,10 +26,6 @@ from repro.engine.campaign import (
     DIST_METHODS,
     TOPOLOGY_BUILDERS,
     build_topology,
-    load_dist_rows,
-    load_rows,
-    write_dist_rows,
-    write_rows,
 )
 from repro.engine.frontier import FrontierRunner, frontier_run
 
@@ -45,9 +40,5 @@ __all__ = [
     "build_topology",
     "derive_task_seed",
     "frontier_run",
-    "load_dist_rows",
-    "load_rows",
     "run_simulation_batch",
-    "write_dist_rows",
-    "write_rows",
 ]

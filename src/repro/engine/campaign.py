@@ -7,9 +7,8 @@ methods) and the factories that turn a key into an object —
 :meth:`repro.api.session.Session.run` expands a query into cells and
 evaluates them through these factories.
 
-Rows can be written with :func:`write_rows` / :func:`write_dist_rows` (the
-``repro sweep --output`` and ``repro dist --output`` documents) and rendered
-into ``EXPERIMENTS.md`` by ``scripts/generate_experiments_md.py --campaign``.
+:func:`aggregate_dist_rows` pools distribution rows across graphs for the
+CLI's table.
 """
 
 from __future__ import annotations
@@ -126,30 +125,8 @@ def make_ball_algorithm(name: str, n: int):
     return BallSimulationOfRounds(algorithm)
 
 
-def write_rows(rows: Sequence[dict], path: str) -> None:
-    """Write sweep rows as a JSON document with a self-describing header.
-
-    The write is atomic (temp file + :func:`os.replace`), so an interrupted
-    run never leaves a truncated document at ``path``.
-    """
-    from repro.utils.io import atomic_write_json
-
-    atomic_write_json(path, {"kind": "repro-sweep", "version": 1, "rows": list(rows)})
-
-
-def load_rows(path: str) -> list[dict]:
-    """Read rows previously written by :func:`write_rows`."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict) or document.get("kind") != "repro-sweep":
-        raise ConfigurationError(f"{path} is not a repro sweep JSON document")
-    return list(document["rows"])
-
-
 # ----------------------------------------------------------------------
-# distribution grids (the `repro dist` documents)
+# distribution grids
 # ----------------------------------------------------------------------
 
 #: How a distribution cell is computed: exact orbit-weighted enumeration
@@ -192,37 +169,3 @@ def aggregate_dist_rows(rows: Sequence[dict]) -> list[dict]:
             }
         )
     return aggregates
-
-
-def write_dist_rows(
-    rows: Sequence[dict], path: str, aggregates: Optional[Sequence[dict]] = None
-) -> None:
-    """Write distribution rows as a JSON document with a self-describing header.
-
-    The document schema (``kind: "repro-dist"``) is specified in
-    ``docs/distributions.md``; :func:`load_dist_rows` reads it back.
-    ``aggregates`` accepts a precomputed :func:`aggregate_dist_rows` result
-    (recomputing it re-deserializes every row's distribution).
-    """
-    from repro.utils.io import atomic_write_json
-
-    if aggregates is None:
-        aggregates = aggregate_dist_rows(rows)
-    document = {
-        "kind": "repro-dist",
-        "version": 1,
-        "rows": list(rows),
-        "aggregates": list(aggregates),
-    }
-    atomic_write_json(path, document)
-
-
-def load_dist_rows(path: str) -> list[dict]:
-    """Read rows previously written by :func:`write_dist_rows`."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict) or document.get("kind") != "repro-dist":
-        raise ConfigurationError(f"{path} is not a repro dist JSON document")
-    return list(document["rows"])

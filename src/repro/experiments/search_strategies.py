@@ -9,8 +9,8 @@ truth:
 * ``exhaustive``        — the legacy full ``n!`` enumeration (PR 1 engine);
 * ``pruned-exhaustive`` — canonical enumeration only (one assignment per
   automorphism class of the cycle, ``n!/2n`` candidates);
-* ``branch-and-bound``  — canonical enumeration plus admissible-bound
-  pruning seeded by a hill-climbed incumbent;
+* ``branch-and-bound``  — the same canonical enumeration seeded with a
+  hill-climbed incumbent (which decides ties);
 * ``portfolio``         — the heuristic strategy portfolio (lower bound).
 
 The shape checks assert what the search subsystem guarantees: all exact

@@ -6,20 +6,22 @@ distributions — evaluates *one* fixed ``(graph, algorithm)`` pair under
 *many* assignments.  A :class:`CompiledInstance` hoists everything that
 does not depend on the assignment out of that loop, once per pair:
 
-* the CSR adjacency of the graph (``indptr`` / ``indices`` / ``ports``); and
+* the CSR adjacency of the graph (``indptr`` / ``indices``); and
 * a precompiled :class:`~repro.kernel.rules.KernelRule` — vectorised when
   the algorithm offers one
   (:meth:`~repro.core.algorithm.BallAlgorithm.compile_kernel_rule`),
   otherwise the decide-backed :class:`~repro.kernel.rules.RunnerTableRule`
   fallback behind the same interface.
 
-The kernel reads nothing but that CSR: no frontier plan is built at
-construction or by any vectorised rule.  The largest-ID rules evaluate with
-an early-stopping BFS (:class:`~repro.kernel.rules.ScaleRule`), the cone
-rules compute their extent table by one BFS per centre, so a compile plus
-any number of batches leaves the graph's plan table empty.  Frontier plans
-belong to the engine and search layers; the fallback rule reaches them only
-through its own :class:`~repro.engine.frontier.FrontierRunner`.
+The kernel reads nothing but that CSR, built straight from
+:meth:`Graph.neighbors <repro.model.graph.Graph.neighbors>`: no frontier
+plan and no port table is built at construction or by any vectorised rule.
+The largest-ID rules evaluate with an early-stopping BFS
+(:class:`~repro.kernel.rules.ScaleRule`), the cone rules compute their
+extent table by one BFS per centre, so a compile plus any number of batches
+attaches no engine structure to the graph.  Frontier plans belong to the
+engine layer; the fallback rule reaches them only through its own
+:class:`~repro.engine.frontier.FrontierRunner`.
 
 :func:`simulate_batch` then evaluates a whole **matrix** of assignments per
 call — rows are assignments, columns are positions — and returns the matrix
@@ -37,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from repro.engine.frontier import engine_structure
 from repro.errors import IdentifierError, TopologyError
 from repro.kernel.backend import resolve_backend
 from repro.kernel.rules import KernelRule, RunnerTableRule
@@ -112,7 +113,16 @@ class CompiledInstance:
         self.backend = resolve_backend(backend)
         self.max_table_entries = max_table_entries
         self.n = graph.n
-        self._csr: Optional[tuple[tuple[int, ...], ...]] = None
+        # CSR adjacency in port order: the neighbours of position ``v`` are
+        # ``indices[indptr[v]:indptr[v + 1]]`` — the flat-array form of the
+        # graph that every kernel rule evaluates against.
+        indptr = [0]
+        indices: list[int] = []
+        for v in graph.positions():
+            indices.extend(graph.neighbors(v))
+            indptr.append(len(indices))
+        self.indptr: tuple[int, ...] = tuple(indptr)
+        self.indices: tuple[int, ...] = tuple(indices)
         self.stats = KernelStats()
         # The vectorised rule (or None) is compiled eagerly — it is cheap
         # and callers branch on `vectorized` before ever running a batch.
@@ -137,40 +147,6 @@ class CompiledInstance:
     def vectorized(self) -> bool:
         """Whether the instance evaluates batches with array expressions."""
         return self._vector_rule is not None and self._vector_rule.vectorized
-
-    def _csr_arrays(self) -> tuple[tuple[int, ...], ...]:
-        """CSR adjacency (built on first access): neighbours of position
-        ``v`` are ``indices[indptr[v]:indptr[v + 1]]``, with ``ports[k]``
-        the port of the edge on the ``v`` side — the flat-array form of the
-        graph that the CSR rules (:class:`~repro.kernel.rules.ScaleRule`)
-        evaluate against."""
-        if self._csr is None:
-            adjacency, _, _ = engine_structure(self.graph)
-            indptr = [0]
-            indices: list[int] = []
-            ports: list[int] = []
-            for triples in adjacency:
-                for u, port_vu, _ in triples:
-                    indices.append(u)
-                    ports.append(port_vu)
-                indptr.append(len(indices))
-            self._csr = (tuple(indptr), tuple(indices), tuple(ports))
-        return self._csr
-
-    @property
-    def indptr(self) -> tuple[int, ...]:
-        """CSR row pointers (see :meth:`_csr_arrays`)."""
-        return self._csr_arrays()[0]
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        """CSR neighbour stream (see :meth:`_csr_arrays`)."""
-        return self._csr_arrays()[1]
-
-    @property
-    def ports(self) -> tuple[int, ...]:
-        """CSR port stream (see :meth:`_csr_arrays`)."""
-        return self._csr_arrays()[2]
 
     def describe(self) -> dict:
         """JSON-friendly identity of the compiled instance (result rows)."""

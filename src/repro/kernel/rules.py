@@ -153,7 +153,7 @@ class ScaleRule(KernelRule):
 
     Built from ``indptr`` / ``indices`` (neighbours of ``v`` are
     ``indices[indptr[v]:indptr[v + 1]]``): the CSR of a compiled instance
-    (:meth:`~repro.kernel.compile.CompiledInstance._csr_arrays`) or of a
+    (:class:`~repro.kernel.compile.CompiledInstance`) or of a
     streamed :class:`~repro.topology.stream.CSRTopology`.  The whole
     evaluation is :meth:`block_radii` — every row of a batch over one range
     of centres — which the kernel interface calls with the full range and

@@ -3,8 +3,8 @@
 Before this module the library's operational counters were scattered —
 :class:`~repro.engine.cache.CacheStats` hit/miss pairs, the session's
 :class:`~repro.api.session._LruCache` counters, the kernel's
-:class:`~repro.kernel.compile.KernelStats`, the branch-and-bound pruning
-dict — each with its own read-out.  Those cheap local counters stay (they
+:class:`~repro.kernel.compile.KernelStats`, the exact search's enumeration
+counters — each with its own read-out.  Those cheap local counters stay (they
 are load-bearing inside the hot loops); what this registry adds is one
 **publication surface**: at each subsystem's existing bulk flush point the
 local counts are pushed into named process-wide metrics, so a single

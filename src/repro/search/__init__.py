@@ -10,10 +10,8 @@ the outer search.  This package is that search layer:
   searches enumerate one identifier assignment per symmetry class instead of
   all ``n!`` permutations;
 * :mod:`repro.search.branch_bound` — the exact search core: a depth-first
-  enumeration of canonical (lex-minimal per orbit) assignments that assigns
-  identifiers to positions incrementally, simulates every node as soon as
-  its ball is fully labelled, and prunes whole subtrees with an admissible
-  bound on the objective;
+  enumeration of canonical (lex-minimal per orbit) assignments whose leaves
+  are evaluated in batch-kernel cohorts;
 * :mod:`repro.search.incremental` — :class:`~repro.search.incremental.SwapEvaluator`,
   which re-simulates only the nodes whose views changed after an identifier
   transposition, making local search steps orders of magnitude cheaper than
@@ -30,7 +28,8 @@ the outer search.  This package is that search layer:
 Exact searches return a :class:`~repro.search.branch_bound.SearchCertificate`
 (on :attr:`AdversaryResult.certificate <repro.core.adversary.AdversaryResult>`)
 recording the symmetry group used, the number of canonical classes
-enumerated and the subtrees pruned, so results are auditable after the fact.
+enumerated and the subtrees pruned by symmetry, so results are auditable
+after the fact.
 """
 
 from repro.search.adversaries import (

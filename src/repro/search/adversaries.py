@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from repro.core.adversary import (
     Adversary,
     AdversaryResult,
-    trace_objective,
+    _SessionEvaluator,
     validate_objective,
 )
 from repro.core.algorithm import BallAlgorithm
@@ -30,7 +30,7 @@ from repro.search.portfolio import PortfolioSearch, StrategySpec
 from repro.search.strategies import hill_climb
 from repro.utils.validation import require_positive_int
 
-#: Node cap for the exact searches.  Symmetry and bounding push exhaustive
+#: Node cap for the exact searches.  Symmetry pruning pushes exhaustive
 #: feasibility past the legacy limit of 9, but the search is still factorial
 #: in the worst (asymmetric) case, so a guard remains.
 DEFAULT_EXACT_MAX_NODES = 12
@@ -47,13 +47,11 @@ class PrunedExhaustiveAdversary(Adversary):
 
     Enumerates exactly one identifier assignment per orbit of the graph's
     automorphism group — ``n! / |Aut|`` assignments on a symmetric topology
-    instead of ``n!`` — and evaluates each one incrementally.  The result is
+    instead of ``n!`` — and evaluates them in kernel cohorts.  The result is
     the same certified optimum as the legacy
     :class:`~repro.core.adversary.ExhaustiveAdversary`, with the enumeration
     audit on :attr:`AdversaryResult.certificate`.
     """
-
-    use_bound = False
 
     def __init__(
         self,
@@ -80,7 +78,6 @@ class PrunedExhaustiveAdversary(Adversary):
             graph,
             algorithm,
             objective=objective,
-            use_bound=self.use_bound,
             respect_ports=self.respect_ports,
         )
         classes = math.factorial(graph.n) // max(1, search.group.order)
@@ -94,12 +91,14 @@ class PrunedExhaustiveAdversary(Adversary):
         incumbent, incumbent_evaluations = self._incumbent(graph, algorithm, objective)
         outcome = search.run(incumbent=incumbent)
         assignment = IdentifierAssignment(outcome.identifiers)
-        trace = search.runner.run(assignment)
-        value = trace_objective(trace, objective)
+        # The kernel answers radii only: the witness's full trace (outputs
+        # included) comes from one engine session run.
+        session = _SessionEvaluator(graph, algorithm, objective)
+        trace, value = session(assignment)
         certificate = outcome.certificate
         # Honest total search cost: the canonical leaves enumerated, plus the
         # incumbent hill climb's (incremental) evaluations, plus the search's
-        # own re-evaluation of the seeded incumbent.
+        # own evaluation of the seeded incumbent.
         evaluations = (
             certificate.canonical_leaves
             + incumbent_evaluations
@@ -112,7 +111,7 @@ class PrunedExhaustiveAdversary(Adversary):
             objective=objective,
             evaluations=evaluations,
             exact=True,
-            cache_stats=search.cache.stats,
+            cache_stats=session.cache_stats,
             certificate=outcome.certificate,
         )
 
@@ -121,39 +120,24 @@ class PrunedExhaustiveAdversary(Adversary):
     ) -> tuple[Optional[tuple[int, ...]], int]:
         """(incumbent assignment or None, evaluations spent finding it).
 
-        Pure enumeration needs no incumbent — nothing is bound-pruned.
+        Pure enumeration needs no incumbent.
         """
         return None, 0
 
 
 class BranchAndBoundAdversary(PrunedExhaustiveAdversary):
-    """Exact search with symmetry pruning *and* admissible-bound pruning.
+    """Canonical enumeration seeded with a hill-climbed incumbent.
 
-    On top of canonical enumeration, subtrees whose optimistic objective
-    (decided nodes exactly, undecided nodes at their radius caps) cannot
-    beat the incumbent are closed without being explored.  A short
-    deterministic hill climb seeds the incumbent, so the bound prunes from
-    the first branch; the final value is exact either way.
+    A short deterministic hill climb finds an incumbent before the
+    enumeration; a canonical leaf replaces it only by strictly beating it,
+    so the incumbent decides ties between equally bad witnesses.  The value
+    is the same exact optimum as :class:`PrunedExhaustiveAdversary`.
     """
-
-    use_bound = True
-
-    def __init__(
-        self,
-        max_nodes: int = DEFAULT_EXACT_MAX_NODES,
-        respect_ports: Optional[bool] = None,
-        seed_incumbent: bool = True,
-        max_classes: int = DEFAULT_MAX_CLASSES,
-    ) -> None:
-        super().__init__(
-            max_nodes=max_nodes, respect_ports=respect_ports, max_classes=max_classes
-        )
-        self.seed_incumbent = seed_incumbent
 
     def _incumbent(
         self, graph: Graph, algorithm: BallAlgorithm, objective: str
     ) -> tuple[Optional[tuple[int, ...]], int]:
-        if not self.seed_incumbent or graph.n < 2:
+        if graph.n < 2:
             return None, 0
         rng = Random(0x5EED)
         evaluator = SwapEvaluator(

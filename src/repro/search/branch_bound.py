@@ -1,41 +1,38 @@
-"""Exact adversary search: canonical enumeration with branch and bound.
+"""Exact adversary search: canonical enumeration in kernel cohorts.
 
 The legacy :class:`~repro.core.adversary.ExhaustiveAdversary` evaluates all
 ``n!`` identifier permutations.  This module replaces that loop with a
 depth-first search that
 
-1. **assigns identifiers incrementally**, position by position, along a BFS
-   order from a graph pseudo-centre, so the labelled region stays connected
-   and whole balls become fully labelled early;
-2. **simulates eagerly**: the moment the radius-``r`` ball of a node is
-   fully labelled, the node's decision at radius ``r`` is computed (through
-   the engine session, so repeated ball patterns hit the decision cache) —
-   by the time a leaf is reached the objective is already known;
-3. **prunes by symmetry**: only assignments that are lexicographically
+1. **assigns identifiers position by position**, along a BFS order from a
+   graph pseudo-centre;
+2. **prunes by symmetry**: only assignments that are lexicographically
    minimal within their automorphism orbit are enumerated (see
-   :mod:`repro.search.automorphisms`), which alone divides the search space
-   by the group order; and
-4. **prunes by bound**: an admissible upper bound on the objective of every
-   completion — decided nodes contribute their exact radius, undecided nodes
-   their radius cap — closes whole subtrees that cannot beat the incumbent.
+   :mod:`repro.search.automorphisms`), which divides the search space by the
+   group order; and
+3. **evaluates in cohorts**: canonical leaves are buffered
+   :data:`LEAF_COHORT_ROWS` at a time and each cohort is one
+   :func:`~repro.kernel.compile.simulate_many` call on the search's compiled
+   instance — the algorithm's vectorised rule, or the decide-backed
+   ``runner-table`` rule for algorithms without one.
 
-The search is exact: it returns the same optimum value as the full ``n!``
-enumeration, together with a :class:`SearchCertificate` recording the group
-used and the pruning counters, so the claim is auditable.
+Values are compared strictly, in DFS order, after an optional incumbent, so
+the incumbent wins ties and otherwise the first optimal canonical leaf is
+the witness.  The search is exact: it returns the same optimum value as the
+full ``n!`` enumeration, together with a :class:`SearchCertificate` recording
+the group used and the enumeration counters, so the claim is auditable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.core.adversary import SESSION_CACHE_MAX_ENTRIES, validate_objective
+from repro.core.adversary import validate_objective
 from repro.core.algorithm import BallAlgorithm
-from repro.engine.cache import MISSING as _MISSING
-from repro.engine.cache import DecisionCache
-from repro.engine.frontier import FrontierRunner
-from repro.errors import AlgorithmError, AnalysisError
+from repro.errors import AnalysisError
+from repro.kernel.compile import BatchRequest, compile_instance, simulate_many
 from repro.model.graph import Graph
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span as _obs_span
@@ -45,27 +42,8 @@ from repro.search.automorphisms import (
     automorphism_group,
 )
 
-#: Session cache bound — the same memory policy as every other search
-#: session (:data:`repro.core.adversary.SESSION_CACHE_MAX_ENTRIES`).
-SEARCH_CACHE_MAX_ENTRIES = SESSION_CACHE_MAX_ENTRIES
-
-#: Canonical leaves buffered per kernel call on the batched path.
+#: Canonical leaves buffered per kernel call.
 LEAF_COHORT_ROWS = 256
-
-#: Lazy-compilation sentinel for the search's kernel instance.
-_KERNEL_UNSET = object()
-
-
-def _publish_search_metrics(stats: dict) -> None:
-    """Push one finished search's counters into the process-wide registry.
-
-    Called once per search at the same point the local ``stats`` dict is
-    folded into the certificate — no-op unless ``REPRO_OBS=on``.
-    """
-    _metrics.add("search.nodes", stats["nodes"])
-    _metrics.add("search.leaves", stats["leaves"])
-    _metrics.add("search.pruned_by_symmetry", stats["sym"])
-    _metrics.add("search.pruned_by_bound", stats.get("bound", 0))
 
 
 @dataclass(frozen=True)
@@ -74,11 +52,10 @@ class SearchCertificate:
 
     ``space_size`` is the full ``n!`` the legacy exhaustive adversary would
     enumerate; ``canonical_leaves`` is how many symmetry-inequivalent
-    assignments the search actually evaluated to completion.  The two
-    pruning counters record how many subtrees were closed by the symmetry
-    test and by the admissible bound respectively.  A certificate with
-    ``exact=True`` asserts that every assignment not enumerated was either
-    symmetric to an enumerated one or provably unable to beat the optimum.
+    assignments the search evaluated, ``nodes_expanded`` how many partial
+    assignments the DFS visited and ``pruned_by_symmetry`` how many subtrees
+    the orbit test closed.  A certificate with ``exact=True`` asserts that
+    every assignment not enumerated was symmetric to an enumerated one.
     """
 
     exact: bool
@@ -89,7 +66,6 @@ class SearchCertificate:
     canonical_leaves: int
     nodes_expanded: int
     pruned_by_symmetry: int
-    pruned_by_bound: int
     incumbent_seeded: bool
 
     def as_dict(self) -> dict:
@@ -103,7 +79,6 @@ class SearchCertificate:
             "canonical_leaves": self.canonical_leaves,
             "nodes_expanded": self.nodes_expanded,
             "pruned_by_symmetry": self.pruned_by_symmetry,
-            "pruned_by_bound": self.pruned_by_bound,
             "incumbent_seeded": self.incumbent_seeded,
         }
 
@@ -117,6 +92,19 @@ class SearchOutcome:
     certificate: SearchCertificate
 
 
+def _bfs_order(graph: Graph, center: int) -> tuple[int, ...]:
+    """Positions in BFS discovery order from ``center`` (port order within
+    a node), so the labelled region of the DFS stays connected."""
+    order = [center]
+    seen = {center}
+    for u in order:
+        for v in graph.neighbors(u):
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    return tuple(order)
+
+
 class BranchAndBoundSearch:
     """One exact search session over the assignments of a fixed instance.
 
@@ -124,10 +112,8 @@ class BranchAndBoundSearch:
     ----------
     graph, algorithm, objective:
         The instance; the objective is one of ``average``, ``max``, ``sum``.
-    use_bound:
-        Disable to enumerate every canonical assignment (pure symmetry
-        pruning, used by the pruned-exhaustive adversary and the property
-        tests that compare leaf counts).
+        Connectivity and ``algorithm.supports_graph`` are checked when the
+        instance is compiled.
     respect_ports:
         Which symmetry notion to use.  ``None`` (default) asks the
         algorithm: port-preserving symmetries unless it declares
@@ -142,7 +128,6 @@ class BranchAndBoundSearch:
         graph: Graph,
         algorithm: BallAlgorithm,
         objective: str = "average",
-        use_bound: bool = True,
         respect_ports: Optional[bool] = None,
         max_group_size: int = DEFAULT_MAX_GROUP_SIZE,
     ) -> None:
@@ -152,73 +137,19 @@ class BranchAndBoundSearch:
         self.graph = graph
         self.algorithm = algorithm
         self.objective = objective
-        self.use_bound = use_bound
+        #: The compiled batch instance every leaf cohort is evaluated on.
+        self.kernel = compile_instance(graph, algorithm)
         if respect_ports is None:
             respect_ports = bool(getattr(algorithm, "uses_ports", True))
         self.group: AutomorphismGroup = automorphism_group(
             graph, respect_ports=respect_ports, max_size=max_group_size
         )
-        self.cache = DecisionCache(algorithm, max_entries=SEARCH_CACHE_MAX_ENTRIES)
-        self.runner = FrontierRunner(graph, algorithm, cache=self.cache)
-        self._kernel: Any = _KERNEL_UNSET
-        self._prepare_static_tables()
-
-    @property
-    def kernel(self):
-        """The search's compiled batch instance (built on first use).
-
-        Used by the canonical-leaf cohort path (:meth:`run_batched`): leaves
-        are buffered and evaluated as whole matrices through
-        :func:`repro.kernel.compile.simulate_batch` instead of one eager
-        simulation per DFS step.
-        """
-        if self._kernel is _KERNEL_UNSET:
-            from repro.kernel.compile import compile_instance
-
-            self._kernel = compile_instance(
-                self.graph, self.algorithm, validate=False
-            )
-        return self._kernel
-
-    # ------------------------------------------------------------------
-    # static precomputation (assignment-independent)
-    # ------------------------------------------------------------------
-    def _prepare_static_tables(self) -> None:
-        graph, runner = self.graph, self.runner
         n = graph.n
-        # BFS order from a pseudo-centre keeps the labelled region connected,
-        # so balls become fully labelled as early as possible.
         center = min(graph.positions(), key=graph.eccentricity)
-        self.order: tuple[int, ...] = runner._plan(center).discovery
+        self.order: tuple[int, ...] = _bfs_order(graph, center)
         slot_of = [0] * n
         for slot, position in enumerate(self.order):
             slot_of[position] = slot
-        self.slot_of = slot_of
-        self.plans = [runner._plan(v) for v in graph.positions()]
-        self.caps = [plan.saturation_radius() + 1 for plan in self.plans]
-        # determined_depth[v][r]: DFS depth (number of labelled slots) at
-        # which the radius-r ball of v is fully labelled.
-        self.determined_depth: list[list[int]] = []
-        events: list[set[int]] = [set() for _ in range(n + 1)]
-        for v in graph.positions():
-            plan = self.plans[v]
-            depths = []
-            for radius in range(self.caps[v] + 1):
-                prefix = plan.prefix(radius)
-                depth = 1 + max(slot_of[u] for u in prefix)
-                depths.append(depth)
-                events[depth].add(v)
-            self.determined_depth.append(depths)
-        self.events: list[tuple[int, ...]] = [tuple(sorted(bucket)) for bucket in events]
-        # Static halves of the decision-cache keys, one (struct_id, prefix)
-        # pair per (node, radius).  The DFS decides the same (node, radius)
-        # millions of times under different partial assignments, so the
-        # cache protocol is inlined against these tables (the same trick as
-        # the runner's synchronised sweep).
-        self.key_parts: list[list[tuple[int, tuple[int, ...]]]] = [
-            list(runner._key_parts_for(self.plans[v], self.caps[v]))
-            for v in graph.positions()
-        ]
         # Symmetry tables: for each non-identity group element sigma, the
         # slot holding the value that slot j is compared against in the
         # lex test "assignment <= assignment ∘ sigma".
@@ -229,300 +160,68 @@ class BranchAndBoundSearch:
             if sigma != identity
         ]
 
-    # ------------------------------------------------------------------
-    # search
-    # ------------------------------------------------------------------
     def run(
         self,
         incumbent: Optional[tuple[int, ...]] = None,
         on_leaf: Optional[Callable[[Sequence[int], Sequence[int]], None]] = None,
     ) -> SearchOutcome:
-        """Run the search; ``incumbent`` optionally seeds the bound.
+        """Evaluate every canonical assignment; return the exact optimum.
 
-        The incumbent, when given, is a full position->identifier tuple; it
-        is evaluated through the same engine session and becomes the value
-        to beat.  The returned optimum is exact either way.
+        ``incumbent``, when given, is a full position->identifier tuple; it
+        is evaluated first and a canonical leaf replaces it only by strictly
+        beating it, so the incumbent decides ties.
 
         ``on_leaf`` is the weighted-enumeration hook used by
-        :mod:`repro.dist.exact`: it is invoked at every canonical leaf with
-        ``(ids_by_position, radius_by_position)``.  Each leaf represents
-        exactly ``group.order`` assignments (the group acts freely on
-        bijective assignments), so callbacks can weight whatever they
-        accumulate by the group order.  Both sequences are the search's
-        mutable state — read them synchronously, copy what must survive the
-        call.  Callbacks only see every canonical class when the bound is
-        disabled (``use_bound=False``); with bounding enabled, subtrees that
-        cannot beat the incumbent are skipped and never reach the hook.
-
-        When bounding is disabled *and* the algorithm compiles to a
-        vectorised kernel rule, the search delegates to :meth:`run_batched`:
-        the enumeration is identical (same canonical leaves, same expansion
-        counters, same witness), but leaves are evaluated as whole cohorts
-        through the batch kernel instead of eagerly during the DFS.
+        :mod:`repro.dist.exact`: it is invoked at every canonical leaf, in
+        DFS order, with ``(ids_by_position, radius_by_position)``.  Each leaf
+        represents exactly ``group.order`` assignments (the group acts
+        freely on bijective assignments), so callbacks can weight whatever
+        they accumulate by the group order.
         """
-        if not self.use_bound and self.kernel.vectorized:
-            return self.run_batched(incumbent=incumbent, on_leaf=on_leaf)
-        graph, runner = self.graph, self.runner
-        n = graph.n
+        n = self.graph.n
         objective = self.objective
-        maximise_max = objective == "max"
-        plans, caps = self.plans, self.caps
-        determined_depth, events = self.determined_depth, self.events
-        key_parts = self.key_parts
-        cache = self.cache
-        table = cache._table
-        relabel = cache.relabel_ids
-        decide_raw = self.algorithm.decide
-        view_of = runner._view
-        full_symmetric = self.group.full_symmetric
-        sigma_slots = self.sigma_slots
-        order = self.order
-
-        # Mutable DFS state.
-        val: list[int] = [-1] * n  # identifier placed at each slot
-        ids_by_position: list[int] = [-1] * n
-        used = [False] * n
-        next_radius = [0] * n
-        radius_of: list[Optional[int]] = [None] * n
-        # Admissible optimistic totals: decided nodes contribute exactly,
-        # undecided ones their cap.
-        optimistic_sum = sum(caps)
-        # Per-sigma lex-comparison state: index of the first undecided
-        # comparison slot; -1 once the element is dismissed (witness strictly
-        # larger, can never prune this branch again).
-        cmp_index = [0] * len(sigma_slots)
+        score = max if objective == "max" else sum
+        kernel = self.kernel
 
         best_int = -1
         best_ids: Optional[tuple[int, ...]] = None
-        incumbent_seeded = False
         if incumbent is not None:
-            trace = runner.run(_as_assignment(incumbent))
-            best_int = (
-                trace.max_radius if maximise_max else trace.sum_radius
-            )
             best_ids = tuple(incumbent)
-            incumbent_seeded = True
+            ((radii,),) = simulate_many([BatchRequest(kernel, [best_ids])])
+            best_int = score(radii)
 
-        stats = {"nodes": 0, "leaves": 0, "sym": 0, "bound": 0, "hits": 0, "misses": 0}
+        cohort: list[tuple[int, ...]] = []
 
-        def advance_nodes(depth: int) -> list[tuple[int, int, Optional[int]]]:
-            """Decide every node whose next ball became fully labelled.
-
-            The decision-cache protocol is inlined against the static key
-            tables (struct ids + member prefixes): the DFS revisits the same
-            ``(node, radius)`` pairs millions of times, so the per-decision
-            overhead of the generic cache path would dominate the search.
-            Returns the undo log; raises if an algorithm refused to output
-            within its radius cap (mirroring the runner's contract).
-            """
-            nonlocal optimistic_sum
-            undo: list[tuple[int, int, Optional[int]]] = []
-            for v in events[depth]:
-                if radius_of[v] is not None:
-                    continue
-                start = next_radius[v]
-                depths_v = determined_depth[v]
-                parts_v = key_parts[v]
-                cap = caps[v]
-                r = start
-                decided = None
-                while r <= cap and depths_v[r] <= depth:
-                    struct_id, prefix = parts_v[r]
-                    pattern = tuple(map(ids_by_position.__getitem__, prefix))
-                    if relabel:
-                        pattern = tuple(
-                            sorted(range(len(prefix)), key=pattern.__getitem__)
-                        )
-                    key = (struct_id, pattern)
-                    output = table.get(key, _MISSING)
-                    if output is _MISSING:
-                        stats["misses"] += 1
-                        output = decide_raw(view_of(plans[v], r, ids_by_position))
-                        cache.store(key, output)
-                    else:
-                        stats["hits"] += 1
-                    if output is not None:
-                        decided = r
-                        break
-                    if r == cap:
-                        undo.append((v, start, None))
-                        _rollback(undo)
-                        raise AlgorithmError(
-                            f"algorithm {self.algorithm.name!r} refused to output at "
-                            f"position {v} even at radius {cap} "
-                            f"(graph {graph.name!r}, n={graph.n})"
-                        )
-                    r += 1
-                if r == start and decided is None:
-                    continue
-                undo.append((v, start, None))
-                next_radius[v] = r
-                if decided is not None:
-                    radius_of[v] = decided
-                    optimistic_sum += decided - cap
-            return undo
-
-        def _rollback(undo: list[tuple[int, int, Optional[int]]]) -> None:
-            nonlocal optimistic_sum
-            for v, start, _ in reversed(undo):
-                if radius_of[v] is not None:
-                    optimistic_sum += caps[v] - radius_of[v]
-                    radius_of[v] = None
-                next_radius[v] = start
-
-        def bound_beats(best: int) -> bool:
-            """Whether the admissible bound still allows beating ``best``.
-
-            For sum/average the bound is the incrementally maintained
-            ``optimistic_sum``.  For max the scan runs in *reverse*
-            assignment order with an early exit: the late slots are exactly
-            the likely-undecided nodes, whose caps dominate the bound, so
-            the common no-prune answer is found in O(1) rather than O(n).
-            """
-            if not maximise_max:
-                return optimistic_sum > best
-            for slot in range(n - 1, -1, -1):
-                v = order[slot]
-                r = radius_of[v]
-                if (caps[v] if r is None else r) > best:
-                    return True
-            return False
-
-        def dfs(depth: int) -> None:
+        def flush() -> None:
             nonlocal best_int, best_ids
-            if depth == n:
-                stats["leaves"] += 1
+            (batched,) = simulate_many([BatchRequest(kernel, cohort, pre_validated=True)])
+            for ids_row, radii in zip(cohort, batched):
                 if on_leaf is not None:
-                    on_leaf(ids_by_position, radius_of)
-                if maximise_max:
-                    value = max(radius_of[v] for v in range(n))  # type: ignore[type-var]
-                else:
-                    value = sum(radius_of[v] for v in range(n))  # type: ignore[misc]
+                    on_leaf(ids_row, radii)
+                value = score(radii)
                 if value > best_int:
                     best_int = value
-                    best_ids = tuple(ids_by_position)
-                return
-            slot = depth
-            position = order[slot]
-            if full_symmetric:
-                candidates: "range | tuple[int, ...]" = (slot,)
-            else:
-                candidates = range(n)
-            for identifier in candidates:
-                if used[identifier]:
-                    continue
-                stats["nodes"] += 1
-                val[slot] = identifier
-                ids_by_position[position] = identifier
-                used[identifier] = True
-                new_depth = depth + 1
-                # --- symmetry: keep only lex-minimal orbit representatives.
-                sym_undo: list[tuple[int, int]] = []
-                pruned = False
-                for s, slots in enumerate(sigma_slots):
-                    j = cmp_index[s]
-                    if j < 0:
-                        continue
-                    advanced = j
-                    verdict = 0
-                    while advanced < new_depth:
-                        other = slots[advanced]
-                        if other >= new_depth:
-                            break
-                        a, b = val[advanced], val[other]
-                        if a != b:
-                            verdict = -1 if a < b else 1
-                            break
-                        advanced += 1
-                    if verdict == 1:
-                        stats["sym"] += 1
-                        pruned = True
-                        sym_undo.append((s, j))
-                        cmp_index[s] = advanced
-                        break
-                    new_index = -1 if verdict == -1 else advanced
-                    if new_index != j:
-                        sym_undo.append((s, j))
-                        cmp_index[s] = new_index
-                if not pruned:
-                    node_undo = advance_nodes(new_depth)
-                    if self.use_bound and not bound_beats(best_int):
-                        stats["bound"] += 1
-                    else:
-                        dfs(new_depth)
-                    _rollback(node_undo)
-                for s, j in sym_undo:
-                    cmp_index[s] = j
-                used[identifier] = False
-                ids_by_position[position] = -1
-                val[slot] = -1
-            return
+                    best_ids = ids_row
+            cohort.clear()
 
-        with _obs_span(
-            "search.branch_bound", n=n, objective=objective, bounded=self.use_bound
-        ):
-            dfs(0)
-        cache.stats.hits += stats["hits"]
-        cache.stats.misses += stats["misses"]
-        _publish_search_metrics(stats)
-        if best_ids is None:
-            raise AnalysisError(
-                "search terminated without a witness — empty assignment space"
-            )
-        if objective == "average":
-            value = best_int / n
-        else:
-            value = float(best_int)
-        certificate = SearchCertificate(
-            exact=True,
-            objective=objective,
-            space_size=math.factorial(n),
-            group_order=self.group.order,
-            group_respects_ports=self.group.respects_ports,
-            canonical_leaves=stats["leaves"],
-            nodes_expanded=stats["nodes"],
-            pruned_by_symmetry=stats["sym"],
-            pruned_by_bound=stats["bound"],
-            incumbent_seeded=incumbent_seeded,
-        )
-        return SearchOutcome(identifiers=best_ids, value=value, certificate=certificate)
-
-    # ------------------------------------------------------------------
-    # batched canonical enumeration
-    # ------------------------------------------------------------------
-    def _enumerate_canonical(self, visit: Callable[[tuple[int, ...]], None]) -> dict:
-        """Depth-first canonical enumeration without eager simulation.
-
-        Runs the exact symmetry pruning of :meth:`run` — only lex-minimal
-        orbit representatives survive — but defers all evaluation to the
-        caller: ``visit`` receives each canonical leaf as a full
-        position -> identifier tuple, in the same DFS order the eager path
-        produces.  Returns the ``nodes`` / ``leaves`` / ``sym`` counters,
-        which are identical to the eager path's by construction (simulation
-        never influenced the tree shape when bounding is off).
-
-        The symmetry logic here is a deliberate twin of the inlined loop in
-        :meth:`run` — both hot paths stay closure-free rather than sharing
-        a hook-parameterised skeleton.  Any change to the ``sigma_slots``
-        lex test or its undo bookkeeping must be mirrored in both places;
-        ``tests/search/test_branch_bound.py::TestBatchedEnumeration`` pins
-        them to each other leaf by leaf (assignments, radii, counters and
-        witness), so a one-sided edit fails loudly.
-        """
-        n = self.graph.n
         full_symmetric = self.group.full_symmetric
         sigma_slots = self.sigma_slots
         order = self.order
-        val: list[int] = [-1] * n
+        val: list[int] = [-1] * n  # identifier placed at each slot
         ids_by_position: list[int] = [-1] * n
         used = [False] * n
+        # Per-sigma lex-comparison state: index of the first undecided
+        # comparison slot; -1 once the element is dismissed (witness strictly
+        # larger, can never prune this branch again).
         cmp_index = [0] * len(sigma_slots)
         stats = {"nodes": 0, "leaves": 0, "sym": 0}
 
         def dfs(depth: int) -> None:
             if depth == n:
                 stats["leaves"] += 1
-                visit(tuple(ids_by_position))
+                cohort.append(tuple(ids_by_position))
+                if len(cohort) >= LEAF_COHORT_ROWS:
+                    flush()
                 return
             slot = depth
             position = order[slot]
@@ -536,8 +235,9 @@ class BranchAndBoundSearch:
                 stats["nodes"] += 1
                 val[slot] = identifier
                 ids_by_position[position] = identifier
-                new_depth = depth + 1
                 used[identifier] = True
+                new_depth = depth + 1
+                # Keep only lex-minimal orbit representatives.
                 sym_undo: list[tuple[int, int]] = []
                 pruned = False
                 for s, slots in enumerate(sigma_slots):
@@ -573,76 +273,13 @@ class BranchAndBoundSearch:
                 ids_by_position[position] = -1
                 val[slot] = -1
 
-        dfs(0)
-        return stats
-
-    def run_batched(
-        self,
-        incumbent: Optional[tuple[int, ...]] = None,
-        on_leaf: Optional[Callable[[Sequence[int], Sequence[int]], None]] = None,
-        cohort_rows: int = LEAF_COHORT_ROWS,
-    ) -> SearchOutcome:
-        """Exhaust every canonical class, evaluating leaf cohorts as batches.
-
-        The batch twin of :meth:`run` with ``use_bound=False``: canonical
-        assignments are enumerated by pure symmetry-pruned DFS, buffered
-        ``cohort_rows`` at a time, and each cohort is one
-        :func:`repro.kernel.compile.simulate_batch` call on the search's
-        compiled instance — array speed for vectorised rules, the engine
-        session fallback otherwise.  The optimum, the witness, the
-        ``on_leaf`` stream (``(ids_by_position, radius_by_position)`` per
-        canonical leaf, in DFS order) and the certificate counters are all
-        identical to the eager path; bound pruning never applies here, so
-        ``pruned_by_bound`` is 0 by construction.
-        """
-        n = self.graph.n
-        objective = self.objective
-        maximise_max = objective == "max"
-        kernel = self.kernel
-
-        best_int = -1
-        best_ids: Optional[tuple[int, ...]] = None
-        incumbent_seeded = False
-        if incumbent is not None:
-            trace = self.runner.run(_as_assignment(incumbent))
-            best_int = trace.max_radius if maximise_max else trace.sum_radius
-            best_ids = tuple(incumbent)
-            incumbent_seeded = True
-
-        buffer: list[tuple[int, ...]] = []
-
-        def flush() -> None:
-            nonlocal best_int, best_ids
-            if not buffer:
-                return
-            # One cohort = one block of the kernel's multi-instance batch
-            # entry point (the same surface the campaign layer submits
-            # cross-cell batches through).
-            from repro.kernel.compile import BatchRequest, simulate_many
-
-            (batched,) = simulate_many(
-                [BatchRequest(kernel, buffer, pre_validated=True)]
-            )
-            for ids_row, radii in zip(buffer, batched):
-                if on_leaf is not None:
-                    on_leaf(list(ids_row), list(radii))
-                value = max(radii) if maximise_max else sum(radii)
-                if value > best_int:
-                    best_int = value
-                    best_ids = ids_row
-            buffer.clear()
-
-        def visit(ids_row: tuple[int, ...]) -> None:
-            buffer.append(ids_row)
-            if len(buffer) >= cohort_rows:
+        with _obs_span("search.branch_bound", n=n, objective=objective):
+            dfs(0)
+            if cohort:
                 flush()
-
-        with _obs_span(
-            "search.branch_bound", n=n, objective=objective, bounded=False
-        ):
-            stats = self._enumerate_canonical(visit)
-            flush()
-        _publish_search_metrics(stats)
+        _metrics.add("search.nodes", stats["nodes"])
+        _metrics.add("search.leaves", stats["leaves"])
+        _metrics.add("search.pruned_by_symmetry", stats["sym"])
         if best_ids is None:
             raise AnalysisError(
                 "search terminated without a witness — empty assignment space"
@@ -657,13 +294,6 @@ class BranchAndBoundSearch:
             canonical_leaves=stats["leaves"],
             nodes_expanded=stats["nodes"],
             pruned_by_symmetry=stats["sym"],
-            pruned_by_bound=0,
-            incumbent_seeded=incumbent_seeded,
+            incumbent_seeded=incumbent is not None,
         )
         return SearchOutcome(identifiers=best_ids, value=value, certificate=certificate)
-
-
-def _as_assignment(ids: tuple[int, ...]):
-    from repro.model.identifiers import IdentifierAssignment
-
-    return IdentifierAssignment(ids)

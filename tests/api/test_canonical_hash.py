@@ -142,3 +142,19 @@ def test_answer_epoch_keys_both_hashes_but_stays_out_of_the_document(monkeypatch
     monkeypatch.setattr(module, "ANSWER_EPOCH", module.ANSWER_EPOCH - 1)
     assert query.canonical_hash() != digest
     assert query.family_hash() != family
+
+
+def test_plain_import_binds_the_query_module(monkeypatch):
+    # repro.api must not shadow its `query` submodule with the `repro.query`
+    # function: patching the epoch through a plain import re-keys the hash.
+    import types
+
+    import repro
+    import repro.api.query as query_module
+
+    assert isinstance(query_module, types.ModuleType)
+    assert callable(repro.query)
+    query = Query(mode="distribution", methods="sample")
+    digest = query.canonical_hash()
+    monkeypatch.setattr(query_module, "ANSWER_EPOCH", query_module.ANSWER_EPOCH - 1)
+    assert query.canonical_hash() != digest

@@ -97,11 +97,11 @@ class TestValidation:
         assert Query(seed=seed).seed == seed
 
     def test_valid_queries_keep_their_canonical_hash(self):
-        # Pinned at answer epoch 1: validation must not change the preimage
+        # Pinned at answer epoch 2: validation must not change the preimage
         # of any valid query, and only an epoch bump may re-key it.
-        assert ANSWER_EPOCH == 1
+        assert ANSWER_EPOCH == 2
         assert Query().canonical_hash() == (
-            "be45c2d8130213b1afb4889cbc0c6edea4f18175a2caf034ea78f1f97fc87267"
+            "a1384c1ca6cc79d7efff5ea08c4a21426b533f3ddb154a516eca9e4b0842ad8c"
         )
 
 

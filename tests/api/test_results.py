@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.api.query import Query
-from repro.api.results import RESULT_KIND, RESULT_VERSION, Result, strip_volatile
+from repro.api.results import RESULT_KIND, RESULT_VERSION, Result
 from repro.api.session import Session
 from repro.errors import AnalysisError
 
@@ -87,16 +87,11 @@ class TestJsonRoundTrip:
             Result.from_dict({"kind": RESULT_KIND, "version": 99})
 
 
-class TestLegacyAdoption:
-    def test_adopts_repro_sweep_documents(self, sweep_result):
-        legacy = {"kind": "repro-sweep", "version": 1, "rows": list(sweep_result.rows)}
-        adopted = Result.from_json(json.dumps(legacy))
-        assert adopted.mode == "sweep"
-        assert strip_volatile(adopted.rows) == strip_volatile(sweep_result.rows)
-        assert adopted.measures == sweep_result.measures
+class TestPreApiKinds:
+    @pytest.mark.parametrize("kind", ["repro-sweep", "repro-dist"])
+    def test_pre_api_documents_are_rejected(self, sweep_result, kind):
+        # Every --output writes repro-result; the pre-API kinds are retired.
+        legacy = {"kind": kind, "version": 1, "rows": list(sweep_result.rows)}
+        with pytest.raises(AnalysisError, match="not a result document"):
+            Result.from_json(json.dumps(legacy))
 
-    def test_adopts_repro_dist_documents(self, dist_result):
-        legacy = {"kind": "repro-dist", "version": 1, "rows": list(dist_result.rows)}
-        adopted = Result.from_json(json.dumps(legacy))
-        assert adopted.mode == "distribution"
-        assert adopted.measures == dist_result.measures

@@ -155,20 +155,28 @@ class TestObjectLevelHelpers:
 
 
 class TestSessionCaches:
-    def test_hot_graph_survives_a_cold_sweep(self):
+    @staticmethod
+    def _session(monkeypatch, max_graphs):
+        # The bounds are module constants, read when a session is built.
+        import repro.api.session as session_module
+
+        monkeypatch.setattr(session_module, "SESSION_MAX_GRAPHS", max_graphs)
+        return Session()
+
+    def test_hot_graph_survives_a_cold_sweep(self, monkeypatch):
         # The LRU regression scenario: one instance stays hot while a sweep
         # of one-shot instances streams through a tiny cache.  Under the old
         # oldest-insertion eviction the hot graph (oldest insertion, most
         # recent use) would be evicted; under LRU it must survive.
-        session = Session(max_graphs=3)
+        session = self._session(monkeypatch, 3)
         hot = session.graph("cycle", 8)
         for n in (10, 12, 14, 16, 18, 20):
             session.graph("cycle", n)   # the cold sweep
             assert session.graph("cycle", 8) is hot   # the hot instance, re-hit
         assert session._graphs.evictions > 0
 
-    def test_eviction_drops_the_least_recently_used(self):
-        session = Session(max_graphs=2)
+    def test_eviction_drops_the_least_recently_used(self, monkeypatch):
+        session = self._session(monkeypatch, 2)
         first = session.graph("cycle", 6)
         session.graph("cycle", 8)
         session.graph("cycle", 6)        # refresh first
@@ -176,8 +184,8 @@ class TestSessionCaches:
         assert session.graph("cycle", 6) is first
         assert ("cycle", 8, 0) not in session._graphs
 
-    def test_cache_info_counts_hits_misses_and_evictions(self):
-        session = Session(max_graphs=2)
+    def test_cache_info_counts_hits_misses_and_evictions(self, monkeypatch):
+        session = self._session(monkeypatch, 2)
         info = session.cache_info()
         assert info == {"hits": 0, "misses": 0, "evictions": 0}
         session.graph("cycle", 6)
@@ -209,8 +217,10 @@ class TestSessionCaches:
         assert result.kernel["rows"] == 1
 
     def test_cache_limits_must_be_positive(self):
+        from repro.api.session import _LruCache
+
         with pytest.raises(ConfigurationError):
-            Session(max_graphs=0)
+            _LruCache(0)
 
 
 class TestDefaultSession:

@@ -1,4 +1,4 @@
-"""Tests for the grid registries, the cell expansion and the row documents."""
+"""Tests for the grid registries and the cell expansion."""
 
 import math
 
@@ -10,11 +10,7 @@ from repro.api.session import query_cells
 from repro.engine.campaign import (
     aggregate_dist_rows,
     build_topology,
-    load_dist_rows,
-    load_rows,
     make_adversary,
-    write_dist_rows,
-    write_rows,
 )
 from repro.errors import ConfigurationError
 
@@ -134,20 +130,6 @@ class TestMakeAdversary:
             make_adversary("oracle", Query())
 
 
-class TestRowsRoundTrip:
-    def test_write_then_load(self, tmp_path):
-        rows = list(Session().sweep(_sweep(topologies=("cycle",), sizes=(6,))).rows)
-        path = tmp_path / "rows.json"
-        write_rows(rows, str(path))
-        assert load_rows(str(path)) == rows
-
-    def test_load_rejects_foreign_documents(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text("{}", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="not a repro sweep"):
-            load_rows(str(path))
-
-
 class TestBuildTopology:
     def test_known_names_build_graphs(self):
         for name in ("cycle", "path", "grid", "complete", "random-tree", "gnp"):
@@ -206,17 +188,3 @@ class TestRunDistCampaign:
         assert aggregate["cells"] == 2
         assert aggregate["total_weight"] == 2 * math.factorial(6)
         assert aggregate["average"]["mean"] > 0
-
-
-class TestDistRowsRoundTrip:
-    def test_write_then_load(self, tmp_path):
-        rows = list(Session().distribution(_dist(topologies=("cycle",))).rows)
-        path = tmp_path / "dist_rows.json"
-        write_dist_rows(rows, str(path))
-        assert load_dist_rows(str(path)) == rows
-
-    def test_load_rejects_foreign_documents(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text("{}", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="not a repro dist"):
-            load_dist_rows(str(path))

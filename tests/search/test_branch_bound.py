@@ -7,17 +7,17 @@ import pytest
 from repro.algorithms.full_gather import BallSimulationOfRounds
 from repro.algorithms.cole_vishkin import ColeVishkinRing
 from repro.algorithms.greedy_coloring import GreedyColoringByID
-from repro.algorithms.largest_id import LargestIdAlgorithm
 from repro.core.adversary import ExhaustiveAdversary
 from repro.core.algorithm import FunctionBallAlgorithm
 from repro.core.measures import exact_worst_case
 from repro.core.runner import run_ball_algorithm
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.search.adversaries import (
     BranchAndBoundAdversary,
     PrunedExhaustiveAdversary,
 )
-from repro.search.branch_bound import BranchAndBoundSearch
+from repro.model.graph import Graph
+from repro.search.branch_bound import LEAF_COHORT_ROWS, BranchAndBoundSearch
 from repro.topology.complete import complete_graph
 from repro.topology.cycle import cycle_graph
 from repro.topology.path import path_graph
@@ -89,25 +89,19 @@ class TestBranchAndBound:
             assert bounded.exact
             assert bounded.value == legacy.value
 
-    def test_bound_pruning_reduces_the_enumeration(self, largest_id_algorithm):
+    def test_seeded_enumeration_covers_every_canonical_class(
+        self, largest_id_algorithm
+    ):
         graph = cycle_graph(7)
         pruned = PrunedExhaustiveAdversary().maximise(graph, largest_id_algorithm)
-        bounded = BranchAndBoundAdversary().maximise(graph, largest_id_algorithm)
-        assert bounded.value == pruned.value
-        assert (
-            bounded.certificate.canonical_leaves
-            < pruned.certificate.canonical_leaves
-        )
-        assert bounded.certificate.pruned_by_bound > 0
-
-    def test_without_incumbent_still_exact(self, largest_id_algorithm):
-        graph = cycle_graph(6)
-        reference = ExhaustiveAdversary().maximise(graph, largest_id_algorithm, "sum")
-        unseeded = BranchAndBoundAdversary(seed_incumbent=False).maximise(
-            graph, largest_id_algorithm, "sum"
-        )
-        assert unseeded.value == reference.value
-        assert not unseeded.certificate.incumbent_seeded
+        seeded = BranchAndBoundAdversary().maximise(graph, largest_id_algorithm)
+        assert seeded.value == pruned.value
+        assert seeded.certificate.incumbent_seeded
+        assert not pruned.certificate.incumbent_seeded
+        for key in ("canonical_leaves", "nodes_expanded", "pruned_by_symmetry"):
+            assert getattr(seeded.certificate, key) == getattr(pruned.certificate, key)
+        # Leaves, the hill climb's evaluations and the incumbent's own.
+        assert seeded.evaluations > seeded.certificate.canonical_leaves + 1
 
     def test_exact_beyond_the_legacy_limit(self, largest_id_algorithm):
         # n = 12 > 9: a space of 12! assignments, collapsed to one canonical
@@ -139,61 +133,68 @@ class TestBranchAndBound:
         assert bounded.value == legacy.value
 
 
-class TestBatchedEnumeration:
-    """run_batched must be indistinguishable from the eager full enumeration."""
+def _opaque_greedy_coloring():
+    # A bare FunctionBallAlgorithm offers no compile_kernel_rule, so its
+    # cohorts run through the decide-backed runner-table rule.
+    return FunctionBallAlgorithm(
+        GreedyColoringByID().decide,
+        name="greedy-coloring-opaque",
+        problem="coloring",
+        order_invariant=True,
+        uses_ports=False,
+    )
+
+
+class TestCohortEnumeration:
+    """Every exact search enumerates canonical leaves in kernel cohorts."""
 
     @pytest.mark.parametrize("objective", ["sum", "max", "average"])
-    def test_matches_eager_enumeration_leaf_by_leaf(self, objective):
-        # An opaque FunctionBallAlgorithm has no vectorised rule, so run()
-        # keeps the eager path — making it the reference run_batched is
-        # compared against (every registered algorithm now vectorises).
-        algorithm = FunctionBallAlgorithm(
-            GreedyColoringByID().decide,
-            name="greedy-coloring-opaque",
-            problem="coloring",
-            order_invariant=True,
-            uses_ports=False,
-        )
-        graph = cycle_graph(6)
-        eager = BranchAndBoundSearch(graph, algorithm, objective, use_bound=False)
-        assert not eager.kernel.vectorized
-        eager_leaves = []
-        eager_outcome = eager.run(
-            on_leaf=lambda ids, radii: eager_leaves.append((tuple(ids), tuple(radii)))
-        )
-        batched = BranchAndBoundSearch(graph, algorithm, objective, use_bound=False)
-        batched_leaves = []
-        batched_outcome = batched.run_batched(
-            on_leaf=lambda ids, radii: batched_leaves.append((tuple(ids), tuple(radii))),
-            cohort_rows=7,   # force several partial cohorts
-        )
-        assert batched_leaves == eager_leaves
-        assert batched_outcome.value == eager_outcome.value
-        assert batched_outcome.identifiers == eager_outcome.identifiers
-        eager_cert = eager_outcome.certificate.as_dict()
-        batched_cert = batched_outcome.certificate.as_dict()
-        assert batched_cert == eager_cert
+    def test_runner_table_and_cone_rules_agree_leaf_by_leaf(self, objective):
+        # path-7: 2520 canonical leaves, so full cohorts and a partial last
+        # cohort both flush.
+        graph = path_graph(7)
+        streams = []
+        outcomes = []
+        rules = []
+        for algorithm in (_opaque_greedy_coloring(), GreedyColoringByID()):
+            search = BranchAndBoundSearch(graph, algorithm, objective)
+            rules.append(search.kernel.describe()["rule"])
+            leaves = []
+            outcomes.append(
+                search.run(on_leaf=lambda ids, radii: leaves.append((tuple(ids), tuple(radii))))
+            )
+            streams.append(leaves)
+        assert rules == ["runner-table", "greedy-cone-coloring"]
+        opaque, native = outcomes
+        assert len(streams[0]) == 2520 > LEAF_COHORT_ROWS
+        assert 2520 % LEAF_COHORT_ROWS != 0
+        assert streams[0] == streams[1]
+        assert opaque.value == native.value
+        assert opaque.identifiers == native.identifiers
+        assert opaque.certificate.as_dict() == native.certificate.as_dict()
 
-    def test_vectorised_algorithms_delegate_from_run(self, largest_id_algorithm):
-        # For largest-id, run(use_bound=False) IS the batched path; its
-        # outcome must still match the bounded exact search and the legacy
-        # exhaustive optimum.
+    def test_the_incumbent_decides_ties(self, largest_id_algorithm):
+        graph = cycle_graph(6)
+        search = BranchAndBoundSearch(graph, largest_id_algorithm, "sum")
+        unseeded = search.run()
+        # An optimal incumbent is kept over the first optimal leaf...
+        incumbent = (2, 0, 4, 3, 5, 1)
+        seeded = search.run(incumbent=incumbent)
+        assert seeded.certificate.incumbent_seeded
+        assert seeded.value == unseeded.value
+        assert seeded.identifiers == incumbent != unseeded.identifiers
+        # ... and a weak one is replaced by that same leaf.
+        weak = search.run(incumbent=tuple(range(6)))
+        assert weak.identifiers == unseeded.identifiers
+
+    def test_search_builds_no_engine_structure(self, largest_id_algorithm):
         graph = cycle_graph(7)
-        search = BranchAndBoundSearch(graph, largest_id_algorithm, "sum", use_bound=False)
-        assert search.kernel.vectorized
-        outcome = search.run()
-        legacy = ExhaustiveAdversary().maximise(graph, largest_id_algorithm, "sum")
-        assert outcome.value == legacy.value
-        assert outcome.certificate.canonical_leaves == math.factorial(7) // 14
-        assert outcome.certificate.pruned_by_bound == 0
+        BranchAndBoundSearch(graph, largest_id_algorithm, "max").run()
+        assert getattr(graph, "_engine_structure", None) is None
 
-    def test_incumbent_seeding_matches_eager_semantics(self, largest_id_algorithm):
-        graph = cycle_graph(6)
-        incumbent = tuple(range(6))
-        search = BranchAndBoundSearch(graph, largest_id_algorithm, "sum", use_bound=False)
-        outcome = search.run_batched(incumbent=incumbent)
-        assert outcome.certificate.incumbent_seeded
-        reference = BranchAndBoundSearch(graph, largest_id_algorithm, "sum").run(
-            incumbent=incumbent
-        )
-        assert outcome.value == reference.value
+    def test_compile_validates_the_instance(self, largest_id_algorithm):
+        disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(TopologyError, match="connected"):
+            BranchAndBoundSearch(disconnected, largest_id_algorithm)
+        with pytest.raises(TopologyError, match="does not support"):
+            BranchAndBoundSearch(path_graph(6), BallSimulationOfRounds(ColeVishkinRing(6)))

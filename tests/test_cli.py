@@ -185,22 +185,20 @@ class TestDist:
         import json
 
         document = json.loads(out.read_text(encoding="utf-8"))
-        assert document["kind"] == "repro-dist"
+        assert document["kind"] == "repro-result"
         assert document["version"] == 1
+        assert document["mode"] == "distribution"
         assert document["rows"][0]["total_weight"] == 720
-        assert document["aggregates"][0]["method"] == "exact"
 
-    def test_dist_output_round_trips_through_both_loaders(self, capsys, tmp_path):
+    def test_dist_output_loads_as_a_result(self, capsys, tmp_path):
         out = tmp_path / "dist.json"
         assert main(["dist", "--sizes", "5", "--output", str(out)]) == 0
         from repro.api.results import Result
-        from repro.engine.campaign import load_dist_rows
 
-        rows = load_dist_rows(str(out))
-        adopted = Result.load(str(out))
-        assert adopted.mode == "distribution"
-        assert list(adopted.rows) == rows
-        assert adopted.rows[0]["total_weight"] == 120
+        result = Result.load(str(out))
+        assert result.mode == "distribution"
+        assert result.query["sizes"] == [5]
+        assert result.rows[0]["total_weight"] == 120
 
     def test_dist_rejects_bad_sizes(self):
         with pytest.raises(ConfigurationError, match="--sizes"):
@@ -245,13 +243,13 @@ class TestSweep:
             )
             == 0
         )
-        from repro.engine.campaign import load_rows
+        from repro.api.results import Result
 
-        rows = load_rows(str(out))
+        rows = Result.load(str(out)).rows
         assert len(rows) == 1
         assert rows[0]["adversary"] == "rotation"
 
-    def test_sweep_output_round_trips_through_both_loaders(self, capsys, tmp_path):
+    def test_sweep_output_loads_as_a_result(self, capsys, tmp_path):
         out = tmp_path / "rows.json"
         assert (
             main(["sweep", "--sizes", "6", "--adversaries", "rotation", "--output", str(out)])
@@ -260,15 +258,13 @@ class TestSweep:
         import json
 
         from repro.api.results import Result
-        from repro.engine.campaign import load_rows
 
         document = json.loads(out.read_text(encoding="utf-8"))
-        assert document["kind"] == "repro-sweep"
+        assert document["kind"] == "repro-result"
         assert document["version"] == 1
-        rows = load_rows(str(out))
-        adopted = Result.load(str(out))
-        assert adopted.mode == "sweep"
-        assert list(adopted.rows) == rows
+        result = Result.load(str(out))
+        assert result.mode == "sweep"
+        assert list(result.rows) == document["rows"]
 
     def test_sweep_rejects_bad_sizes(self):
         with pytest.raises(ConfigurationError, match="--sizes"):

@@ -15,12 +15,17 @@ are only rewritten under ``REPRO_BENCH_WRITE=1`` (set by ``make bench`` and
 ``make bench-smoke``).  An ordinary ``pytest`` run — tier-1 collects the
 benchmarks too — times and asserts exactly the same workloads but writes
 its JSON to a scratch directory, so plain test runs never dirty the tree.
+
+Ratio gates time their two sides with :func:`paired_ratio`, so a burst of
+load from a neighbouring process skews one pair, not a whole side.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import tempfile
+import time
 from pathlib import Path
 
 #: True when the suite runs under ``make bench-smoke`` / the CI smoke job.
@@ -36,6 +41,35 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 def pick(full, smoke):
     """Return ``full`` normally, ``smoke`` under ``REPRO_BENCH_SMOKE=1``."""
     return smoke if SMOKE else full
+
+
+def paired_ratio(baseline, candidate, repeats: int):
+    """Median per-pair ``baseline / candidate`` time ratio of two callables.
+
+    One untimed warm-up call of each side comes first; then each of the
+    ``repeats`` pairs times the baseline and the candidate back to back.
+    Returns ``(ratio, baseline_s, candidate_s, baseline_value,
+    candidate_value)``: the median per-pair ratio, each side's median time,
+    and each side's last return value.
+    """
+    baseline_value, candidate_value = baseline(), candidate()
+    baseline_times: list[float] = []
+    candidate_times: list[float] = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        baseline_value = baseline()
+        baseline_times.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        candidate_value = candidate()
+        candidate_times.append(time.perf_counter() - started)
+    ratio = statistics.median(b / c for b, c in zip(baseline_times, candidate_times))
+    return (
+        ratio,
+        statistics.median(baseline_times),
+        statistics.median(candidate_times),
+        baseline_value,
+        candidate_value,
+    )
 
 
 def artifact_path(filename: str) -> Path:

@@ -7,9 +7,10 @@ Measures the two workloads named by the engine's acceptance criteria —
 
 each as: legacy = the from-scratch reference runner evaluated once per
 assignment (exactly the pre-engine execution path), engine = the adversary's
-engine session (frontier plans + decision cache).  Both paths are timed
-best-of-``REPEATS`` and must agree on the objective value; the engine must
-be at least ``MIN_SPEEDUP`` times faster.  Results — timings, speedups and
+engine session (frontier plans + decision cache).  After one untimed
+warm-up each, the two paths are timed in ``REPEATS`` interleaved pairs and
+must agree on the objective value; the median per-pair speedup must be at
+least ``MIN_SPEEDUP``.  Results — timings, speedups and
 cache hit rates — are written to ``BENCH_engine.json`` next to the repo
 root so CI can archive them.
 """
@@ -18,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 
-from bench_smoke import SMOKE, artifact_path, pick
+from bench_smoke import SMOKE, artifact_path, paired_ratio, pick
 
 from repro.algorithms.largest_id import LargestIdAlgorithm
 from repro.core.adversary import (
@@ -35,26 +35,18 @@ from repro.utils.rng import make_rng
 
 ARTIFACT_PATH = artifact_path("BENCH_engine.json")
 MIN_SPEEDUP = 3.0
-REPEATS = pick(2, 1)
+REPEATS = pick(3, 1)
 
 _RESULTS: dict[str, dict] = {}
 
 
-def _best_of(fn, repeats: int = REPEATS) -> tuple[float, object]:
-    best = float("inf")
-    value = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - started)
-    return best, value
-
-
-def _record(name: str, legacy_s: float, engine_s: float, value: float, cache_stats):
+def _record(
+    name: str, speedup: float, legacy_s: float, engine_s: float, value: float, cache_stats
+):
     entry = {
         "legacy_s": legacy_s,
         "engine_s": engine_s,
-        "speedup": legacy_s / engine_s,
+        "speedup": speedup,
         "value": value,
         "cache": cache_stats.as_dict() if cache_stats else None,
     }
@@ -85,11 +77,12 @@ def test_bench_exhaustive_adversary_ring7():
     def engine():
         return ExhaustiveAdversary().maximise(graph, algorithm, objective="average")
 
-    legacy_s, legacy_value = _best_of(legacy)
-    engine_s, result = _best_of(engine)
+    speedup, legacy_s, engine_s, legacy_value, result = paired_ratio(
+        legacy, engine, REPEATS
+    )
     assert result.value == legacy_value
     entry = _record(
-        "exhaustive_ring_n7", legacy_s, engine_s, result.value, result.cache_stats
+        "exhaustive_ring_n7", speedup, legacy_s, engine_s, result.value, result.cache_stats
     )
     assert result.cache_stats.hit_rate > 0.9
     assert entry["speedup"] >= MIN_SPEEDUP, (
@@ -118,11 +111,12 @@ def test_bench_sampling_adversary_sweep_n64():
             graph, algorithm, objective="average"
         )
 
-    legacy_s, legacy_value = _best_of(legacy)
-    engine_s, result = _best_of(engine)
+    speedup, legacy_s, engine_s, legacy_value, result = paired_ratio(
+        legacy, engine, REPEATS
+    )
     assert result.value == legacy_value
     entry = _record(
-        f"sampling_sweep_n{n}", legacy_s, engine_s, result.value, result.cache_stats
+        f"sampling_sweep_n{n}", speedup, legacy_s, engine_s, result.value, result.cache_stats
     )
     assert result.cache_stats.hit_rate > 0.5
     assert entry["speedup"] >= MIN_SPEEDUP, (

@@ -12,10 +12,11 @@ twice:
 
 The sampled estimates are asserted bit-identical between the two runs
 (observation must not perturb), then the enabled run must not cost more
-than ~5% (``speedup = off_s / on_s >= MIN_SPEEDUP``, i.e. overhead within
-the floor's tolerance).  An unasserted ``noop_span_call`` entry records the
-per-call cost of the disabled path for the trend report.  Results land in
-``BENCH_obs.json`` (re-checked by ``scripts/check_bench_floors.py``).
+than ~5%: the speedup, the median over interleaved pairs of the off/on
+time ratio, must reach ``MIN_SPEEDUP``.  An unasserted ``noop_span_call``
+entry records the per-call cost of the disabled path for the trend report.
+Results land in ``BENCH_obs.json`` (re-checked by
+``scripts/check_bench_floors.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import time
 
-from bench_smoke import SMOKE, artifact_path, pick
+from bench_smoke import SMOKE, artifact_path, paired_ratio, pick
 
 from repro.algorithms.largest_id import LargestIdAlgorithm
 from repro.dist.sampling import sample_round_distribution
@@ -80,45 +81,38 @@ def test_bench_obs_overhead_on_sampling():
         metrics.reset_metrics()
         return run_sampling()
 
-    def measure(repeats: int) -> tuple[float, float, object, object]:
-        saved_state = spans._state
-        off_s = on_s = float("inf")
-        off_result = on_result = None
-        try:
-            # Interleave the off/on repetitions (rather than timing two
-            # separate blocks) so clock-speed drift hits both sides
-            # equally — the overhead bound is a ratio of best-of times,
-            # and drift between blocks easily exceeds the few percent
-            # being measured.
-            for _ in range(repeats):
-                spans.disable()
-                started = time.perf_counter()
-                off_result = run_sampling()
-                off_s = min(off_s, time.perf_counter() - started)
+    def run_off():
+        spans.disable()
+        return run_sampling()
 
-                spans.enable()
-                started = time.perf_counter()
-                on_result = run_instrumented()
-                on_s = min(on_s, time.perf_counter() - started)
+    def run_on():
+        spans.enable()
+        return run_instrumented()
+
+    def measure(repeats: int) -> tuple[float, float, float, object, object]:
+        saved_state = spans._state
+        try:
+            # Interleaved off/on pairs, so clock-speed drift hits both
+            # sides equally; the gate reads the median per-pair ratio, so
+            # one pair skewed by a neighbour's burst does not decide it.
+            return paired_ratio(run_off, run_on, repeats)
         finally:
             spans._state = saved_state
             spans.reset_spans()
             metrics.reset_metrics()
-        return off_s, on_s, off_result, on_result
 
-    # A shared-runner scheduling spike can still skew one best-of window
-    # by more than the few percent under test, so a measurement that
-    # misses the floor earns one re-measure at doubled repetitions before
-    # it counts as a regression.
+    # A shared-runner scheduling spike can still skew most of one short
+    # window by more than the few percent under test, so a measurement
+    # that misses the floor earns one re-measure at doubled repetitions
+    # before it counts as a regression.
     for repeats in (REPEATS, REPEATS * 2):
-        off_s, on_s, off_result, on_result = measure(repeats)
-        if off_s / on_s >= MIN_SPEEDUP:
+        speedup, off_s, on_s, off_result, on_result = measure(repeats)
+        if speedup >= MIN_SPEEDUP:
             break
 
     # Observation must not perturb: identical estimates either way.
     assert on_result == off_result
 
-    speedup = off_s / on_s
     _RESULTS["obs_overhead_sampling"] = {
         "off_s": off_s,
         "on_s": on_s,

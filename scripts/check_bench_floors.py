@@ -56,8 +56,8 @@ GATED_RESULTS = {
         # The largest-ID BFS's numpy gather vs its stdlib scan (numpy only).
         ("max_scan_gather_numpy", False),
     ),
-    # speedup = off_s / on_s; the 0.95 floor tolerates ~5% instrumentation
-    # overhead (the noop_span_call entry is informational, hence ungated).
+    # speedup = median per-pair off/on ratio; the 0.95 floor tolerates ~5%
+    # instrumentation overhead (noop_span_call is informational, ungated).
     "repro-bench-obs": (("obs_overhead", True),),
     # Million-node scale path: gated on throughput + memory, not speedup
     # (see GATED_METRICS).

@@ -83,7 +83,6 @@ from repro.engine import (
     BatchExecutor,
     DecisionCache,
     FrontierRunner,
-    run_simulation_batch,
 )
 from repro.core.measures import Measure, exact_worst_case, get_measure
 from repro.errors import (
@@ -135,7 +134,7 @@ from repro.api.session import query
 # The query service sits on top of the API (store-backed `repro serve`).
 from repro.service import QueryService, ResultStore
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "AlgorithmError",
@@ -196,6 +195,5 @@ __all__ = [
     "random_assignment",
     "run_ball_algorithm",
     "run_round_algorithm",
-    "run_simulation_batch",
     "sample_round_distribution",
 ]

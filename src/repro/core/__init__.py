@@ -40,7 +40,7 @@ from repro.core.measures import (
     get_measure,
     sampled_measure_distribution,
 )
-from repro.core.runner import run_ball_algorithm, run_on_assignments
+from repro.core.runner import run_ball_algorithm
 
 __all__ = [
     "AVERAGE_MEASURE",
@@ -74,5 +74,4 @@ __all__ = [
     "ratio_series",
     "register_certifier",
     "run_ball_algorithm",
-    "run_on_assignments",
 ]

@@ -203,14 +203,11 @@ def classic_complexity(traces: Iterable[ExecutionTrace]) -> int:
     Facade over :meth:`Measure.worst_over_traces` of :data:`CLASSIC_MEASURE`.
 
     >>> from repro.algorithms.largest_id import LargestIdAlgorithm
-    >>> from repro.core.runner import run_on_assignments
+    >>> from repro.engine.frontier import FrontierRunner
     >>> from repro.model.identifiers import identity_assignment, reversed_assignment
     >>> from repro.topology.cycle import cycle_graph
-    >>> traces = run_on_assignments(
-    ...     cycle_graph(5),
-    ...     [identity_assignment(5), reversed_assignment(5)],
-    ...     LargestIdAlgorithm(),
-    ... )
+    >>> runner = FrontierRunner(cycle_graph(5), LargestIdAlgorithm())
+    >>> traces = [runner.run(identity_assignment(5)), runner.run(reversed_assignment(5))]
     >>> classic_complexity(traces)
     2
     >>> classic_complexity([])
@@ -229,12 +226,11 @@ def average_complexity(traces: Iterable[ExecutionTrace]) -> float:
     is a *worst case* over identifier assignments of the per-run average.
 
     >>> from repro.algorithms.largest_id import LargestIdAlgorithm
-    >>> from repro.core.runner import run_on_assignments
+    >>> from repro.engine.frontier import FrontierRunner
     >>> from repro.model.identifiers import identity_assignment
     >>> from repro.topology.cycle import cycle_graph
-    >>> traces = run_on_assignments(
-    ...     cycle_graph(4), [identity_assignment(4)], LargestIdAlgorithm()
-    ... )
+    >>> runner = FrontierRunner(cycle_graph(4), LargestIdAlgorithm())
+    >>> traces = [runner.run(identity_assignment(4))]
     >>> average_complexity(traces)
     1.25
     """

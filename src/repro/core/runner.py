@@ -21,10 +21,9 @@ paths produce identical traces, and the benchmarks measure the gap.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.core.algorithm import BallAlgorithm
-from repro.engine.batch import run_simulation_batch
 from repro.engine.frontier import FrontierRunner
 from repro.errors import AlgorithmError, TopologyError
 from repro.model.ball import extract_ball
@@ -124,45 +123,3 @@ def reference_run_ball_algorithm(
             output=output,
         )
     return ExecutionTrace(records)
-
-
-def run_on_assignments(
-    graph: Graph,
-    assignments: Iterable[IdentifierAssignment],
-    algorithm: BallAlgorithm,
-    max_radius: Optional[int] = None,
-    workers: Optional[int] = 1,
-) -> list[ExecutionTrace]:
-    """Run the algorithm on several identifier assignments of the same graph.
-
-    All assignments share one engine session (with a decision cache), and
-    ``workers > 1`` shards them across processes via the engine's
-    :class:`~repro.engine.batch.BatchExecutor` — results keep input order
-    either way.
-    """
-    assignments = list(assignments)
-    for ids in assignments:
-        if ids.n != graph.n:
-            raise TopologyError(
-                f"identifier assignment covers {ids.n} positions but graph has {graph.n}"
-            )
-    return run_simulation_batch(
-        graph, assignments, algorithm, max_radius=max_radius, workers=workers
-    )
-
-
-def node_radius(
-    graph: Graph,
-    ids: IdentifierAssignment,
-    algorithm: BallAlgorithm,
-    position: int,
-    max_radius: Optional[int] = None,
-) -> int:
-    """Radius at which a single node outputs (without running the other nodes).
-
-    The theory modules use this to probe individual vertices cheaply — for
-    example when scanning many identifier assignments for a vertex with a
-    large radius, as in the lower-bound construction of Theorem 1.
-    """
-    runner = FrontierRunner(graph, algorithm, max_radius=max_radius, validate=False)
-    return runner.node_radius(ids, position)

@@ -19,7 +19,7 @@ code gets the fast path for free; the engine's traces are bit-identical to
 the legacy runner's (see ``tests/property/test_property_engine.py``).
 """
 
-from repro.engine.batch import BatchExecutor, derive_task_seed, run_simulation_batch
+from repro.engine.batch import BatchExecutor, derive_task_seed
 from repro.engine.cache import CacheStats, DecisionCache
 from repro.engine.campaign import (
     ADVERSARY_NAMES,
@@ -27,7 +27,7 @@ from repro.engine.campaign import (
     TOPOLOGY_BUILDERS,
     build_topology,
 )
-from repro.engine.frontier import FrontierRunner, frontier_run
+from repro.engine.frontier import FrontierRunner
 
 __all__ = [
     "ADVERSARY_NAMES",
@@ -39,6 +39,4 @@ __all__ = [
     "TOPOLOGY_BUILDERS",
     "build_topology",
     "derive_task_seed",
-    "frontier_run",
-    "run_simulation_batch",
 ]

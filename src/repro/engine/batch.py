@@ -15,25 +15,16 @@ hash of the base seed and the task's coordinates.  Adding workers, removing
 workers or reordering the schedule therefore never changes a task's random
 stream.
 
-Worker payloads must be picklable; the module-level worker functions
-(:func:`simulate_shard`) reconstruct sessions inside the worker so each
-process pays the per-graph precomputation once per shard, not once per task.
+Worker functions and their payloads must be picklable, so workers are
+module-level functions.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
-from repro.engine.cache import DecisionCache
 from repro.engine.pool import WorkerPool, get_pool, in_worker, resolve_workers
-from repro.engine.frontier import FrontierRunner
-from repro.model.graph import Graph
-from repro.model.identifiers import IdentifierAssignment
-from repro.model.trace import ExecutionTrace
 from repro.utils.rng import derive_task_seed
-
-if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
-    from repro.core.algorithm import BallAlgorithm
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -82,55 +73,3 @@ class BatchExecutor:
         if self.workers == 1 or len(payloads) <= 1 or in_worker():
             return [fn(payload) for payload in payloads]
         return get_pool(self.workers).map(fn, payloads, keys=keys)
-
-
-def simulate_shard(
-    payload: tuple[Graph, "BallAlgorithm", tuple[IdentifierAssignment, ...], Optional[int], bool],
-) -> list[ExecutionTrace]:
-    """Worker: run one session over a shard of identifier assignments.
-
-    The shard shares a single :class:`FrontierRunner` (and, when requested, a
-    :class:`DecisionCache`), so the per-graph precomputation and the memoised
-    decisions are amortised across the whole shard.
-    """
-    graph, algorithm, assignments, max_radius, use_cache = payload
-    cache = DecisionCache(algorithm) if use_cache else None
-    runner = FrontierRunner(graph, algorithm, cache=cache, max_radius=max_radius)
-    return [runner.run(ids) for ids in assignments]
-
-
-def run_simulation_batch(
-    graph: Graph,
-    assignments: Sequence[IdentifierAssignment],
-    algorithm: "BallAlgorithm",
-    max_radius: Optional[int] = None,
-    workers: Optional[int] = 1,
-    use_cache: bool = True,
-) -> list[ExecutionTrace]:
-    """Run one algorithm on many assignments, optionally across processes.
-
-    Returns one trace per assignment, in input order, regardless of the
-    worker count.  With ``workers=1`` everything runs in-process through a
-    single shared session, which is also the fastest choice for small
-    batches.
-    """
-    assignments = list(assignments)
-    if not assignments:
-        return []
-    executor = BatchExecutor(workers)
-    shard_count = min(executor.workers, len(assignments))
-    if shard_count == 1:
-        return simulate_shard((graph, algorithm, tuple(assignments), max_radius, use_cache))
-    shards: list[list[IdentifierAssignment]] = [[] for _ in range(shard_count)]
-    for index, ids in enumerate(assignments):
-        shards[index % shard_count].append(ids)
-    payloads = [
-        (graph, algorithm, tuple(shard), max_radius, use_cache) for shard in shards
-    ]
-    results = executor.map(simulate_shard, payloads)
-    # Undo the round-robin sharding to restore input order.
-    traces: list[Optional[ExecutionTrace]] = [None] * len(assignments)
-    for shard_index, shard_traces in enumerate(results):
-        for offset, trace in enumerate(shard_traces):
-            traces[shard_index + offset * shard_count] = trace
-    return [trace for trace in traces if trace is not None]

@@ -8,10 +8,12 @@ adjacency.  The engine exploits a simple observation: on a fixed graph the
 edges appear, through which ports — is completely independent of the
 identifier assignment.  A :class:`FrontierRunner` session therefore computes
 one **frontier plan** per centre (the BFS layers with their edges and ports,
-discovered incrementally, frontier by frontier) and reuses it across every
-assignment it executes: a single run only translates plan positions into
-identifiers, and all undecided nodes advance round by round in one
-synchronised pass, exactly like the LOCAL model itself.
+read from the graph's CSR) and reuses it across every assignment it
+executes: a single run only translates plan positions into identifiers, and
+all undecided nodes advance round by round in one synchronised pass, exactly
+like the LOCAL model itself.  Plans grow one layer at a time, only as deep
+as some run reads them, so a run costs the sum of the nodes' radii — the
+average measure — rather than the sum of their eccentricities.
 
 The plans also make decision memoisation cheap.  Each ``(centre, radius)``
 pair gets an interned **structural key** (computed once per session); the
@@ -49,6 +51,10 @@ class _CenterPlan:
     and ``edge_counts[r]`` are the prefix lengths covering radius ``r``, so
     the radius-``r`` ball is always a *prefix* of the discovery and edge
     streams — growing a ball is mere prefix extension.
+
+    The plan grows one BFS layer at a time, only as deep as a caller reads
+    (:meth:`ensure`): a run pays each node's own radius, not its
+    eccentricity.  ``eccentricity`` stays ``None`` until a layer adds no one.
     """
 
     __slots__ = (
@@ -59,6 +65,10 @@ class _CenterPlan:
         "edges",
         "edge_counts",
         "layer_streams",
+        "eccentricity",
+        "_csr",
+        "_frontier",
+        "_index_of",
         "_prefixes",
         "_view_parts",
     )
@@ -66,80 +76,91 @@ class _CenterPlan:
     def __init__(
         self,
         center: int,
-        adjacency: list[tuple[tuple[int, int, int], ...]],
-        degrees: tuple[int, ...],
+        csr: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]],
     ) -> None:
+        indptr = csr[0]
         self.center = center
-        discovery = [center]
-        distances = [0]
-        # Members get their index when *processed*, so during a layer's scan
-        # ``index_of`` holds exactly the earlier-discovered members.
-        index_of = {center: 0}
-        seen = {center}
+        self.discovery = [center]
+        self.distances = [0]
         # Edge stream: (position_a, position_b, port_a_to_b, port_b_to_a),
         # emitted by the later-discovered endpoint, so each edge appears once.
-        edges: list[tuple[int, int, int, int]] = []
+        self.edges: list[tuple[int, int, int, int]] = []
         self.member_counts = [1]
         self.edge_counts = [0]
         # Structural layer streams: per new member, its full-graph degree and
         # its edges to earlier-discovered members as (earlier_index, ports).
         # Identical streams <=> structurally indistinguishable growth.
-        layer_streams: list[tuple] = [((degrees[center],),)]
-        frontier = [center]
-        radius = 0
-        while frontier:
-            radius += 1
-            new_positions: list[int] = []
-            for u in frontier:
-                for v, _, _ in adjacency[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        new_positions.append(v)
-            if not new_positions:
-                break
-            stream: list[tuple] = []
-            for v in new_positions:
-                member_edges: list[tuple[int, int, int]] = []
-                for u, port_vu, port_uv in adjacency[v]:
-                    earlier = index_of.get(u)
-                    if earlier is not None:
-                        edges.append((v, u, port_vu, port_uv))
-                        member_edges.append((earlier, port_vu, port_uv))
-                index_of[v] = len(discovery)
-                discovery.append(v)
-                distances.append(radius)
-                stream.append((degrees[v], tuple(member_edges)))
-            self.member_counts.append(len(discovery))
-            self.edge_counts.append(len(edges))
-            layer_streams.append(tuple(stream))
-            frontier = new_positions
-        self.discovery = tuple(discovery)
-        self.distances = tuple(distances)
-        self.edges = tuple(edges)
-        self.layer_streams = layer_streams
+        self.layer_streams: list[tuple] = [((indptr[center + 1] - indptr[center],),)]
+        self.eccentricity: Optional[int] = None
+        self._csr = csr
+        self._frontier = [center]
+        self._index_of: dict[int, Optional[int]] = {center: 0}
         self._prefixes: list[tuple[int, ...]] = []
         self._view_parts: list[tuple] = []
 
-    def saturation_radius(self) -> int:
-        """Smallest radius whose ball already contains every reachable node."""
-        return len(self.member_counts) - 1
+    def ensure(self, radius: int) -> int:
+        """Grow the plan to cover ``radius``; return the deepest layer held.
+
+        The returned depth is ``min(radius, eccentricity)``: past the
+        eccentricity the ball no longer changes.
+        """
+        member_counts = self.member_counts
+        while len(member_counts) <= radius and self.eccentricity is None:
+            self._grow()
+        return radius if radius < len(member_counts) else len(member_counts) - 1
+
+    def _grow(self) -> None:
+        """Add the next BFS layer, or record the eccentricity if it is empty."""
+        indptr, indices, reverse = self._csr
+        index_of = self._index_of
+        new_positions: list[int] = []
+        for u in self._frontier:
+            for v in indices[indptr[u] : indptr[u + 1]]:
+                if v not in index_of:
+                    # Seen but not yet processed: ``index_of.get`` below
+                    # answers None for it, so during a layer's scan only
+                    # earlier-processed members count as earlier.
+                    index_of[v] = None
+                    new_positions.append(v)
+        radius = len(self.member_counts)
+        if not new_positions:
+            self.eccentricity = radius - 1
+            self._frontier = self._index_of = None
+            return
+        discovery, edges = self.discovery, self.edges
+        stream: list[tuple] = []
+        for v in new_positions:
+            row = indptr[v]
+            member_edges: list[tuple[int, int, int]] = []
+            for k in range(row, indptr[v + 1]):
+                u = indices[k]
+                earlier = index_of.get(u)
+                if earlier is not None:
+                    edges.append((v, u, k - row, reverse[k]))
+                    member_edges.append((earlier, k - row, reverse[k]))
+            index_of[v] = len(discovery)
+            discovery.append(v)
+            self.distances.append(radius)
+            stream.append((indptr[v + 1] - row, tuple(member_edges)))
+        self.member_counts.append(len(discovery))
+        self.edge_counts.append(len(edges))
+        self.layer_streams.append(tuple(stream))
+        self._frontier = new_positions
 
     def counts_at(self, radius: int) -> tuple[int, int]:
         """(member prefix length, edge prefix length) of the radius-r ball."""
-        bounded = min(radius, len(self.member_counts) - 1)
+        bounded = self.ensure(radius)
         return self.member_counts[bounded], self.edge_counts[bounded]
 
     def prefix(self, radius: int) -> tuple[int, ...]:
         """Members of the radius-``radius`` ball, in discovery order (cached)."""
-        bounded = min(radius, len(self.member_counts) - 1)
+        bounded = self.ensure(radius)
         prefixes = self._prefixes
         while len(prefixes) <= bounded:
-            prefixes.append(self.discovery[: self.member_counts[len(prefixes)]])
+            prefixes.append(tuple(self.discovery[: self.member_counts[len(prefixes)]]))
         return prefixes[bounded]
 
-    def view_parts(
-        self, radius: int, degrees: tuple[int, ...]
-    ) -> tuple[tuple, tuple, tuple, tuple]:
+    def view_parts(self, radius: int) -> tuple[tuple, tuple, tuple, tuple]:
         """Position-space parts of the radius-``radius`` ball (cached).
 
         Returns ``(member_items, degree_items, edge_pairs, port_items)`` in
@@ -148,7 +169,8 @@ class _CenterPlan:
         the Python-level assembly runs once per ``(centre, radius)`` per
         graph, not once per miss.
         """
-        bounded = min(radius, len(self.member_counts) - 1)
+        bounded = self.ensure(radius)
+        indptr = self._csr[0]
         parts = self._view_parts
         while len(parts) <= bounded:
             depth = len(parts)
@@ -158,7 +180,8 @@ class _CenterPlan:
                 (self.discovery[i], self.distances[i]) for i in range(members)
             )
             degree_items = tuple(
-                (position, degrees[position]) for position, _ in member_items
+                (position, indptr[position + 1] - indptr[position])
+                for position, _ in member_items
             )
             edge_pairs = tuple((a, b) for a, b, _, _ in self.edges[:edge_count])
             port_items = []
@@ -169,49 +192,22 @@ class _CenterPlan:
         return parts[bounded]
 
 
-def engine_structure(
-    graph: Graph,
-) -> tuple[
-    list[tuple[tuple[int, int, int], ...]],
-    dict[int, _CenterPlan],
-    tuple[int, ...],
-]:
-    """The graph's shared ``(adjacency, frontier plans, degrees)`` structure.
-
-    Adjacency triples ``(neighbour, port_v_to_u, port_u_to_v)``, the
-    per-centre :class:`_CenterPlan` table and the degree vector are pure
-    graph structure, so they are computed once and cached *on the graph
-    object* — every :class:`FrontierRunner` session and every
-    :class:`~repro.kernel.compile.CompiledInstance` that touches the graph
-    shares them.
-    """
-    structure = getattr(graph, "_engine_structure", None)
-    if structure is None:
-        adjacency: list[tuple[tuple[int, int, int], ...]] = []
-        for v in graph.positions():
-            triples = []
-            for port_vu, u in enumerate(graph.neighbors(v)):
-                triples.append((u, port_vu, graph.port_to(u, v)))
-            adjacency.append(tuple(triples))
-        degrees = tuple(len(triples) for triples in adjacency)
-        structure = (adjacency, {}, degrees)
-        graph._engine_structure = structure  # type: ignore[attr-defined]
-    return structure
-
-
 def center_plan(graph: Graph, center: int) -> _CenterPlan:
     """The (cached) frontier plan of ``center`` on ``graph``.
 
     The single construction point for :class:`_CenterPlan` objects:
-    :meth:`FrontierRunner._plan` (and through it the search layer) resolves
-    plans here, so the shared per-graph table can never hold plans built two
-    different ways.  The batch kernel builds none: it reads only the CSR.
+    :meth:`FrontierRunner._plan` resolves plans here.  Plans are pure graph
+    structure, so they are cached *on the graph object* and shared by every
+    session (and every algorithm) that touches it; they read the graph's
+    one CSR (:meth:`Graph.csr <repro.model.graph.Graph.csr>`).  The batch
+    kernel's vectorised rules build none.
     """
-    adjacency, plans, degrees = engine_structure(graph)
+    plans = getattr(graph, "_frontier_plans", None)
+    if plans is None:
+        plans = graph._frontier_plans = {}  # type: ignore[attr-defined]
     plan = plans.get(center)
     if plan is None:
-        plan = _CenterPlan(center, adjacency, degrees)
-        plans[center] = plan
+        plan = plans[center] = _CenterPlan(center, graph.csr())
     return plan
 
 
@@ -262,19 +258,16 @@ class FrontierRunner:
         self.algorithm = algorithm
         self.cache = cache
         self.max_radius = max_radius
-        # (neighbour, port_v_to_u, port_u_to_v) triples; computing the reverse
-        # ports once per graph replaces one list.index() per ball edge per
-        # extraction in the legacy path.  Adjacency, frontier plans and the
-        # degree vector are pure graph structure, so they are cached *on the
-        # graph* and shared by every session (and every algorithm) that
-        # touches it.
-        self._adjacency, self._plans, self._degrees = engine_structure(graph)
+        # Frontier plans grow on demand and are cached on the graph, so every
+        # session (and every algorithm) on it shares them; degrees come from
+        # the same CSR the plans read.
+        self._indptr = graph.csr()[0]
+        self._node_plans: Optional[list[_CenterPlan]] = None
         # Interning table for structural keys: same small integer <=> same
         # structural growth history, across centres and radii.  Per session,
         # because the interned ids are only meaningful relative to one table.
         self._intern: dict[tuple, int] = {}
         self._struct_ids: dict[int, list[int]] = {}
-        self._node_meta: Optional[list[tuple[_CenterPlan, int]]] = None
         # Fused per-(centre, radius) cache-key parts: (struct_id, prefix),
         # indexable straight from the hot loop.
         self._key_parts: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
@@ -302,11 +295,7 @@ class FrontierRunner:
             if depth == 0:
                 key: tuple = ("root", plan.layer_streams[0])
             else:
-                stream = (
-                    plan.layer_streams[depth]
-                    if depth < len(plan.layer_streams)
-                    else ()
-                )
+                stream = plan.layer_streams[depth] if plan.ensure(depth) == depth else ()
                 key = (struct_ids[depth - 1], stream)
             struct_ids.append(intern.setdefault(key, len(intern)))
         return struct_ids[radius]
@@ -314,19 +303,24 @@ class FrontierRunner:
     # ------------------------------------------------------------------
     # ball materialisation and decisions
     # ------------------------------------------------------------------
-    def _cap(self, position: int) -> int:
-        """Radius cap of ``position`` (legacy semantics: eccentricity + 1)."""
+    def _cap(self, plan: _CenterPlan) -> Optional[int]:
+        """Radius cap of ``plan``'s centre, or ``None`` while still unknown.
+
+        Legacy semantics: ``max_radius``, else eccentricity + 1.  The
+        eccentricity is known once the plan has been asked for a radius past
+        it, which the runs do before they test the cap.
+        """
         if self.max_radius is not None:
             return self.max_radius
-        return self._plan(position).saturation_radius() + 1
+        if plan.eccentricity is None:
+            return None
+        return plan.eccentricity + 1
 
     def _view(
         self, plan: _CenterPlan, radius: int, identifiers: tuple[int, ...]
     ) -> BallView:
         """Materialise the radius-``radius`` ball view from the plan prefix."""
-        member_items, degree_items, edge_pairs, port_items = plan.view_parts(
-            radius, self._degrees
-        )
+        member_items, degree_items, edge_pairs, port_items = plan.view_parts(radius)
         return BallView(
             center_id=identifiers[plan.center],
             radius=radius,
@@ -338,9 +332,9 @@ class FrontierRunner:
             port_by_pair={
                 (identifiers[a], identifiers[b]): port for a, b, port in port_items
             },
-            # The ball is saturated exactly when it holds the whole reachable
-            # component — equivalent to the degree criterion, known for free.
-            full_graph=len(member_items) == len(plan.discovery),
+            # The ball is saturated exactly when it holds every node of the
+            # (connected) graph — equivalent to the degree criterion.
+            full_graph=len(member_items) == self.graph.n,
         )
 
     def _key_parts_for(
@@ -401,20 +395,18 @@ class FrontierRunner:
                 f"identifier assignment covers {ids.n} positions but graph has {graph.n}"
             )
         identifiers = ids.identifiers()
-        degrees = self._degrees
+        indptr = self._indptr
+        n = graph.n
         records: dict[int, NodeRecord] = {}
         exhausted: list[int] = []
-        if self._node_meta is None:
-            self._node_meta = [
-                (self._plan(position), self._cap(position))
-                for position in graph.positions()
-            ]
+        if self._node_plans is None:
+            self._node_plans = [self._plan(position) for position in graph.positions()]
         # Per-node run state for the uncached/miss path: live ball dicts grown
         # lazily by layer deltas (never rebuilt per radius) and only allocated
         # on the first cache miss.  The views handed to ``decide`` share these
         # dicts — sound because algorithms are pure functions of the view
         # that must not retain it across calls.
-        # Entry: [position, plan, cap, built_content_radius, dist, deg, edges,
+        # Entry: [position, plan, built_content_radius, dist, deg, edges,
         # ports, key_parts] with built_content_radius == -1 while the state
         # is unallocated.
         with_cache = self.cache is not None
@@ -422,7 +414,6 @@ class FrontierRunner:
             [
                 position,
                 plan,
-                cap,
                 -1,
                 None,
                 None,
@@ -430,7 +421,7 @@ class FrontierRunner:
                 None,
                 self._key_parts_for(plan, 0) if with_cache else None,
             ]
-            for position, (plan, cap) in enumerate(self._node_meta)
+            for position, plan in enumerate(self._node_plans)
         ]
         cache = self.cache
         decide = self.algorithm.decide
@@ -444,14 +435,15 @@ class FrontierRunner:
         while active:
             still_active = []
             for entry in active:
-                position, plan, cap = entry[0], entry[1], entry[2]
+                position, plan = entry[0], entry[1]
                 member_counts = plan.member_counts
-                content = radius if radius < len(member_counts) else len(member_counts) - 1
+                # Plans grow only as deep as the run reads them.
+                content = radius if radius < len(member_counts) else plan.ensure(radius)
                 members = member_counts[content]
                 output = MISSING
                 key = None
                 if table is not None and (limit is None or members <= limit):
-                    parts = entry[8]
+                    parts = entry[7]
                     if len(parts) <= radius:
                         self._key_parts_for(plan, radius)
                     struct_id, prefix = parts[radius]
@@ -463,24 +455,24 @@ class FrontierRunner:
                     key = (struct_id, pattern)
                     output = table.get(key, MISSING)
                 if output is MISSING:
-                    built = entry[3]
+                    built = entry[2]
                     if built < 0:
                         identifier = identifiers[position]
-                        entry[3] = built = 0
-                        entry[4] = {identifier: 0}
-                        entry[5] = {identifier: degrees[position]}
-                        entry[6] = set()
-                        entry[7] = {}
+                        entry[2] = built = 0
+                        entry[3] = {identifier: 0}
+                        entry[4] = {identifier: indptr[position + 1] - indptr[position]}
+                        entry[5] = set()
+                        entry[6] = {}
                     if built < content:
                         # Apply the pending layer deltas to the live dicts.
-                        dist, degd, edges, ports = entry[4], entry[5], entry[6], entry[7]
+                        dist, degd, edges, ports = entry[3], entry[4], entry[5], entry[6]
                         discovery = plan.discovery
                         distances = plan.distances
                         for index in range(member_counts[built], members):
                             member = discovery[index]
                             member_id = identifiers[member]
                             dist[member_id] = distances[index]
-                            degd[member_id] = degrees[member]
+                            degd[member_id] = indptr[member + 1] - indptr[member]
                         edge_counts = plan.edge_counts
                         for a, b, port_ab, port_ba in plan.edges[
                             edge_counts[built] : edge_counts[content]
@@ -489,15 +481,15 @@ class FrontierRunner:
                             edges.add(frozenset((id_a, id_b)))
                             ports[(id_a, id_b)] = port_ab
                             ports[(id_b, id_a)] = port_ba
-                        entry[3] = content
+                        entry[2] = content
                     view = BallView(
                         center_id=identifiers[position],
                         radius=radius,
-                        distance_by_id=entry[4],
-                        degree_by_id=entry[5],
-                        edges=entry[6],
-                        port_by_pair=entry[7],
-                        full_graph=members == len(plan.discovery),
+                        distance_by_id=entry[3],
+                        degree_by_id=entry[4],
+                        edges=entry[5],
+                        port_by_pair=entry[6],
+                        full_graph=members == n,
                     )
                     output = decide(view)
                     if key is not None:
@@ -512,7 +504,9 @@ class FrontierRunner:
                         radius=radius,
                         output=output,
                     )
-                elif radius >= cap:
+                    continue
+                cap = self._cap(plan)
+                if cap is not None and radius >= cap:
                     # Keep draining the other nodes so the error below can
                     # name the first failing position, as the legacy
                     # node-by-node runner did.
@@ -533,7 +527,7 @@ class FrontierRunner:
             position = min(exhausted)
             raise AlgorithmError(
                 f"algorithm {self.algorithm.name!r} refused to output at position "
-                f"{position} even at radius {self._cap(position)} "
+                f"{position} even at radius {self._cap(self._plan(position))} "
                 f"(graph {graph.name!r}, n={graph.n})"
             )
         return ExecutionTrace(records)
@@ -553,44 +547,23 @@ class FrontierRunner:
         the radii from ``start_radius`` to the node's cap are re-decided —
         and structurally repeated balls still hit the decision cache.
         """
+        n = self.graph.n
+        if len(identifiers) != n:
+            raise TopologyError(
+                f"identifier assignment covers {len(identifiers)} positions but graph has {n}"
+            )
+        if not 0 <= position < n:
+            raise TopologyError(f"position {position} outside 0..{n - 1}")
         plan = self._plan(position)
-        cap = self._cap(position)
-        for radius in range(start_radius, cap + 1):
+        radius = start_radius
+        while True:
             output = self._decide(plan, radius, identifiers)
             if output is not None:
                 return radius, output
-        raise AlgorithmError(
-            f"algorithm {self.algorithm.name!r} refused to output at position "
-            f"{position} even at radius {cap}"
-        )
-
-    def node_radius(self, ids: IdentifierAssignment, position: int) -> int:
-        """Radius at which a single node outputs (other nodes are not run)."""
-        graph = self.graph
-        if ids.n != graph.n:
-            raise TopologyError(
-                f"identifier assignment covers {ids.n} positions but graph has {graph.n}"
-            )
-        if not 0 <= position < graph.n:
-            raise TopologyError(f"position {position} outside 0..{graph.n - 1}")
-        return self.resimulate_node(ids.identifiers(), position)[0]
-
-
-def frontier_run(
-    graph: Graph,
-    ids: IdentifierAssignment,
-    algorithm: "BallAlgorithm",
-    max_radius: Optional[int] = None,
-    cache: Optional[DecisionCache] = None,
-) -> ExecutionTrace:
-    """One-shot convenience wrapper around :class:`FrontierRunner`.
-
-    For repeated runs on the same graph and algorithm, build one
-    :class:`FrontierRunner` and call :meth:`FrontierRunner.run` per
-    assignment instead — the session amortises the assignment-independent
-    precomputation (frontier plans, port maps, structural keys) and keeps
-    the decision cache warm.
-    """
-    return FrontierRunner(
-        graph, algorithm, cache=cache, max_radius=max_radius
-    ).run(ids)
+            cap = self._cap(plan)
+            if cap is not None and radius >= cap:
+                raise AlgorithmError(
+                    f"algorithm {self.algorithm.name!r} refused to output at position "
+                    f"{position} even at radius {cap}"
+                )
+            radius += 1

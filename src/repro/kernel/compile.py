@@ -13,15 +13,13 @@ does not depend on the assignment out of that loop, once per pair:
   otherwise the decide-backed :class:`~repro.kernel.rules.RunnerTableRule`
   fallback behind the same interface.
 
-The kernel reads nothing but that CSR, built straight from
-:meth:`Graph.neighbors <repro.model.graph.Graph.neighbors>`: no frontier
-plan and no port table is built at construction or by any vectorised rule.
-The largest-ID rules evaluate with an early-stopping BFS
-(:class:`~repro.kernel.rules.ScaleRule`), the cone rules compute their
-extent table by one BFS per centre, so a compile plus any number of batches
-attaches no engine structure to the graph.  Frontier plans belong to the
-engine layer; the fallback rule reaches them only through its own
-:class:`~repro.engine.frontier.FrontierRunner`.
+The kernel reads nothing but that CSR, the graph's cached flat form
+(:meth:`Graph.csr <repro.model.graph.Graph.csr>`): no frontier plan is
+built at construction or by any vectorised rule.  The largest-ID rules
+evaluate with an early-stopping BFS (:class:`~repro.kernel.rules.ScaleRule`),
+the cone rules compute their extent table by one BFS per centre.  Frontier
+plans belong to the engine layer; the fallback rule reaches them only
+through its own :class:`~repro.engine.frontier.FrontierRunner`.
 
 :func:`simulate_batch` then evaluates a whole **matrix** of assignments per
 call — rows are assignments, columns are positions — and returns the matrix
@@ -114,15 +112,10 @@ class CompiledInstance:
         self.max_table_entries = max_table_entries
         self.n = graph.n
         # CSR adjacency in port order: the neighbours of position ``v`` are
-        # ``indices[indptr[v]:indptr[v + 1]]`` — the flat-array form of the
-        # graph that every kernel rule evaluates against.
-        indptr = [0]
-        indices: list[int] = []
-        for v in graph.positions():
-            indices.extend(graph.neighbors(v))
-            indptr.append(len(indices))
-        self.indptr: tuple[int, ...] = tuple(indptr)
-        self.indices: tuple[int, ...] = tuple(indices)
+        # ``indices[indptr[v]:indptr[v + 1]]`` — the graph's own flat form,
+        # shared with the engine's frontier plans, that every kernel rule
+        # evaluates against.
+        self.indptr, self.indices, _ = graph.csr()
         self.stats = KernelStats()
         # The vectorised rule (or None) is compiled eagerly — it is cheap
         # and callers branch on `vectorized` before ever running a batch.

@@ -13,7 +13,7 @@ queries the simulators need (BFS balls, distances, eccentricities).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import TopologyError
 from repro.utils.validation import require_non_negative_int
@@ -40,6 +40,7 @@ class Graph:
         self.name = name
         self._validate()
         self._distance_cache: dict[int, dict[int, int]] = {}
+        self._csr: Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -120,6 +121,27 @@ class Graph:
             return self._adjacency[v].index(u)
         except ValueError as exc:
             raise TopologyError(f"{u} is not a neighbour of {v}") from exc
+
+    def csr(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The flat form ``(indptr, indices, reverse)`` of the graph (cached).
+
+        The neighbours of ``v`` are ``indices[indptr[v]:indptr[v + 1]]`` in
+        port order, so the entry at offset ``k`` of that row leaves ``v``
+        through port ``k - indptr[v]``; ``reverse[k]`` is the port through
+        which that neighbour reaches ``v`` back.  The frontier plans of the
+        engine and the batch kernel both read this one structure.
+        """
+        if self._csr is None:
+            indptr = [0]
+            indices: list[int] = []
+            reverse: list[int] = []
+            adjacency = self._adjacency
+            for v, neighbours in enumerate(adjacency):
+                indices.extend(neighbours)
+                reverse.extend(adjacency[u].index(v) for u in neighbours)
+                indptr.append(len(indices))
+            self._csr = (tuple(indptr), tuple(indices), tuple(reverse))
+        return self._csr
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate over edges as ordered pairs ``(u, v)`` with ``u < v``."""

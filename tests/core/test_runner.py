@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.algorithm import FunctionBallAlgorithm
-from repro.core.runner import node_radius, run_ball_algorithm, run_on_assignments
+from repro.core.runner import run_ball_algorithm
+from repro.engine.frontier import FrontierRunner
 from repro.errors import AlgorithmError, TopologyError
 from repro.model.graph import Graph
 from repro.model.identifiers import identity_assignment, random_assignment
@@ -65,25 +66,26 @@ class TestRunBallAlgorithm:
 
 
 class TestHelpers:
-    def test_run_on_assignments_returns_one_trace_each(self, ring12):
-        assignments = [random_assignment(12, seed=s) for s in range(3)]
-        traces = run_on_assignments(ring12, assignments, radius_k_algorithm(1))
+    def test_one_session_returns_one_trace_per_assignment(self, ring12):
+        runner = FrontierRunner(ring12, radius_k_algorithm(1))
+        traces = [runner.run(random_assignment(12, seed=s)) for s in range(3)]
         assert len(traces) == 3
         assert all(trace.n == 12 for trace in traces)
 
     def test_node_radius_matches_full_run(self, ring12, ring12_random_ids, largest_id_algorithm):
         trace = run_ball_algorithm(ring12, ring12_random_ids, largest_id_algorithm)
+        runner = FrontierRunner(ring12, largest_id_algorithm)
+        identifiers = ring12_random_ids.identifiers()
         for position in ring12.positions():
-            assert (
-                node_radius(ring12, ring12_random_ids, largest_id_algorithm, position)
-                == trace.radii()[position]
-            )
+            assert runner.resimulate_node(identifiers, position)[0] == trace.radii()[position]
 
     def test_node_radius_raises_when_never_deciding(self, ring12, ring12_random_ids):
         never = FunctionBallAlgorithm(lambda ball: None, name="never")
-        with pytest.raises(AlgorithmError):
-            node_radius(ring12, ring12_random_ids, never, 0)
+        runner = FrontierRunner(ring12, never)
+        with pytest.raises(AlgorithmError, match="position 0 even at radius 7"):
+            runner.resimulate_node(ring12_random_ids.identifiers(), 0)
 
     def test_node_radius_identifier_mismatch(self, ring12):
-        with pytest.raises(TopologyError):
-            node_radius(ring12, identity_assignment(3), radius_k_algorithm(0), 0)
+        runner = FrontierRunner(ring12, radius_k_algorithm(0))
+        with pytest.raises(TopologyError, match="covers 3 positions"):
+            runner.resimulate_node(identity_assignment(3).identifiers(), 0)

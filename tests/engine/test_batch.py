@@ -3,13 +3,19 @@
 import pytest
 
 from repro.algorithms.largest_id import LargestIdAlgorithm
-from repro.engine.batch import BatchExecutor, derive_task_seed, run_simulation_batch
+from repro.engine.batch import BatchExecutor, derive_task_seed
+from repro.engine.frontier import FrontierRunner
 from repro.model.identifiers import random_assignment
 from repro.topology.cycle import cycle_graph
 
 
 def _square(x):
     return x * x
+
+
+def _radii(payload):
+    graph, ids = payload
+    return FrontierRunner(graph, LargestIdAlgorithm()).run(ids).radii()
 
 
 class TestDeriveTaskSeed:
@@ -40,16 +46,16 @@ class TestBatchExecutor:
         assert BatchExecutor(3).map(_square, payloads) == [_square(x) for x in payloads]
 
 
-class TestRunSimulationBatch:
+class TestBatchedSimulation:
     def test_empty_batch(self):
-        assert run_simulation_batch(cycle_graph(5), [], LargestIdAlgorithm()) == []
+        assert BatchExecutor(3).map(_radii, []) == []
 
     def test_results_keep_input_order_at_any_worker_count(self):
         graph = cycle_graph(10)
-        algorithm = LargestIdAlgorithm()
         assignments = [random_assignment(10, seed=seed) for seed in range(7)]
-        serial = run_simulation_batch(graph, assignments, algorithm, workers=1)
-        parallel = run_simulation_batch(graph, assignments, algorithm, workers=3)
-        assert [t.radii() for t in serial] == [t.radii() for t in parallel]
-        for ids, trace in zip(assignments, serial):
-            assert trace.radii()[ids.argmax_position()] == 5
+        payloads = [(graph, ids) for ids in assignments]
+        serial = BatchExecutor(1).map(_radii, payloads)
+        parallel = BatchExecutor(3).map(_radii, payloads)
+        assert serial == parallel
+        for ids, radii in zip(assignments, serial):
+            assert radii[ids.argmax_position()] == 5

@@ -10,7 +10,7 @@ import pytest
 from repro.algorithms.largest_id import LargestIdAlgorithm
 from repro.core.algorithm import FunctionBallAlgorithm
 from repro.engine.cache import DecisionCache
-from repro.engine.frontier import FrontierRunner, frontier_run
+from repro.engine.frontier import FrontierRunner, center_plan
 from repro.errors import AlgorithmError, TopologyError
 from repro.model.graph import Graph
 from repro.model.identifiers import identity_assignment, random_assignment
@@ -60,22 +60,21 @@ class TestValidation:
 
 class TestExecution:
     def test_records_first_deciding_radius(self):
-        trace = frontier_run(cycle_graph(12), random_assignment(12, seed=1), radius_k_algorithm(3))
+        runner = FrontierRunner(cycle_graph(12), radius_k_algorithm(3))
+        trace = runner.run(random_assignment(12, seed=1))
         assert set(trace.radii().values()) == {3}
 
     def test_refusing_to_decide_names_the_first_failing_position(self):
         never = FunctionBallAlgorithm(lambda ball: None, name="never")
-        with pytest.raises(AlgorithmError, match="refused to output at position 0"):
-            frontier_run(cycle_graph(6), identity_assignment(6), never)
+        with pytest.raises(
+            AlgorithmError, match="refused to output at position 0 even at radius 4"
+        ):
+            FrontierRunner(cycle_graph(6), never).run(identity_assignment(6))
 
     def test_max_radius_cap_is_honoured(self):
-        with pytest.raises(AlgorithmError):
-            frontier_run(
-                cycle_graph(12),
-                identity_assignment(12),
-                radius_k_algorithm(10),
-                max_radius=4,
-            )
+        runner = FrontierRunner(cycle_graph(12), radius_k_algorithm(10), max_radius=4)
+        with pytest.raises(AlgorithmError, match="even at radius 4"):
+            runner.run(identity_assignment(12))
 
     def test_session_reuse_across_assignments(self):
         graph = cycle_graph(10)
@@ -101,20 +100,32 @@ class TestExecution:
         for radius, covers in seen:
             assert covers == (radius >= 3)  # eccentricity of a 6-cycle node
 
-    def test_node_radius_and_cap_error(self):
+    def test_resimulate_node_and_cap_error(self):
         runner = FrontierRunner(cycle_graph(9), LargestIdAlgorithm())
         ids = random_assignment(9, seed=2)
+        identifiers = ids.identifiers()
         radii = runner.run(ids).radii()
         for position in range(9):
-            assert runner.node_radius(ids, position) == radii[position]
+            assert runner.resimulate_node(identifiers, position)[0] == radii[position]
         never = FunctionBallAlgorithm(lambda ball: None, name="never")
-        with pytest.raises(AlgorithmError, match="refused to output"):
-            FrontierRunner(cycle_graph(9), never).node_radius(ids, 3)
+        with pytest.raises(AlgorithmError, match="position 3 even at radius 5"):
+            FrontierRunner(cycle_graph(9), never).resimulate_node(identifiers, 3)
 
-    def test_node_radius_position_out_of_range(self):
+    def test_resimulate_node_position_out_of_range(self):
         runner = FrontierRunner(cycle_graph(5), LargestIdAlgorithm())
         with pytest.raises(TopologyError, match="outside"):
-            runner.node_radius(identity_assignment(5), 9)
+            runner.resimulate_node(identity_assignment(5).identifiers(), 9)
+
+    def test_plans_grow_only_as_deep_as_each_node_reads(self):
+        # Largest-ID on a cycle: a typical node stops after O(log n) rounds,
+        # so its plan must not be built out to the eccentricity n / 2.
+        graph = cycle_graph(256)
+        radii = FrontierRunner(graph, LargestIdAlgorithm()).run(
+            random_assignment(256, seed=7)
+        ).radii()
+        for position in graph.positions():
+            plan = center_plan(graph, position)
+            assert len(plan.member_counts) - 1 <= radii[position]
 
 
 class TestStructuralKeys:
@@ -131,7 +142,6 @@ class TestStructuralKeys:
         algorithm = LargestIdAlgorithm()
         runner = FrontierRunner(graph, algorithm, cache=DecisionCache(algorithm))
         plan = runner._plan(0)
-        saturation = plan.saturation_radius()
-        key_saturated = runner._struct_id(plan, saturation)
-        key_beyond = runner._struct_id(plan, saturation + 1)
-        assert key_saturated != key_beyond
+        keys = [runner._struct_id(plan, radius) for radius in (2, 3, 4)]
+        assert plan.eccentricity == 2
+        assert len(set(keys)) == 3

@@ -39,17 +39,24 @@ class TestCompiledStructure:
             ("ring-coloring-via-mis", "cycle"),
         ],
     )
-    def test_compile_and_batches_build_no_plans(self, algorithm, topology):
+    def test_compile_and_batches_build_no_plans(self, algorithm, topology, monkeypatch):
+        from repro.engine import frontier
         from repro.engine.campaign import build_topology, make_ball_algorithm
 
+        built = []
+        original = frontier._CenterPlan.__init__
+        monkeypatch.setattr(
+            frontier._CenterPlan,
+            "__init__",
+            lambda plan, center, csr: built.append(center) or original(plan, center, csr),
+        )
         graph = build_topology(topology, 6, seed=0)
         instance = compile_instance(graph, make_ball_algorithm(algorithm, 6))
         rows = [random_assignment(6, seed=seed).identifiers() for seed in range(4)]
         simulate_batch(instance, rows)
         simulate_many([BatchRequest(instance, rows)])
-        # Neither port triples nor frontier plans: the kernel reads only
-        # the CSR it built from graph.neighbors.
-        assert getattr(graph, "_engine_structure", None) is None
+        # No frontier plan: the kernel reads only the graph's CSR.
+        assert built == []
 
     def test_rule_selection(self):
         graph = cycle_graph(6)

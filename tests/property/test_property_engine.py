@@ -13,7 +13,6 @@ import pytest
 from repro.algorithms.registry import algorithm_registry
 from repro.core.algorithm import BallAlgorithm
 from repro.core.runner import reference_run_ball_algorithm
-from repro.engine.batch import run_simulation_batch
 from repro.engine.cache import DecisionCache
 from repro.engine.frontier import FrontierRunner
 from repro.model.identifiers import random_assignment
@@ -96,15 +95,25 @@ def test_cached_session_is_consistent_across_repeated_assignments():
             _assert_traces_equal(before, after, f"{name}/{ids.identifiers()}")
 
 
-def test_batch_executor_matches_serial_runs():
-    graph = build_topology("random-tree", 12, 3)
+def _run_largest_id(payload):
+    graph, ids = payload
     from repro.algorithms.largest_id import LargestIdAlgorithm
 
+    return FrontierRunner(graph, LargestIdAlgorithm()).run(ids)
+
+
+def test_batch_executor_matches_serial_runs():
+    from repro.algorithms.largest_id import LargestIdAlgorithm
+    from repro.engine.batch import BatchExecutor
+
+    graph = build_topology("random-tree", 12, 3)
     algorithm = LargestIdAlgorithm()
     assignments = [random_assignment(12, seed=seed) for seed in range(8)]
     serial = [reference_run_ball_algorithm(graph, ids, algorithm) for ids in assignments]
     for workers in (1, 3):
-        batched = run_simulation_batch(graph, assignments, algorithm, workers=workers)
+        batched = BatchExecutor(workers).map(
+            _run_largest_id, [(graph, ids) for ids in assignments]
+        )
         assert len(batched) == len(serial)
         for reference, candidate in zip(serial, batched):
             _assert_traces_equal(reference, candidate, f"workers={workers}")
@@ -118,5 +127,8 @@ def test_node_radius_matches_full_run_on_random_instances():
         runner = FrontierRunner(graph, algorithm, cache=DecisionCache(algorithm))
         ids = random_assignment(graph.n, seed=5)
         trace = runner.run(ids)
+        identifiers = ids.identifiers()
         for position in graph.positions():
-            assert runner.node_radius(ids, position) == trace.radii()[position], label
+            radius, output = runner.resimulate_node(identifiers, position)
+            assert radius == trace.radii()[position], label
+            assert output == trace.outputs_by_position()[position], label

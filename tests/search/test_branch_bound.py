@@ -187,10 +187,18 @@ class TestCohortEnumeration:
         weak = search.run(incumbent=tuple(range(6)))
         assert weak.identifiers == unseeded.identifiers
 
-    def test_search_builds_no_engine_structure(self, largest_id_algorithm):
-        graph = cycle_graph(7)
-        BranchAndBoundSearch(graph, largest_id_algorithm, "max").run()
-        assert getattr(graph, "_engine_structure", None) is None
+    def test_search_builds_no_frontier_plan(self, largest_id_algorithm, monkeypatch):
+        from repro.engine import frontier
+
+        built = []
+        original = frontier._CenterPlan.__init__
+        monkeypatch.setattr(
+            frontier._CenterPlan,
+            "__init__",
+            lambda plan, center, csr: built.append(center) or original(plan, center, csr),
+        )
+        BranchAndBoundSearch(cycle_graph(7), largest_id_algorithm, "max").run()
+        assert built == []
 
     def test_compile_validates_the_instance(self, largest_id_algorithm):
         disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])

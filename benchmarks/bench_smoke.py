@@ -14,7 +14,9 @@ Artifact writes are gated separately: the committed ``BENCH_*.json`` files
 are only rewritten under ``REPRO_BENCH_WRITE=1`` (set by ``make bench`` and
 ``make bench-smoke``).  An ordinary ``pytest`` run — tier-1 collects the
 benchmarks too — times and asserts exactly the same workloads but writes
-its JSON to a scratch directory, so plain test runs never dirty the tree.
+its JSON to one scratch directory per process, removed when the
+interpreter exits, so plain test runs leave neither the tree nor the temp
+directory dirty.
 
 Ratio gates time their two sides with :func:`paired_ratio`, so a burst of
 load from a neighbouring process skews one pair, not a whole side.
@@ -22,11 +24,14 @@ load from a neighbouring process skews one pair, not a whole side.
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
 import statistics
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 #: True when the suite runs under ``make bench-smoke`` / the CI smoke job.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
@@ -36,6 +41,9 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 WRITE_ARTIFACTS = os.environ.get("REPRO_BENCH_WRITE", "") == "1"
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: This process's scratch directory for artifacts, made on first use.
+_scratch: Optional[Path] = None
 
 
 def pick(full, smoke):
@@ -76,11 +84,14 @@ def artifact_path(filename: str) -> Path:
     """Where a benchmark should write its ``BENCH_*.json`` artifact.
 
     The committed repo-root path under ``REPRO_BENCH_WRITE=1``, otherwise a
-    per-process scratch file under the system temp directory, so ordinary
-    test runs leave the committed artifacts untouched.
+    file in this process's scratch directory under the system temp
+    directory, so ordinary test runs leave the committed artifacts
+    untouched.  The scratch directory is removed at interpreter exit.
     """
+    global _scratch
     if WRITE_ARTIFACTS:
         return _REPO_ROOT / filename
-    scratch = Path(tempfile.gettempdir()) / f"repro-bench-scratch-{os.getpid()}"
-    scratch.mkdir(exist_ok=True)
-    return scratch / filename
+    if _scratch is None:
+        _scratch = Path(tempfile.mkdtemp(prefix="repro-bench-scratch-"))
+        atexit.register(shutil.rmtree, _scratch, ignore_errors=True)
+    return _scratch / filename

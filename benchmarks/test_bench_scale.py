@@ -6,12 +6,16 @@ subprocess** builds the streamed-CSR cycle, runs
 measures under the largest-ID algorithm), and reports throughput plus its
 own ``ru_maxrss`` peak.  The subprocess isolation is the point — the parent
 pytest process has touched numpy, graphs and caches, so only a child's RSS
-honestly bounds what the scale path itself allocates.
+honestly bounds what the scale path itself allocates.  The same probes run
+on the ``random-tree`` and ``gnp`` families at 10^5 nodes
+(:data:`GENERAL_SIZES`), where the ``max-scan`` rule answers instead of the
+ring scan.
 
-Each entry lands in ``BENCH_scale.json`` as ``scale_cycle_n<size>`` with a
-``nodes_per_s`` floor and a ``peak_rss_bytes`` ceiling, asserted in-run and
-re-checked by ``scripts/check_bench_floors.py``.  The path is pure stdlib,
-so this benchmark runs (and gates) on the numpy-free engine-smoke job too.
+Each entry lands in ``BENCH_scale.json`` as ``scale_<topology>_n<size>``
+with a ``nodes_per_s`` floor, a ``peak_rss_bytes`` ceiling and a scaling
+ratchet, asserted in-run and re-checked by ``scripts/check_bench_floors.py``.
+The path has a stdlib backend, so this benchmark runs (and gates) on the
+numpy-free engine-smoke job too.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) keeps every size at or below 10^3
 nodes — ``tests/test_bench_floors.py`` pins that bound — so the CI smoke
@@ -59,6 +63,22 @@ MAX_RSS_BYTES = 2 * 1024**3
 #: rule's per-centre cost stops being size-independent again.
 MIN_REL_NODES_PER_S = pick(0.8 if numpy_available() else 0.45, 0.1)
 
+#: Size of the general-graph legs (``random-tree``, ``gnp``), where the
+#: ``max-scan`` rule answers with its whole-row sweep.
+GENERAL_SIZES_FULL = (100_000,)
+GENERAL_SIZES_SMOKE = (1_000,)
+GENERAL_SIZES = pick(GENERAL_SIZES_FULL, GENERAL_SIZES_SMOKE)
+GENERAL_TOPOLOGIES = ("random-tree", "gnp")
+
+#: Throughput floor of the general-graph legs.  On a 2-vCPU VM the numpy
+#: sweep measures 0.6-0.75M nodes/s at 10^5 (the first numpy import
+#: included), the per-centre BFS it replaced ~55k; the floor sits between
+#: the two with 3x headroom, so losing the sweep trips it.  The stdlib
+#: backend keeps the per-centre scan (~50k nodes/s).
+MIN_GENERAL_NODES_PER_S = pick(
+    200_000.0 if numpy_available() else 5_000.0, 2_000.0
+)
+
 SEED = 20260808
 
 _RESULTS: dict[str, dict] = {}
@@ -72,13 +92,13 @@ print(json.dumps(run_scale_probe(**spec)))
 """
 
 
-def _probe_in_subprocess(n: int) -> dict:
+def _probe_in_subprocess(n: int, topology: str = "cycle") -> dict:
     """Run one scale probe in a fresh interpreter and parse its JSON report."""
     import repro
 
     src_root = str(Path(repro.__file__).resolve().parent.parent)
     spec = {
-        "topology": "cycle",
+        "topology": topology,
         "n": n,
         "algorithm": "largest-id",
         "samples": SAMPLES,
@@ -109,17 +129,21 @@ def _write_artifact() -> None:
             "algorithm": "largest-id",
             "samples": SAMPLES,
             "sizes": list(SIZES),
+            "general_topologies": list(GENERAL_TOPOLOGIES),
+            "general_sizes": list(GENERAL_SIZES),
         },
         "results": _RESULTS,
     }
     ARTIFACT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def test_bench_scale_cycle_sizes():
-    report_lines = []
+def _probe_sizes(
+    topology: str, sizes, min_nodes_per_s: float, min_rel_nodes_per_s: float = 0.0
+) -> list[dict]:
+    """Probe each size in a fresh subprocess; gate and record every entry."""
     entries = []
-    for n in SIZES:
-        probe = _probe_in_subprocess(n)
+    for n in sizes:
+        probe = _probe_in_subprocess(n, topology)
         assert probe["n"] == n and probe["samples"] == SAMPLES
         entry = {
             "n": n,
@@ -127,7 +151,7 @@ def test_bench_scale_cycle_sizes():
             "build_s": probe["build_s"],
             "elapsed_s": probe["elapsed_s"],
             "nodes_per_s": probe["nodes_per_s"],
-            "min_nodes_per_s": MIN_NODES_PER_S,
+            "min_nodes_per_s": min_nodes_per_s,
             "peak_rss_bytes": probe["peak_rss_bytes"],
             "max_rss_bytes": MAX_RSS_BYTES,
             "avg_mean": probe["avg_mean"],
@@ -135,36 +159,48 @@ def test_bench_scale_cycle_sizes():
             "rule": probe["rule"],
         }
         entries.append(entry)
-        _RESULTS[f"scale_cycle_n{n}"] = entry
-        # The cycle's classic measure is its eccentricity: floor(n/2).
-        assert probe["max_mean"] == n // 2
-        assert probe["nodes_per_s"] >= MIN_NODES_PER_S, (
-            f"n={n}: {probe['nodes_per_s']:.0f} nodes/s below "
-            f"{MIN_NODES_PER_S:.0f} floor"
+        _RESULTS[f"scale_{topology}_n{n}"] = entry
+        assert probe["nodes_per_s"] >= min_nodes_per_s, (
+            f"{topology} n={n}: {probe['nodes_per_s']:.0f} nodes/s below "
+            f"{min_nodes_per_s:.0f} floor"
         )
         assert probe["peak_rss_bytes"] <= MAX_RSS_BYTES, (
-            f"n={n}: peak RSS {probe['peak_rss_bytes']} over "
+            f"{topology} n={n}: peak RSS {probe['peak_rss_bytes']} over "
             f"{MAX_RSS_BYTES} ceiling"
         )
     # The scaling ratchet: throughput relative to the smallest probed size
     # must not collapse as n grows (the baseline gates trivially at 1.0).
     baseline = entries[0]["nodes_per_s"]
+    print(f"\nscale path ({topology}, largest-id, fresh subprocess per size):")
     for entry in entries:
         entry["rel_nodes_per_s"] = entry["nodes_per_s"] / baseline
         entry["min_rel_nodes_per_s"] = (
-            0.0 if entry is entries[0] else MIN_REL_NODES_PER_S
+            0.0 if entry is entries[0] else min_rel_nodes_per_s
         )
-        report_lines.append(
-            f"n={entry['n']}: {entry['nodes_per_s']:.0f} nodes/s "
+        print(
+            f"  n={entry['n']}: {entry['nodes_per_s']:.0f} nodes/s "
             f"(rel {entry['rel_nodes_per_s']:.2f}), "
             f"rss {entry['peak_rss_bytes'] / 1024**2:.0f} MiB, "
             f"avg {entry['avg_mean']:.3f}, max {entry['max_mean']:.0f}"
         )
         assert entry["rel_nodes_per_s"] >= entry["min_rel_nodes_per_s"], (
-            f"n={entry['n']}: relative rate {entry['rel_nodes_per_s']:.2f} "
-            f"below the {entry['min_rel_nodes_per_s']:.2f} scaling floor"
+            f"{topology} n={entry['n']}: relative rate "
+            f"{entry['rel_nodes_per_s']:.2f} below the "
+            f"{entry['min_rel_nodes_per_s']:.2f} scaling floor"
         )
     _write_artifact()
-    print("\nscale path (cycle, largest-id, fresh subprocess per size):")
-    for line in report_lines:
-        print("  " + line)
+    return entries
+
+
+def test_bench_scale_cycle_sizes():
+    entries = _probe_sizes("cycle", SIZES, MIN_NODES_PER_S, MIN_REL_NODES_PER_S)
+    for entry in entries:
+        assert entry["rule"] == "ring-scan"
+        # The cycle's classic measure is its eccentricity: floor(n/2).
+        assert entry["max_mean"] == entry["n"] // 2
+
+
+def test_bench_scale_general_graphs():
+    for topology in GENERAL_TOPOLOGIES:
+        entries = _probe_sizes(topology, GENERAL_SIZES, MIN_GENERAL_NODES_PER_S)
+        assert all(entry["rule"] == "max-scan" for entry in entries)

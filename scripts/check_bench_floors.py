@@ -53,15 +53,20 @@ GATED_RESULTS = {
         # registered algorithm; again, the numpy legs only where available).
         ("vector_rule_python", True),
         ("vector_rule_numpy", False),
-        # The largest-ID BFS's numpy gather vs its stdlib scan (numpy only).
-        ("max_scan_gather_numpy", False),
+        # The largest-ID numpy sweep vs its stdlib scan (numpy only).
+        ("max_scan_sweep_numpy", False),
     ),
     # speedup = median per-pair off/on ratio; the 0.95 floor tolerates ~5%
     # instrumentation overhead (noop_span_call is informational, ungated).
     "repro-bench-obs": (("obs_overhead", True),),
     # Million-node scale path: gated on throughput + memory, not speedup
     # (see GATED_METRICS).
-    "repro-bench-scale": (("scale_cycle", True),),
+    # The general-graph legs (max-scan sweep) are gated where present.
+    "repro-bench-scale": (
+        ("scale_cycle", True),
+        ("scale_random-tree", False),
+        ("scale_gnp", False),
+    ),
     # The query service: a store hit must beat cold compute >= 5x, both
     # in-process and across a process restart (the on-disk tier).
     "repro-bench-serve": (

@@ -60,8 +60,12 @@ QUERY_VERSION = 1
 #: generators in every mode, and row ``graph`` names lost the ``-stream``
 #: and ``-p`` suffixes.  Epoch 2: the exact adversaries enumerate every
 #: canonical leaf (no bound pruning), which changes the certificate
-#: counters, ``evaluations`` and ``cache`` of search rows.
-ANSWER_EPOCH = 2
+#: counters, ``evaluations`` and ``cache`` of search rows.  Epoch 3:
+#: ``scale`` rows draw their identifier permutations from one
+#: ``getrandbits(64 n)`` key draw (see
+#: :func:`~repro.kernel.shard.scale_row_ids`), which changes every sampled
+#: scale value.
+ANSWER_EPOCH = 3
 
 #: Budget/execution fields excluded from the *family* hash: two sampling
 #: queries that differ only here describe the same estimand, so a stored

@@ -15,11 +15,12 @@ flavours:
   :mod:`repro.kernel.shard`) alike.  The paper's largest-ID algorithm is
   the example: a node's radius is the BFS distance to the nearest strictly
   larger identifier, or its eccentricity when it carries the row's maximum.
-  :class:`MaxScanScaleRule` grows each centre's BFS layers only while some
-  row of the batch is still undecided; :class:`RingScanScaleRule` is its
-  specialisation to the cycle, where the layer at distance ``r`` is
-  ``{v - r, v + r}`` and every undecided ``(row, centre)`` pair advances
-  one ring distance per round.
+  :class:`MaxScanScaleRule` propagates each row's maxima over the CSR one
+  round per distance, so every undecided ``(row, centre)`` pair of the
+  batch advances one BFS layer per round at array speed (stdlib backend:
+  each centre's layers grown only while some row is still undecided);
+  :class:`RingScanScaleRule` is its specialisation to the cycle, where the
+  layer at distance ``r`` is ``{v - r, v + r}``.
 
 * other **vectorised** rules (``vectorized = True``) know a closed-form
   description of the algorithm's stopping radius and evaluate it in tight
@@ -156,8 +157,12 @@ class ScaleRule(KernelRule):
     (:class:`~repro.kernel.compile.CompiledInstance`) or of a
     streamed :class:`~repro.topology.stream.CSRTopology`.  The whole
     evaluation is :meth:`block_radii` — every row of a batch over one range
-    of centres — which the kernel interface calls with the full range and
-    the sharded executor with its row block and centre chunk.
+    of centres — which the kernel interface and the sharded executor's
+    sampled rows call with the full range (the executor caches a row's
+    radii and slices its centre chunks), and the executor's explicit-row
+    path with its row block and centre chunk.  On numpy a rule sweeps whole
+    rows either way (:meth:`_sweep_numpy`, in blocks of at most
+    :attr:`PAIR_BUDGET` pairs).
 
     ``backend`` is ``"numpy"`` or ``"python"`` (``None``: the process
     default, resolved on the first evaluation).  Both compute the same
@@ -167,10 +172,9 @@ class ScaleRule(KernelRule):
 
     vectorized = True
 
-    #: Rules whose evaluation covers every centre of a row at once set this;
-    #: the sharded executor then evaluates each row once per worker and
-    #: serves its centre chunks by slicing the cached radii vector.
-    full_row: bool = False
+    #: ``(row, centre)`` pairs per numpy sweep: bounds a sweep's
+    #: temporaries to a few tens of megabytes whatever the batch size.
+    PAIR_BUDGET = 1 << 20
 
     def __init__(
         self,
@@ -203,12 +207,24 @@ class ScaleRule(KernelRule):
         """
         raise NotImplementedError
 
-    def block_stats(self, rows: Rows, start: int, stop: int) -> list[tuple[int, int]]:
-        """Per-row ``(sum, max)`` of the radii of centres ``start..stop-1``."""
-        return [
-            segment_stats(radii, 0, stop - start)
-            for radii in self.block_radii(rows, start, stop)
+    def _swept(self, rows: Rows, start: int, stop: int):
+        """Radii of centres ``start..stop-1`` from :meth:`_sweep_numpy`.
+
+        Rows are swept whole, in blocks of at most ``PAIR_BUDGET // n``
+        rows, and sliced to the centre range.  ``None`` when the
+        identifiers do not fit in int64 (the caller then scans in stdlib).
+        """
+        np = numpy_module()
+        ids = _id_matrix(np, rows)
+        if ids is None:
+            return None
+        step = max(1, self.PAIR_BUDGET // max(1, self._n))
+        blocks = [
+            self._sweep_numpy(np, ids[offset : offset + step])
+            for offset in range(0, ids.shape[0], step)
         ]
+        radii = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        return radii[:, start:stop]
 
     def batch_radii(
         self, rows: Rows, start: int = 0, stop: Optional[int] = None
@@ -221,46 +237,44 @@ class ScaleRule(KernelRule):
 
 
 class MaxScanScaleRule(ScaleRule):
-    """Largest-ID on any graph: early-stop BFS shared by the rows of a batch.
+    """Largest-ID on any graph: whole-row max propagation, early-stop BFS tail.
 
     A centre's radius is the BFS distance to the nearest strictly larger
-    identifier.  Each centre's layers are grown from the CSR only while
-    some row of the batch is still undecided, and every new layer is tested
-    against exactly those rows — so the work per centre is proportional to
-    the batch's largest output ball, not to ``n``.  The rows whose maximum
-    sits at the centre never find a larger identifier; they take the
-    centre's eccentricity, which is assignment-independent and cached per
-    centre.
+    identifier; the row's maximum never finds one and takes its
+    eccentricity.  The numpy backend sweeps whole rows at once: after round
+    ``r``, ``seen[v]`` holds the largest identifier within distance ``r`` of
+    ``v`` — the previous round's ``seen`` maximised over ``v``'s CSR row
+    (``max(seen, maximum.reduceat(seen[..., indices], indptr[:-1]))``,
+    evaluated neighbour slot by neighbour slot, see :meth:`_slot_layout`) —
+    so a pending ``(row, centre)`` pair decides at the first round where
+    ``seen`` exceeds its own identifier, and the row's maximum at the first
+    round where every position sees it.  Each round costs ``O(rows × m)``
+    at array speed and decides every pair whose radius is ``r``, so the
+    sweep pays the largest radius of the batch, not the sum over centres.
 
-    On the numpy backend a batch of at least :attr:`NUMPY_ROWS_PER_NODE`
-    rows per node tests whole segments of layers (:attr:`NUMPY_SEGMENT`
-    positions, then doubling) with one array gather each: the exact
-    enumerations' 256-row cohorts on graphs of up to 16 nodes.  Every
-    other batch — sampling chunks on larger graphs, the scale path's row
-    blocks — scans layer by layer in plain loops, which decide most rows
-    within a layer or two while a gather pays for a whole segment.  Both
-    compute the same integers.
+    Rounds are capped at ``4 ⌈log2 n⌉``: on high-diameter graphs (paths,
+    grids) a few pairs keep the sweep running for ``O(n)`` rounds, so the
+    pairs still pending at the cap finish in the stdlib scan below, which
+    skips testing the layers the sweep already ruled out.
+
+    The stdlib backend (and any block whose identifiers do not fit in
+    int64) runs that scan for every centre: each centre's layers are grown
+    from the CSR only while some row of the batch is still undecided, and
+    every new layer is tested against exactly those rows.  The maximum's
+    eccentricity is assignment-independent and cached per centre.  Both
+    paths compute the same integers.
     """
 
     name = "max-scan"
-
-    #: The numpy gather needs at least this many rows per node to beat the
-    #: stdlib scan.  Warm-rule timings on paths and random trees (2-vCPU
-    #: VM): at n = 8 the gather wins 1.2-1.5x at 128 rows and 1.7-2.0x at
-    #: 256, and loses (0.6-1.0x) at 32-64 rows; at n = 64 it wins 1.1-1.4x
-    #: only at 256 rows; at n = 128-768 it is slower at most batch sizes.
-    NUMPY_ROWS_PER_NODE = 16
-
-    #: Positions per centre in the numpy path's first tested segment; each
-    #: further segment doubles, so a centre costs a few gathers whatever
-    #: its depth.  Any size yields the same radii.
-    NUMPY_SEGMENT = 64
 
     def __init__(self, indptr, indices, backend=None) -> None:
         super().__init__(indptr, indices, backend)
         self._visited: Optional[array] = None
         self._stamp = 0
         self._eccentricity: dict[int, int] = {}
+        self._layout = None
+        # Sweep rounds before the stdlib tail takes over: 4 * ceil(log2 n).
+        self._rounds = 4 * max(1, (self._n - 1).bit_length())
 
     def _layers(self, center: int):
         """Yield the BFS layers of ``center`` at distance 1, 2, ... in turn."""
@@ -292,13 +306,36 @@ class MaxScanScaleRule(ScaleRule):
             self._eccentricity[center] = radius
         return radius
 
+    def _scan(self, rows, center: int, pending: list[int], skip: int = 0):
+        """Yield ``(index, radius)`` for every pending row index at ``center``.
+
+        Every pending row holds a larger identifier than its own at
+        ``center`` somewhere in the (connected) graph, and none within
+        distance ``skip`` — those layers are walked but not tested.
+        """
+        for radius, layer in enumerate(self._layers(center), 1):
+            if radius <= skip:
+                continue
+            undecided = []
+            for index in pending:
+                ids = rows[index]
+                own = ids[center]
+                for w in layer:
+                    if ids[w] > own:
+                        yield index, radius
+                        break
+                else:
+                    undecided.append(index)
+            if not undecided:
+                return
+            pending = undecided
+
     def block_radii(self, rows: Rows, start: int = 0, stop: Optional[int] = None):
         stop = self._n if stop is None else stop
-        if self.backend == "numpy" and len(rows) >= self.NUMPY_ROWS_PER_NODE * self._n:
-            np = numpy_module()
-            ids = _id_matrix(np, rows)
-            if ids is not None:
-                return self._block_numpy(np, ids, start, stop)
+        if self.backend == "numpy":
+            radii = self._swept(rows, start, stop)
+            if radii is not None:
+                return radii
         return self._block_python(rows, start, stop)
 
     def _block_python(self, rows: Rows, start: int, stop: int) -> list[list[int]]:
@@ -312,75 +349,82 @@ class MaxScanScaleRule(ScaleRule):
                     radii[index][column] = self._eccentricity_of(v)
                 else:
                     pending.append(index)
-            if not pending:
-                continue
-            # Every pending row holds a larger identifier somewhere in the
-            # (connected) graph, so the layers run out only after all decide.
-            for radius, layer in enumerate(self._layers(v), 1):
-                undecided = []
-                for index in pending:
-                    ids = rows[index]
-                    own = ids[v]
-                    for w in layer:
-                        if ids[w] > own:
-                            radii[index][column] = radius
-                            break
-                    else:
-                        undecided.append(index)
-                if not undecided:
-                    break
-                pending = undecided
+            if pending:
+                for index, radius in self._scan(rows, v, pending):
+                    radii[index][column] = radius
         return radii
 
-    def _block_numpy(self, np, ids, start: int, stop: int):
-        # Position-major layout: a segment gather copies whole rows of ids_t.
-        ids_t = np.ascontiguousarray(ids.T)
-        radii = np.zeros((stop - start, ids_t.shape[1]), dtype=np.int64)
-        on_top = ids_t[start:stop] == ids_t.max(axis=0)
-        for v in range(start, stop):
-            column = v - start
-            top = on_top[column]
-            layers = self._layers(v)
-            depth = 0
-            target = self.NUMPY_SEGMENT
-            pending = None  # the first segment is tested against every row
-            while True:
-                # Whole layers until the segment holds `target` positions;
-                # pending rows saw no larger identifier in earlier segments,
-                # so only the new one needs testing.
-                segment: list[int] = []
-                depths: list[int] = []
-                while len(segment) < target:
-                    layer = next(layers, None)
-                    if layer is None:
-                        break
-                    depth += 1
-                    segment += layer
-                    depths += [depth] * len(layer)
-                if not segment:
-                    break  # only rows whose maximum sits at v are left
-                if pending is None:
-                    larger = ids_t[segment] > ids_t[v]
-                else:
-                    larger = ids_t[segment][:, pending] > ids_t[v, pending]
-                found = larger.any(axis=0)
-                # Rows not found yet get a placeholder, overwritten later.
-                radius = np.asarray(depths)[larger.argmax(axis=0)]
-                if pending is None:
-                    radii[column] = radius
-                    found |= top
-                    if found.all():
-                        break
-                    pending = np.flatnonzero(~found)
-                else:
-                    radii[column, pending] = radius
-                    if found.all():
-                        break
-                    pending = pending[~found]
-                target *= 2
-            if top.any():
-                radii[column, top] = self._eccentricity_of(v)
-        return radii.T
+    def _slot_layout(self, np):
+        """Positions by decreasing degree, and their neighbours slot by slot.
+
+        ``order[i]`` is the position ranked ``i``; ``slots[j]`` holds, in
+        rank coordinates, the ``j``-th neighbour of each of the ranks
+        ``0..len(slots[j]) - 1`` — exactly the positions of degree above
+        ``j``, a prefix of the ranking.  One sweep round is then one gather
+        and one prefix ``maximum`` per slot: the same per-row maximum as a
+        ``maximum.reduceat`` over the CSR, without its per-segment cost.
+        """
+        indptr = np.asarray(self._indptr, dtype=np.int64)
+        indices = np.asarray(self._indices, dtype=np.int64)
+        degree = np.diff(indptr)
+        order = np.argsort(-degree, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        slots = [
+            rank[indices[indptr[order[: np.count_nonzero(degree > j)]] + j]]
+            for j in range(int(degree.max()))
+        ]
+        return order, rank, slots
+
+    def _sweep_numpy(self, np, ids):
+        """All radii of one ``(rows, n)`` identifier block."""
+        if self._layout is None:
+            self._layout = self._slot_layout(np)
+        order, rank, slots = self._layout
+        seen = ids[:, order]  # rank coordinates until the radii are final
+        rows = np.arange(seen.shape[0])
+        top = seen.argmax(axis=1)
+        best = seen[rows, top][:, None]
+        # ``seen`` after r rounds: the largest identifier within distance r.
+        # A pair that stays (sees nothing larger) at the start of round r
+        # decides at r or later, so counting those rounds counts its radius.
+        # The row's maximum never stays (its own identifier is replaced by
+        # the smallest int64); its eccentricity counts the rounds at which
+        # some position has not seen it yet.
+        own = seen.copy()
+        own[rows, top] = np.iinfo(np.int64).min
+        radii = np.zeros(seen.shape, dtype=np.int64)
+        eccentricity = np.zeros(rows.size, dtype=np.int64)
+        stay = seen <= own
+        uncovered = (seen < best).any(axis=1)
+        for _ in range(self._rounds):
+            if not (uncovered.any() or stay.any()):
+                break
+            radii += stay
+            eccentricity += uncovered
+            grown = seen.copy()
+            for heads in slots:
+                prefix = grown[:, : heads.size]
+                np.maximum(prefix, seen[:, heads], out=prefix)
+            seen = grown
+            stay = seen <= own
+            uncovered = (seen < best).any(axis=1)
+        radii[rows, top] = eccentricity
+        radii = radii[:, rank]
+        # Stragglers: pairs past the cap finish in the layer scan, one
+        # grouped scan per centre over the rows that still need it.
+        by_centre: dict[int, list[int]] = {}
+        stuck_rows, stuck_ranks = np.nonzero(stay)
+        for row, centre in zip(stuck_rows.tolist(), order[stuck_ranks].tolist()):
+            by_centre.setdefault(centre, []).append(row)
+        lists = {row: ids[row].tolist() for row in set().union(*by_centre.values())}
+        for centre, indexes in by_centre.items():
+            for row, radius in self._scan(lists, centre, indexes, skip=self._rounds):
+                radii[row, centre] = radius
+        for row in np.flatnonzero(uncovered).tolist():
+            centre = int(order[top[row]])
+            radii[row, centre] = self._eccentricity_of(centre)
+        return radii
 
 
 class RingScanScaleRule(ScaleRule):
@@ -404,7 +448,6 @@ class RingScanScaleRule(ScaleRule):
     """
 
     name = "ring-scan"
-    full_row = True
 
     #: Below this many undecided pairs, when more than this many rounds may
     #: remain, the sweep finishes them directly (per-pair nearest-larger
@@ -412,23 +455,12 @@ class RingScanScaleRule(ScaleRule):
     #: threshold yields the same radii.
     TAIL_DIRECT = 64
 
-    #: ``(row, centre)`` pairs per numpy sweep: bounds the sweep's
-    #: temporaries to a few tens of megabytes whatever the batch size.
-    PAIR_BUDGET = 1 << 20
-
     def block_radii(self, rows: Rows, start: int = 0, stop: Optional[int] = None):
         stop = self._n if stop is None else stop
         if self.backend == "numpy":
-            np = numpy_module()
-            ids = _id_matrix(np, rows)
-            if ids is not None:
-                step = max(1, self.PAIR_BUDGET // max(1, self._n))
-                blocks = [
-                    self._sweep_numpy(np, ids[offset : offset + step])
-                    for offset in range(0, ids.shape[0], step)
-                ]
-                radii = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-                return radii[:, start:stop]
+            radii = self._swept(rows, start, stop)
+            if radii is not None:
+                return radii
         return [self._scan_python(ids)[start:stop] for ids in rows]
 
     def _sweep_numpy(self, np, ids):

@@ -4,7 +4,7 @@ The large-n path of the batch kernel.  A :class:`~repro.kernel.rules.ScaleRule`
 — the same CSR rule a :class:`~repro.kernel.compile.CompiledInstance`
 evaluates largest-ID with — reads nothing but the streamed CSR adjacency of a
 :class:`~repro.topology.stream.CSRTopology`: no frontier plans, one
-early-stop BFS per centre shared by the rows of a block.  A
+whole-row sweep per sampled row.  A
 :class:`ShardedKernelExecutor` splits the work into **row blocks × centre
 chunks** and runs them in-process (``workers == 1``, on the executor's own
 CSR and rule) or over a :class:`~repro.engine.batch.BatchExecutor` process
@@ -32,19 +32,24 @@ row's state.
 Algorithms opt in through
 :meth:`~repro.core.algorithm.BallAlgorithm.compile_scale_rule`;
 :data:`SCALE_ALGORITHMS` names the registry entries that do (the paper's
-largest-ID algorithm, whose :class:`~repro.kernel.rules.MaxScanScaleRule`
-fuses the BFS with the stopping rule so the expected per-centre work is the
-*output* radius, not the graph size).  On the paper's own topology — the
-cycle — the algorithm specialises further:
-:class:`~repro.kernel.rules.RingScanScaleRule` replaces the per-centre BFS
-with a whole-row vectorised ring sweep (every undecided centre advances one
-ring distance per round), which removes the ``O(log n)`` per-centre factor
-and keeps nodes/s flat from 10^4 to 10^6.
+largest-ID algorithm).  Its :class:`~repro.kernel.rules.MaxScanScaleRule`
+propagates each row's maxima over the CSR one distance per round, so every
+undecided centre of the row advances one BFS layer per round at array
+speed and a row costs ``O(m)`` per round for as many rounds as its largest
+output radius (capped, with a per-centre scan for the stragglers).  On the
+paper's own topology — the cycle —
+:class:`~repro.kernel.rules.RingScanScaleRule` reads the layer at distance
+``r`` straight off the ring (``{v - r, v + r}``), with no adjacency walk.
+Both rules evaluate a full row at once, cached per worker and sliced into
+centre chunks.  Under ``workers == 1`` each shard's
+``kernel.shard`` span has a ``kernel.shard.rows`` child per generated row
+and a ``kernel.shard.rule`` child per rule evaluation.
 """
 
 from __future__ import annotations
 
 import resource
+import sys
 import time
 from array import array
 from dataclasses import dataclass
@@ -53,6 +58,7 @@ from typing import Optional, Sequence
 from repro.engine.batch import BatchExecutor, derive_task_seed
 from repro.engine.pool import ShmRef, fetch_memoryview, worker_cache
 from repro.errors import ConfigurationError, IdentifierError, TopologyError
+from repro.kernel.backend import numpy_available, numpy_module
 from repro.kernel.rules import ScaleRule, segment_stats
 from repro.obs import metrics as _metrics
 from repro.obs.spans import obs_enabled as _obs_enabled, span as _obs_span
@@ -84,15 +90,29 @@ def scale_rule_for(algorithm, csr: CSRTopology) -> ScaleRule:
     return rule
 
 
-def scale_row_ids(n: int, base_seed: int, row_index: int) -> list[int]:
+def scale_row_ids(n: int, base_seed: int, row_index: int) -> memoryview:
     """The deterministic identifier permutation of one sampled row.
 
     A pure function of ``(n, base_seed, row_index)`` — workers regenerate
-    rows locally instead of receiving 8 MB of identifiers per task.
+    rows locally instead of receiving 8 MB of identifiers per task.  One
+    ``getrandbits(64 n)`` draw from the row's derived seed gives ``n``
+    little-endian 64-bit keys; position ``i`` holds the index of the
+    ``i``-th smallest key (a stable sort, so ties keep index order).  numpy's
+    stable argsort and the stdlib's ``sorted`` give the same permutation;
+    the stdlib one runs whenever numpy is unavailable or disabled.  The
+    permutation comes back as a flat int64 buffer (``memoryview`` of format
+    ``"q"``, 8 bytes per identifier) over the sort's own output, not a copy.
     """
-    ids = list(range(n))
-    make_rng(derive_task_seed(base_seed, "scale", row_index)).shuffle(ids)
-    return ids
+    raw = make_rng(derive_task_seed(base_seed, "scale", row_index)).getrandbits(64 * n)
+    raw = raw.to_bytes(8 * n, "little")
+    if numpy_available():
+        np = numpy_module()
+        order = np.argsort(np.frombuffer(raw, dtype="<u8"), kind="stable")
+        return memoryview(order.astype(np.int64, copy=False)).cast("B").cast("q")
+    keys = array("Q", raw)
+    if sys.byteorder == "big":
+        keys.byteswap()
+    return memoryview(array("q", sorted(range(n), key=keys.__getitem__)))
 
 
 # ----------------------------------------------------------------------
@@ -130,13 +150,14 @@ def _rule_for_spec(
     return worker_cache("shard.rule", (spec, algorithm_name), build)
 
 
-def _row_for(n: int, base_seed: int, row_index: int) -> array:
-    """One cached row permutation, packed as ``array('q')`` (8 bytes/id)."""
-    return worker_cache(
-        "shard.row",
-        (n, base_seed, row_index),
-        lambda: array("q", scale_row_ids(n, base_seed, row_index)),
-    )
+def _row_for(n: int, base_seed: int, row_index: int) -> memoryview:
+    """One cached row permutation (:func:`scale_row_ids`, 8 bytes/id)."""
+
+    def build() -> memoryview:
+        with _obs_span("kernel.shard.rows", n=n):
+            return scale_row_ids(n, base_seed, row_index)
+
+    return worker_cache("shard.row", (n, base_seed, row_index), build)
 
 
 def _rows_from_payload(rows) -> Sequence[Sequence[int]]:
@@ -179,32 +200,36 @@ def _evaluate_shard(rule: ScaleRule, payload: tuple) -> list:
     """One shard of :func:`run_scale_task` on an already-built rule.
 
     The serial executor path calls this with its own rule, so a serial scale
-    query builds its CSR and rule exactly once.  ``full_row`` rules compute
-    each row's complete radii vector once, cache it per process keyed by
-    ``(spec, algorithm, seed, row)``, and serve every centre chunk by
-    slicing — which is why the executor gives all chunks of one row block
-    the same affinity key.  Other rules evaluate the whole row block over
-    the centre range in one batch.
+    query builds its CSR and rule exactly once.  Scale rules evaluate whole
+    rows, so a sampled row's complete radii vector is computed once, cached
+    per process keyed by ``(spec, algorithm, seed, row)``, and every centre
+    chunk is served by slicing — which is why the executor gives all chunks
+    of one row block the same affinity key.
     """
     kind, spec, algorithm_name = payload[:3]
     if kind == "stats":
         base_seed, row_start, row_stop, c0, c1 = payload[3:8]
         n = spec[1]
-        if rule.full_row:
-            # One row per cached vector keeps the cache at n radii per entry.
-            partials = []
-            for row in range(row_start, row_stop):
-                radii = worker_cache(
-                    "shard.radii",
-                    (spec, algorithm_name, base_seed, row),
-                    lambda row=row: rule.block_radii([_row_for(n, base_seed, row)])[0],
-                )
-                partials.append(segment_stats(radii, c0, c1))
-            return partials
-        rows = [_row_for(n, base_seed, row) for row in range(row_start, row_stop)]
-        return rule.block_stats(rows, c0, c1)
+        # One row per cached vector keeps the cache at n radii per entry.
+        partials = []
+        for row in range(row_start, row_stop):
+            radii = worker_cache(
+                "shard.radii",
+                (spec, algorithm_name, base_seed, row),
+                lambda row=row: _evaluate(
+                    rule.block_radii, [_row_for(n, base_seed, row)]
+                )[0],
+            )
+            partials.append(segment_stats(radii, c0, c1))
+        return partials
     rows, c0, c1 = payload[3:6]
-    return rule.batch_radii(_rows_from_payload(rows), c0, c1)
+    return _evaluate(rule.batch_radii, _rows_from_payload(rows), c0, c1)
+
+
+def _evaluate(method, rows, *centres):
+    """One rule evaluation over ``rows``, under a ``kernel.shard.rule`` span."""
+    with _obs_span("kernel.shard.rule", rows=len(rows)):
+        return method(rows, *centres)
 
 
 @dataclass(frozen=True)

@@ -97,11 +97,11 @@ class TestValidation:
         assert Query(seed=seed).seed == seed
 
     def test_valid_queries_keep_their_canonical_hash(self):
-        # Pinned at answer epoch 2: validation must not change the preimage
+        # Pinned at answer epoch 3: validation must not change the preimage
         # of any valid query, and only an epoch bump may re-key it.
-        assert ANSWER_EPOCH == 2
+        assert ANSWER_EPOCH == 3
         assert Query().canonical_hash() == (
-            "a1384c1ca6cc79d7efff5ea08c4a21426b533f3ddb154a516eca9e4b0842ad8c"
+            "476e84cc3f921f46411a005ad76fced72fe3cc3971c2bc858ae162cb66290aff"
         )
 
 

@@ -14,6 +14,7 @@ from repro.kernel import (
     run_scale_probe,
     scale_rule_for,
 )
+from repro.kernel.rules import segment_stats
 from repro.kernel.shard import scale_row_ids
 from repro.model.identifiers import IdentifierAssignment
 from repro.topology.stream import STREAM_TOPOLOGIES, build_csr
@@ -37,26 +38,45 @@ class TestScaleRuleParity:
             assert rule.batch_radii([ids])[0] == expected
             assert instance.batch_radii([tuple(ids)])[0] == expected
 
-    def test_block_stats_fold_the_full_row(self):
-        csr = build_csr("cycle", 12)
-        rule = MaxScanScaleRule(csr.indptr, csr.indices)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_segment_stats_fold_a_centre_range(self, backend):
+        csr = build_csr("random-tree", 12, seed=3)
+        rule = MaxScanScaleRule(csr.indptr, csr.indices, backend)
         rows = [scale_row_ids(12, 3, index) for index in range(3)]
-        for radii, (total, largest) in zip(
-            rule.batch_radii(rows), rule.block_stats(rows, 0, 12)
-        ):
-            assert total == sum(radii)
-            assert largest == max(radii)
+        for radii in rule.block_radii(rows):
+            assert segment_stats(radii, 0, 12) == (sum(radii), max(radii))
+            assert segment_stats(radii, 4, 9) == (sum(radii[4:9]), max(radii[4:9]))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_partial_center_ranges_compose(self, backend):
         csr = build_csr("random-tree", 15, seed=9)
         rule = MaxScanScaleRule(csr.indptr, csr.indices, backend)
-        # Enough rows for the numpy backend's gather path.
-        count = MaxScanScaleRule.NUMPY_ROWS_PER_NODE * 15
-        rows = [scale_row_ids(15, 11, index) for index in range(count)]
+        # More rows than one sweep block holds, so the blocks concatenate.
+        rule.PAIR_BUDGET = 15 * 16
+        rows = [scale_row_ids(15, 11, index) for index in range(40)]
         whole = rule.batch_radii(rows)
         halves = zip(rule.batch_radii(rows, 0, 7), rule.batch_radii(rows, 7, 15))
         assert [left + right for left, right in halves] == whole
+
+
+class TestScaleRowIds:
+    def test_numpy_and_stdlib_draw_the_same_permutation(self, monkeypatch):
+        import repro.kernel.shard as shard
+
+        if not numpy_available():
+            pytest.skip("numpy backend not installed")
+        drawn = [scale_row_ids(n, 5, row) for n in (1, 2, 17, 1000) for row in range(3)]
+        monkeypatch.setattr(shard, "numpy_available", lambda: False)
+        assert [scale_row_ids(n, 5, row) for n in (1, 2, 17, 1000) for row in range(3)] == drawn
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 31, 1024])
+    def test_a_valid_permutation_and_a_pure_function(self, n):
+        ids = scale_row_ids(n, 9, 2)
+        assert sorted(ids) == list(range(n))
+        assert ids == scale_row_ids(n, 9, 2)
+        if n > 2:
+            assert ids != scale_row_ids(n, 9, 3)
+            assert ids != scale_row_ids(n, 10, 2)
 
 
 class TestRegistryHooks:

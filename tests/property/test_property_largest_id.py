@@ -6,9 +6,11 @@ identifier, or the eccentricity at the maximum.  The compiled largest-ID
 rule — the ring scan on rings, the early-stop BFS elsewhere — must equal it
 on every registered topology, on the smallest ring, on a path, and on a
 cycle whose positions are relabelled out of ring order (which must select
-the BFS and still be exact), under both kernel backends, for batches both
-below and at the BFS's numpy gather threshold.  Identifiers beyond int64
-run on the stdlib backend.
+the BFS and still be exact), under both kernel backends, for a scale row
+block's few rows and for an exact enumeration's cohort of rows.  The
+max-scan sweep's straggler tail (pairs still undecided at its round cap) is
+checked with the cap forced down.  Identifiers beyond int64 run on the
+stdlib backend.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from repro.algorithms.largest_id import LargestIdAlgorithm, predicted_largest_id_radii
 from repro.engine.campaign import TOPOLOGY_BUILDERS, build_topology
 from repro.kernel import compile_instance, numpy_available
+from repro.kernel.compile import DEFAULT_BATCH_ROWS
 from repro.kernel.rules import MaxScanScaleRule
 from repro.model.graph import Graph
 from repro.model.identifiers import IdentifierAssignment
@@ -27,11 +30,11 @@ from repro.utils.rng import make_rng
 
 BACKENDS = ("python",) + (("numpy",) if numpy_available() else ())
 
-#: Rows per batch as a function of n: a scale row block's few rows, and the
-#: fewest rows for which the BFS takes its numpy gather.
+#: Rows per batch as a function of n: a scale row block's few rows, and an
+#: exact enumeration's cohort (both sweep whole rows on numpy).
 BATCH_SIZES = {
     "block": lambda n: 3,
-    "gather": lambda n: MaxScanScaleRule.NUMPY_ROWS_PER_NODE * n,
+    "cohort": lambda n: DEFAULT_BATCH_ROWS,
 }
 
 
@@ -111,7 +114,7 @@ def test_random_instances_equal_the_oracle(backend, n, topology, seed):
     else:
         graph = build_topology(topology, n, seed)
     instance = compile_instance(graph, LargestIdAlgorithm(), backend=backend)
-    rows = _rows(graph.n, BATCH_SIZES["gather"](graph.n), seed=seed)
+    rows = _rows(graph.n, BATCH_SIZES["cohort"](graph.n), seed=seed)
     assert instance.batch_radii(rows) == [_oracle(graph, row) for row in rows]
 
 
@@ -124,3 +127,19 @@ def test_ring_sweep_tail_matches_the_stdlib_scan():
     numpy_instance = compile_instance(graph, LargestIdAlgorithm(), backend="numpy")
     python_instance = compile_instance(graph, LargestIdAlgorithm(), backend="python")
     assert numpy_instance.batch_radii(rows) == python_instance.batch_radii(rows)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "label,graph",
+    [("path-64", path_graph(64)), ("random-tree-40", build_topology("random-tree", 40, seed=3))],
+)
+def test_max_scan_straggler_tail_equals_the_oracle(monkeypatch, label, graph, backend):
+    # With the sweep capped at two rounds, every pair of radius > 2 and
+    # every maximum of eccentricity > 2 finishes in the stdlib layer scan.
+    instance = compile_instance(graph, LargestIdAlgorithm(), backend=backend)
+    rule = instance.rule
+    assert isinstance(rule, MaxScanScaleRule), label
+    monkeypatch.setattr(rule, "_rounds", 2)
+    rows = _rows(graph.n, 16, seed=graph.n)
+    assert instance.batch_radii(rows) == [_oracle(graph, row) for row in rows], label

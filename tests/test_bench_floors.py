@@ -1,6 +1,8 @@
 """The benchmark-regression guard, and the committed artifacts it gates."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -183,8 +185,36 @@ class TestScaleBenchSmokeMode:
         module = importlib.import_module("test_bench_scale")
         assert max(module.SIZES_SMOKE) <= 10**3
         assert max(module.SIZES_FULL) == 10**6
+        assert max(module.GENERAL_SIZES_SMOKE) <= 10**3
+        assert max(module.GENERAL_SIZES_FULL) == 10**5
         # The module-level pick() is what selects them, so smoke mode can
         # never reach the full sizes.
         assert module.SIZES == (
             module.SIZES_SMOKE if bench_smoke.SMOKE else module.SIZES_FULL
         )
+
+
+class TestBenchScratch:
+    def test_artifacts_leave_no_scratch_directory_behind(self, tmp_path):
+        """A process that imports a benchmark and writes an artifact cleans up."""
+        script = (
+            "import test_bench_scale as bench\n"
+            "bench.ARTIFACT_PATH.write_text('{}')\n"
+            "print(bench.ARTIFACT_PATH.parent)\n"
+        )
+        env = dict(os.environ, TMPDIR=str(tmp_path))
+        env.pop("REPRO_BENCH_WRITE", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "benchmarks"), str(REPO_ROOT / "src")]
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        scratch = Path(completed.stdout.strip())
+        assert scratch.parent == tmp_path
+        assert not scratch.exists()
+        assert list(tmp_path.iterdir()) == []

@@ -9,7 +9,7 @@ here, with the measurements recorded in ``BENCH_parallel.json``:
   :data:`MIN_DISPATCH_SPEEDUP`.  The workload is dispatch-bound on
   purpose: tiny tasks make pool start-up the dominant cost, which is
   exactly what the warm runtime amortises away.
-* **Zero-copy fan-out** — on a sharded scale grid over a
+* **Zero-copy fan-out** — on sharded scale tasks over a
   :data:`FANOUT_N`-node streamed cycle, task messages that reference the
   CSR arrays by :class:`~repro.engine.pool.ShmRef` handle must be at
   least :data:`MIN_FANOUT_RATIO` times smaller than the same messages
@@ -55,9 +55,12 @@ MIN_DISPATCH_SPEEDUP = pick(3.0, 2.0)
 #: Node count of the streamed cycle behind the fan-out measurement.
 FANOUT_N = pick(100_000, 4_096)
 
-#: Shard grid of the fan-out measurement: sampled rows × centre chunks.
+#: Sampled rows of the fan-out measurement, one task each.
 FANOUT_SAMPLES = 4
-FANOUT_CHUNKS = 4
+
+#: Sampled rows of the parity run: two row blocks, so the pooled run fans
+#: out over two tasks.
+PARITY_SAMPLES = 5
 
 #: Handle-based task messages must shrink payload bytes by this factor.
 MIN_FANOUT_RATIO = 10.0
@@ -91,13 +94,9 @@ def _time_warm_dispatches(pool: WorkerPool) -> float:
 
 
 def _shard_payloads(csr) -> list[tuple]:
-    """The scale grid's task payloads, exactly as the executor builds them."""
-    chunk = max(1, csr.n // FANOUT_CHUNKS)
-    ranges = [(start, min(csr.n, start + chunk)) for start in range(0, csr.n, chunk)]
+    """Scale task payloads, one per sampled row, shaped as the executor's."""
     return [
-        ("stats", csr.spec, "largest-id", SEED, row, row + 1, c0, c1)
-        for row in range(FANOUT_SAMPLES)
-        for (c0, c1) in ranges
+        (csr.spec, "largest-id", SEED, row, row + 1) for row in range(FANOUT_SAMPLES)
     ]
 
 
@@ -175,13 +174,9 @@ def test_bench_parallel_equals_serial_and_write_artifact():
 
     def _measures(workers):
         executor = ShardedKernelExecutor(
-            csr,
-            make_ball_algorithm("largest-id", csr.n),
-            workers=workers,
-            row_block=1,
-            center_chunk=max(1, n // 4),
+            csr, make_ball_algorithm("largest-id", csr.n), workers=workers
         )
-        return executor.sample_measures(3, seed=SEED)
+        return executor.sample_measures(PARITY_SAMPLES, seed=SEED)
 
     assert _measures(WORKERS) == _measures(1)
     payload = {
@@ -191,7 +186,7 @@ def test_bench_parallel_equals_serial_and_write_artifact():
             "workers": WORKERS,
             "dispatches": DISPATCHES,
             "fanout_n": FANOUT_N,
-            "fanout_tasks": FANOUT_SAMPLES * FANOUT_CHUNKS,
+            "fanout_tasks": FANOUT_SAMPLES,
         },
         "results": _RESULTS,
     }

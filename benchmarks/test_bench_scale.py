@@ -104,8 +104,6 @@ def _probe_in_subprocess(n: int, topology: str = "cycle") -> dict:
         "samples": SAMPLES,
         "seed": SEED,
         "workers": 1,
-        "row_block": 4,
-        "center_chunk": 65_536,
     }
     completed = subprocess.run(
         [sys.executable, "-c", _PROBE_SCRIPT, json.dumps(spec)],

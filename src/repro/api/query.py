@@ -84,8 +84,6 @@ POSITIVE_INT_FIELDS = (
     "exhaustive_max_nodes",
     "exact_max_nodes",
     "max_classes",
-    "row_block",
-    "center_chunk",
 )
 
 
@@ -169,10 +167,6 @@ class Query:
     exact_max_nodes: int = 12
     #: Cap on ``n!/|Aut|`` canonical classes for exact distributions.
     max_classes: int = 250_000
-    #: ``scale`` mode: sampled assignment rows per sharded task.
-    row_block: int = 4
-    #: ``scale`` mode: centres per sharded task (the memory/fan-out knob).
-    center_chunk: int = 65536
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "topologies", _as_tuple(self.topologies, "topologies"))

@@ -366,13 +366,7 @@ def scale_row(session: "Session", query: Query, cell: Cell, workers: int = 1) ->
     """
     csr = session.csr(cell.topology, cell.n, cell.graph_seed)
     algorithm = session.ball_algorithm(cell.algorithm, cell.n)
-    executor = ShardedKernelExecutor(
-        csr,
-        algorithm,
-        workers=workers,
-        row_block=query.row_block,
-        center_chunk=query.center_chunk,
-    )
+    executor = ShardedKernelExecutor(csr, algorithm, workers=workers)
     started = time.perf_counter()
     stats = executor.sample_measures(query.samples, seed=cell.seed)
     elapsed = time.perf_counter() - started

@@ -306,15 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the shards (default: REPRO_WORKERS, then 1)",
     )
     scale_parser.add_argument(
-        "--row-block", type=int, default=4, help="sampled rows per sharded task"
-    )
-    scale_parser.add_argument(
-        "--center-chunk",
-        type=int,
-        default=65536,
-        help="centres per sharded task (the memory/fan-out knob)",
-    )
-    scale_parser.add_argument(
         "--output",
         default=None,
         help="write the versioned repro-result JSON document to this file",
@@ -595,8 +586,6 @@ def _cmd_scale(args: argparse.Namespace, session: Session) -> int:
             seed=args.seed,
             samples=args.samples,
             workers=_resolve_workers_flag(args.workers),
-            row_block=args.row_block,
-            center_chunk=args.center_chunk,
         )
     )
     row = result.rows[0]

@@ -23,15 +23,16 @@ replaces that with one warm runtime per process:
   plain pickled payloads.
 * **Worker-side caches** — :func:`worker_cache` gives task functions a
   bounded per-process LRU of reconstructed objects (CSR topologies, scale
-  rules, compiled instances, full-row radii) keyed by the same digests, so
-  a million-node sweep compiles once per worker, not once per shard.
+  rules, compiled instances) keyed by the same digests, so a million-node
+  sweep compiles once per worker, not once per task.
   :func:`fetch_memoryview` attaches a published segment zero-copy.
 
 **Scheduling affinity**: ``map(fn, payloads, keys=...)`` pins all tasks
 sharing a key to one worker (keys are assigned to workers round-robin in
-first-appearance order, deterministically), so shards that reuse the same
-cached state — e.g. all centre chunks of one sampled row — land where that
-state already lives.  Affinity only changes *placement*, never results.
+first-appearance order, deterministically), so tasks that reuse the same
+cached state — e.g. the ``simulate`` cells of one compiled instance —
+land where that state already lives.  Affinity only changes
+*placement*, never results.
 
 **Worker-count resolution** (:func:`resolve_workers`): an explicit value
 always wins, then the ``REPRO_WORKERS`` environment override, then the

@@ -11,7 +11,7 @@ flavours:
 * **CSR rules** (:class:`ScaleRule`) read nothing but the flat CSR
   adjacency of the graph — no frontier plans — so one rule object serves a
   :class:`~repro.kernel.compile.CompiledInstance` (whole batches) and the
-  sharded ``scale`` path (row blocks × centre ranges, see
+  sharded ``scale`` path (one sampled row at a time, see
   :mod:`repro.kernel.shard`) alike.  The paper's largest-ID algorithm is
   the example: a node's radius is the BFS distance to the nearest strictly
   larger identifier, or its eccentricity when it carries the row's maximum.
@@ -118,20 +118,12 @@ def _id_matrix(np, rows: Sequence[Sequence[int]]):
     """
     try:
         if len(rows) == 1:
-            # A buffer-backed row (the scale path's ``array('q')``) is
+            # A buffer-backed row (the scale path's int64 memoryview) is
             # viewed, not copied: one row at n = 10^6 is 8 MB.
             return np.asarray(rows[0], dtype=np.int64)[None, :]
         return np.asarray(rows, dtype=np.int64)
     except OverflowError:
         return None
-
-
-def segment_stats(radii: Sequence[int], start: int, stop: int) -> tuple[int, int]:
-    """``(sum, max)`` of one centre range of a radii vector."""
-    segment = radii[start:stop]
-    if hasattr(segment, "sum"):  # numpy row
-        return int(segment.sum()), int(segment.max())
-    return sum(segment), max(segment)
 
 
 def csr_is_ring(indptr: Sequence[int], indices: Sequence[int]) -> bool:
@@ -156,12 +148,10 @@ class ScaleRule(KernelRule):
     ``indices[indptr[v]:indptr[v + 1]]``): the CSR of a compiled instance
     (:class:`~repro.kernel.compile.CompiledInstance`) or of a
     streamed :class:`~repro.topology.stream.CSRTopology`.  The whole
-    evaluation is :meth:`block_radii` — every row of a batch over one range
-    of centres — which the kernel interface and the sharded executor's
-    sampled rows call with the full range (the executor caches a row's
-    radii and slices its centre chunks), and the executor's explicit-row
-    path with its row block and centre chunk.  On numpy a rule sweeps whole
-    rows either way (:meth:`_sweep_numpy`, in blocks of at most
+    evaluation is :meth:`block_radii` — every centre of every row of a
+    batch — which the kernel interface calls with whole batches and the
+    sharded executor with one sampled row at a time.  On numpy a rule
+    sweeps whole rows (:meth:`_sweep_numpy`, in blocks of at most
     :attr:`PAIR_BUDGET` pairs).
 
     ``backend`` is ``"numpy"`` or ``"python"`` (``None``: the process
@@ -199,38 +189,38 @@ class ScaleRule(KernelRule):
             self._backend = resolve_backend(self._requested_backend)
         return self._backend
 
-    def block_radii(self, rows: Rows, start: int = 0, stop: Optional[int] = None):
-        """Radii of centres ``start..stop-1`` (default: all) for every row.
+    def block_radii(self, rows: Rows):
+        """Radii of every centre for every row.
 
-        Returns one radii sequence per row: a 2-D int64 array on the numpy
-        path, a list of lists on the stdlib path.
+        Returns one radii sequence per row.  On the numpy backend: a 2-D
+        int64 array, rows swept whole by :meth:`_sweep_numpy` in blocks of
+        at most ``PAIR_BUDGET // n`` rows.  Otherwise — and for rows whose
+        identifiers do not fit in int64 — a list of lists from
+        :meth:`_block_python`.
         """
+        if self.backend == "numpy":
+            np = numpy_module()
+            ids = _id_matrix(np, rows)
+            if ids is not None:
+                step = max(1, self.PAIR_BUDGET // max(1, self._n))
+                blocks = [
+                    self._sweep_numpy(np, ids[offset : offset + step])
+                    for offset in range(0, ids.shape[0], step)
+                ]
+                return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        return self._block_python(rows)
+
+    def _sweep_numpy(self, np, ids):
+        """All radii of one ``(rows, n)`` int64 identifier block."""
         raise NotImplementedError
 
-    def _swept(self, rows: Rows, start: int, stop: int):
-        """Radii of centres ``start..stop-1`` from :meth:`_sweep_numpy`.
+    def _block_python(self, rows: Rows) -> list[list[int]]:
+        """All radii of ``rows`` on the stdlib path."""
+        raise NotImplementedError
 
-        Rows are swept whole, in blocks of at most ``PAIR_BUDGET // n``
-        rows, and sliced to the centre range.  ``None`` when the
-        identifiers do not fit in int64 (the caller then scans in stdlib).
-        """
-        np = numpy_module()
-        ids = _id_matrix(np, rows)
-        if ids is None:
-            return None
-        step = max(1, self.PAIR_BUDGET // max(1, self._n))
-        blocks = [
-            self._sweep_numpy(np, ids[offset : offset + step])
-            for offset in range(0, ids.shape[0], step)
-        ]
-        radii = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        return radii[:, start:stop]
-
-    def batch_radii(
-        self, rows: Rows, start: int = 0, stop: Optional[int] = None
-    ) -> list[tuple[int, ...]]:
+    def batch_radii(self, rows: Rows) -> list[tuple[int, ...]]:
         """:meth:`block_radii` as one tuple of radii per row."""
-        radii = self.block_radii(rows, start, stop)
+        radii = self.block_radii(rows)
         if hasattr(radii, "tolist"):
             radii = radii.tolist()
         return [tuple(row) for row in radii]
@@ -330,28 +320,19 @@ class MaxScanScaleRule(ScaleRule):
                 return
             pending = undecided
 
-    def block_radii(self, rows: Rows, start: int = 0, stop: Optional[int] = None):
-        stop = self._n if stop is None else stop
-        if self.backend == "numpy":
-            radii = self._swept(rows, start, stop)
-            if radii is not None:
-                return radii
-        return self._block_python(rows, start, stop)
-
-    def _block_python(self, rows: Rows, start: int, stop: int) -> list[list[int]]:
-        radii = [[0] * (stop - start) for _ in rows]
+    def _block_python(self, rows: Rows) -> list[list[int]]:
+        radii = [[0] * self._n for _ in rows]
         maxima = [max(ids) for ids in rows]
-        for v in range(start, stop):
-            column = v - start
+        for v in range(self._n):
             pending = []
             for index, ids in enumerate(rows):
                 if ids[v] == maxima[index]:
-                    radii[index][column] = self._eccentricity_of(v)
+                    radii[index][v] = self._eccentricity_of(v)
                 else:
                     pending.append(index)
             if pending:
                 for index, radius in self._scan(rows, v, pending):
-                    radii[index][column] = radius
+                    radii[index][v] = radius
         return radii
 
     def _slot_layout(self, np):
@@ -455,13 +436,8 @@ class RingScanScaleRule(ScaleRule):
     #: threshold yields the same radii.
     TAIL_DIRECT = 64
 
-    def block_radii(self, rows: Rows, start: int = 0, stop: Optional[int] = None):
-        stop = self._n if stop is None else stop
-        if self.backend == "numpy":
-            radii = self._swept(rows, start, stop)
-            if radii is not None:
-                return radii
-        return [self._scan_python(ids)[start:stop] for ids in rows]
+    def _block_python(self, rows: Rows) -> list[list[int]]:
+        return [self._scan_python(ids) for ids in rows]
 
     def _sweep_numpy(self, np, ids):
         """All radii of one ``(rows, n)`` identifier block."""

@@ -4,30 +4,27 @@ The large-n path of the batch kernel.  A :class:`~repro.kernel.rules.ScaleRule`
 — the same CSR rule a :class:`~repro.kernel.compile.CompiledInstance`
 evaluates largest-ID with — reads nothing but the streamed CSR adjacency of a
 :class:`~repro.topology.stream.CSRTopology`: no frontier plans, one
-whole-row sweep per sampled row.  A
-:class:`ShardedKernelExecutor` splits the work into **row blocks × centre
-chunks** and runs them in-process (``workers == 1``, on the executor's own
-CSR and rule) or over a :class:`~repro.engine.batch.BatchExecutor` process
-pool.
+whole-row sweep per sampled row.  A :class:`ShardedKernelExecutor` splits
+the sampled rows into blocks of :data:`ROW_BLOCK` — one task per block —
+and runs them in-process (``workers == 1``, on the executor's own CSR and
+rule) or over a :class:`~repro.engine.batch.BatchExecutor` process pool.
 
 Determinism is structural, not scheduled: every radius is a pure integer
-function of ``(topology, n, seed, row)``, the task decomposition is fixed by
-``row_block``/``center_chunk`` (never by the worker count), per-row identifier
-permutations derive from :func:`~repro.engine.batch.derive_task_seed`, and
-partial aggregates (sum, max) merge in task order — so results are
-bit-identical at any worker count and any chunk size, which
+function of ``(topology, n, seed, row)``, per-row identifier permutations
+derive from :func:`~repro.engine.batch.derive_task_seed`, each row folds to
+an exact integer ``(sum, max)``, and rows come back in task order — so
+results are bit-identical at any worker count and any row block, which
 ``tests/property/test_property_scale.py`` asserts.
 
 Workers never receive megabytes over a pipe: a task payload carries the CSR
-*spec* ``(topology, n, seed)`` plus scalar coordinates — and, when the warm
+*spec* ``(topology, n, seed)`` plus its row range — and, when the warm
 pool's shared-memory transport is live, :class:`~repro.engine.pool.ShmRef`
-handles to the CSR arrays (and to explicit row matrices), so workers attach
-the published buffers zero-copy instead of rebuilding or unpickling them.
-Reconstructed CSRs, rules and row permutations are cached per worker via
-:func:`~repro.engine.pool.worker_cache` (the hit counts surface as
-``pool.worker_cache_hits``), and tasks carry row-block affinity keys so all
-centre chunks of one sampled row land on the worker that already holds that
-row's state.
+handles to the CSR arrays, so workers attach the published buffers
+zero-copy instead of rebuilding them.  Reconstructed CSRs and rules are
+cached per worker and spec via :func:`~repro.engine.pool.worker_cache` (the
+hit counts surface as ``pool.worker_cache_hits``).  A task evaluates its
+rows one at a time — draw the row, sweep it, fold it — so no row
+permutation or radii vector outlives its row.
 
 Algorithms opt in through
 :meth:`~repro.core.algorithm.BallAlgorithm.compile_scale_rule`;
@@ -40,10 +37,9 @@ output radius (capped, with a per-centre scan for the stragglers).  On the
 paper's own topology — the cycle —
 :class:`~repro.kernel.rules.RingScanScaleRule` reads the layer at distance
 ``r`` straight off the ring (``{v - r, v + r}``), with no adjacency walk.
-Both rules evaluate a full row at once, cached per worker and sliced into
-centre chunks.  Under ``workers == 1`` each shard's
-``kernel.shard`` span has a ``kernel.shard.rows`` child per generated row
-and a ``kernel.shard.rule`` child per rule evaluation.
+Under ``workers == 1`` each task's ``kernel.shard`` span has a
+``kernel.shard.rows`` child per generated row and a ``kernel.shard.rule``
+child per row sweep.
 """
 
 from __future__ import annotations
@@ -53,15 +49,15 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.engine.batch import BatchExecutor, derive_task_seed
 from repro.engine.pool import ShmRef, fetch_memoryview, worker_cache
-from repro.errors import ConfigurationError, IdentifierError, TopologyError
+from repro.errors import ConfigurationError
 from repro.kernel.backend import numpy_available, numpy_module
-from repro.kernel.rules import ScaleRule, segment_stats
+from repro.kernel.rules import ScaleRule
 from repro.obs import metrics as _metrics
-from repro.obs.spans import obs_enabled as _obs_enabled, span as _obs_span
+from repro.obs.spans import span as _obs_span
 from repro.topology.stream import CSRTopology, build_csr
 from repro.utils.rng import make_rng
 
@@ -70,12 +66,11 @@ from repro.utils.rng import make_rng
 #: ``tests/kernel/test_shard.py`` asserts it matches the hooks.
 SCALE_ALGORITHMS = frozenset({"largest-id"})
 
-#: Default rows per sharded task (each row is one sampled assignment).
-DEFAULT_ROW_BLOCK = 4
-
-#: Default centres per sharded task.  16 chunks at n = 10^6: coarse enough
-#: to amortise the per-task CSR lookup, fine enough to fan out.
-DEFAULT_CENTER_CHUNK = 65536
+#: Sampled rows per task (each row is one sampled assignment).  A task
+#: evaluates its rows one at a time, so this fixes the task count
+#: (``ceil(samples / ROW_BLOCK)``), not the memory; answers never depend
+#: on it.
+ROW_BLOCK = 4
 
 
 def scale_rule_for(algorithm, csr: CSRTopology) -> ScaleRule:
@@ -150,86 +145,40 @@ def _rule_for_spec(
     return worker_cache("shard.rule", (spec, algorithm_name), build)
 
 
-def _row_for(n: int, base_seed: int, row_index: int) -> memoryview:
-    """One cached row permutation (:func:`scale_row_ids`, 8 bytes/id)."""
+def run_scale_task(payload: tuple) -> list[tuple[int, int]]:
+    """Worker entry point: per-row ``(sum, max)`` of one row block.
 
-    def build() -> memoryview:
-        with _obs_span("kernel.shard.rows", n=n):
-            return scale_row_ids(n, base_seed, row_index)
-
-    return worker_cache("shard.row", (n, base_seed, row_index), build)
-
-
-def _rows_from_payload(rows) -> Sequence[Sequence[int]]:
-    """Materialise the explicit-row field: inline tuples or one shm matrix."""
-    if rows and rows[0] == "rows-ref":
-        _, offset, count, width, ref = rows
-        flat = fetch_memoryview(ref).cast("q")
-        return [
-            flat[(offset + index) * width : (offset + index + 1) * width]
-            for index in range(count)
-        ]
-    return rows
-
-
-def run_scale_task(payload: tuple) -> list:
-    """Worker entry point: one ``(rows × centre range)`` shard.
-
-    Two payload shapes, discriminated by the first element (each may carry
-    one trailing element: the :class:`~repro.engine.pool.ShmRef` pair of the
-    published CSR arrays, absent when shared memory is unavailable):
-
-    * ``("stats", spec, algorithm, base_seed, row_start, row_stop, c0, c1[, refs])``
-      → per-row ``(sum, max)`` partials over the centre range;
-    * ``("radii", spec, algorithm, rows, c0, c1[, refs])``
-      → per-row radii tuples over the centre range (explicit-row path), where
-      ``rows`` is either a tuple of inline identifier rows or
-      ``("rows-ref", offset, count, width, ref)`` naming a published row
-      matrix.
-
-    The worker rebuilds (or attaches) the CSR and rule once per spec, then
-    evaluates the shard exactly like the serial path does.
+    ``payload`` is ``(spec, algorithm, base_seed, row_start, row_stop)``,
+    plus one trailing element when shared memory is live: the
+    :class:`~repro.engine.pool.ShmRef` pair of the published CSR arrays.
+    The worker builds (or attaches) the CSR and rule once per spec, then
+    evaluates the block exactly like the serial path does.
     """
-    size = 8 if payload[0] == "stats" else 6
-    refs = payload[size] if len(payload) > size else None
-    rule = _rule_for_spec(payload[1], payload[2], refs)
-    return _evaluate_shard(rule, payload[:size])
+    refs = payload[5] if len(payload) > 5 else None
+    return _block_stats(_rule_for_spec(payload[0], payload[1], refs), payload)
 
 
-def _evaluate_shard(rule: ScaleRule, payload: tuple) -> list:
-    """One shard of :func:`run_scale_task` on an already-built rule.
+def _block_stats(rule: ScaleRule, payload: tuple) -> list[tuple[int, int]]:
+    """One row block of :func:`run_scale_task` on an already-built rule.
 
     The serial executor path calls this with its own rule, so a serial scale
-    query builds its CSR and rule exactly once.  Scale rules evaluate whole
-    rows, so a sampled row's complete radii vector is computed once, cached
-    per process keyed by ``(spec, algorithm, seed, row)``, and every centre
-    chunk is served by slicing — which is why the executor gives all chunks
-    of one row block the same affinity key.
+    query builds its CSR and rule exactly once.
     """
-    kind, spec, algorithm_name = payload[:3]
-    if kind == "stats":
-        base_seed, row_start, row_stop, c0, c1 = payload[3:8]
-        n = spec[1]
-        # One row per cached vector keeps the cache at n radii per entry.
-        partials = []
-        for row in range(row_start, row_stop):
-            radii = worker_cache(
-                "shard.radii",
-                (spec, algorithm_name, base_seed, row),
-                lambda row=row: _evaluate(
-                    rule.block_radii, [_row_for(n, base_seed, row)]
-                )[0],
-            )
-            partials.append(segment_stats(radii, c0, c1))
-        return partials
-    rows, c0, c1 = payload[3:6]
-    return _evaluate(rule.batch_radii, _rows_from_payload(rows), c0, c1)
+    spec, _, base_seed, row_start, row_stop = payload[:5]
+    return [
+        _row_stats(rule, spec[1], base_seed, row) for row in range(row_start, row_stop)
+    ]
 
 
-def _evaluate(method, rows, *centres):
-    """One rule evaluation over ``rows``, under a ``kernel.shard.rule`` span."""
-    with _obs_span("kernel.shard.rule", rows=len(rows)):
-        return method(rows, *centres)
+def _row_stats(rule: ScaleRule, n: int, base_seed: int, row: int) -> tuple[int, int]:
+    """``(sum, max)`` of one sampled row's radii; the row dies on return."""
+    with _obs_span("kernel.shard.rows", n=n):
+        ids = scale_row_ids(n, base_seed, row)
+    with _obs_span("kernel.shard.rule", rows=1):
+        (radii,) = rule.block_radii([ids])
+    if hasattr(radii, "sum"):  # numpy row
+        return int(radii.sum()), int(radii.max())
+    return sum(radii), max(radii)
 
 
 @dataclass(frozen=True)
@@ -243,49 +192,27 @@ class ScaleRowStats:
 
 
 class ShardedKernelExecutor:
-    """Row-block × centre-chunk sharding of scale evaluation over processes.
+    """Row-block sharding of scale evaluation over processes.
 
-    The decomposition — and therefore every partial and its merge order —
-    is fixed by ``row_block`` and ``center_chunk`` alone; ``workers`` only
-    decides how many tasks run concurrently.  Results are bit-identical at
-    any worker count.  With ``workers == 1`` every shard runs in-process
-    under a ``kernel.shard`` observability span, so ``repro query --profile``
-    attributes wall time per shard.
+    The decomposition — one task per :data:`ROW_BLOCK` sampled rows — never
+    depends on ``workers``, which only decides how many tasks run
+    concurrently; results are bit-identical at any worker count.  With
+    ``workers == 1`` every task runs in-process under a ``kernel.shard``
+    observability span, so ``repro query --profile`` attributes wall time
+    per task.
     """
 
-    def __init__(
-        self,
-        csr: CSRTopology,
-        algorithm,
-        workers: int = 1,
-        row_block: int = DEFAULT_ROW_BLOCK,
-        center_chunk: int = DEFAULT_CENTER_CHUNK,
-    ) -> None:
-        if row_block < 1:
-            raise ConfigurationError(f"row_block must be >= 1, got {row_block}")
-        if center_chunk < 1:
-            raise ConfigurationError(f"center_chunk must be >= 1, got {center_chunk}")
+    def __init__(self, csr: CSRTopology, algorithm, workers: int = 1) -> None:
         self.csr = csr
         self.algorithm = algorithm
         self.workers = workers
-        self.row_block = row_block
-        self.center_chunk = center_chunk
         self._rule = scale_rule_for(algorithm, csr)
 
-    def _center_ranges(self) -> list[tuple[int, int]]:
-        n = self.csr.n
-        return [
-            (start, min(n, start + self.center_chunk))
-            for start in range(0, n, self.center_chunk)
-        ]
-
-    def _run_tasks(self, payloads: list[tuple], keys: Optional[list] = None) -> list:
-        """Execute shards (serial path instrumented, parallel path pooled).
+    def _run_tasks(self, payloads: list[tuple]) -> list:
+        """Execute row blocks: in-process, or pooled with the CSR in shm.
 
         On the pooled path the CSR arrays are published once into shared
-        memory and every payload carries their handles; ``keys`` (row-block
-        identities) pin all centre chunks of one row block to one worker so
-        its cached row state is reused, never duplicated.
+        memory and every payload carries their handles.
         """
         if self.workers > 1 and len(payloads) > 1:
             executor = BatchExecutor(self.workers)
@@ -302,38 +229,24 @@ class ShardedKernelExecutor:
                     pool.release(indptr_ref)
                     pool.release(indices_ref)
             try:
-                return executor.map(run_scale_task, payloads, keys=keys)
+                return executor.map(run_scale_task, payloads)
             finally:
                 for ref in pinned:
                     pool.release(ref)
         results = []
         for payload in payloads:
-            if _obs_enabled():
-                rows = (
-                    payload[5] - payload[4]
-                    if payload[0] == "stats"
-                    else len(payload[3])
-                )
-                _metrics.add("kernel.shard.tasks")
-                with _obs_span(
-                    "kernel.shard",
-                    rows=rows,
-                    centers=payload[-1] - payload[-2],
-                    rule=self._rule.name,
-                ):
-                    results.append(_evaluate_shard(self._rule, payload))
-            else:
-                results.append(_evaluate_shard(self._rule, payload))
+            _metrics.add("kernel.shard.tasks")
+            with _obs_span(
+                "kernel.shard", rows=payload[4] - payload[3], rule=self._rule.name
+            ):
+                results.append(_block_stats(self._rule, payload))
         return results
 
-    # ------------------------------------------------------------------
-    # sampled measures: the million-node path
-    # ------------------------------------------------------------------
     def sample_measures(self, samples: int, seed: int = 0) -> list[ScaleRowStats]:
         """Per-row (sum/max/average radius) stats of ``samples`` seeded rows.
 
-        Memory is O(row ids + CSR) regardless of ``samples``: no radii
-        matrix is ever materialised.  Rows derive from
+        Memory is O(one row + CSR) per process regardless of ``samples``:
+        no radii matrix is ever materialised.  Rows derive from
         :func:`scale_row_ids`, so the stats are a pure function of
         ``(csr.spec, seed, samples)``.
         """
@@ -341,126 +254,26 @@ class ShardedKernelExecutor:
             raise ConfigurationError(f"samples must be positive, got {samples}")
         spec = self.csr.spec
         name = self.algorithm.name
-        ranges = self._center_ranges()
         payloads = [
-            ("stats", spec, name, seed, row_start, min(samples, row_start + self.row_block), c0, c1)
-            for row_start in range(0, samples, self.row_block)
-            for (c0, c1) in ranges
+            (spec, name, seed, row_start, min(samples, row_start + ROW_BLOCK))
+            for row_start in range(0, samples, ROW_BLOCK)
         ]
-        keys = [
-            row_start
-            for row_start in range(0, samples, self.row_block)
-            for _ in ranges
-        ]
-        results = self._run_tasks(payloads, keys=keys)
-        # Merge partials per row, in centre-range order within each block.
         n = self.csr.n
-        stats: list[ScaleRowStats] = []
-        index = 0
-        for row_start in range(0, samples, self.row_block):
-            row_stop = min(samples, row_start + self.row_block)
-            block = [(0, 0)] * (row_stop - row_start)
-            for _ in ranges:
-                partials = results[index]
-                index += 1
-                block = [
-                    (total + part_sum, max(worst, part_max))
-                    for (total, worst), (part_sum, part_max) in zip(block, partials)
-                ]
-            for offset, (total, worst) in enumerate(block):
-                stats.append(
-                    ScaleRowStats(
-                        row=row_start + offset,
-                        sum_radius=total,
-                        max_radius=worst,
-                        average_radius=total / n,
-                    )
-                )
-        return stats
-
-    # ------------------------------------------------------------------
-    # explicit rows: the parity/test path
-    # ------------------------------------------------------------------
-    def batch_radii(self, ids_matrix: Sequence) -> list[tuple[int, ...]]:
-        """Full radii rows for explicit assignments (small-n parity surface).
-
-        Validates like the compiled kernel and returns exactly what
-        :meth:`CompiledInstance.batch_radii
-        <repro.kernel.compile.CompiledInstance.batch_radii>` returns on the
-        materialised graph — the property wall asserts the equality.
-        """
-        n = self.csr.n
-        rows = []
-        for row in ids_matrix:
-            identifiers = row.identifiers() if hasattr(row, "identifiers") else row
-            values = tuple(int(identifier) for identifier in identifiers)
-            if len(values) != n:
-                raise TopologyError(
-                    f"assignment row covers {len(values)} positions "
-                    f"but topology has {n}"
-                )
-            if len(set(values)) != n:
-                raise IdentifierError("identifiers must be pairwise distinct")
-            rows.append(values)
-        if not rows:
-            return []
-        spec = self.csr.spec
-        name = self.algorithm.name
-        ranges = self._center_ranges()
-        blocks = [
-            rows[start : start + self.row_block]
-            for start in range(0, len(rows), self.row_block)
+        blocks = self._run_tasks(payloads)
+        return [
+            ScaleRowStats(
+                row=row, sum_radius=total, max_radius=worst, average_radius=total / n
+            )
+            for row, (total, worst) in enumerate(
+                stats for block in blocks for stats in block
+            )
         ]
-        parallel = self.workers > 1 and len(blocks) * len(ranges) > 1
-        pool = BatchExecutor(self.workers).pool if parallel else None
-        matrix_ref = None
-        if pool is not None:
-            # One flat row-major int64 matrix, published once; every task
-            # references its block by (offset, count) instead of carrying
-            # n identifiers per row inline.
-            flat = array("q")
-            for row in rows:
-                flat.extend(row)
-            matrix_ref = pool.publish(flat)
-        if matrix_ref is not None:
-            row_fields = [
-                ("rows-ref", start, len(block), n, matrix_ref)
-                for start, block in zip(range(0, len(rows), self.row_block), blocks)
-            ]
-        else:
-            row_fields = [tuple(block) for block in blocks]
-        payloads = [
-            ("radii", spec, name, row_field, c0, c1)
-            for row_field in row_fields
-            for (c0, c1) in ranges
-        ]
-        keys = [
-            block_index for block_index in range(len(blocks)) for _ in ranges
-        ]
-        try:
-            results = self._run_tasks(payloads, keys=keys)
-        finally:
-            if pool is not None:
-                pool.release(matrix_ref)
-        radii_rows: list[tuple[int, ...]] = []
-        index = 0
-        for block in blocks:
-            pieces = [results[index + k] for k in range(len(ranges))]
-            index += len(ranges)
-            for offset in range(len(block)):
-                merged: list[int] = []
-                for piece in pieces:
-                    merged.extend(piece[offset])
-                radii_rows.append(tuple(merged))
-        return radii_rows
 
     def describe(self) -> dict:
         """JSON-friendly identity (result rows, benchmark artifacts)."""
         return {
             "rule": self._rule.name,
             "workers": self.workers,
-            "row_block": self.row_block,
-            "center_chunk": self.center_chunk,
             "topology": self.csr.describe(),
         }
 
@@ -504,8 +317,6 @@ def run_scale_probe(
     samples: int = 2,
     seed: int = 0,
     workers: int = 1,
-    row_block: int = DEFAULT_ROW_BLOCK,
-    center_chunk: int = DEFAULT_CENTER_CHUNK,
 ) -> dict:
     """One end-to-end scale measurement, JSON-friendly (the bench harness).
 
@@ -518,13 +329,7 @@ def run_scale_probe(
     build_started = time.perf_counter()
     csr = build_csr(topology, n, seed=seed)
     build_s = time.perf_counter() - build_started
-    executor = ShardedKernelExecutor(
-        csr,
-        make_ball_algorithm(algorithm, n),
-        workers=workers,
-        row_block=row_block,
-        center_chunk=center_chunk,
-    )
+    executor = ShardedKernelExecutor(csr, make_ball_algorithm(algorithm, n), workers=workers)
     started = time.perf_counter()
     stats = executor.sample_measures(samples, seed=seed)
     elapsed = time.perf_counter() - started
@@ -537,8 +342,6 @@ def run_scale_probe(
         "samples": samples,
         "seed": seed,
         "workers": workers,
-        "row_block": row_block,
-        "center_chunk": center_chunk,
         "build_s": build_s,
         "elapsed_s": elapsed,
         "nodes_per_s": nodes / elapsed if elapsed > 0 else float("inf"),

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import MODES, Query, Result, Session
 from repro.errors import ConfigurationError
+from repro.kernel import run_scale_probe
 
 
 class TestScaleQueryValidation:
@@ -27,22 +28,22 @@ class TestScaleQueryValidation:
             Query(mode="scale", topologies="cycle", sizes=16, algorithms="cole-vishkin")
 
     @pytest.mark.parametrize("knob", ["row_block", "center_chunk"])
-    @pytest.mark.parametrize("bad", [0, -1, True, 2.5])
-    def test_shard_knobs_must_be_positive_ints(self, knob, bad):
+    def test_removed_shard_knobs_are_unknown_fields(self, knob):
+        document = dict(Query(mode="scale", sizes=16).to_dict(), **{knob: 4})
         with pytest.raises(ConfigurationError, match=knob):
-            Query(
-                mode="scale",
-                topologies="cycle",
-                sizes=16,
-                algorithms="largest-id",
-                **{knob: bad},
-            )
+            Query.from_dict(document)
+
+    @pytest.mark.parametrize("knob", ["row_block", "center_chunk"])
+    def test_removed_shard_knobs_fail_loudly_at_the_python_front_doors(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            Session().scale(topologies="cycle", sizes=16, samples=1, **{knob: 4})
+        with pytest.raises(TypeError, match=knob):
+            run_scale_probe("cycle", 16, samples=1, **{knob: 4})
 
     def test_other_modes_ignore_the_stream_restriction(self):
         # grid does not stream, but simulate mode must keep accepting it.
-        built = Query(mode="simulate", topologies="cycle", sizes=8)
-        assert built.row_block == 4
-        assert built.center_chunk == 65536
+        built = Query(mode="simulate", topologies="grid", sizes=9)
+        assert built.topologies == ("grid",)
 
 
 class TestSessionScale:
@@ -90,7 +91,7 @@ class TestSessionScale:
     def test_worker_count_is_bit_invariant_through_the_api(self, result):
         shard = Session().scale(
             topologies="cycle", sizes=64, algorithms="largest-id", samples=4,
-            seed=7, workers=2, center_chunk=16,
+            seed=7, workers=2,
         )
         assert shard.rows[0]["average"] == result.rows[0]["average"]
         assert shard.rows[0]["max"] == result.rows[0]["max"]
@@ -132,10 +133,9 @@ class TestSessionScale:
 
         monkeypatch.setattr(repro.api.session, "build_csr", counting_build_csr)
         monkeypatch.setattr(repro.kernel.shard, "build_csr", counting_build_csr)
+        monkeypatch.setattr(repro.kernel.shard, "ROW_BLOCK", 2)
         clear_worker_caches()
-        Session().scale(
-            topologies=topology, sizes=40, samples=6, seed=11, workers=1, center_chunk=16
-        )
+        Session().scale(topologies=topology, sizes=40, samples=6, seed=11, workers=1)
         assert len(builds) == 1
 
 
@@ -167,3 +167,12 @@ class TestScaleCLI:
         assert "nodes/s" in printed
         document = json.loads(output.read_text())
         assert document["mode"] == "scale"
+
+    @pytest.mark.parametrize("flag", ["--row-block", "--center-chunk"])
+    def test_removed_shard_flags_are_rejected(self, capsys, flag):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scale", "--topology", "cycle", "--n", "64", flag, "4"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

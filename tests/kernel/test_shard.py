@@ -4,6 +4,7 @@ import pytest
 
 from repro.algorithms.largest_id import predicted_largest_id_radii
 from repro.algorithms.registry import algorithm_registry
+from repro.engine.batch import BatchExecutor
 from repro.engine.campaign import make_ball_algorithm
 from repro.kernel import (
     SCALE_ALGORITHMS,
@@ -14,7 +15,6 @@ from repro.kernel import (
     run_scale_probe,
     scale_rule_for,
 )
-from repro.kernel.rules import segment_stats
 from repro.kernel.shard import scale_row_ids
 from repro.model.identifiers import IdentifierAssignment
 from repro.topology.stream import STREAM_TOPOLOGIES, build_csr
@@ -39,24 +39,23 @@ class TestScaleRuleParity:
             assert instance.batch_radii([tuple(ids)])[0] == expected
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_segment_stats_fold_a_centre_range(self, backend):
-        csr = build_csr("random-tree", 12, seed=3)
-        rule = MaxScanScaleRule(csr.indptr, csr.indices, backend)
-        rows = [scale_row_ids(12, 3, index) for index in range(3)]
-        for radii in rule.block_radii(rows):
-            assert segment_stats(radii, 0, 12) == (sum(radii), max(radii))
-            assert segment_stats(radii, 4, 9) == (sum(radii[4:9]), max(radii[4:9]))
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_partial_center_ranges_compose(self, backend):
+    def test_several_sweep_blocks_equal_one_row_at_a_time(self, backend):
         csr = build_csr("random-tree", 15, seed=9)
         rule = MaxScanScaleRule(csr.indptr, csr.indices, backend)
         # More rows than one sweep block holds, so the blocks concatenate.
         rule.PAIR_BUDGET = 15 * 16
         rows = [scale_row_ids(15, 11, index) for index in range(40)]
-        whole = rule.batch_radii(rows)
-        halves = zip(rule.batch_radii(rows, 0, 7), rule.batch_radii(rows, 7, 15))
-        assert [left + right for left, right in halves] == whole
+        assert rule.batch_radii(rows) == [rule.batch_radii([row])[0] for row in rows]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_row_folds_to_the_sum_and_max_of_its_radii(self, backend):
+        from repro.kernel.shard import _row_stats
+
+        csr = build_csr("random-tree", 12, seed=3)
+        rule = MaxScanScaleRule(csr.indptr, csr.indices, backend)
+        for row in range(3):
+            (radii,) = rule.batch_radii([scale_row_ids(12, 3, row)])
+            assert _row_stats(rule, 12, 3, row) == (sum(radii), max(radii))
 
 
 class TestScaleRowIds:
@@ -100,40 +99,80 @@ class TestRegistryHooks:
 
 
 class TestShardedExecutor:
-    def test_sample_measures_row_count_and_determinism(self):
+    def test_sample_measures_row_count_and_determinism(self, monkeypatch):
+        import repro.kernel.shard as shard
+
+        monkeypatch.setattr(shard, "ROW_BLOCK", 2)
         csr = build_csr("cycle", 32)
-        executor = ShardedKernelExecutor(csr, make_ball_algorithm("largest-id", 32), center_chunk=10)
+        executor = ShardedKernelExecutor(csr, make_ball_algorithm("largest-id", 32))
         stats = executor.sample_measures(3, seed=5)
-        assert len(stats) == 3
+        assert [row_stats.row for row_stats in stats] == [0, 1, 2]
         assert stats == executor.sample_measures(3, seed=5)
         for row_stats in stats:
             assert row_stats.max_radius == 16  # the cycle's eccentricity
             assert row_stats.average_radius == row_stats.sum_radius / 32
 
+    @pytest.mark.parametrize("row_block", [None, 1, 5])
+    def test_a_pooled_query_dispatches_one_task_per_row_block(
+        self, monkeypatch, row_block
+    ):
+        """Tasks are row blocks only: 70 000-node rows are never split by
+        centres, so the pool sees one task per ``ROW_BLOCK`` rows."""
+        import repro.kernel.shard as shard
+
+        if row_block is not None:
+            monkeypatch.setattr(shard, "ROW_BLOCK", row_block)
+        samples, n = 6, 70_000
+        csr = build_csr("cycle", n)
+        executor = ShardedKernelExecutor(
+            csr, make_ball_algorithm("largest-id", n), workers=2
+        )
+        pool = BatchExecutor(2).pool
+        before = pool.stats["tasks"]
+        stats = executor.sample_measures(samples, seed=3)
+        assert pool.stats["tasks"] - before == -(-samples // shard.ROW_BLOCK)
+        assert [row_stats.max_radius for row_stats in stats] == [n // 2] * samples
+
+    @pytest.mark.parametrize("row_block", [6, 8])
+    def test_a_single_row_block_runs_in_process(self, monkeypatch, row_block):
+        """When every sampled row fits one block there is nothing to fan out:
+        the pool sees no task and the answer is unchanged."""
+        import repro.kernel.shard as shard
+
+        monkeypatch.setattr(shard, "ROW_BLOCK", row_block)
+        samples, n = 6, 1_000
+        csr = build_csr("cycle", n)
+        executor = ShardedKernelExecutor(
+            csr, make_ball_algorithm("largest-id", n), workers=2
+        )
+        pool = BatchExecutor(2).pool
+        before = pool.stats["tasks"]
+        stats = executor.sample_measures(samples, seed=3)
+        assert pool.stats["tasks"] == before
+        assert [row_stats.max_radius for row_stats in stats] == [n // 2] * samples
+
     def test_batch_radii_matches_the_compiled_kernel(self):
+        """Each serial row's folded stats equal the compiled kernel's radii."""
         csr = build_csr("gnp", 14, seed=6)
-        executor = ShardedKernelExecutor(csr, make_ball_algorithm("largest-id", 14), center_chunk=5)
+        executor = ShardedKernelExecutor(csr, make_ball_algorithm("largest-id", 14))
         instance = compile_instance(
             csr.to_graph(), make_ball_algorithm("largest-id", 14)
         )
+        stats = executor.sample_measures(3, seed=1)
         rows = [tuple(scale_row_ids(14, 1, index)) for index in range(3)]
-        assert executor.batch_radii(rows) == instance.batch_radii(rows)
+        for row_stats, radii in zip(stats, instance.batch_radii(rows)):
+            assert (row_stats.sum_radius, row_stats.max_radius) == (sum(radii), max(radii))
 
     def test_describe_reports_the_shard_grid(self):
         csr = build_csr("cycle", 100)
         executor = ShardedKernelExecutor(
-            csr,
-            make_ball_algorithm("largest-id", 100),
-            workers=2,
-            row_block=3,
-            center_chunk=40,
+            csr, make_ball_algorithm("largest-id", 100), workers=2
         )
-        description = executor.describe()
-        assert description["workers"] == 2
-        assert description["row_block"] == 3
-        assert description["center_chunk"] == 40
-        assert description["topology"]["n"] == 100
-        assert len(executor._center_ranges()) == 3  # ceil(100 / 40)
+        assert executor.describe() == {
+            "rule": "ring-scan",
+            "workers": 2,
+            "topology": csr.describe(),
+        }
 
 
 class TestScaleProbe:
@@ -147,8 +186,6 @@ class TestScaleProbe:
             "samples",
             "seed",
             "workers",
-            "row_block",
-            "center_chunk",
             "build_s",
             "elapsed_s",
             "nodes_per_s",

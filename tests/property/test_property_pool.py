@@ -33,8 +33,6 @@ SCALE = Query(
     algorithms="largest-id",
     samples=4,
     seed=7,
-    row_block=2,
-    center_chunk=16,
 )
 
 #: Cold documents the service wall fans out (distinct, all computable cold).
@@ -93,9 +91,13 @@ class TestScaleWall:
         assert _scale_comparable(result.rows) == _scale_comparable(scale_reference.rows)
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_workers_compose_with_odd_shard_shapes(self, scale_reference, workers):
-        shaped = SCALE.with_changes(workers=workers, row_block=1, center_chunk=7)
-        result = Session().scale(shaped)
+    def test_workers_compose_with_odd_shard_shapes(
+        self, monkeypatch, scale_reference, workers
+    ):
+        import repro.kernel.shard
+
+        monkeypatch.setattr(repro.kernel.shard, "ROW_BLOCK", 1)
+        result = Session().scale(SCALE.with_changes(workers=workers))
         assert _scale_comparable(result.rows) == _scale_comparable(scale_reference.rows)
 
 

@@ -13,4 +13,5 @@ def test_bench_e12_search_strategies(benchmark, report):
     )
     report(result)
     assert result.experiment_id == "E12"
-    assert len(result.table) == 4 * len(SIZES)
+    # exhaustive, pruned-exhaustive and portfolio, per size.
+    assert len(result.table) == 3 * len(SIZES)

@@ -30,10 +30,7 @@ from bench_smoke import SMOKE, artifact_path, pick
 
 from repro.algorithms.largest_id import LargestIdAlgorithm
 from repro.core.adversary import ExhaustiveAdversary
-from repro.search.adversaries import (
-    BranchAndBoundAdversary,
-    PrunedExhaustiveAdversary,
-)
+from repro.search.adversaries import PrunedExhaustiveAdversary
 from repro.theory.bounds import largest_id_sum_upper_bound
 from repro.topology.complete import complete_graph
 from repro.topology.cycle import cycle_graph
@@ -108,7 +105,7 @@ def test_bench_exact_search_beyond_legacy_limit_ring10():
     graph = cycle_graph(n)
     algorithm = LargestIdAlgorithm()
     elapsed_s, result = _timed(
-        lambda: BranchAndBoundAdversary().maximise(graph, algorithm, "sum")
+        lambda: PrunedExhaustiveAdversary().maximise(graph, algorithm, "sum")
     )
     assert result.exact
     assert result.value == float(largest_id_sum_upper_bound(n))

@@ -67,7 +67,6 @@ from repro.algorithms import (
 from repro.core import (
     BallAlgorithm,
     ExhaustiveAdversary,
-    LocalSearchAdversary,
     RandomSearchAdversary,
     certify,
     fit_growth,
@@ -106,7 +105,6 @@ from repro.model import (
     run_round_algorithm,
 )
 from repro.search import (
-    BranchAndBoundAdversary,
     PortfolioAdversary,
     PrunedExhaustiveAdversary,
     SwapEvaluator,
@@ -134,7 +132,7 @@ from repro.api.session import query
 # The query service sits on top of the API (store-backed `repro serve`).
 from repro.service import QueryService, ResultStore
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "AlgorithmError",
@@ -143,7 +141,6 @@ __all__ = [
     "BallSimulationOfRounds",
     "BallView",
     "BatchExecutor",
-    "BranchAndBoundAdversary",
     "CertificationError",
     "ColeVishkinRing",
     "ConfigurationError",
@@ -161,7 +158,6 @@ __all__ = [
     "IdentifierAssignment",
     "IdentifierError",
     "LargestIdAlgorithm",
-    "LocalSearchAdversary",
     "Measure",
     "PortfolioAdversary",
     "PrunedExhaustiveAdversary",

@@ -64,8 +64,12 @@ QUERY_VERSION = 1
 #: ``scale`` rows draw their identifier permutations from one
 #: ``getrandbits(64 n)`` key draw (see
 #: :func:`~repro.kernel.shard.scale_row_ids`), which changes every sampled
-#: scale value.
-ANSWER_EPOCH = 3
+#: scale value.  Epoch 4: ``branch-and-bound`` is ``pruned-exhaustive`` (no
+#: hill-climbed incumbent, so its witness, ``evaluations``, certificate and
+#: ``cache`` change), ``local-search`` is a portfolio of hill-climb members
+#: (every row field but the objective changes), and ``random-search`` and
+#: ``rotation`` report the ``cache`` of their witness trace alone.
+ANSWER_EPOCH = 4
 
 #: Budget/execution fields excluded from the *family* hash: two sampling
 #: queries that differ only here describe the same estimand, so a stored

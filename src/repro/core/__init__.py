@@ -13,7 +13,6 @@ from repro.core.algorithm import BallAlgorithm, FunctionBallAlgorithm
 from repro.core.adversary import (
     AdversaryResult,
     ExhaustiveAdversary,
-    LocalSearchAdversary,
     RandomSearchAdversary,
     RotationAdversary,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "ExhaustiveAdversary",
     "FunctionBallAlgorithm",
     "GrowthFit",
-    "LocalSearchAdversary",
     "MEASURES",
     "Measure",
     "RandomSearchAdversary",

@@ -2,28 +2,27 @@
 
 Both measures in the paper are worst cases *over the identifier assignment*.
 On small instances the maximum can be computed exhaustively (all ``n!``
-permutations); on larger instances we fall back to randomised search and
-hill climbing, whose result is a certified **lower bound** on the true worst
-case (the witness assignment is returned so callers can re-verify it).
+permutations); on larger instances we fall back to randomised search,
+whose result is a certified **lower bound** on the true worst case (the
+witness assignment is returned so callers can re-verify it).
 
 The adversaries are deliberately algorithm-agnostic: they only observe the
 scalar objective of a full run, never the algorithm's internals.
 
-Every search evaluates thousands of assignments of the *same* graph with the
-*same* algorithm, so all adversaries share one engine session per
-:meth:`Adversary.maximise` call — a
+The sampling adversaries (:class:`RandomSearchAdversary`,
+:class:`RotationAdversary`) score their candidate assignments as batch-kernel
+cohorts (:func:`~repro.kernel.compile.simulate_many`) and keep the first
+strict maximum; only the witness then runs through one engine session — a
 :class:`~repro.engine.frontier.FrontierRunner` with a
-:class:`~repro.engine.cache.DecisionCache` — and structurally repeated balls
-skip the simulation entirely.  The cache statistics of the search are
-reported on :attr:`AdversaryResult.cache_stats`.
+:class:`~repro.engine.cache.DecisionCache` — for its full trace (outputs
+included) and the :attr:`AdversaryResult.cache_stats` of that run.
+:class:`ExhaustiveAdversary` is the ``n!`` reference and runs every
+permutation through one such session.
 
-The classes in this module are the first-generation (reference) searches.
-The second-generation subsystem in :mod:`repro.search` — symmetry-pruned
-canonical enumeration, incremental swap evaluation, a parallel strategy
-portfolio — implements the same :class:`Adversary` interface and is
+The symmetry-pruned exact search and the swap-strategy portfolio of
+:mod:`repro.search` implement the same :class:`Adversary` interface and are
 re-exported here (lazily, to keep the import graph acyclic) as
-:class:`PrunedExhaustiveAdversary`, :class:`BranchAndBoundAdversary` and
-:class:`PortfolioAdversary`.
+:class:`PrunedExhaustiveAdversary` and :class:`PortfolioAdversary`.
 """
 
 from __future__ import annotations
@@ -31,12 +30,18 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.core.algorithm import BallAlgorithm
 from repro.engine.cache import CacheStats, DecisionCache
 from repro.engine.frontier import FrontierRunner
 from repro.errors import AnalysisError, ConfigurationError
+from repro.kernel.compile import (
+    DEFAULT_BATCH_ROWS,
+    BatchRequest,
+    compile_instance,
+    simulate_many,
+)
 from repro.model.graph import Graph
 from repro.model.identifiers import IdentifierAssignment, identity_assignment, random_assignment
 from repro.model.trace import ExecutionTrace
@@ -115,21 +120,56 @@ class AdversaryResult:
 SESSION_CACHE_MAX_ENTRIES = 1 << 18
 
 
-class _SessionEvaluator:
-    """One engine session (runner + decision cache) for a whole search."""
+def witness_trace(
+    graph: Graph, algorithm: BallAlgorithm, ids: IdentifierAssignment
+) -> tuple[ExecutionTrace, CacheStats]:
+    """Full trace of a search's witness and the cache stats of that one run.
 
-    def __init__(self, graph: Graph, algorithm: BallAlgorithm, objective: str) -> None:
-        self.cache = DecisionCache(algorithm, max_entries=SESSION_CACHE_MAX_ENTRIES)
-        self.runner = FrontierRunner(graph, algorithm, cache=self.cache)
-        self.objective = objective
+    The kernel answers radii only; the witness's outputs come from one
+    engine session run.
+    """
+    cache = DecisionCache(algorithm, max_entries=SESSION_CACHE_MAX_ENTRIES)
+    trace = FrontierRunner(graph, algorithm, cache=cache).run(ids)
+    return trace, cache.stats
 
-    def __call__(self, ids: IdentifierAssignment) -> tuple[ExecutionTrace, float]:
-        trace = self.runner.run(ids)
-        return trace, trace_objective(trace, self.objective)
 
-    @property
-    def cache_stats(self) -> CacheStats:
-        return self.cache.stats
+def _best_of(
+    graph: Graph,
+    algorithm: BallAlgorithm,
+    objective: str,
+    candidates: Iterable[IdentifierAssignment],
+) -> AdversaryResult:
+    """Score ``candidates`` in kernel cohorts; the first strict maximum wins.
+
+    Candidates are drawn :data:`~repro.kernel.compile.DEFAULT_BATCH_ROWS` at
+    a time, so memory stays one cohort of rows whatever their number.
+    """
+    if graph.n == 0:
+        raise AnalysisError("cannot run an adversary on an empty graph")
+    kernel = compile_instance(graph, algorithm)
+    score = max if objective == "max" else sum
+    candidates = iter(candidates)
+    best: Optional[IdentifierAssignment] = None
+    best_score = -1
+    evaluations = 0
+    while cohort := list(itertools.islice(candidates, DEFAULT_BATCH_ROWS)):
+        evaluations += len(cohort)
+        (radii_rows,) = simulate_many([BatchRequest(kernel, cohort)])
+        for ids, radii in zip(cohort, radii_rows):
+            value = score(radii)
+            if value > best_score:
+                best, best_score = ids, value
+    assert best is not None  # at least one candidate
+    trace, cache_stats = witness_trace(graph, algorithm, best)
+    return AdversaryResult(
+        assignment=best,
+        trace=trace,
+        value=trace_objective(trace, objective),
+        objective=objective,
+        evaluations=evaluations,
+        exact=False,
+        cache_stats=cache_stats,
+    )
 
 
 class Adversary(abc.ABC):
@@ -141,25 +181,15 @@ class Adversary(abc.ABC):
     ) -> AdversaryResult:
         """Return the best assignment found for the given objective."""
 
-    @staticmethod
-    def _evaluate(
-        graph: Graph, ids: IdentifierAssignment, algorithm: BallAlgorithm, objective: str
-    ) -> tuple[ExecutionTrace, float]:
-        """One-shot evaluation (compatibility path; searches use a session)."""
-        from repro.core.runner import run_ball_algorithm
-
-        trace = run_ball_algorithm(graph, ids, algorithm)
-        return trace, trace_objective(trace, objective)
-
 
 class ExhaustiveAdversary(Adversary):
     """Try every permutation of ``0..n-1`` — exact, but only feasible for tiny n.
 
     ``max_nodes`` protects against accidentally launching a factorial search
     on a large graph.  This is the reference implementation that the
-    symmetry-pruned searches of :mod:`repro.search` are verified against;
+    symmetry-pruned search of :mod:`repro.search` is verified against;
     for anything beyond toy sizes prefer
-    :class:`~repro.search.adversaries.BranchAndBoundAdversary`, which
+    :class:`~repro.search.adversaries.PrunedExhaustiveAdversary`, which
     returns the same certified optimum while enumerating only one
     assignment per automorphism class.
 
@@ -185,14 +215,17 @@ class ExhaustiveAdversary(Adversary):
         if graph.n > self.max_nodes:
             raise ConfigurationError(
                 f"ExhaustiveAdversary is limited to {self.max_nodes} nodes "
-                f"(got {graph.n}); use RandomSearchAdversary or LocalSearchAdversary"
+                f"(got {graph.n}); use PrunedExhaustiveAdversary for an exact "
+                f"search or PortfolioAdversary for a lower bound"
             )
-        evaluate = _SessionEvaluator(graph, algorithm, objective)
+        cache = DecisionCache(algorithm, max_entries=SESSION_CACHE_MAX_ENTRIES)
+        runner = FrontierRunner(graph, algorithm, cache=cache)
         best: AdversaryResult | None = None
         evaluations = 0
         for permutation in itertools.permutations(range(graph.n)):
             ids = IdentifierAssignment(permutation)
-            trace, value = evaluate(ids)
+            trace = runner.run(ids)
+            value = trace_objective(trace, objective)
             evaluations += 1
             if best is None or value > best.value:
                 best = AdversaryResult(
@@ -212,7 +245,7 @@ class ExhaustiveAdversary(Adversary):
             objective=objective,
             evaluations=evaluations,
             exact=True,
-            cache_stats=evaluate.cache_stats,
+            cache_stats=cache.stats,
         )
 
 
@@ -229,102 +262,11 @@ class RandomSearchAdversary(Adversary):
     ) -> AdversaryResult:
         validate_objective(objective)
         rng = make_rng(self.seed)
-        evaluate = _SessionEvaluator(graph, algorithm, objective)
-        best: AdversaryResult | None = None
-        for index in range(self.samples):
-            ids = random_assignment(graph.n, seed=rng.getrandbits(64))
-            trace, value = evaluate(ids)
-            if best is None or value > best.value:
-                best = AdversaryResult(
-                    assignment=ids,
-                    trace=trace,
-                    value=value,
-                    objective=objective,
-                    evaluations=index + 1,
-                    exact=False,
-                )
-        assert best is not None  # samples >= 1
-        return AdversaryResult(
-            assignment=best.assignment,
-            trace=best.trace,
-            value=best.value,
-            objective=objective,
-            evaluations=self.samples,
-            exact=False,
-            cache_stats=evaluate.cache_stats,
+        draws = (
+            random_assignment(graph.n, seed=rng.getrandbits(64))
+            for _ in range(self.samples)
         )
-
-
-class LocalSearchAdversary(Adversary):
-    """Hill climbing over pairwise identifier swaps, with random restarts.
-
-    Each restart begins from a random assignment and repeatedly applies the
-    best improving swap among a random sample of position pairs; the search
-    stops when no sampled swap improves the objective.
-
-    Swaps move only two identifiers, so consecutive candidates share almost
-    every ball — the access pattern on which the shared decision cache pays
-    off the most.
-    """
-
-    def __init__(
-        self,
-        restarts: int = 4,
-        swaps_per_step: int = 32,
-        max_steps: int = 64,
-        seed: SeedLike = None,
-    ) -> None:
-        require_positive_int(restarts, "restarts")
-        require_positive_int(swaps_per_step, "swaps_per_step")
-        require_positive_int(max_steps, "max_steps")
-        self.restarts = restarts
-        self.swaps_per_step = swaps_per_step
-        self.max_steps = max_steps
-        self.seed = seed
-
-    def maximise(
-        self, graph: Graph, algorithm: BallAlgorithm, objective: str = "average"
-    ) -> AdversaryResult:
-        validate_objective(objective)
-        rng = make_rng(self.seed)
-        evaluate = _SessionEvaluator(graph, algorithm, objective)
-        best: AdversaryResult | None = None
-        evaluations = 0
-        for _ in range(self.restarts):
-            current = random_assignment(graph.n, seed=rng.getrandbits(64))
-            current_trace, current_value = evaluate(current)
-            evaluations += 1
-            for _ in range(self.max_steps):
-                improved = False
-                for _ in range(self.swaps_per_step):
-                    a, b = rng.sample(range(graph.n), 2) if graph.n > 1 else (0, 0)
-                    candidate = current.with_swap(a, b)
-                    trace, value = evaluate(candidate)
-                    evaluations += 1
-                    if value > current_value:
-                        current, current_trace, current_value = candidate, trace, value
-                        improved = True
-                if not improved:
-                    break
-            if best is None or current_value > best.value:
-                best = AdversaryResult(
-                    assignment=current,
-                    trace=current_trace,
-                    value=current_value,
-                    objective=objective,
-                    evaluations=evaluations,
-                    exact=False,
-                )
-        assert best is not None  # restarts >= 1
-        return AdversaryResult(
-            assignment=best.assignment,
-            trace=best.trace,
-            value=best.value,
-            objective=objective,
-            evaluations=evaluations,
-            exact=False,
-            cache_stats=evaluate.cache_stats,
-        )
+        return _best_of(graph, algorithm, objective, draws)
 
 
 class RotationAdversary(Adversary):
@@ -349,39 +291,12 @@ class RotationAdversary(Adversary):
             raise ConfigurationError(
                 f"base assignment covers {base.n} positions but graph has {graph.n}"
             )
-        evaluate = _SessionEvaluator(graph, algorithm, objective)
-        best: AdversaryResult | None = None
-        for shift in range(graph.n):
-            ids = base.rotated(shift)
-            trace, value = evaluate(ids)
-            if best is None or value > best.value:
-                best = AdversaryResult(
-                    assignment=ids,
-                    trace=trace,
-                    value=value,
-                    objective=objective,
-                    evaluations=shift + 1,
-                    exact=False,
-                )
-        if best is None:
-            raise AnalysisError("cannot run an adversary on an empty graph")
-        return AdversaryResult(
-            assignment=best.assignment,
-            trace=best.trace,
-            value=best.value,
-            objective=objective,
-            evaluations=graph.n,
-            exact=False,
-            cache_stats=evaluate.cache_stats,
-        )
+        rotations = (base.rotated(shift) for shift in range(graph.n))
+        return _best_of(graph, algorithm, objective, rotations)
 
 
 #: Second-generation adversaries re-exported from :mod:`repro.search`.
-_SEARCH_ADVERSARIES = (
-    "PrunedExhaustiveAdversary",
-    "BranchAndBoundAdversary",
-    "PortfolioAdversary",
-)
+_SEARCH_ADVERSARIES = ("PrunedExhaustiveAdversary", "PortfolioAdversary")
 
 
 def __getattr__(name: str):
@@ -389,7 +304,7 @@ def __getattr__(name: str):
 
     ``repro.search`` imports this module for the base classes, so importing
     it eagerly here would create a cycle; deferring the import keeps
-    ``from repro.core.adversary import BranchAndBoundAdversary`` working
+    ``from repro.core.adversary import PrunedExhaustiveAdversary`` working
     without one.
     """
     if name in _SEARCH_ADVERSARIES:

@@ -246,7 +246,7 @@ def exact_worst_case(
     """Certified-exact ``max`` over identifier assignments of the chosen measure.
 
     Runs the symmetry-pruned exact search of :mod:`repro.search` (the
-    ``branch-and-bound`` adversary): the result carries ``exact=True``, a witness
+    ``pruned-exhaustive`` adversary): the result carries ``exact=True``, a witness
     assignment, and a :class:`~repro.search.branch_bound.SearchCertificate`
     describing the enumeration.  Feasibility reaches well past the legacy
     ``n <= 9`` exhaustive limit on symmetric topologies.
@@ -259,12 +259,12 @@ def exact_worst_case(
     >>> result.certificate.group_order
     12
     """
-    from repro.search.adversaries import BranchAndBoundAdversary
+    from repro.search.adversaries import PrunedExhaustiveAdversary
 
     if max_nodes is None:
-        adversary = BranchAndBoundAdversary()
+        adversary = PrunedExhaustiveAdversary()
     else:
-        adversary = BranchAndBoundAdversary(max_nodes=max_nodes)
+        adversary = PrunedExhaustiveAdversary(max_nodes=max_nodes)
     return adversary.maximise(graph, algorithm, objective=objective)
 
 

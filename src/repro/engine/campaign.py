@@ -67,41 +67,38 @@ def make_adversary(name: str, budgets, seed: int = 0, workers: Optional[int] = 1
     ``budgets`` is a :class:`~repro.api.query.Query` (or anything carrying
     its budget fields ``samples``, ``restarts``, ``swaps_per_step``,
     ``max_steps``, ``exhaustive_max_nodes`` and ``exact_max_nodes``);
-    ``seed`` feeds the randomised searches and ``workers`` the portfolio's
-    process fan-out.
+    ``seed`` feeds the randomised searches and ``workers`` the process
+    fan-out of the strategy portfolios (``portfolio`` and ``local-search``).
     """
     # Imported here: the engine's lower layers must stay importable without
     # repro.core (which itself imports the engine).
     from repro.core.adversary import (
         ExhaustiveAdversary,
-        LocalSearchAdversary,
         RandomSearchAdversary,
         RotationAdversary,
     )
+    from repro.search.adversaries import PortfolioAdversary, PrunedExhaustiveAdversary
+    from repro.search.portfolio import StrategySpec
 
     if name == "exhaustive":
         return ExhaustiveAdversary(max_nodes=budgets.exhaustive_max_nodes)
     if name == "random-search":
         return RandomSearchAdversary(samples=budgets.samples, seed=seed)
     if name == "local-search":
-        return LocalSearchAdversary(
-            restarts=budgets.restarts,
+        # Random-restart hill climbing: one hill-climb member per restart.
+        climb = StrategySpec.make(
+            "hill-climb",
             swaps_per_step=budgets.swaps_per_step,
             max_steps=budgets.max_steps,
-            seed=seed,
+        )
+        return PortfolioAdversary(
+            strategies=(climb,) * budgets.restarts, seed=seed, workers=workers
         )
     if name == "rotation":
         return RotationAdversary()
-    from repro.search.adversaries import (
-        BranchAndBoundAdversary,
-        PortfolioAdversary,
-        PrunedExhaustiveAdversary,
-    )
-
-    if name == "pruned-exhaustive":
+    # ``branch-and-bound`` is the historical name of the one exact search.
+    if name in ("pruned-exhaustive", "branch-and-bound"):
         return PrunedExhaustiveAdversary(max_nodes=budgets.exact_max_nodes)
-    if name == "branch-and-bound":
-        return BranchAndBoundAdversary(max_nodes=budgets.exact_max_nodes)
     if name == "portfolio":
         return PortfolioAdversary(seed=seed, workers=workers)
     raise ConfigurationError(f"unknown adversary {name!r}")

@@ -7,14 +7,13 @@ small cycles, where the legacy exhaustive adversary still provides ground
 truth:
 
 * ``exhaustive``        — the legacy full ``n!`` enumeration (PR 1 engine);
-* ``pruned-exhaustive`` — canonical enumeration only (one assignment per
-  automorphism class of the cycle, ``n!/2n`` candidates);
-* ``branch-and-bound``  — the same canonical enumeration seeded with a
-  hill-climbed incumbent (which decides ties);
+* ``pruned-exhaustive`` — canonical enumeration (one assignment per
+  automorphism class of the cycle, ``n!/2n`` candidates), the one exact
+  search (``branch-and-bound`` is another name for it);
 * ``portfolio``         — the heuristic strategy portfolio (lower bound).
 
-The shape checks assert what the search subsystem guarantees: all exact
-searches agree with the legacy optimum, the pruned searches do factor-of-
+The shape checks assert what the search subsystem guarantees: the exact
+search agrees with the legacy optimum, the pruned search does factor-of-
 group less enumeration work, and the heuristic portfolio never reports a
 value above the certified optimum (on these sizes it in fact attains it).
 """
@@ -27,11 +26,7 @@ from typing import Sequence
 from repro.algorithms.largest_id import LargestIdAlgorithm
 from repro.core.adversary import ExhaustiveAdversary
 from repro.experiments.harness import ExperimentResult
-from repro.search.adversaries import (
-    BranchAndBoundAdversary,
-    PortfolioAdversary,
-    PrunedExhaustiveAdversary,
-)
+from repro.search.adversaries import PortfolioAdversary, PrunedExhaustiveAdversary
 from repro.topology.cycle import cycle_graph
 from repro.utils.tables import Table
 
@@ -66,7 +61,6 @@ def run(sizes: Sequence[int] | None = None, small: bool = False) -> ExperimentRe
     adversaries = (
         ("exhaustive", lambda seed: ExhaustiveAdversary()),
         ("pruned-exhaustive", lambda seed: PrunedExhaustiveAdversary()),
-        ("branch-and-bound", lambda seed: BranchAndBoundAdversary()),
         ("portfolio", lambda seed: PortfolioAdversary(seed=seed)),
     )
     exact_by_n: dict[int, float] = {}
@@ -94,11 +88,10 @@ def run(sizes: Sequence[int] | None = None, small: bool = False) -> ExperimentRe
                 exact_by_n[n] = outcome.value
     result.require(
         all(
-            rows_by_key[(n, name)]["value"] == round(exact_by_n[n], 6)
+            rows_by_key[(n, "pruned-exhaustive")]["value"] == round(exact_by_n[n], 6)
             for n in sizes
-            for name in ("pruned-exhaustive", "branch-and-bound")
         ),
-        "every exact search reports the legacy exhaustive optimum",
+        "the exact search reports the legacy exhaustive optimum",
     )
     result.require(
         all(

@@ -22,8 +22,10 @@ the outer search.  This package is that search layer:
   races independent strategies through the engine's
   :class:`~repro.engine.batch.BatchExecutor`;
 * :mod:`repro.search.adversaries` — drop-in :class:`~repro.core.adversary.Adversary`
-  implementations (``pruned-exhaustive``, ``branch-and-bound``,
-  ``portfolio``) wired into the campaign grid and the CLI.
+  implementations: the exact search (registered as ``pruned-exhaustive`` and
+  ``branch-and-bound``) and the portfolio (``portfolio``, and the
+  hill-climb-only ``local-search``), wired into the campaign grid and the
+  CLI.
 
 Exact searches return a :class:`~repro.search.branch_bound.SearchCertificate`
 (on :attr:`AdversaryResult.certificate <repro.core.adversary.AdversaryResult>`)
@@ -33,7 +35,6 @@ after the fact.
 """
 
 from repro.search.adversaries import (
-    BranchAndBoundAdversary,
     PortfolioAdversary,
     PrunedExhaustiveAdversary,
 )
@@ -56,7 +57,6 @@ from repro.search.strategies import (
 
 __all__ = [
     "AutomorphismGroup",
-    "BranchAndBoundAdversary",
     "BranchAndBoundSearch",
     "PortfolioAdversary",
     "PortfolioCertificate",

@@ -3,7 +3,7 @@
 These classes implement the :class:`~repro.core.adversary.Adversary`
 interface, so every call site that accepts the legacy adversaries — the
 measures, the campaign grid, the CLI — can use them unchanged.  The exact
-ones attach a :class:`~repro.search.branch_bound.SearchCertificate` to the
+one attaches a :class:`~repro.search.branch_bound.SearchCertificate` to the
 result; the portfolio attaches a
 :class:`~repro.search.portfolio.PortfolioCertificate`.
 """
@@ -11,23 +11,22 @@ result; the portfolio attaches a
 from __future__ import annotations
 
 import math
-from random import Random
 from typing import Optional, Sequence
 
 from repro.core.adversary import (
     Adversary,
     AdversaryResult,
-    _SessionEvaluator,
+    trace_objective,
     validate_objective,
+    witness_trace,
 )
 from repro.core.algorithm import BallAlgorithm
 from repro.errors import ConfigurationError
 from repro.model.graph import Graph
-from repro.model.identifiers import IdentifierAssignment, random_assignment
+from repro.model.identifiers import IdentifierAssignment
 from repro.search.branch_bound import BranchAndBoundSearch
 from repro.search.incremental import SwapEvaluator
 from repro.search.portfolio import PortfolioSearch, StrategySpec
-from repro.search.strategies import hill_climb
 from repro.utils.validation import require_positive_int
 
 #: Node cap for the exact searches.  Symmetry pruning pushes exhaustive
@@ -50,7 +49,10 @@ class PrunedExhaustiveAdversary(Adversary):
     instead of ``n!`` — and evaluates them in kernel cohorts.  The result is
     the same certified optimum as the legacy
     :class:`~repro.core.adversary.ExhaustiveAdversary`, with the enumeration
-    audit on :attr:`AdversaryResult.certificate`.
+    audit on :attr:`AdversaryResult.certificate`; the witness is the first
+    optimal canonical leaf in DFS order.  This is the one exact search: the
+    registry names ``pruned-exhaustive`` and ``branch-and-bound`` both build
+    it.
     """
 
     def __init__(
@@ -88,66 +90,19 @@ class PrunedExhaustiveAdversary(Adversary):
                 f"above the budget of {self.max_classes}; raise max_classes or use "
                 f"PortfolioAdversary for a certified lower bound"
             )
-        incumbent, incumbent_evaluations = self._incumbent(graph, algorithm, objective)
-        outcome = search.run(incumbent=incumbent)
+        outcome = search.run()
         assignment = IdentifierAssignment(outcome.identifiers)
-        # The kernel answers radii only: the witness's full trace (outputs
-        # included) comes from one engine session run.
-        session = _SessionEvaluator(graph, algorithm, objective)
-        trace, value = session(assignment)
-        certificate = outcome.certificate
-        # Honest total search cost: the canonical leaves enumerated, plus the
-        # incumbent hill climb's (incremental) evaluations, plus the search's
-        # own evaluation of the seeded incumbent.
-        evaluations = (
-            certificate.canonical_leaves
-            + incumbent_evaluations
-            + (1 if certificate.incumbent_seeded else 0)
-        )
+        trace, cache_stats = witness_trace(graph, algorithm, assignment)
         return AdversaryResult(
             assignment=assignment,
             trace=trace,
-            value=value,
+            value=trace_objective(trace, objective),
             objective=objective,
-            evaluations=evaluations,
+            evaluations=outcome.certificate.canonical_leaves,
             exact=True,
-            cache_stats=session.cache_stats,
+            cache_stats=cache_stats,
             certificate=outcome.certificate,
         )
-
-    def _incumbent(
-        self, graph: Graph, algorithm: BallAlgorithm, objective: str
-    ) -> tuple[Optional[tuple[int, ...]], int]:
-        """(incumbent assignment or None, evaluations spent finding it).
-
-        Pure enumeration needs no incumbent.
-        """
-        return None, 0
-
-
-class BranchAndBoundAdversary(PrunedExhaustiveAdversary):
-    """Canonical enumeration seeded with a hill-climbed incumbent.
-
-    A short deterministic hill climb finds an incumbent before the
-    enumeration; a canonical leaf replaces it only by strictly beating it,
-    so the incumbent decides ties between equally bad witnesses.  The value
-    is the same exact optimum as :class:`PrunedExhaustiveAdversary`.
-    """
-
-    def _incumbent(
-        self, graph: Graph, algorithm: BallAlgorithm, objective: str
-    ) -> tuple[Optional[tuple[int, ...]], int]:
-        if graph.n < 2:
-            return None, 0
-        rng = Random(0x5EED)
-        evaluator = SwapEvaluator(
-            graph,
-            algorithm,
-            objective=objective,
-            ids=random_assignment(graph.n, seed=rng.getrandbits(64)),
-        )
-        result = hill_climb(evaluator, rng, swaps_per_step=16, max_steps=24)
-        return result.identifiers, evaluator.evaluations
 
 
 class PortfolioAdversary(Adversary):

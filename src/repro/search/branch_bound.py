@@ -11,14 +11,14 @@ depth-first search that
    :mod:`repro.search.automorphisms`), which divides the search space by the
    group order; and
 3. **evaluates in cohorts**: canonical leaves are buffered
-   :data:`LEAF_COHORT_ROWS` at a time and each cohort is one
+   :data:`~repro.kernel.compile.DEFAULT_BATCH_ROWS` at a time and each
+   cohort is one
    :func:`~repro.kernel.compile.simulate_many` call on the search's compiled
    instance — the algorithm's vectorised rule, or the decide-backed
    ``runner-table`` rule for algorithms without one.
 
-Values are compared strictly, in DFS order, after an optional incumbent, so
-the incumbent wins ties and otherwise the first optimal canonical leaf is
-the witness.  The search is exact: it returns the same optimum value as the
+Values are compared strictly, in DFS order, so the first optimal canonical
+leaf is the witness.  The search is exact: it returns the same optimum value as the
 full ``n!`` enumeration, together with a :class:`SearchCertificate` recording
 the group used and the enumeration counters, so the claim is auditable.
 """
@@ -32,7 +32,12 @@ from typing import Callable, Optional, Sequence
 from repro.core.adversary import validate_objective
 from repro.core.algorithm import BallAlgorithm
 from repro.errors import AnalysisError
-from repro.kernel.compile import BatchRequest, compile_instance, simulate_many
+from repro.kernel.compile import (
+    DEFAULT_BATCH_ROWS,
+    BatchRequest,
+    compile_instance,
+    simulate_many,
+)
 from repro.model.graph import Graph
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span as _obs_span
@@ -41,10 +46,6 @@ from repro.search.automorphisms import (
     AutomorphismGroup,
     automorphism_group,
 )
-
-#: Canonical leaves buffered per kernel call.
-LEAF_COHORT_ROWS = 256
-
 
 @dataclass(frozen=True)
 class SearchCertificate:
@@ -66,7 +67,6 @@ class SearchCertificate:
     canonical_leaves: int
     nodes_expanded: int
     pruned_by_symmetry: int
-    incumbent_seeded: bool
 
     def as_dict(self) -> dict:
         """JSON-friendly form (campaign rows, benchmark artifacts)."""
@@ -79,7 +79,6 @@ class SearchCertificate:
             "canonical_leaves": self.canonical_leaves,
             "nodes_expanded": self.nodes_expanded,
             "pruned_by_symmetry": self.pruned_by_symmetry,
-            "incumbent_seeded": self.incumbent_seeded,
         }
 
 
@@ -162,15 +161,11 @@ class BranchAndBoundSearch:
 
     def run(
         self,
-        incumbent: Optional[tuple[int, ...]] = None,
         on_leaf: Optional[Callable[[Sequence[int], Sequence[int]], None]] = None,
     ) -> SearchOutcome:
         """Evaluate every canonical assignment; return the exact optimum.
 
-        ``incumbent``, when given, is a full position->identifier tuple; it
-        is evaluated first and a canonical leaf replaces it only by strictly
-        beating it, so the incumbent decides ties.
-
+        The witness is the first optimal canonical leaf in DFS order.
         ``on_leaf`` is the weighted-enumeration hook used by
         :mod:`repro.dist.exact`: it is invoked at every canonical leaf, in
         DFS order, with ``(ids_by_position, radius_by_position)``.  Each leaf
@@ -185,11 +180,6 @@ class BranchAndBoundSearch:
 
         best_int = -1
         best_ids: Optional[tuple[int, ...]] = None
-        if incumbent is not None:
-            best_ids = tuple(incumbent)
-            ((radii,),) = simulate_many([BatchRequest(kernel, [best_ids])])
-            best_int = score(radii)
-
         cohort: list[tuple[int, ...]] = []
 
         def flush() -> None:
@@ -220,7 +210,7 @@ class BranchAndBoundSearch:
             if depth == n:
                 stats["leaves"] += 1
                 cohort.append(tuple(ids_by_position))
-                if len(cohort) >= LEAF_COHORT_ROWS:
+                if len(cohort) >= DEFAULT_BATCH_ROWS:
                     flush()
                 return
             slot = depth
@@ -294,6 +284,5 @@ class BranchAndBoundSearch:
             canonical_leaves=stats["leaves"],
             nodes_expanded=stats["nodes"],
             pruned_by_symmetry=stats["sym"],
-            incumbent_seeded=incumbent is not None,
         )
         return SearchOutcome(identifiers=best_ids, value=value, certificate=certificate)

@@ -64,11 +64,11 @@ class TestWorstCase:
         assert math.isclose(result.measures["average"], 12 / 7)
 
     def test_matches_direct_adversary_call(self):
-        from repro.search.adversaries import BranchAndBoundAdversary
+        from repro.search.adversaries import PrunedExhaustiveAdversary
         from repro.topology.cycle import cycle_graph
         from repro.algorithms.largest_id import LargestIdAlgorithm
 
-        direct = BranchAndBoundAdversary().maximise(
+        direct = PrunedExhaustiveAdversary().maximise(
             cycle_graph(7), LargestIdAlgorithm(), objective="sum"
         )
         result = Session().worst_case(

@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro.api.query import Query
 from repro.core.adversary import (
     ExhaustiveAdversary,
-    LocalSearchAdversary,
     RandomSearchAdversary,
     RotationAdversary,
     trace_objective,
 )
 from repro.core.runner import run_ball_algorithm
+from repro.engine.campaign import make_adversary
 from repro.errors import AnalysisError, ConfigurationError
 from repro.model.identifiers import IdentifierAssignment, identity_assignment
 from repro.theory.bounds import largest_id_sum_upper_bound
@@ -57,21 +58,25 @@ class TestRandomSearchAdversary:
         assert many.value >= few.value
 
 
+def _local_search(restarts, swaps_per_step, max_steps, seed):
+    query = Query(restarts=restarts, swaps_per_step=swaps_per_step, max_steps=max_steps)
+    return make_adversary("local-search", query, seed=seed)
+
+
 class TestLocalSearchAdversary:
     def test_beats_or_matches_its_own_starting_points(self, ring12, largest_id_algorithm):
         random_best = RandomSearchAdversary(samples=4, seed=5).maximise(
             ring12, largest_id_algorithm, objective="average"
         )
-        local_best = LocalSearchAdversary(
-            restarts=2, swaps_per_step=8, max_steps=10, seed=5
-        ).maximise(ring12, largest_id_algorithm, objective="average")
+        local_best = _local_search(2, 8, 10, seed=5).maximise(
+            ring12, largest_id_algorithm, objective="average"
+        )
         assert local_best.value >= random_best.value * 0.9
 
     def test_reports_evaluation_count(self, ring12, largest_id_algorithm):
-        result = LocalSearchAdversary(restarts=1, swaps_per_step=4, max_steps=2, seed=2).maximise(
-            ring12, largest_id_algorithm
-        )
-        assert result.evaluations >= 5  # 1 initial + at least one sweep of swaps
+        result = _local_search(1, 4, 2, seed=2).maximise(ring12, largest_id_algorithm)
+        # A step's 4 sampled swaps plus the re-examination of the one committed.
+        assert result.evaluations >= 5
 
 
 class TestRotationAdversary:
@@ -111,7 +116,7 @@ class TestEagerObjectiveValidation:
         [
             ExhaustiveAdversary(),
             RandomSearchAdversary(samples=4, seed=0),
-            LocalSearchAdversary(restarts=1, swaps_per_step=2, max_steps=2, seed=0),
+            _local_search(1, 2, 2, seed=0),
             RotationAdversary(),
         ],
         ids=["exhaustive", "random-search", "local-search", "rotation"],

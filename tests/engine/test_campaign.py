@@ -13,6 +13,8 @@ from repro.engine.campaign import (
     make_adversary,
 )
 from repro.errors import ConfigurationError
+from repro.search.adversaries import PrunedExhaustiveAdversary
+from repro.search.portfolio import StrategySpec
 
 
 def _sweep(**overrides):
@@ -121,9 +123,13 @@ class TestMakeAdversary:
     def test_budgets_come_from_the_query_fields(self):
         query = Query(samples=7, restarts=3, swaps_per_step=5, max_steps=9, exact_max_nodes=10)
         assert make_adversary("random-search", query).samples == 7
-        local = make_adversary("local-search", query)
-        assert (local.restarts, local.swaps_per_step, local.max_steps) == (3, 5, 9)
+        local = make_adversary("local-search", query, seed=4, workers=2)
+        # One hill-climb member per restart, with the query's step budgets.
+        climb = StrategySpec.make("hill-climb", swaps_per_step=5, max_steps=9)
+        assert local.portfolio.strategies == (climb,) * 3
+        assert (local.portfolio.seed, local.portfolio.workers) == (4, 2)
         assert make_adversary("branch-and-bound", query).max_nodes == 10
+        assert type(make_adversary("branch-and-bound", query)) is PrunedExhaustiveAdversary
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown adversary"):

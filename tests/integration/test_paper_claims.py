@@ -10,9 +10,11 @@ import pytest
 from repro.algorithms.cole_vishkin import ColeVishkinRing, cv_rounds_needed
 from repro.algorithms.full_gather import BallSimulationOfRounds
 from repro.algorithms.largest_id import LargestIdAlgorithm
-from repro.core.adversary import ExhaustiveAdversary, LocalSearchAdversary
+from repro.api.query import Query
+from repro.core.adversary import ExhaustiveAdversary
 from repro.core.certification import certify
 from repro.core.runner import run_ball_algorithm
+from repro.engine.campaign import make_adversary
 from repro.model.identifiers import IdentifierAssignment, random_assignment
 from repro.theory.bounds import (
     largest_id_average_upper_bound,
@@ -52,9 +54,10 @@ class TestSection2LargestId:
     def test_local_search_never_exceeds_the_analytic_worst_case(self):
         n = 24
         graph = cycle_graph(n)
-        found = LocalSearchAdversary(restarts=2, swaps_per_step=16, max_steps=16, seed=7).maximise(
-            graph, LargestIdAlgorithm(), objective="average"
+        local_search = make_adversary(
+            "local-search", Query(restarts=2, swaps_per_step=16, max_steps=16), seed=7
         )
+        found = local_search.maximise(graph, LargestIdAlgorithm(), objective="average")
         assert found.value <= largest_id_average_upper_bound(n) + 1e-9
 
     def test_the_gap_between_the_measures_is_exponential_in_scale(self):

@@ -35,6 +35,19 @@ SCALE = Query(
     seed=7,
 )
 
+#: ``local-search`` is a hill-climb portfolio: its members fan out over the workers.
+SEARCH = Query(
+    mode="sweep",
+    topologies=("cycle", "random-tree"),
+    sizes=12,
+    algorithms="largest-id",
+    adversaries="local-search",
+    restarts=3,
+    swaps_per_step=6,
+    max_steps=6,
+    seed=9,
+)
+
 #: Cold documents the service wall fans out (distinct, all computable cold).
 SERVICE_DOCUMENTS = [
     Query(mode="simulate", topologies="cycle", sizes=16).to_dict(),
@@ -99,6 +112,14 @@ class TestScaleWall:
         monkeypatch.setattr(repro.kernel.shard, "ROW_BLOCK", 1)
         result = Session().scale(SCALE.with_changes(workers=workers))
         assert _scale_comparable(result.rows) == _scale_comparable(scale_reference.rows)
+
+
+class TestSearchWall:
+    def test_local_search_rows_are_worker_invariant(self):
+        reference = Session().sweep(SEARCH.with_changes(workers=1)).rows
+        rows = Session().sweep(SEARCH.with_changes(workers=2)).rows
+        assert len(rows) == 2
+        assert strip_volatile(rows) == strip_volatile(reference)
 
 
 class TestServiceWall:

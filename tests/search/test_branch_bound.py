@@ -9,15 +9,15 @@ from repro.algorithms.cole_vishkin import ColeVishkinRing
 from repro.algorithms.greedy_coloring import GreedyColoringByID
 from repro.core.adversary import ExhaustiveAdversary
 from repro.core.algorithm import FunctionBallAlgorithm
+from repro.api.query import Query
 from repro.core.measures import exact_worst_case
 from repro.core.runner import run_ball_algorithm
+from repro.engine.campaign import make_adversary
 from repro.errors import ConfigurationError, TopologyError
-from repro.search.adversaries import (
-    BranchAndBoundAdversary,
-    PrunedExhaustiveAdversary,
-)
+from repro.kernel.compile import DEFAULT_BATCH_ROWS
+from repro.search.adversaries import PrunedExhaustiveAdversary
 from repro.model.graph import Graph
-from repro.search.branch_bound import LEAF_COHORT_ROWS, BranchAndBoundSearch
+from repro.search.branch_bound import BranchAndBoundSearch
 from repro.topology.complete import complete_graph
 from repro.topology.cycle import cycle_graph
 from repro.topology.path import path_graph
@@ -76,6 +76,11 @@ class TestPrunedExhaustive:
         assert result.exact and result.certificate.canonical_leaves == 1
 
 
+def _branch_and_bound():
+    # The registry name of the one exact search.
+    return make_adversary("branch-and-bound", Query())
+
+
 class TestBranchAndBound:
     @pytest.mark.parametrize("objective", ["average", "max", "sum"])
     def test_matches_legacy_on_cycles_and_paths(self, largest_id_algorithm, objective):
@@ -83,25 +88,11 @@ class TestBranchAndBound:
             legacy = ExhaustiveAdversary().maximise(
                 graph, largest_id_algorithm, objective
             )
-            bounded = BranchAndBoundAdversary().maximise(
+            bounded = _branch_and_bound().maximise(
                 graph, largest_id_algorithm, objective
             )
             assert bounded.exact
             assert bounded.value == legacy.value
-
-    def test_seeded_enumeration_covers_every_canonical_class(
-        self, largest_id_algorithm
-    ):
-        graph = cycle_graph(7)
-        pruned = PrunedExhaustiveAdversary().maximise(graph, largest_id_algorithm)
-        seeded = BranchAndBoundAdversary().maximise(graph, largest_id_algorithm)
-        assert seeded.value == pruned.value
-        assert seeded.certificate.incumbent_seeded
-        assert not pruned.certificate.incumbent_seeded
-        for key in ("canonical_leaves", "nodes_expanded", "pruned_by_symmetry"):
-            assert getattr(seeded.certificate, key) == getattr(pruned.certificate, key)
-        # Leaves, the hill climb's evaluations and the incumbent's own.
-        assert seeded.evaluations > seeded.certificate.canonical_leaves + 1
 
     def test_exact_beyond_the_legacy_limit(self, largest_id_algorithm):
         # n = 12 > 9: a space of 12! assignments, collapsed to one canonical
@@ -129,7 +120,7 @@ class TestBranchAndBound:
         algorithm = GreedyColoringByID()
         graph = path_graph(5)
         legacy = ExhaustiveAdversary().maximise(graph, algorithm, "average")
-        bounded = BranchAndBoundAdversary().maximise(graph, algorithm, "average")
+        bounded = _branch_and_bound().maximise(graph, algorithm, "average")
         assert bounded.value == legacy.value
 
 
@@ -166,26 +157,23 @@ class TestCohortEnumeration:
             streams.append(leaves)
         assert rules == ["runner-table", "greedy-cone-coloring"]
         opaque, native = outcomes
-        assert len(streams[0]) == 2520 > LEAF_COHORT_ROWS
-        assert 2520 % LEAF_COHORT_ROWS != 0
+        assert len(streams[0]) == 2520 > DEFAULT_BATCH_ROWS
+        assert 2520 % DEFAULT_BATCH_ROWS != 0
         assert streams[0] == streams[1]
         assert opaque.value == native.value
         assert opaque.identifiers == native.identifiers
         assert opaque.certificate.as_dict() == native.certificate.as_dict()
 
-    def test_the_incumbent_decides_ties(self, largest_id_algorithm):
-        graph = cycle_graph(6)
-        search = BranchAndBoundSearch(graph, largest_id_algorithm, "sum")
-        unseeded = search.run()
-        # An optimal incumbent is kept over the first optimal leaf...
-        incumbent = (2, 0, 4, 3, 5, 1)
-        seeded = search.run(incumbent=incumbent)
-        assert seeded.certificate.incumbent_seeded
-        assert seeded.value == unseeded.value
-        assert seeded.identifiers == incumbent != unseeded.identifiers
-        # ... and a weak one is replaced by that same leaf.
-        weak = search.run(incumbent=tuple(range(6)))
-        assert weak.identifiers == unseeded.identifiers
+    def test_the_first_optimal_leaf_is_the_witness(self, largest_id_algorithm):
+        search = BranchAndBoundSearch(cycle_graph(6), largest_id_algorithm, "sum")
+        leaves = []
+        outcome = search.run(on_leaf=lambda ids, radii: leaves.append((tuple(ids), sum(radii))))
+        best = max(total for _, total in leaves)
+        # Several canonical leaves tie at the optimum; the first one wins.
+        optimal = [ids for ids, total in leaves if total == best]
+        assert len(optimal) > 1
+        assert outcome.identifiers == optimal[0]
+        assert outcome.value == best
 
     def test_search_builds_no_frontier_plan(self, largest_id_algorithm, monkeypatch):
         from repro.engine import frontier

@@ -1,7 +1,8 @@
 """Million-node scale path: streamed CSR + sharded sampling, with RSS probes.
 
 The scale acceptance workload: for each size in :data:`SIZES` a **fresh
-subprocess** builds the streamed-CSR cycle, runs
+subprocess** builds the CSR cycle (arrays unbuilt: the ring scan needs only
+``n``), runs
 :func:`repro.kernel.shard.run_scale_probe` (sharded sampling of both
 measures under the largest-ID algorithm), and reports throughput plus its
 own ``ru_maxrss`` peak.  The subprocess isolation is the point — the parent
@@ -56,10 +57,12 @@ MIN_NODES_PER_S = pick(5_000.0, 2_000.0)
 MAX_RSS_BYTES = 2 * 1024**3
 
 #: Scaling ratchet: every size's nodes/s relative to the smallest probed
-#: size.  The ring-scan rule removed the per-centre BFS log factor, so the
-#: rate must stay essentially flat as n grows — on the numpy backend the
-#: measured relative rate at 10^6 is ~3x (small sizes pay fixed startup),
-#: on the pure-python fallback ~0.63.  The floors below only trip when the
+#: size.  The ring scan settles a row by pointer jumping in about 40
+#: whole-array rounds over the still-pending positions, and the cycle's CSR
+#: is never built, so the per-node cost must stay essentially flat as n
+#: grows — on the numpy backend the measured relative rate at 10^6 is ~20x
+#: (the 10^4 probe pays fixed startup, the first numpy import included), on
+#: the pure-python fallback ~0.64.  The floors below only trip when the
 #: rule's per-centre cost stops being size-independent again.
 MIN_REL_NODES_PER_S = pick(0.8 if numpy_available() else 0.45, 0.1)
 

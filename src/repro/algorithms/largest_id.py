@@ -47,28 +47,32 @@ class LargestIdAlgorithm(BallAlgorithm):
         (:class:`~repro.kernel.rules.RingScanScaleRule`) when every
         position ``v`` is adjacent to exactly ``v - 1`` and ``v + 1`` mod
         ``n``, the early-stop BFS (:class:`~repro.kernel.rules.MaxScanScaleRule`)
-        otherwise.  Both read only the instance's CSR adjacency, so compiling
-        and evaluating batches builds no frontier plan.
+        otherwise.  The ring scan needs only ``n`` and the BFS only the
+        instance's CSR adjacency, so compiling and evaluating batches builds
+        no frontier plan.
         """
         from repro.kernel.rules import MaxScanScaleRule, RingScanScaleRule, csr_is_ring
 
         indptr, indices = instance.indptr, instance.indices
-        rule = RingScanScaleRule if csr_is_ring(indptr, indices) else MaxScanScaleRule
-        return rule(indptr, indices, instance.backend)
+        if csr_is_ring(indptr, indices):
+            return RingScanScaleRule(instance.n, instance.backend)
+        return MaxScanScaleRule(indptr, indices, instance.backend)
 
     def compile_scale_rule(self, csr):
         """Plan-free rule on a streamed CSR topology: nearest larger ID.
 
         The same rule classes as :meth:`compile_kernel_rule`, built on the
-        streamed arrays, which is what lets the ``scale`` query mode sample
+        streamed topology, which is what lets the ``scale`` query mode sample
         this algorithm on 10^6-node topologies with bounded memory (see
         :mod:`repro.kernel.shard`).  The streamed ``cycle`` family is a ring
-        by construction, so it takes the ring scan without an ``O(n)`` check.
+        by construction, so it takes the ring scan from ``n`` alone: no
+        ``O(n)`` check, and its CSR arrays are never built.
         """
         from repro.kernel.rules import MaxScanScaleRule, RingScanScaleRule
 
-        rule = RingScanScaleRule if csr.topology == "cycle" else MaxScanScaleRule
-        return rule(csr.indptr, csr.indices)
+        if csr.topology == "cycle":
+            return RingScanScaleRule(csr.n)
+        return MaxScanScaleRule(csr.indptr, csr.indices)
 
 
 def predicted_largest_id_radii(graph: Graph, ids: IdentifierAssignment) -> dict[int, int]:

@@ -55,7 +55,7 @@ from repro.core.measures import ComplexityReport
 from repro.dist.exact import exact_round_distribution
 from repro.dist.sampling import DistributionFold, draw_sample_rows, fold_scale_stats
 from repro.engine.batch import BatchExecutor, derive_task_seed
-from repro.engine.cache import DecisionCache
+from repro.engine.cache import DECISION_CACHE_MAX_ENTRIES, DecisionCache
 from repro.engine.campaign import (
     build_topology,
     make_adversary,
@@ -77,10 +77,6 @@ from repro.model.identifiers import IdentifierAssignment, make_identifier_assign
 from repro.model.trace import ExecutionTrace
 from repro.obs import build_profile, metrics as _metrics
 from repro.obs.spans import span as _obs_span
-
-#: Bound on each per-(graph, algorithm) decision-cache table, matching the
-#: adversaries' session caches.
-SESSION_CACHE_MAX_ENTRIES = 1 << 18
 
 #: Bounds on how many graphs / algorithm instances / engine runners /
 #: compiled kernel instances a session retains.  Long-lived sessions (the
@@ -547,7 +543,7 @@ class Session:
             runner = FrontierRunner(
                 graph,
                 algorithm,
-                cache=DecisionCache(algorithm, max_entries=SESSION_CACHE_MAX_ENTRIES),
+                cache=DecisionCache(algorithm, max_entries=DECISION_CACHE_MAX_ENTRIES),
             )
             entry = (graph, algorithm, runner)
             self._runners.put(key, entry)

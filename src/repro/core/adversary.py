@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.algorithm import BallAlgorithm
-from repro.engine.cache import CacheStats, DecisionCache
+from repro.engine.cache import DECISION_CACHE_MAX_ENTRIES, CacheStats, DecisionCache
 from repro.engine.frontier import FrontierRunner
 from repro.errors import AnalysisError, ConfigurationError
 from repro.kernel.compile import (
@@ -114,12 +114,6 @@ class AdversaryResult:
     certificate: Optional[object] = None
 
 
-#: Memory bound for the per-search decision caches: long searches on graphs
-#: with mostly-distinct balls would otherwise grow the table linearly with
-#: the number of evaluations.
-SESSION_CACHE_MAX_ENTRIES = 1 << 18
-
-
 def witness_trace(
     graph: Graph, algorithm: BallAlgorithm, ids: IdentifierAssignment
 ) -> tuple[ExecutionTrace, CacheStats]:
@@ -128,7 +122,7 @@ def witness_trace(
     The kernel answers radii only; the witness's outputs come from one
     engine session run.
     """
-    cache = DecisionCache(algorithm, max_entries=SESSION_CACHE_MAX_ENTRIES)
+    cache = DecisionCache(algorithm, max_entries=DECISION_CACHE_MAX_ENTRIES)
     trace = FrontierRunner(graph, algorithm, cache=cache).run(ids)
     return trace, cache.stats
 
@@ -218,7 +212,7 @@ class ExhaustiveAdversary(Adversary):
                 f"(got {graph.n}); use PrunedExhaustiveAdversary for an exact "
                 f"search or PortfolioAdversary for a lower bound"
             )
-        cache = DecisionCache(algorithm, max_entries=SESSION_CACHE_MAX_ENTRIES)
+        cache = DecisionCache(algorithm, max_entries=DECISION_CACHE_MAX_ENTRIES)
         runner = FrontierRunner(graph, algorithm, cache=cache)
         best: AdversaryResult | None = None
         evaluations = 0

@@ -336,6 +336,13 @@ class WorkerPool:
         return self._closed
 
     def _spawn(self) -> _Worker:
+        if self._use_shm:
+            # A worker must inherit this process's resource tracker: one
+            # started by its own first attach would unlink every segment
+            # that worker attached when it exits, and warn of leaks.
+            from multiprocessing import resource_tracker
+
+            resource_tracker.ensure_running()
         parent_end, child_end = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main, args=(child_end,), daemon=True

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from repro.engine.cache import DECISION_CACHE_MAX_ENTRIES
 from repro.errors import IdentifierError, TopologyError
 from repro.kernel.backend import resolve_backend
 from repro.kernel.rules import KernelRule, RunnerTableRule
@@ -46,10 +47,6 @@ from repro.obs.spans import obs_enabled as _obs_enabled, span as _obs_span
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.core.algorithm import BallAlgorithm
-
-#: Default bound on the fallback rule's decision table, matching the
-#: session caches of the adversaries and the API layer.
-DEFAULT_MAX_TABLE_ENTRIES = 1 << 18
 
 #: Largest identifier the numpy backend can gather (int64 arrays).  The
 #: stdlib backend has no such limit; oversized identifiers on the numpy
@@ -96,7 +93,7 @@ class CompiledInstance:
         graph: Graph,
         algorithm: "BallAlgorithm",
         backend: Optional[str] = None,
-        max_table_entries: int = DEFAULT_MAX_TABLE_ENTRIES,
+        max_table_entries: int = DECISION_CACHE_MAX_ENTRIES,
         validate: bool = True,
     ) -> None:
         if validate:
@@ -215,7 +212,7 @@ def compile_instance(
     graph: Graph,
     algorithm: "BallAlgorithm",
     backend: Optional[str] = None,
-    max_table_entries: int = DEFAULT_MAX_TABLE_ENTRIES,
+    max_table_entries: int = DECISION_CACHE_MAX_ENTRIES,
     validate: bool = True,
 ) -> CompiledInstance:
     """Compile one ``(graph, algorithm)`` pair for batch evaluation."""

@@ -8,8 +8,8 @@ node outputs.  Outputs are not part of the interface: whoever needs them
 :class:`~repro.engine.frontier.FrontierRunner` traces.  Rules come in three
 flavours:
 
-* **CSR rules** (:class:`ScaleRule`) read nothing but the flat CSR
-  adjacency of the graph — no frontier plans — so one rule object serves a
+* **CSR rules** (:class:`ScaleRule`) read nothing but ``n`` and the flat
+  CSR adjacency of the graph — no frontier plans — so one rule object serves a
   :class:`~repro.kernel.compile.CompiledInstance` (whole batches) and the
   sharded ``scale`` path (one sampled row at a time, see
   :mod:`repro.kernel.shard`) alike.  The paper's largest-ID algorithm is
@@ -19,8 +19,9 @@ flavours:
   round per distance, so every undecided ``(row, centre)`` pair of the
   batch advances one BFS layer per round at array speed (stdlib backend:
   each centre's layers grown only while some row is still undecided);
-  :class:`RingScanScaleRule` is its specialisation to the cycle, where the
-  layer at distance ``r`` is ``{v - r, v + r}``.
+  :class:`RingScanScaleRule` is its specialisation to the cycle, which
+  needs only ``n`` and finds every nearest larger identifier by pointer
+  jumping.
 
 * other **vectorised** rules (``vectorized = True``) know a closed-form
   description of the algorithm's stopping radius and evaluate it in tight
@@ -142,12 +143,13 @@ def csr_is_ring(indptr: Sequence[int], indices: Sequence[int]) -> bool:
 
 
 class ScaleRule(KernelRule):
-    """A vectorised rule that reads only CSR adjacency — no frontier plans.
+    """A vectorised rule that reads at most CSR adjacency — no frontier plans.
 
-    Built from ``indptr`` / ``indices`` (neighbours of ``v`` are
+    The base takes ``n``; a subclass that walks the graph also takes
+    ``indptr`` / ``indices`` (neighbours of ``v`` are
     ``indices[indptr[v]:indptr[v + 1]]``): the CSR of a compiled instance
     (:class:`~repro.kernel.compile.CompiledInstance`) or of a
-    streamed :class:`~repro.topology.stream.CSRTopology`.  The whole
+    :class:`~repro.topology.stream.CSRTopology`.  The whole
     evaluation is :meth:`block_radii` — every centre of every row of a
     batch — which the kernel interface calls with whole batches and the
     sharded executor with one sampled row at a time.  On numpy a rule
@@ -162,19 +164,17 @@ class ScaleRule(KernelRule):
 
     vectorized = True
 
+    #: Whether the rule reads the CSR arrays at all.  A rule that needs only
+    #: ``n`` (the ring scan) lets the sharded executor skip publishing the
+    #: adjacency to its workers.
+    reads_adjacency = True
+
     #: ``(row, centre)`` pairs per numpy sweep: bounds a sweep's
     #: temporaries to a few tens of megabytes whatever the batch size.
     PAIR_BUDGET = 1 << 20
 
-    def __init__(
-        self,
-        indptr: Sequence[int],
-        indices: Sequence[int],
-        backend: Optional[str] = None,
-    ) -> None:
-        self._indptr = indptr
-        self._indices = indices
-        self._n = len(indptr) - 1
+    def __init__(self, n: int, backend: Optional[str] = None) -> None:
+        self._n = n
         self._requested_backend = backend
         self._backend: Optional[str] = None
 
@@ -257,8 +257,15 @@ class MaxScanScaleRule(ScaleRule):
 
     name = "max-scan"
 
-    def __init__(self, indptr, indices, backend=None) -> None:
-        super().__init__(indptr, indices, backend)
+    def __init__(
+        self,
+        indptr: Sequence[int],
+        indices: Sequence[int],
+        backend: Optional[str] = None,
+    ) -> None:
+        super().__init__(len(indptr) - 1, backend)
+        self._indptr = indptr
+        self._indices = indices
         self._visited: Optional[array] = None
         self._stamp = 0
         self._eccentricity: dict[int, int] = {}
@@ -409,32 +416,31 @@ class MaxScanScaleRule(ScaleRule):
 
 
 class RingScanScaleRule(ScaleRule):
-    """Largest-ID on the cycle: every undecided pair advances one ring step.
+    """Largest-ID on the cycle: nearest larger identifiers by pointer jumping.
 
-    Requires ``indptr`` / ``indices`` of a ring whose position ``v`` is
-    adjacent to exactly ``v - 1`` and ``v + 1`` (mod ``n``) — the caller
-    checks (:func:`csr_is_ring`) or trusts the streamed ``cycle`` family.
-    The BFS layer at distance ``r`` from ``v`` is then ``{v - r, v + r}``,
-    so a centre's radius is the first ``r`` at which either ring position
-    carries a larger identifier: no adjacency walk, no visited set.  The
-    numpy sweep advances every undecided ``(row, centre)`` pair of the
-    batch one ring distance per round with two gather-and-compare
-    operations; a pair leaves the active set the round it decides.  The
-    row's maximum never finds a larger identifier and outputs at the ring's
-    eccentricity ``n // 2``.
+    Built from ``n`` alone: position ``v`` of the ring is adjacent to
+    exactly ``v - 1`` and ``v + 1`` (mod ``n``) — the caller checks
+    (:func:`csr_is_ring`) or trusts the streamed ``cycle`` family — so the
+    BFS layer at distance ``r`` from ``v`` is ``{v - r, v + r}`` and a
+    centre's radius is the ring distance to its nearest strictly larger
+    identifier.  The row's maximum never finds one and outputs at the
+    ring's eccentricity ``n // 2``.
 
-    Per-row work is ``O(sum of radii)`` at array speed, which keeps
-    scale-mode nodes/s flat from 10^4 to 10^6 (``BENCH_scale.json`` gates
-    the ratio).  The stdlib backend runs a two-pointer scan per centre.
+    The numpy sweep finds every nearest larger identifier of a block at
+    once, one side of the ring at a time, by pointer jumping (the
+    all-nearest-larger-values technique of Berkman, Schieber and Vishkin):
+    ``nxt[v]`` starts at ``v``'s ring neighbour, and while
+    ``ids[nxt[v]] <= ids[v]`` the pending ``v`` jumps to ``nxt[nxt[v]]``,
+    adding that pointer's length to its own.  Every skipped position holds
+    a smaller or equal identifier, so a pointer never passes the nearest
+    larger one.  Each round touches only the still-pending positions, and
+    a 10^6-node row settles in about 40 rounds.  Blocks of rows share one
+    flat index space, each row wrapping onto itself.  The stdlib backend
+    runs a two-pointer scan per centre.
     """
 
     name = "ring-scan"
-
-    #: Below this many undecided pairs, when more than this many rounds may
-    #: remain, the sweep finishes them directly (per-pair nearest-larger
-    #: scan) instead of paying whole-array rounds for a tiny tail.  Any
-    #: threshold yields the same radii.
-    TAIL_DIRECT = 64
+    reads_adjacency = False
 
     def _block_python(self, rows: Rows) -> list[list[int]]:
         return [self._scan_python(ids) for ids in rows]
@@ -442,43 +448,30 @@ class RingScanScaleRule(ScaleRule):
     def _sweep_numpy(self, np, ids):
         """All radii of one ``(rows, n)`` identifier block."""
         count, n = ids.shape
-        half = n // 2
         flat = ids.reshape(-1)
-        radii = np.zeros(count * n, dtype=np.int64)
-        largest = ids.argmax(axis=1) + np.arange(count, dtype=np.int64) * n
-        radii[largest] = half
-        undecided = np.ones(count * n, dtype=bool)
-        undecided[largest] = False
-        # Active pairs as flat indices row * n + centre, plus their own ids.
-        pairs = np.flatnonzero(undecided)
-        del undecided
-        own = flat[pairs]
-        r = 0
-        while pairs.size:
-            r += 1
-            if pairs.size <= self.TAIL_DIRECT < half - r:
-                # Nearest larger identifier by ring distance (the min of the
-                # clockwise and counter-clockwise offsets), pair by pair.
-                for pair, mine in zip(pairs.tolist(), own.tolist()):
-                    base, center = pair - pair % n, pair % n
-                    higher = np.nonzero(flat[base : base + n] > mine)[0]
-                    delta = np.abs(higher - center)
-                    radii[pair] = int(np.minimum(delta, n - delta).min())
-                break
-            # Ring neighbours at distance r, one side at a time so that at
-            # most one index array is alive at n = 10^6.
-            centers = pairs % n
-            index = pairs - r
-            index[centers < r] += n
-            decided = flat[index] > own
-            index = pairs + r
-            index[centers >= n - r] -= n
-            decided |= flat[index] > own
-            if decided.any():
-                radii[pairs[decided]] = r
-                keep = ~decided
-                pairs = pairs[keep]
-                own = own[keep]
+        size = count * n
+        largest = ids.argmax(axis=1) + np.arange(0, size, n)
+        radii = None
+        for step in (1, -1):
+            nxt = np.arange(step, size + step, dtype=np.int64)
+            if step == 1:
+                nxt[n - 1 :: n] -= n  # each row's last position wraps to its first
+            else:
+                nxt[::n] += n
+            length = np.ones(size, dtype=np.int64)
+            pending = flat[nxt] <= flat
+            pending[largest] = False
+            pending = np.flatnonzero(pending)
+            while pending.size:
+                # One synchronous round: every gather reads the previous
+                # round's pointers and lengths.
+                hop = nxt[pending]
+                length[pending] += length[hop]
+                hop = nxt[hop]
+                nxt[pending] = hop
+                pending = pending[flat[hop] <= flat[pending]]
+            radii = length if radii is None else np.minimum(radii, length, out=radii)
+        radii[largest] = n // 2
         return radii.reshape(count, n)
 
     def _scan_python(self, ids: Sequence[int]) -> list[int]:

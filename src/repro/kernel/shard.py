@@ -1,8 +1,8 @@
 """Sharded, memory-bounded kernel execution for million-node instances.
 
 The large-n path of the batch kernel.  A :class:`~repro.kernel.rules.ScaleRule`
-— the same CSR rule a :class:`~repro.kernel.compile.CompiledInstance`
-evaluates largest-ID with — reads nothing but the streamed CSR adjacency of a
+— the same rule a :class:`~repro.kernel.compile.CompiledInstance`
+evaluates largest-ID with — reads at most the CSR adjacency of a
 :class:`~repro.topology.stream.CSRTopology`: no frontier plans, one
 whole-row sweep per sampled row.  A :class:`ShardedKernelExecutor` splits
 the sampled rows into blocks of :data:`ROW_BLOCK` — one task per block —
@@ -17,13 +17,14 @@ results are bit-identical at any worker count and any row block, which
 ``tests/property/test_property_scale.py`` asserts.
 
 Workers never receive megabytes over a pipe: a task payload carries the CSR
-*spec* ``(topology, n, seed)`` plus its row range — and, when the warm
-pool's shared-memory transport is live, :class:`~repro.engine.pool.ShmRef`
-handles to the CSR arrays, so workers attach the published buffers
-zero-copy instead of rebuilding them.  Reconstructed CSRs and rules are
-cached per worker and spec via :func:`~repro.engine.pool.worker_cache` (the
-hit counts surface as ``pool.worker_cache_hits``).  A task evaluates its
-rows one at a time — draw the row, sweep it, fold it — so no row
+*spec* ``(topology, n, seed)`` plus its row range — and, when the rule reads
+adjacency and the warm pool's shared-memory transport is live,
+:class:`~repro.engine.pool.ShmRef` handles to the CSR arrays, so workers
+attach the published buffers zero-copy instead of rebuilding them.
+Reconstructed CSRs and rules are cached per worker and spec via
+:func:`~repro.engine.pool.worker_cache` (the hit counts surface as
+``pool.worker_cache_hits``).  A task evaluates its rows one at a time —
+draw the row (:func:`scale_row_ids`), sweep it, fold it — so no row
 permutation or radii vector outlives its row.
 
 Algorithms opt in through
@@ -35,8 +36,10 @@ undecided centre of the row advances one BFS layer per round at array
 speed and a row costs ``O(m)`` per round for as many rounds as its largest
 output radius (capped, with a per-centre scan for the stragglers).  On the
 paper's own topology — the cycle —
-:class:`~repro.kernel.rules.RingScanScaleRule` reads the layer at distance
-``r`` straight off the ring (``{v - r, v + r}``), with no adjacency walk.
+:class:`~repro.kernel.rules.RingScanScaleRule` finds every nearest larger
+identifier of the row by pointer jumping in a few dozen whole-array
+rounds; it needs only ``n``, so a cycle cell never builds or publishes CSR
+arrays at all.
 Under ``workers == 1`` each task's ``kernel.shard`` span has a
 ``kernel.shard.rows`` child per generated row and a ``kernel.shard.rule``
 child per row sweep.
@@ -92,17 +95,24 @@ def scale_row_ids(n: int, base_seed: int, row_index: int) -> memoryview:
     rows locally instead of receiving 8 MB of identifiers per task.  One
     ``getrandbits(64 n)`` draw from the row's derived seed gives ``n``
     little-endian 64-bit keys; position ``i`` holds the index of the
-    ``i``-th smallest key (a stable sort, so ties keep index order).  numpy's
-    stable argsort and the stdlib's ``sorted`` give the same permutation;
-    the stdlib one runs whenever numpy is unavailable or disabled.  The
-    permutation comes back as a flat int64 buffer (``memoryview`` of format
-    ``"q"``, 8 bytes per identifier) over the sort's own output, not a copy.
+    ``i``-th smallest key, ties in index order (a stable sort).  numpy
+    sorts with its default (unstable, faster) argsort and checks
+    the sorted keys for equal neighbours: without a tie every sort gives
+    the same permutation, and on a tie it sorts again stably.  The stdlib's
+    ``sorted`` gives the same permutation and runs whenever numpy is
+    unavailable or disabled.  The permutation comes back as a flat int64
+    buffer (``memoryview`` of format ``"q"``, 8 bytes per identifier) over
+    the sort's own output, not a copy.
     """
     raw = make_rng(derive_task_seed(base_seed, "scale", row_index)).getrandbits(64 * n)
     raw = raw.to_bytes(8 * n, "little")
     if numpy_available():
         np = numpy_module()
-        order = np.argsort(np.frombuffer(raw, dtype="<u8"), kind="stable")
+        keys = np.frombuffer(raw, dtype="<u8")
+        order = np.argsort(keys)
+        ordered = keys[order]
+        if (ordered[1:] == ordered[:-1]).any():
+            order = np.argsort(keys, kind="stable")
         return memoryview(order.astype(np.int64, copy=False)).cast("B").cast("q")
     keys = array("Q", raw)
     if sys.byteorder == "big":
@@ -211,14 +221,16 @@ class ShardedKernelExecutor:
     def _run_tasks(self, payloads: list[tuple]) -> list:
         """Execute row blocks: in-process, or pooled with the CSR in shm.
 
-        On the pooled path the CSR arrays are published once into shared
-        memory and every payload carries their handles.
+        On the pooled path the CSR arrays of a rule that reads adjacency are
+        published once into shared memory and every payload carries their
+        handles; a rule that needs only ``n`` (the ring scan) publishes
+        nothing, and its workers never build the arrays either.
         """
         if self.workers > 1 and len(payloads) > 1:
             executor = BatchExecutor(self.workers)
             pool = executor.pool
             pinned: list[ShmRef] = []
-            if pool is not None:
+            if pool is not None and self._rule.reads_adjacency:
                 indptr_ref = pool.publish(self.csr.indptr)
                 indices_ref = pool.publish(self.csr.indices)
                 if indptr_ref is not None and indices_ref is not None:

@@ -30,17 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from repro.core.adversary import SESSION_CACHE_MAX_ENTRIES, validate_objective
+from repro.core.adversary import validate_objective
 from repro.core.algorithm import BallAlgorithm
-from repro.engine.cache import CacheStats, DecisionCache
+from repro.engine.cache import DECISION_CACHE_MAX_ENTRIES, CacheStats, DecisionCache
 from repro.engine.frontier import FrontierRunner
 from repro.model.graph import Graph
 from repro.model.identifiers import IdentifierAssignment
 from repro.model.trace import ExecutionTrace, NodeRecord
-
-#: Session cache bound — the same memory policy as every other search
-#: session (:data:`repro.core.adversary.SESSION_CACHE_MAX_ENTRIES`).
-SWAP_CACHE_MAX_ENTRIES = SESSION_CACHE_MAX_ENTRIES
 
 #: Minimum candidate-set size at which batch scoring beats per-swap
 #: incremental re-simulation; below it the fixed batch dispatch dominates.
@@ -92,7 +88,7 @@ class SwapEvaluator:
         self.graph = graph
         self.algorithm = algorithm
         self.objective = objective
-        self.cache = DecisionCache(algorithm, max_entries=SWAP_CACHE_MAX_ENTRIES)
+        self.cache = DecisionCache(algorithm, max_entries=DECISION_CACHE_MAX_ENTRIES)
         self.runner = FrontierRunner(graph, algorithm, cache=self.cache)
         self._kernel: Any = _KERNEL_UNSET
         self.evaluations = 0

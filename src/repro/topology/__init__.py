@@ -12,20 +12,15 @@ from repro.topology.cycle import cycle_graph, cycle_successor_ports
 from repro.topology.grid import grid_graph, torus_graph
 from repro.topology.path import path_graph
 from repro.topology.stream import (
-    DEFAULT_STREAM_CHUNK,
     DETERMINISTIC_TOPOLOGIES,
     STREAM_TOPOLOGIES,
-    CSRChunk,
     CSRTopology,
     build_csr,
-    stream_adjacency,
 )
 from repro.topology.tree import balanced_tree, caterpillar_tree, spider_tree
 
 __all__ = [
-    "CSRChunk",
     "CSRTopology",
-    "DEFAULT_STREAM_CHUNK",
     "DETERMINISTIC_TOPOLOGIES",
     "STREAM_TOPOLOGIES",
     "balanced_tree",
@@ -38,6 +33,5 @@ __all__ = [
     "path_graph",
     "spider_tree",
     "star_graph",
-    "stream_adjacency",
     "torus_graph",
 ]

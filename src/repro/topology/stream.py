@@ -1,43 +1,50 @@
-"""Streamed CSR topology construction for the million-node scale path.
+"""Flat CSR topology construction for the million-node scale path.
 
 The object builders in this package (:func:`~repro.topology.cycle.cycle_graph`
 and friends) materialise a :class:`~repro.model.graph.Graph` — hundreds of
 bytes of Python objects per node — which caps them at ~10^4 nodes.  This
 module builds the same families as **flat CSR adjacency** (``indptr`` /
-``indices`` in :class:`array.array` storage, 8 bytes per entry), emitted in
-node-range chunks, so a 10^6-node instance costs tens of megabytes instead
-of gigabytes and never allocates a per-node object.
+``indices`` in :class:`array.array` storage, 8 bytes per entry), so a
+10^6-node instance costs tens of megabytes instead of gigabytes and never
+allocates a per-node object.
 
-Three families stream (:data:`STREAM_TOPOLOGIES`):
+Three families are built (:data:`STREAM_TOPOLOGIES`):
 
 * ``cycle`` — the paper's ring, bit-compatible with
   :func:`~repro.topology.cycle.cycle_graph` (successor first, predecessor
-  second), generated chunk by chunk with no global state at all;
+  second).  Its arrays are a closed form of ``n``, so :func:`build_csr`
+  returns them unbuilt and a :class:`CSRTopology` builds them only when
+  something reads them (:meth:`CSRTopology.to_graph`, ``neighbors``); the
+  ring scan of the ``scale`` path needs only ``n`` and never does;
 * ``random-tree`` — the uniform random-attachment tree: node ``i`` attaches
   to a uniform parent in ``[0, i)``;
 * ``gnp`` — a sparse connected Erdős–Rényi-style family: a random-attachment
   backbone tree plus ``n`` deduplicated uniform extra edges (average degree
   ≈ 4).  The backbone guarantees connectivity without a giant-component
-  extraction, which is what makes the family streamable.
+  extraction.
 
 These generators are the only definition of ``random-tree`` and ``gnp``:
 :data:`~repro.engine.campaign.TOPOLOGY_BUILDERS` builds both families as
 ``build_csr(name, n, seed).to_graph()``, so a ``(topology, n, seed)`` names
-one graph in every query mode.
+one graph in every query mode.  Every row of a random family lists its
+neighbours in ascending order.  The random draws are ``randrange`` calls
+on both kernel backends; only the assembly of the drawn edges into CSR
+differs — whole-array sorting with numpy, a sorted key list without — and
+both give the same bytes.
 
 Determinism: random draws are seeded per fixed-size block of
 :data:`SEED_BLOCK` nodes via :func:`~repro.utils.rng.derive_task_seed`,
-so the emitted adjacency is a pure function of ``(topology, n, seed)`` —
-independent of the caller's emission chunk size, the worker count, and the
-process that rebuilds it (sharded kernel workers reconstruct the CSR from
-the spec instead of unpickling megabytes of arrays).
+so the adjacency is a pure function of ``(topology, n, seed)`` —
+independent of the backend, the worker count, and the process that
+rebuilds it (sharded kernel workers reconstruct the CSR from the spec
+instead of unpickling megabytes of arrays).
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Iterator
+from itertools import accumulate
+from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.model.graph import Graph
@@ -45,39 +52,21 @@ from repro.obs.spans import span as _obs_span
 from repro.utils.rng import derive_task_seed, make_rng
 from repro.utils.validation import require_positive_int
 
-#: The streamable families; each names the same graph as the object builder
-#: of :data:`~repro.engine.campaign.TOPOLOGY_BUILDERS` under that name.
+#: The families :func:`build_csr` builds; each names the same graph as the
+#: object builder of :data:`~repro.engine.campaign.TOPOLOGY_BUILDERS` under
+#: that name.
 STREAM_TOPOLOGIES = ("cycle", "random-tree", "gnp")
 
 #: Topologies whose structure ignores the seed, in every mode.  Caches key
 #: them by ``seed = 0`` so one instance (with its frontier plans and
-#: automorphism group) serves differently seeded queries, and a streamed
+#: automorphism group) serves differently seeded queries, and a
 #: :class:`CSRTopology` records ``seed = 0`` for them.
 DETERMINISTIC_TOPOLOGIES = frozenset({"cycle", "path", "grid", "complete"})
 
-#: Nodes per emitted adjacency chunk (the caller may override; emission
-#: granularity never changes the adjacency).
-DEFAULT_STREAM_CHUNK = 65536
-
 #: Nodes (or extra-edge draws) per random block: every block reseeds from
-#: ``derive_task_seed(seed, "topology.stream", ...)``, making the draws
-#: independent of how the stream is chunked or sharded.
+#: ``derive_task_seed(seed, "topology.stream", ...)``, so the draws are a
+#: pure function of the block, not of how or where the graph is built.
 SEED_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class CSRChunk:
-    """One node-range slice of a streamed adjacency.
-
-    ``indptr`` is chunk-local (``indptr[0] == 0``; ``len == stop - start + 1``):
-    the neighbours of global node ``start + i`` are
-    ``indices[indptr[i]:indptr[i + 1]]``.
-    """
-
-    start: int
-    stop: int
-    indptr: array
-    indices: array
 
 
 class CSRTopology:
@@ -89,23 +78,42 @@ class CSRTopology:
     to hold (two ``array('q')`` buffers) and carry their own build spec
     ``(topology, n, seed)``, so a worker process can rebuild an identical
     copy from three scalars instead of receiving megabytes over a pipe.
+    A ``cycle`` may be given without arrays: they are built on first read.
     """
 
-    __slots__ = ("topology", "n", "seed", "indptr", "indices")
+    __slots__ = ("topology", "n", "seed", "_indptr", "_indices")
 
     def __init__(
-        self, topology: str, n: int, seed: int, indptr: array, indices: array
+        self,
+        topology: str,
+        n: int,
+        seed: int,
+        indptr: Optional[Sequence[int]] = None,
+        indices: Optional[Sequence[int]] = None,
     ) -> None:
         self.topology = topology
         self.n = n
         self.seed = seed
-        self.indptr = indptr
-        self.indices = indices
+        self._indptr = indptr
+        self._indices = indices
+
+    def _arrays(self) -> tuple[Sequence[int], Sequence[int]]:
+        if self._indptr is None:
+            self._indptr, self._indices = _cycle_csr(self.n)
+        return self._indptr, self._indices
+
+    @property
+    def indptr(self) -> Sequence[int]:
+        return self._arrays()[0]
+
+    @property
+    def indices(self) -> Sequence[int]:
+        return self._arrays()[1]
 
     @property
     def m(self) -> int:
-        """Number of undirected edges."""
-        return len(self.indices) // 2
+        """Number of undirected edges (``n`` for an unbuilt cycle)."""
+        return self.n if self._indices is None else len(self._indices) // 2
 
     @property
     def name(self) -> str:
@@ -120,7 +128,7 @@ class CSRTopology:
     def degree(self, v: int) -> int:
         return self.indptr[v + 1] - self.indptr[v]
 
-    def neighbors(self, v: int) -> array:
+    def neighbors(self, v: int) -> Sequence[int]:
         """The neighbours of ``v`` (a cheap array slice, CSR order)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
@@ -132,10 +140,8 @@ class CSRTopology:
         *is* the object builder (:func:`~repro.engine.campaign.build_topology`
         calls this), so every mode answers on the same graph.
         """
-        adjacency = [
-            tuple(self.indices[self.indptr[v] : self.indptr[v + 1]])
-            for v in range(self.n)
-        ]
+        indptr, indices = self._arrays()
+        adjacency = [tuple(indices[indptr[v] : indptr[v + 1]]) for v in range(self.n)]
         return Graph(adjacency, name=self.name)
 
     def describe(self) -> dict:
@@ -145,7 +151,7 @@ class CSRTopology:
             "n": self.n,
             "m": self.m,
             "seed": self.seed,
-            "bytes": (len(self.indptr) + len(self.indices)) * self.indptr.itemsize,
+            "bytes": 8 * (self.n + 1 + 2 * self.m),
         }
 
 
@@ -158,7 +164,7 @@ def _require_stream_topology(topology: str) -> None:
 
 
 def _block_rng(seed: int, topology: str, n: int, purpose: str, block: int):
-    """The rng of one fixed-size random block (chunking-independent)."""
+    """The rng of one fixed-size random block."""
     return make_rng(derive_task_seed(seed, "topology.stream", topology, n, purpose, block))
 
 
@@ -176,139 +182,87 @@ def _tree_parents(n: int, seed: int, topology: str, purpose: str = "parents") ->
     return parents
 
 
-def _csr_from_edges(n: int, encoded_edges: list[int]) -> tuple[array, array]:
-    """CSR arrays from sorted, unique ``min * n + max`` encoded edges."""
-    degrees = array("q", bytes(8 * n))
-    for code in encoded_edges:
-        a, b = divmod(code, n)
-        degrees[a] += 1
-        degrees[b] += 1
-    indptr = array("q", bytes(8 * (n + 1)))
-    running = 0
-    for v in range(n):
-        indptr[v] = running
-        running += degrees[v]
-    indptr[n] = running
-    cursor = array("q", indptr[:n])
-    indices = array("q", bytes(8 * running))
-    for code in encoded_edges:
-        a, b = divmod(code, n)
-        indices[cursor[a]] = b
-        cursor[a] += 1
-        indices[cursor[b]] = a
-        cursor[b] += 1
-    return indptr, indices
+def _cycle_csr(n: int) -> tuple[array, array]:
+    """The ring's arrays: row ``v`` is ``(v + 1, v - 1) mod n``."""
+    indices = array("q", bytes(16 * n))
+    indices[0::2] = array("q", range(1, n + 1))
+    indices[1::2] = array("q", range(-1, n - 1))
+    indices[2 * n - 2] = 0
+    indices[1] = n - 1
+    return array("q", range(0, 2 * n + 1, 2)), indices
 
 
-def _tree_csr(n: int, seed: int, topology: str = "random-tree") -> tuple[array, array]:
-    """CSR of the random-attachment tree: parent first, children ascending."""
-    parents = _tree_parents(n, seed, topology)
-    degrees = array("q", bytes(8 * n))
-    for i in range(1, n):
-        degrees[i] += 1
-        degrees[parents[i]] += 1
-    indptr = array("q", bytes(8 * (n + 1)))
-    running = 0
-    for v in range(n):
-        indptr[v] = running
-        running += degrees[v]
-    indptr[n] = running
-    indices = array("q", bytes(8 * running))
-    # Non-root rows reserve slot 0 for the parent; children then append to
-    # their parent's row in increasing order.
-    cursor = array("q", bytes(8 * n))
-    for v in range(n):
-        cursor[v] = indptr[v] + (1 if v != 0 else 0)
-    for i in range(1, n):
-        p = parents[i]
-        indices[indptr[i]] = p
-        indices[cursor[p]] = i
-        cursor[p] += 1
-    return indptr, indices
+def _gnp_edges(n: int, seed: int) -> tuple[array, array]:
+    """Backbone tree + ``n`` uniform extra draws (see module doc).
 
-
-def _gnp_csr(n: int, seed: int) -> tuple[array, array]:
-    """Backbone tree + ``n`` deduplicated uniform extra edges (see module doc)."""
-    parents = _tree_parents(n, seed, "gnp", purpose="backbone")
-    encoded = []
-    for i in range(1, n):
-        p = parents[i]
-        encoded.append(p * n + i if p < i else i * n + p)
-    extras = n
-    for block_start in range(0, extras, SEED_BLOCK):
+    Returns the edges as two endpoint arrays; an extra draw with equal
+    endpoints is dropped, duplicates are left to :func:`_csr_from_edges`.
+    """
+    heads = _tree_parents(n, seed, "gnp", purpose="backbone")[1:]
+    tails = array("q", range(1, n))
+    for block_start in range(0, n, SEED_BLOCK):
         rng = _block_rng(seed, "gnp", n, "extras", block_start // SEED_BLOCK)
-        for _ in range(min(extras, block_start + SEED_BLOCK) - block_start):
+        for _ in range(min(n, block_start + SEED_BLOCK) - block_start):
             a = rng.randrange(n)
             b = rng.randrange(n)
-            if a == b:
-                continue
-            encoded.append(a * n + b if a < b else b * n + a)
-    encoded.sort()
-    unique = []
-    previous = -1
-    for code in encoded:
-        if code != previous:
-            unique.append(code)
-            previous = code
-    return _csr_from_edges(n, unique)
+            if a != b:
+                heads.append(a)
+                tails.append(b)
+    return heads, tails
 
 
-def stream_adjacency(
-    topology: str,
-    n: int,
-    seed: int = 0,
-    chunk_nodes: int = DEFAULT_STREAM_CHUNK,
-) -> Iterator[CSRChunk]:
-    """Yield the adjacency of ``(topology, n, seed)`` in node-range chunks.
+def _csr_from_edges(n: int, heads: array, tails: array) -> tuple[array, array]:
+    """CSR arrays of the undirected edges ``heads[k] -- tails[k]``.
 
-    The concatenation of the chunks is identical for every ``chunk_nodes``
-    (the property wall asserts this): chunking only controls emission
-    granularity, never the structure.  The ``cycle`` family is generated
-    chunk by chunk with O(chunk) live memory; the random families hold
-    their flat edge arrays (O(n + m) compact ints — the memory bound that
-    makes 10^6 nodes feasible) and emit slices.
+    Every edge contributes the half-edge codes ``a * n + b`` and
+    ``b * n + a``; their sorted, deduplicated list *is* the CSR in code
+    order — ``code // n`` the row, ``code % n`` the neighbour, each row
+    ascending.  numpy sorts the codes as whole arrays and writes straight
+    into the ``array('q')`` buffers through views; the stdlib sorts a set.
+    Both give the same bytes.
+    """
+    from repro.kernel.backend import numpy_available, numpy_module  # repro.kernel imports us
+
+    indptr = array("q", bytes(8 * (n + 1)))
+    if numpy_available():
+        np = numpy_module()
+        a = np.frombuffer(heads, dtype=np.int64)
+        b = np.frombuffer(tails, dtype=np.int64)
+        codes = np.concatenate((a * n + b, b * n + a))
+        codes.sort()
+        fresh = np.ones(codes.size, dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
+        codes = codes[fresh]
+        np.cumsum(
+            np.bincount(codes // n, minlength=n), out=np.frombuffer(indptr, np.int64)[1:]
+        )
+        indices = array("q", bytes(8 * codes.size))
+        np.remainder(codes, n, out=np.frombuffer(indices, np.int64))
+        return indptr, indices
+    codes = sorted({code for a, b in zip(heads, tails) for code in (a * n + b, b * n + a)})
+    degrees = [0] * n
+    for code in codes:
+        degrees[code // n] += 1
+    indptr[1:] = array("q", accumulate(degrees))
+    return indptr, array("q", (code % n for code in codes))
+
+
+def build_csr(topology: str, n: int, seed: int = 0) -> CSRTopology:
+    """The :class:`CSRTopology` of ``(topology, n, seed)``.
+
+    A ``cycle`` comes back with its arrays unbuilt (a closed form of ``n``);
+    the random families draw their edges and assemble them in one pass.
     """
     _require_stream_topology(topology)
     require_positive_int(n, "n")
-    require_positive_int(chunk_nodes, "chunk_nodes")
-    if topology == "cycle" and n < 3:
-        raise ConfigurationError(f"a cycle needs at least 3 nodes, got n={n}")
     if topology == "cycle":
-        for start in range(0, n, chunk_nodes):
-            stop = min(n, start + chunk_nodes)
-            indptr = array("q", range(0, 2 * (stop - start) + 1, 2))
-            indices = array("q", bytes(16 * (stop - start)))
-            for offset, v in enumerate(range(start, stop)):
-                indices[2 * offset] = (v + 1) % n
-                indices[2 * offset + 1] = (v - 1) % n
-            yield CSRChunk(start, stop, indptr, indices)
-        return
-    if topology == "random-tree":
-        indptr, indices = _tree_csr(n, seed)
-    else:  # gnp
-        indptr, indices = _gnp_csr(n, seed)
-    for start in range(0, n, chunk_nodes):
-        stop = min(n, start + chunk_nodes)
-        base = indptr[start]
-        local_indptr = array("q", (indptr[v] - base for v in range(start, stop + 1)))
-        yield CSRChunk(start, stop, local_indptr, indices[base : indptr[stop]])
-
-
-def build_csr(
-    topology: str,
-    n: int,
-    seed: int = 0,
-    chunk_nodes: int = DEFAULT_STREAM_CHUNK,
-) -> CSRTopology:
-    """Assemble the full :class:`CSRTopology` from the chunk stream."""
-    indptr = array("q", [0])
-    indices = array("q")
-    chunks = 0
+        if n < 3:
+            raise ConfigurationError(f"a cycle needs at least 3 nodes, got n={n}")
+        return CSRTopology(topology, n, 0)
     with _obs_span("topology.stream", topology=topology, n=n):
-        for chunk in stream_adjacency(topology, n, seed=seed, chunk_nodes=chunk_nodes):
-            base = indptr[-1]
-            indptr.extend(base + offset for offset in chunk.indptr[1:])
-            indices.extend(chunk.indices)
-            chunks += 1
-    normalized = 0 if topology in DETERMINISTIC_TOPOLOGIES else seed
-    return CSRTopology(topology, n, normalized, indptr, indices)
+        if topology == "random-tree":
+            heads, tails = _tree_parents(n, seed, topology)[1:], array("q", range(1, n))
+        else:  # gnp
+            heads, tails = _gnp_edges(n, seed)
+        indptr, indices = _csr_from_edges(n, heads, tails)
+    return CSRTopology(topology, n, seed, indptr, indices)

@@ -68,6 +68,38 @@ class TestScaleRowIds:
         monkeypatch.setattr(shard, "numpy_available", lambda: False)
         assert [scale_row_ids(n, 5, row) for n in (1, 2, 17, 1000) for row in range(3)] == drawn
 
+    @pytest.mark.parametrize("repeat", [None, 4])
+    def test_tied_keys_fall_back_to_the_stable_sort(self, monkeypatch, repeat):
+        """The default argsort stands only without ties; on a tie the
+        stable one reruns and the permutation equals the stdlib's."""
+        import repro.kernel.shard as shard
+
+        if not numpy_available():
+            pytest.skip("numpy backend not installed")
+        n = 64
+        np = shard.numpy_module()
+        kinds = []
+
+        class RepeatingRng:
+            def getrandbits(self, bits):
+                keys = [(i * 7919 % n) % (repeat or n) for i in range(bits // 64)]
+                return int.from_bytes(np.asarray(keys, dtype="<u8").tobytes(), "little")
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argsort(self, keys, kind=None):
+                kinds.append(kind)
+                return np.argsort(keys, kind=kind)
+
+        monkeypatch.setattr(shard, "make_rng", lambda seed: RepeatingRng())
+        monkeypatch.setattr(shard, "numpy_module", RecordingNumpy)
+        drawn = scale_row_ids(n, 1, 0)
+        assert kinds == ([None] if repeat is None else [None, "stable"])
+        monkeypatch.setattr(shard, "numpy_available", lambda: False)
+        assert scale_row_ids(n, 1, 0) == drawn
+
     @pytest.mark.parametrize("n", [0, 1, 2, 31, 1024])
     def test_a_valid_permutation_and_a_pure_function(self, n):
         ids = scale_row_ids(n, 9, 2)
@@ -132,6 +164,30 @@ class TestShardedExecutor:
         stats = executor.sample_measures(samples, seed=3)
         assert pool.stats["tasks"] - before == -(-samples // shard.ROW_BLOCK)
         assert [row_stats.max_radius for row_stats in stats] == [n // 2] * samples
+
+    @pytest.mark.parametrize("topology,published", [("cycle", 0), ("random-tree", 2)])
+    def test_only_rules_that_read_adjacency_publish_it(
+        self, monkeypatch, topology, published
+    ):
+        """The ring scan needs only n: a pooled cycle publishes no shared
+        memory and never builds its CSR arrays in the parent."""
+        import repro.kernel.shard as shard
+
+        monkeypatch.setattr(shard, "ROW_BLOCK", 1)
+        n = 1_000
+        csr = build_csr(topology, n, seed=2)
+        executor = ShardedKernelExecutor(
+            csr, make_ball_algorithm("largest-id", n), workers=2
+        )
+        pool = BatchExecutor(2).pool
+        calls = []
+        publish = pool.publish
+        monkeypatch.setattr(pool, "publish", lambda data: calls.append(data) or publish(data))
+        stats = executor.sample_measures(2, seed=3)
+        assert len(calls) == published
+        if topology == "cycle":
+            assert csr._indptr is None
+            assert [row_stats.max_radius for row_stats in stats] == [n // 2] * 2
 
     @pytest.mark.parametrize("row_block", [6, 8])
     def test_a_single_row_block_runs_in_process(self, monkeypatch, row_block):
@@ -199,3 +255,27 @@ class TestScaleProbe:
         assert probe["max_mean"] == 32.0
         assert probe["nodes_per_s"] > 0
         assert probe["peak_rss_bytes"] > 0
+
+
+def test_workers_spawned_before_the_first_publish_leak_no_segments():
+    """A pooled cycle cell publishes nothing, so its workers start before
+    any segment exists; a later pooled cell's segments must still be
+    tracked by this process alone (no leak warnings, no early unlink)."""
+    import subprocess
+    import sys
+
+    script = (
+        "from repro.engine.campaign import make_ball_algorithm\n"
+        "from repro.kernel import ShardedKernelExecutor\n"
+        "from repro.topology.stream import build_csr\n"
+        "for topology in ('cycle', 'random-tree'):\n"
+        "    csr = build_csr(topology, 2000, seed=1)\n"
+        "    executor = ShardedKernelExecutor(\n"
+        "        csr, make_ball_algorithm('largest-id', 2000), workers=2)\n"
+        "    executor.sample_measures(8, seed=1)\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "resource_tracker" not in completed.stderr, completed.stderr

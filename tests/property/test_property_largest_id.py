@@ -8,20 +8,23 @@ on every registered topology, on the smallest ring, on a path, and on a
 cycle whose positions are relabelled out of ring order (which must select
 the BFS and still be exact), under both kernel backends, for a scale row
 block's few rows and for an exact enumeration's cohort of rows.  The
+ring scan's numpy pointer jumping is held to its stdlib scan on rings up to
+300 nodes in blocks of 1, 2 and 257 rows, and once at 10^5 nodes.  The
 max-scan sweep's straggler tail (pairs still undecided at its round cap) is
 checked with the cap forced down.  Identifiers beyond int64 run on the
 stdlib backend.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.largest_id import LargestIdAlgorithm, predicted_largest_id_radii
 from repro.engine.campaign import TOPOLOGY_BUILDERS, build_topology
 from repro.kernel import compile_instance, numpy_available
 from repro.kernel.compile import DEFAULT_BATCH_ROWS
-from repro.kernel.rules import MaxScanScaleRule
+from repro.kernel.rules import MaxScanScaleRule, RingScanScaleRule, csr_is_ring
+from repro.kernel.shard import scale_row_ids
 from repro.model.graph import Graph
 from repro.model.identifiers import IdentifierAssignment
 from repro.topology.cycle import cycle_graph
@@ -119,14 +122,38 @@ def test_random_instances_equal_the_oracle(backend, n, topology, seed):
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy backend not installed")
-def test_ring_sweep_tail_matches_the_stdlib_scan():
-    # On a long ring the numpy sweep finishes its last few pairs directly
-    # (RingScanScaleRule.TAIL_DIRECT); that path must equal the stdlib scan.
-    graph = cycle_graph(2000)
-    rows = _rows(2000, 8, seed=3)
-    numpy_instance = compile_instance(graph, LargestIdAlgorithm(), backend="numpy")
-    python_instance = compile_instance(graph, LargestIdAlgorithm(), backend="python")
-    assert numpy_instance.batch_radii(rows) == python_instance.batch_radii(rows)
+@given(
+    n=st.integers(min_value=3, max_value=300),
+    block=st.sampled_from([1, 2, 257]),
+    relabelled=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_ring_pointer_jumping_equals_the_scan_and_the_oracle(n, block, relabelled, seed):
+    # The numpy ring sweep against the stdlib two-pointer scan on every row
+    # of a block and the closed form on its first and last rows; a cycle
+    # relabelled out of ring order must route to max-scan and stay exact.
+    graph = _relabelled_cycle(n, seed) if relabelled else cycle_graph(n)
+    instance = compile_instance(graph, LargestIdAlgorithm(), backend="numpy")
+    ring = csr_is_ring(instance.indptr, instance.indices)
+    assume(ring != relabelled)
+    rows = _rows(n, block, seed)
+    radii = instance.batch_radii(rows)
+    if relabelled:
+        assert instance.describe()["rule"] == "max-scan"
+    else:
+        assert isinstance(instance.rule, RingScanScaleRule)
+        assert radii == [tuple(instance.rule._scan_python(row)) for row in rows]
+    for index in {0, block - 1}:
+        assert radii[index] == _oracle(graph, rows[index])
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy backend not installed")
+def test_ring_sweep_at_scale_equals_the_stdlib_scan():
+    n = 10**5
+    ids = scale_row_ids(n, 4, 0)
+    numpy_rule = RingScanScaleRule(n, "numpy")
+    assert numpy_rule.batch_radii([ids])[0] == tuple(numpy_rule._scan_python(ids))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,69 +1,92 @@
-"""Streamed CSR construction: chunk independence, determinism, parity."""
+"""CSR construction: determinism, backend parity, the lazy cycle, shape."""
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.kernel import numpy_available
 from repro.topology.cycle import cycle_graph
 from repro.topology.stream import (
-    DEFAULT_STREAM_CHUNK,
     DETERMINISTIC_TOPOLOGIES,
+    SEED_BLOCK,
     STREAM_TOPOLOGIES,
     CSRTopology,
     build_csr,
-    stream_adjacency,
 )
 
+RANDOM_TOPOLOGIES = sorted(set(STREAM_TOPOLOGIES) - DETERMINISTIC_TOPOLOGIES)
 
-def _flatten(chunks):
-    """Reassemble a streamed adjacency into global (indptr, indices)."""
-    indptr = [0]
-    indices = []
-    for chunk in chunks:
-        base = len(indices)
-        for offset in range(chunk.stop - chunk.start):
-            indptr.append(base + chunk.indptr[offset + 1])
-        indices.extend(chunk.indices)
-    return indptr, indices
+#: Sizes around the random families' seed-block edges.
+BLOCK_EDGE_SIZES = [1, 2, 3, 41, SEED_BLOCK - 1, SEED_BLOCK, SEED_BLOCK + 1]
 
 
-class TestStreamAdjacency:
-    @pytest.mark.parametrize("topology", STREAM_TOPOLOGIES)
-    @pytest.mark.parametrize("chunk", [3, 7, 64, DEFAULT_STREAM_CHUNK])
-    def test_chunk_size_never_changes_the_adjacency(self, topology, chunk):
-        reference = _flatten(stream_adjacency(topology, 41, seed=9))
-        chunked = _flatten(stream_adjacency(topology, 41, seed=9, chunk_nodes=chunk))
-        assert chunked == reference
+def _arrays(csr):
+    return bytes(memoryview(csr.indptr).cast("B")), bytes(memoryview(csr.indices).cast("B"))
 
-    @pytest.mark.parametrize("topology", STREAM_TOPOLOGIES)
-    def test_same_seed_same_graph(self, topology):
-        assert _flatten(stream_adjacency(topology, 33, seed=4)) == _flatten(
-            stream_adjacency(topology, 33, seed=4)
-        )
 
-    @pytest.mark.parametrize("topology", sorted(set(STREAM_TOPOLOGIES) - DETERMINISTIC_TOPOLOGIES))
-    def test_different_seed_different_graph(self, topology):
-        # Random families must actually vary with the seed.
-        streams = {
-            tuple(_flatten(stream_adjacency(topology, 64, seed=seed))[1])
-            for seed in range(5)
+class TestBackendParity:
+    @pytest.mark.skipif(not numpy_available(), reason="numpy backend not installed")
+    @pytest.mark.parametrize("topology", RANDOM_TOPOLOGIES)
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    def test_numpy_and_stdlib_builders_give_the_same_bytes(self, monkeypatch, topology, n):
+        built = {seed: _arrays(build_csr(topology, n, seed)) for seed in (0, 1, 9)}
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+        for seed, arrays in built.items():
+            assert _arrays(build_csr(topology, n, seed)) == arrays, (topology, n, seed)
+
+    @pytest.mark.parametrize("topology", RANDOM_TOPOLOGIES)
+    def test_rows_are_ascending(self, topology):
+        csr = build_csr(topology, 300, seed=5)
+        for v in range(csr.n):
+            row = list(csr.neighbors(v))
+            assert row == sorted(row)
+
+
+class TestLazyCycle:
+    @pytest.mark.parametrize("n", [3, 4, 41, SEED_BLOCK + 1])
+    def test_arrays_equal_the_cycle_graph_ports(self, n):
+        csr = build_csr("cycle", n)
+        graph = cycle_graph(n)
+        assert list(csr.indptr) == list(range(0, 2 * n + 1, 2))
+        for v in range(n):
+            assert tuple(csr.neighbors(v)) == tuple(graph.neighbors(v))
+
+    def test_describe_needs_no_arrays(self):
+        csr = build_csr("cycle", 10**6)
+        assert csr._indptr is None and csr._indices is None
+        assert csr.describe() == {
+            "topology": "cycle", "n": 10**6, "m": 10**6, "seed": 0,
+            "bytes": 8 * (10**6 + 1 + 2 * 10**6),
         }
-        assert len(streams) > 1
+        assert csr._indptr is None, "describe() must not build the cycle's arrays"
 
-    def test_unknown_topology_is_rejected(self):
+    def test_describe_is_unchanged_once_the_arrays_exist(self):
+        lazy = build_csr("cycle", 50).describe()
+        csr = build_csr("cycle", 50)
+        csr.to_graph()
+        assert csr.describe() == lazy
+        assert lazy["bytes"] == (len(csr.indptr) + len(csr.indices)) * 8
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_cycle_needs_three_nodes(self, n):
         with pytest.raises(ConfigurationError):
-            list(stream_adjacency("complete", 8))
-
-    def test_chunks_tile_the_node_range(self):
-        chunks = list(stream_adjacency("cycle", 100, chunk_nodes=32))
-        assert [(c.start, c.stop) for c in chunks] == [
-            (0, 32),
-            (32, 64),
-            (64, 96),
-            (96, 100),
-        ]
+            build_csr("cycle", n)
 
 
 class TestBuildCSR:
+    @pytest.mark.parametrize("topology", STREAM_TOPOLOGIES)
+    def test_same_seed_same_graph(self, topology):
+        assert _arrays(build_csr(topology, 33, seed=4)) == _arrays(build_csr(topology, 33, seed=4))
+
+    @pytest.mark.parametrize("topology", RANDOM_TOPOLOGIES)
+    def test_different_seed_different_graph(self, topology):
+        # Random families must actually vary with the seed.
+        graphs = {_arrays(build_csr(topology, 64, seed=seed)) for seed in range(5)}
+        assert len(graphs) > 1
+
+    def test_unknown_topology_is_rejected(self):
+        with pytest.raises(ConfigurationError):
+            build_csr("complete", 8)
+
     def test_cycle_matches_the_object_graph(self):
         csr = build_csr("cycle", 12)
         graph = cycle_graph(12)

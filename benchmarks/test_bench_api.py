@@ -6,15 +6,17 @@ frontier plans, per-``(graph, algorithm)`` engine runners with warm decision
 caches) must beat fresh per-call setup by at least ``MIN_SPEEDUP`` on a
 repeated-query workload.
 
-Two workloads are timed best-of-``REPEATS``:
+Two workloads are timed:
 
 * **repeated simulate queries** — the same ring, many identifier seeds;
   fresh setup rebuilds the graph, the frontier plans and a cold decision
-  cache per query, the warm session reuses all three (asserted speedup);
-* **repeated worst-case queries** — the same exact branch-and-bound search;
-  the warm session reuses the graph's automorphism group and plans, but the
-  enumeration dominates, so the timings are recorded without a speedup
-  assertion.
+  cache per query, the warm session reuses all three (asserted speedup:
+  the median ratio over ``PAIRS`` back-to-back fresh/warm pairs, so a
+  burst of load from a neighbouring process skews one pair, not a side);
+* **repeated worst-case queries** — the same exact branch-and-bound search,
+  best-of-``REPEATS``; the warm session reuses the graph's automorphism
+  group and plans, but the enumeration dominates, so the timings are
+  recorded without a speedup assertion.
 
 Both paths must agree on every measure value.  Results are written to
 ``BENCH_api.json`` next to the repo root so CI can archive them.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 import time
 
-from bench_smoke import SMOKE, artifact_path, pick
+from bench_smoke import SMOKE, artifact_path, paired_ratio, pick
 
 from repro.api.query import Query
 from repro.api.session import Session
@@ -33,6 +35,7 @@ from repro.api.session import Session
 ARTIFACT_PATH = artifact_path("BENCH_api.json")
 MIN_SPEEDUP = 1.5
 REPEATS = pick(3, 2)
+PAIRS = 15
 
 SIMULATE_N = pick(64, 24)
 SIMULATE_QUERIES = pick(12, 5)
@@ -52,11 +55,11 @@ def _best_of(fn, repeats: int = REPEATS) -> tuple[float, object]:
     return best, value
 
 
-def _record(name: str, fresh_s: float, warm_s: float, extra: dict) -> dict:
+def _record(name: str, speedup: float, fresh_s: float, warm_s: float, extra: dict) -> dict:
     entry = {
         "fresh_s": fresh_s,
         "warm_s": warm_s,
-        "speedup": fresh_s / warm_s,
+        "speedup": speedup,
         **extra,
     }
     _RESULTS[name] = entry
@@ -96,14 +99,14 @@ def test_bench_warm_session_repeated_simulate():
         session = Session()
         return [session.run(query).measures["average"] for query in queries]
 
-    fresh_s, fresh_values = _best_of(fresh)
-    warm_s, warm_values = _best_of(warm)
+    speedup, fresh_s, warm_s, fresh_values, warm_values = paired_ratio(fresh, warm, PAIRS)
     assert warm_values == fresh_values, "warm and fresh sessions must agree"
     entry = _record(
         f"repeated_simulate_n{SIMULATE_N}x{SIMULATE_QUERIES}",
+        speedup,
         fresh_s,
         warm_s,
-        {"n": SIMULATE_N, "queries": SIMULATE_QUERIES, "values": fresh_values},
+        {"n": SIMULATE_N, "queries": SIMULATE_QUERIES, "pairs": PAIRS, "values": fresh_values},
     )
     assert entry["speedup"] >= MIN_SPEEDUP, (
         f"warm session only {entry['speedup']:.2f}x faster than fresh per-call "
@@ -137,6 +140,7 @@ def test_bench_warm_session_repeated_worst_case():
     # session win lives in test_bench_warm_session_repeated_simulate.
     _record(
         f"repeated_worst_case_n{SEARCH_N}x{SEARCH_QUERIES}",
+        fresh_s / warm_s,
         fresh_s,
         warm_s,
         {"n": SEARCH_N, "queries": SEARCH_QUERIES, "value": fresh_values[0]},

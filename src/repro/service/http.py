@@ -20,14 +20,23 @@ a missing, negative or non-integer ``Content-Length`` answer 400 with a
 JSON error document, a body over :data:`MAX_BODY_BYTES` 413 (both before
 any body byte is read), unknown paths 404, and any other failure 500.  A
 failure after a streamed response has sent its 200 arrives in-band, as a
-final ``{"type": "error"}`` line.  The server is a
-:class:`~http.server.ThreadingHTTPServer` (clients never block each other
-on I/O) over the thread-safe :class:`~repro.service.service.QueryService`.
+final ``{"type": "error"}`` line.  A 500 body and an in-band error line
+carry an ``error_id``, a random hex string the server log repeats next to
+the failure.  The server is a :class:`~http.server.ThreadingHTTPServer`
+(clients never block each other on I/O) over the thread-safe
+:class:`~repro.service.service.QueryService`.
+
+Bodies are compact, key-sorted, one-line JSON
+(:func:`~repro.utils.io.encode_json`); a result document goes out as the
+bytes the store holds.  Each response leaves in one socket write — header
+block and body together, and one write per stream chunk — over a socket
+with Nagle's algorithm off, so no send waits for the client's delayed ACK.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -35,6 +44,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.errors import AnalysisError, ConfigurationError, ReproError
 from repro.service.service import QueryService
+from repro.utils.io import encode_json
 
 #: The protocol prefix every route lives under.
 API_PREFIX = "/v1"
@@ -65,27 +75,37 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Every response is one write, so nothing is left for Nagle to coalesce;
+    # with it on, a keep-alive client's next request waits out its own
+    # delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
     @property
     def service(self) -> QueryService:
         return self.server.service  # type: ignore[attr-defined]
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
+    def log_request(self, code="-", size="-") -> None:
         if not getattr(self.server, "quiet", True):
-            super().log_message(format, *args)
+            super().log_request(code, size)
 
-    def _send_json(
-        self, status: int, document: dict, headers: Optional[dict] = None
-    ) -> None:
-        body = (json.dumps(document, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    def _send_body(self, status: int, body: bytes, headers: Optional[dict] = None) -> None:
+        """Send a complete JSON response — header block and body — in one write."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if not hasattr(self, "_headers_buffer"):  # HTTP/0.9: no header block
+            self.wfile.write(body)
+            return
+        # end_headers() would send the header block on its own; the body
+        # joins http.server's header buffer so flush_headers() sends both.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
+
+    def _send_json(self, status: int, document: dict, headers: Optional[dict] = None) -> None:
+        self._send_body(status, encode_json(document), headers)
 
     def _send_error_json(self, status: int, message: str, close: bool = False) -> None:
         headers = {"Connection": "close"} if close else None
@@ -115,44 +135,53 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return None
         return self.rfile.read(length)
 
-    def _failure(self, exc: Exception) -> str:
-        """The ``error`` text of a failed request; a non-library error is logged.
+    def _failure(self, exc: Exception) -> dict:
+        """The error fields of a failed request, logged under a fresh ``error_id``.
 
-        Library errors speak for themselves; anything else is a bug, so its
-        traceback goes to the server log next to the ``500``.
+        Library errors speak for themselves, so the log gets one line;
+        anything else is a bug, so its traceback goes to the log.  Either
+        way the client's ``error_id`` finds the entry.
         """
+        error_id = os.urandom(8).hex()
         if isinstance(exc, ReproError):
-            return str(exc)
-        self.log_error("internal error on %s\n%s", self.path, traceback.format_exc())
-        return f"internal error: {type(exc).__name__}: {exc}"
+            message = str(exc)
+            self.log_error("error %s on %s: %s", error_id, self.path, message)
+        else:
+            message = f"internal error: {type(exc).__name__}: {exc}"
+            self.log_error(
+                "internal error %s on %s\n%s", error_id, self.path, traceback.format_exc()
+            )
+        return {"error": message, "error_id": error_id}
 
     def _write_chunk(self, payload: bytes) -> None:
-        self.wfile.write(f"{len(payload):x}\r\n".encode("ascii"))
-        self.wfile.write(payload)
-        self.wfile.write(b"\r\n")
+        """Send one chunk of a chunked response — size line, payload, CRLF — in one write."""
+        self.wfile.write(b"%x\r\n%b\r\n" % (len(payload), payload))
 
     # -- routes ---------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        parsed = urlparse(self.path)
-        if parsed.path == f"{API_PREFIX}/healthz":
+        try:
+            self._get(urlparse(self.path).path)
+        except Exception as exc:  # noqa: BLE001 - every request gets an answer
+            self._send_json(500, self._failure(exc))
+
+    def _get(self, path: str) -> None:
+        if path == f"{API_PREFIX}/healthz":
             self._send_json(200, self.service.healthz())
             return
         prefix = f"{API_PREFIX}/result/"
-        if parsed.path.startswith(prefix):
-            digest = parsed.path[len(prefix):]
+        if path.startswith(prefix):
+            digest = path[len(prefix):]
             try:
-                document, tier = self.service.store.get(digest)
+                body, _ = self.service.store.get(digest)
             except ConfigurationError as exc:
                 self._send_error_json(400, str(exc))
                 return
-            if document is None:
+            if body is None:
                 self._send_error_json(404, f"no stored result for {digest}")
                 return
-            self._send_json(
-                200, document, headers={"X-Repro-Cache": "hit", "X-Repro-Hash": digest}
-            )
+            self._send_body(200, body, headers={"X-Repro-Cache": "hit", "X-Repro-Hash": digest})
             return
-        self._send_error_json(404, f"unknown path {parsed.path!r}")
+        self._send_error_json(404, f"unknown path {path!r}")
 
     def do_POST(self) -> None:  # noqa: N802 (http.server naming)
         parsed = urlparse(self.path)
@@ -173,9 +202,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._stream_query(document)
             else:
                 outcome = self.service.execute_document(document)
-                self._send_json(
+                self._send_body(
                     200,
-                    outcome.document,
+                    outcome.body,
                     headers={
                         "X-Repro-Cache": outcome.cached,
                         "X-Repro-Hash": outcome.digest,
@@ -184,7 +213,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         except (ConfigurationError, AnalysisError) as exc:
             self._send_error_json(400, str(exc))
         except Exception as exc:  # noqa: BLE001 - every request gets an answer
-            self._send_error_json(500, self._failure(exc))
+            self._send_json(500, self._failure(exc))
 
     def _stream_query(self, document: dict) -> None:
         """Answer ``POST /v1/query?stream=1`` as chunked NDJSON events."""
@@ -198,13 +227,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         try:
             for event in self.service.execute_stream(query):
-                self._write_chunk((json.dumps(event, sort_keys=True) + "\n").encode("utf-8"))
+                self._write_chunk(encode_json(event))
         except ConnectionError:
             self.close_connection = True  # the client is gone
             return
         except Exception as exc:  # noqa: BLE001 - the 200 is sent: report in-band
-            error = {"type": "error", "error": self._failure(exc)}
-            self._write_chunk((json.dumps(error, sort_keys=True) + "\n").encode("utf-8"))
+            self._write_chunk(encode_json({"type": "error", **self._failure(exc)}))
         self._write_chunk(b"")
 
 

@@ -5,7 +5,8 @@ question: *given this validated query document, what is its result
 document?* — as cheaply as truth allows:
 
 1. **L1/L2 hit** — the query's canonical hash is in the store: the stored
-   ``repro-result`` document is returned verbatim, zero recomputation.
+   bytes of the ``repro-result`` document are returned verbatim — zero
+   recomputation, zero encoding.
 2. **Resume** — a *sampling* query misses, but its family hash (the spec
    minus ``samples``/``workers``) has stored estimator state with a draw
    count within the requested budget: the Welford moments and P² sketches
@@ -33,9 +34,11 @@ Metrics (``REPRO_OBS=on``): ``service.requests``, per-tier counters
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -62,16 +65,23 @@ DEFAULT_STREAM_CHUNKS = 8
 
 @dataclass(frozen=True)
 class ServeOutcome:
-    """One answered query: the result document, its address and the tier.
+    """One answered query: its address, the tier and the result document.
 
     ``tier`` is ``"l1"`` / ``"l2"`` (store hits), ``"resume"`` (continued
     estimator state) or ``"miss"`` (computed cold).  ``cached`` collapses
-    that to the ``X-Repro-Cache: hit|resume|miss`` header value.
+    that to the ``X-Repro-Cache: hit|resume|miss`` header value.  ``body``
+    is the document's stored bytes (see
+    :meth:`~repro.service.store.ResultStore.get`), which the HTTP front
+    door sends verbatim; ``document`` decodes them on first access.
     """
 
     digest: str
-    document: dict
     tier: str
+    body: bytes
+
+    @cached_property
+    def document(self) -> dict:
+        return json.loads(self.body)
 
     @property
     def cached(self) -> str:
@@ -142,9 +152,9 @@ class QueryService:
 
     def _execute_locked(self, query: Query) -> ServeOutcome:
         digest = query.canonical_hash()
-        document, tier = self.store.get(digest)
-        if document is not None:
-            return ServeOutcome(digest=digest, document=document, tier=tier)
+        body, tier = self.store.get(digest)
+        if body is not None:
+            return ServeOutcome(digest, tier, body)
         query_document = query.to_dict()
         write_job(self.config, digest, query_document)
         try:
@@ -154,11 +164,11 @@ class QueryService:
                 else:
                     document = self.pool.run_many([query_document])[0]
                     tier = "miss"
-            self.store.put(digest, document, meta=self._put_meta(query))
+            body = self.store.put(digest, document, meta=self._put_meta(query))
             self._maybe_gc()
         finally:
             clear_job(self.config, digest)
-        return ServeOutcome(digest=digest, document=document, tier=tier)
+        return ServeOutcome(digest, tier, body)
 
     def execute_document(self, document: dict) -> ServeOutcome:
         """:meth:`execute` for a raw ``repro-query`` dict (the HTTP body)."""
@@ -183,9 +193,9 @@ class QueryService:
                     # once, answered here from the just-populated store.
                     cold[digest].append(position)
                     continue
-                document, tier = self.store.get(digest)
-                if document is not None:
-                    outcomes[position] = ServeOutcome(digest, document, tier)
+                body, tier = self.store.get(digest)
+                if body is not None:
+                    outcomes[position] = ServeOutcome(digest, tier, body)
                 elif self._resumable(query):
                     outcomes[position] = self._execute_locked(query)
                 else:
@@ -196,11 +206,11 @@ class QueryService:
                 computed = self.pool.run_many([queue[i].to_dict() for i in firsts])
                 for (digest, positions), document in zip(cold.items(), computed):
                     query = queue[positions[0]]
-                    self.store.put(digest, document, meta=self._put_meta(query))
+                    body = self.store.put(digest, document, meta=self._put_meta(query))
                     clear_job(self.config, digest)
                     for position in positions:
                         tier = "miss" if position == positions[0] else "l1"
-                        outcomes[position] = ServeOutcome(digest, document, tier)
+                        outcomes[position] = ServeOutcome(digest, tier, body)
                 self._maybe_gc()
         _metrics.set_gauge("service.queue_depth", 0)
         for outcome in outcomes:
@@ -285,19 +295,20 @@ class QueryService:
         started = time.perf_counter()
         with self._lock:
             digest = query.canonical_hash()
-            document, tier = self.store.get(digest)
-            if document is None and self._resumable(query):
+            body, tier = self.store.get(digest)
+            if body is None and self._resumable(query):
                 yield from self._stream_distribution(query, digest, chunks)
                 _metrics.add("service.requests")
                 _metrics.observe("service.latency", time.perf_counter() - started)
                 return
-            if document is None:
+            if body is None:
                 outcome = self._execute_locked(query)
-                document, tier = outcome.document, outcome.tier
+            else:
+                outcome = ServeOutcome(digest, tier, body)
         _metrics.add("service.requests")
-        _metrics.add(f"service.cache.{self._tier_metric(tier)}")
+        _metrics.add(f"service.cache.{self._tier_metric(outcome.tier)}")
         _metrics.observe("service.latency", time.perf_counter() - started)
-        yield {"type": "result", "hash": digest, "cache": ServeOutcome(digest, document, tier).cached, "document": document}
+        yield {"type": "result", "hash": digest, "cache": outcome.cached, "document": outcome.document}
 
     def _stream_distribution(self, query: Query, digest: str, chunks: int) -> Iterator[dict]:
         """The chunked resumable evaluation behind :meth:`execute_stream`.

@@ -6,11 +6,18 @@ rows — are pure functions of their validated
 document by the query's :meth:`~repro.api.query.Query.canonical_hash` and
 serves it forever.  Two cache tiers answer a lookup:
 
-* **L1** — an in-process :class:`~repro.api.session._LruCache` of
-  recently served documents (the PR-5 LRU, promoted to the store's front);
+* **L1** — an in-process :class:`~repro.api.session._LruCache` of the
+  encoded bytes of recently served documents;
 * **L2** — a sharded on-disk layout, ``objects/<hash[:2]>/<hash>.json``,
   written atomically (temp file + ``os.replace``) so a crash mid-write
   never leaves a torn object, plus a ``manifest.json`` index.
+
+The store holds bytes.  A document is encoded once, by
+:meth:`ResultStore.put`, in the compact :func:`~repro.utils.io.encode_json`
+form; those bytes are the object file, the L1 entry and the HTTP body of
+every later answer, so a hit encodes nothing and decodes nothing.  Files an
+earlier version wrote indented still load (``json.load`` reads both forms);
+their bytes are served as they are on disk.
 
 Sampling queries additionally persist their **estimator state**
 (:data:`~repro.dist.sampling.ESTIMATOR_STATE_KIND` documents: Welford
@@ -43,7 +50,7 @@ from typing import Mapping, Optional, Union
 from repro.api.session import _LruCache
 from repro.errors import ConfigurationError
 from repro.obs import metrics as _metrics
-from repro.utils.io import atomic_write_json
+from repro.utils.io import atomic_write_bytes, atomic_write_json, encode_json
 
 #: Document tag and schema version of ``manifest.json``.
 MANIFEST_KIND = "repro-store-manifest"
@@ -144,27 +151,30 @@ class ResultStore:
     # ------------------------------------------------------------------
     # result documents
     # ------------------------------------------------------------------
-    def get(self, digest: str) -> tuple[Optional[dict], str]:
-        """Look one document up; returns ``(document, tier)``.
+    def get(self, digest: str) -> tuple[Optional[bytes], str]:
+        """Look one document up; returns ``(body, tier)``.
 
-        ``tier`` is ``"l1"`` or ``"l2"`` on a hit and ``"miss"`` otherwise
-        (document ``None``).  An L2 hit promotes the document into L1.
+        ``body`` is the document's stored bytes, exactly as :meth:`put`
+        wrote them (``json.loads(body)`` is the document).  ``tier`` is
+        ``"l1"`` or ``"l2"`` on a hit and ``"miss"`` otherwise (body
+        ``None``).  An L2 hit checks that the file parses, then promotes the
+        bytes into L1.
         """
         digest = _check_digest(digest)
-        document = self._l1.get(digest)
-        if document is not None:
+        body = self._l1.get(digest)
+        if body is not None:
             _metrics.add("service.store.l1_hits")
-            return document, "l1"
-        path = self.object_path(digest)
-        if path.exists():
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-            self._l1.put(digest, document)
-            self._touch(digest)
-            _metrics.add("service.store.l2_hits")
-            return document, "l2"
-        _metrics.add("service.store.misses")
-        return None, "miss"
+            return body, "l1"
+        try:
+            body = self.object_path(digest).read_bytes()
+        except FileNotFoundError:
+            _metrics.add("service.store.misses")
+            return None, "miss"
+        json.loads(body)  # a file that is not JSON is an error, never an answer
+        self._l1.put(digest, body)
+        self._touch(digest)
+        _metrics.add("service.store.l2_hits")
+        return body, "l2"
 
     def _next_stamp(self) -> int:
         """Advance the manifest's monotone access clock."""
@@ -179,22 +189,25 @@ class ResultStore:
         if entry is not None:
             entry["stamp"] = self._next_stamp()
 
-    def put(self, digest: str, document: Mapping, meta: Optional[Mapping] = None) -> Path:
+    def put(self, digest: str, document: Mapping, meta: Optional[Mapping] = None) -> bytes:
         """Persist one result document under its content address.
 
-        Writes the sharded object atomically, records it in the manifest
-        (``meta`` — e.g. the producing query's mode — travels with the
-        entry) and seeds the L1 tier.  Returns the object path.
+        Encodes the document once (:func:`~repro.utils.io.encode_json`),
+        writes those bytes as the sharded object atomically, records it in
+        the manifest (``meta`` — e.g. the producing query's mode — travels
+        with the entry) and seeds the L1 tier.  Returns the bytes, which are
+        what every later :meth:`get` of the digest answers.
         """
         digest = _check_digest(digest)
+        body = encode_json(dict(document))
         path = self.object_path(digest)
-        atomic_write_json(path, dict(document))
-        self._l1.put(digest, dict(document))
+        atomic_write_bytes(path, body)
+        self._l1.put(digest, body)
         entries = self.manifest()["entries"]
         entry = {
             "path": str(path.relative_to(self.root)),
             "stamp": self._next_stamp(),
-            "bytes": path.stat().st_size,
+            "bytes": len(body),
         }
         if meta:
             entry.update(dict(meta))
@@ -202,7 +215,7 @@ class ResultStore:
         self._save_manifest()
         _metrics.add("service.store.writes")
         _metrics.set_gauge("service.store.objects", len(entries))
-        return path
+        return body
 
     def __contains__(self, digest: str) -> bool:
         return digest in self._l1 or self.object_path(digest).exists()

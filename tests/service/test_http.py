@@ -2,8 +2,12 @@
 
 import http.client
 import json
+import re
+import socket
+import statistics
 import subprocess
 import sys
+import time
 import urllib.error
 import urllib.request
 from threading import Thread
@@ -14,7 +18,9 @@ from repro.api import Query, Session
 from repro.api.results import strip_volatile
 from repro.errors import AnalysisError
 from repro.obs import enable, metrics_snapshot, reset_metrics
-from repro.service import make_server
+from repro.service import QueryService, make_server
+from repro.service.http import MAX_BODY_BYTES, ServiceRequestHandler
+from repro.utils.io import encode_json
 
 SWEEP = {
     "kind": "repro-query",
@@ -39,15 +45,79 @@ SAMPLED = {
 }
 
 
-@pytest.fixture
-def server(store_root):
-    instance = make_server(root=store_root)
+class _RecordingWriter:
+    """A handler's ``wfile`` that records every write before making it."""
+
+    def __init__(self, raw, writes: list) -> None:
+        self._raw = raw
+        self._writes = writes
+
+    def write(self, data) -> int:
+        self._writes.append(bytes(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+class _RecordingHandler(ServiceRequestHandler):
+    """Records each connection's TCP_NODELAY flag, socket writes and log lines."""
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.nodelay.append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        self.wfile = _RecordingWriter(self.wfile, self.server.writes)
+
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        self.server.log.append(format % args)
+
+
+def _start(root, handler=None):
+    instance = make_server(root=root)
+    if handler is not None:
+        instance.RequestHandlerClass = handler
+        instance.nodelay, instance.writes, instance.log = [], [], []
     thread = Thread(target=instance.serve_forever, daemon=True)
     thread.start()
-    yield instance
+    return instance, thread
+
+
+def _stop(instance, thread) -> None:
     instance.shutdown()
     instance.server_close()
     thread.join(timeout=5)
+
+
+@pytest.fixture
+def server(store_root):
+    instance, thread = _start(store_root)
+    yield instance
+    _stop(instance, thread)
+
+
+@pytest.fixture
+def recording_server(store_root):
+    """A live server whose handlers record socket options, writes and logs."""
+    instance, thread = _start(store_root, _RecordingHandler)
+    yield instance
+    _stop(instance, thread)
+
+
+def _exchange(server, method: str, path: str, body=None, connection=None):
+    """One request; (status, headers, raw body bytes)."""
+    host, port = server.server_address[:2]
+    own = connection is None
+    if own:
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request(method, path, body=body, headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, response.headers, response.read()
+    finally:
+        if own:
+            connection.close()
 
 
 def _post(url: str, document: dict):
@@ -261,3 +331,227 @@ def test_streamed_final_rows_equal_session_rows(server):
     assert final["type"] == "result"
     expected = Session().run(Query.from_dict(document))
     assert strip_volatile(final["document"]["rows"]) == strip_volatile(expected.rows)
+
+
+# -- the socket: Nagle off, one write per response ---------------------------
+
+
+def test_accepted_sockets_have_nagle_off(recording_server):
+    _exchange(recording_server, "GET", "/v1/healthz")
+    assert recording_server.nodelay and all(recording_server.nodelay)
+
+
+def _one_write(server, method, path, body=None) -> tuple[int, bytes]:
+    """Make one request and check that its response left in one socket write."""
+    server.writes.clear()
+    status, _, payload = _exchange(server, method, path, body)
+    assert len(server.writes) == 1, [len(write) for write in server.writes]
+    (write,) = server.writes
+    assert write.endswith(b"\r\n\r\n" + payload)
+    return status, payload
+
+
+def test_every_plain_response_is_one_write(recording_server, monkeypatch):
+    server = recording_server
+    body = json.dumps(SWEEP).encode()
+    assert _one_write(server, "POST", "/v1/query", body)[0] == 200  # miss
+    assert _one_write(server, "POST", "/v1/query", body)[0] == 200  # hit
+    digest = Query.from_dict(SWEEP).canonical_hash()
+    assert _one_write(server, "GET", f"/v1/result/{digest}")[0] == 200
+    assert _one_write(server, "GET", "/v1/healthz")[0] == 200
+    assert _one_write(server, "GET", "/v1/nope")[0] == 404
+    assert _one_write(server, "POST", "/v1/query", b"{nope")[0] == 400
+    # The early 400/413 answers that close the connection, too.
+    for headers, expected in (
+        ({"Content-Length": "-1"}, 400),
+        ({"Content-Length": str(MAX_BODY_BYTES + 1)}, 413),
+    ):
+        server.writes.clear()
+        assert _raw_post(server, headers)[0] == expected
+        assert len(server.writes) == 1
+
+    def explode(document):
+        raise RuntimeError("kaboom")
+
+    monkeypatch.setattr(server.service, "execute_document", explode)
+    status, payload = _one_write(server, "POST", "/v1/query", body)
+    assert status == 500 and "kaboom" in json.loads(payload)["error"]
+
+
+def test_an_http_0_9_request_gets_the_bare_body(server):
+    """HTTP/0.9 has no status line or headers: the answer is the body alone."""
+    with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+        sock.sendall(b"GET /v1/healthz\r\n\r\n")
+        received = b"".join(iter(lambda: sock.recv(65536), b""))
+    assert json.loads(received)["status"] == "ok"
+
+
+def test_every_stream_chunk_is_one_write(recording_server):
+    server = recording_server
+    server.writes.clear()
+    status, _, payload = _exchange(
+        server, "POST", "/v1/query?stream=1", json.dumps(SAMPLED).encode()
+    )
+    assert status == 200
+    header, *chunks = server.writes
+    assert header.endswith(b"\r\n\r\n") and b"Transfer-Encoding: chunked" in header
+    assert len(chunks) >= 3 and chunks[-1] == b"0\r\n\r\n"
+    lines = []
+    for chunk in chunks[:-1]:
+        size, _, rest = chunk.partition(b"\r\n")
+        assert rest[-2:] == b"\r\n" and len(rest) - 2 == int(size, 16) > 0
+        lines.append(rest[:-2])
+    # Each chunk is one whole NDJSON line, in the compact encoding.
+    assert b"".join(lines) == payload
+    assert all(line == encode_json(json.loads(line)) for line in lines)
+
+
+def test_keep_alive_requests_do_not_wait_for_a_delayed_ack(server):
+    """Back-to-back POSTs on one connection: with Nagle on, each stalls ~40 ms."""
+    body = json.dumps(SWEEP).encode()
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        assert _exchange(server, "POST", "/v1/query", body, connection)[0] == 200
+        took = []
+        for _ in range(20):
+            started = time.perf_counter()
+            status, headers, _ = _exchange(server, "POST", "/v1/query", body, connection)
+            took.append(time.perf_counter() - started)
+            assert status == 200 and headers["X-Repro-Cache"] == "hit"
+    finally:
+        connection.close()
+    assert statistics.median(took) < 0.020, took
+
+
+# -- error ids ---------------------------------------------------------------
+
+
+def test_a_500_carries_an_error_id_that_the_log_repeats(recording_server, monkeypatch):
+    server = recording_server
+
+    def explode(document):
+        raise RuntimeError("kaboom")
+
+    monkeypatch.setattr(server.service, "execute_document", explode)
+    status, _, payload = _exchange(server, "POST", "/v1/query", json.dumps(SWEEP).encode())
+    assert status == 500
+    error_id = json.loads(payload)["error_id"]
+    assert re.fullmatch(r"[0-9a-f]{16}", error_id)
+    # Access lines stay quiet; the failure is logged with its traceback.
+    (entry,) = server.log
+    assert error_id in entry and "Traceback" in entry and "kaboom" in entry
+    # A second failure gets a fresh id.
+    status, _, again = _exchange(server, "POST", "/v1/query", json.dumps(SWEEP).encode())
+    assert json.loads(again)["error_id"] != error_id
+
+
+def test_4xx_bodies_carry_no_error_id(server):
+    status, _, payload = _exchange(server, "GET", "/v1/nope")
+    assert status == 404 and set(json.loads(payload)) == {"error"}
+    status, _, payload = _exchange(server, "POST", "/v1/query", b"{nope")
+    assert status == 400 and set(json.loads(payload)) == {"error"}
+
+
+def test_a_failed_get_answers_500_with_an_error_id(recording_server, monkeypatch):
+    server = recording_server
+
+    def explode():
+        raise RuntimeError("no health")
+
+    monkeypatch.setattr(server.service, "healthz", explode)
+    status, _, payload = _exchange(server, "GET", "/v1/healthz")
+    assert status == 500
+    assert json.loads(payload)["error_id"] in server.log[0]
+
+
+@pytest.mark.parametrize("error", [RuntimeError("mid-stream"), AnalysisError("mid-stream")])
+def test_an_in_band_error_line_carries_an_error_id(recording_server, monkeypatch, error):
+    server = recording_server
+
+    def failing_stream(query):
+        yield {"type": "progress", "draws": 1, "samples": 2, "cells": []}
+        raise error
+
+    monkeypatch.setattr(server.service, "execute_stream", failing_stream)
+    status, _, payload = _exchange(
+        server, "POST", "/v1/query?stream=1", json.dumps(SAMPLED).encode()
+    )
+    final = json.loads(payload.splitlines()[-1])
+    assert status == 200 and final["type"] == "error"
+    assert re.fullmatch(r"[0-9a-f]{16}", final["error_id"])
+    assert final["error_id"] in server.log[0]
+
+
+# -- one encoding: the same bytes on disk and on the wire ---------------------
+
+
+def test_miss_hit_get_file_and_restart_bodies_are_the_same_bytes(store_root):
+    body = json.dumps(SWEEP).encode()
+    digest = Query.from_dict(SWEEP).canonical_hash()
+    first, thread = _start(store_root)
+    try:
+        status, headers, miss = _exchange(first, "POST", "/v1/query", body)
+        assert status == 200 and headers["X-Repro-Cache"] == "miss"
+        _, headers, hit = _exchange(first, "POST", "/v1/query", body)
+        assert headers["X-Repro-Cache"] == "hit"
+        _, _, fetched = _exchange(first, "GET", f"/v1/result/{digest}")
+    finally:
+        _stop(first, thread)
+    stored = QueryService(root=store_root).store.object_path(digest).read_bytes()
+    restarted, thread = _start(store_root)
+    try:
+        _, headers, after_restart = _exchange(restarted, "POST", "/v1/query", body)
+        assert headers["X-Repro-Cache"] == "hit"
+    finally:
+        _stop(restarted, thread)
+    assert miss == hit == fetched == stored == after_restart
+    # ... and those bytes are the compact, key-sorted, one-line encoding.
+    assert miss == encode_json(json.loads(miss)) and miss.count(b"\n") == 1
+
+
+def test_resumed_and_hit_bodies_are_the_stored_bytes(server):
+    store = server.service.store
+    small = json.dumps(SAMPLED).encode()
+    large = json.dumps(dict(SAMPLED, samples=48)).encode()
+    for body, expected in ((small, "miss"), (large, "resume"), (large, "hit")):
+        status, headers, payload = _exchange(server, "POST", "/v1/query", body)
+        assert status == 200 and headers["X-Repro-Cache"] == expected
+        assert payload == store.object_path(headers["X-Repro-Hash"]).read_bytes()
+
+
+def _indent_every_file(root) -> int:
+    """Rewrite a store's JSON files the way earlier versions wrote them."""
+    paths = sorted(root.rglob("*.json"))
+    for path in paths:
+        document = json.loads(path.read_text())
+        path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    return len(paths)
+
+
+def test_a_store_written_indented_still_loads_and_serves_hits(store_root):
+    service = QueryService(root=store_root)
+    sweep = service.execute_document(SWEEP)
+    sampled = service.execute_document(SAMPLED)
+    # manifest + two objects + one estimator state
+    assert _indent_every_file(store_root) == 4
+    old_bytes = service.store.object_path(sweep.digest).read_bytes()
+    assert old_bytes.startswith(b"{\n  ")
+
+    instance, thread = _start(store_root)
+    try:
+        assert len(instance.service.store) == 2  # the indented manifest loads
+        status, headers, payload = _exchange(
+            instance, "POST", "/v1/query", json.dumps(SWEEP).encode()
+        )
+        assert status == 200 and headers["X-Repro-Cache"] == "hit"
+        assert payload == old_bytes  # served as stored on disk
+        assert json.loads(payload) == sweep.document
+        _, headers, payload = _exchange(instance, "GET", f"/v1/result/{sampled.digest}")
+        assert headers["X-Repro-Cache"] == "hit" and json.loads(payload) == sampled.document
+        # The indented estimator state still resumes a larger budget.
+        larger = json.dumps(dict(SAMPLED, samples=48)).encode()
+        _, headers, _ = _exchange(instance, "POST", "/v1/query", larger)
+        assert headers["X-Repro-Cache"] == "resume"
+    finally:
+        _stop(instance, thread)

@@ -38,6 +38,10 @@ def test_exact_query_miss_then_hit_bit_identical(service):
         second.document, sort_keys=True
     )
     assert first.document["kind"] == "repro-result"
+    # One encoding: the miss and the hit carry the object file's bytes.
+    stored = service.store.object_path(first.digest).read_bytes()
+    assert first.body == second.body == stored
+    assert json.loads(stored) == first.document
 
 
 def test_store_survives_service_restart(service, store_root):
@@ -46,6 +50,7 @@ def test_store_survives_service_restart(service, store_root):
     again = fresh.execute(EXACT)
     assert again.tier == "l2"
     assert again.document == first.document
+    assert again.body == first.body
 
 
 def test_semantically_equal_spellings_share_the_store_entry(service):
@@ -104,6 +109,7 @@ def test_execute_many_fans_out_and_preserves_order(service):
     outcomes = service.execute_many(queries)
     assert [outcome.tier for outcome in outcomes] == ["miss", "miss", "l1"]
     assert outcomes[0].document == outcomes[2].document
+    assert outcomes[0].body == outcomes[2].body == service.execute(EXACT).body
     assert outcomes[1].document["mode"] == "simulate"
 
 

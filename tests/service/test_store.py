@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError
 from repro.service import ResultStore
 
 DOC = {"kind": "repro-result", "version": 1, "mode": "sweep", "rows": []}
+DOC_BYTES = b'{"kind":"repro-result","mode":"sweep","rows":[],"version":1}\n'
 
 
 def _digest(**fields) -> str:
@@ -19,13 +20,12 @@ def test_miss_then_put_then_tiered_hits(store_root):
     store = ResultStore(store_root)
     digest = _digest(mode="sweep")
     assert store.get(digest) == (None, "miss")
-    store.put(digest, DOC, meta={"mode": "sweep"})
-    document, tier = store.get(digest)
-    assert document == DOC and tier == "l1"
+    written = store.put(digest, DOC, meta={"mode": "sweep"})
+    assert json.loads(written) == DOC
+    assert store.get(digest) == (written, "l1")
     # A fresh instance over the same root has a cold L1: the disk answers.
     fresh = ResultStore(store_root)
-    document, tier = fresh.get(digest)
-    assert document == DOC and tier == "l2"
+    assert fresh.get(digest) == (written, "l2")
     # ... and the L2 hit promoted the document into L1.
     assert fresh.get(digest)[1] == "l1"
 
@@ -33,10 +33,21 @@ def test_miss_then_put_then_tiered_hits(store_root):
 def test_objects_are_sharded_by_hash_prefix(store_root):
     store = ResultStore(store_root)
     digest = _digest(mode="sweep")
-    path = store.put(digest, DOC)
+    body = store.put(digest, DOC)
+    path = store.object_path(digest)
     assert path.parent.name == digest[:2]
     assert path.name == f"{digest}.json"
-    assert json.loads(path.read_text()) == DOC
+    # The object file is the compact, key-sorted, one-line encoding.
+    assert path.read_bytes() == body == DOC_BYTES
+
+
+def test_an_object_that_is_not_json_is_never_served(store_root):
+    digest = _digest(mode="sweep")
+    ResultStore(store_root).put(digest, DOC)
+    fresh = ResultStore(store_root)
+    fresh.object_path(digest).write_bytes(b'{"kind": "repro-res')
+    with pytest.raises(ValueError):
+        fresh.get(digest)
 
 
 def test_manifest_records_entries(store_root):
@@ -121,8 +132,8 @@ class TestGc:
         # The two oldest writes went; the two newest survive.
         assert store.get(digests[0]) == (None, "miss")
         assert store.get(digests[1]) == (None, "miss")
-        assert store.get(digests[2])[0] == DOC
-        assert store.get(digests[3])[0] == DOC
+        assert store.get(digests[2])[0] == DOC_BYTES
+        assert store.get(digests[3])[0] == DOC_BYTES
         # Their object files are really gone and the manifest agrees.
         assert not store.object_path(digests[0]).exists()
         manifest = json.loads((store_root / "manifest.json").read_text())
@@ -136,7 +147,7 @@ class TestGc:
         assert fresh.get(digests[0])[1] == "l2"
         fresh.gc(max_objects=2)
         # The touched oldest entry survived; the untouched next-oldest went.
-        assert fresh.get(digests[0])[0] == DOC
+        assert fresh.get(digests[0])[0] == DOC_BYTES
         assert fresh.get(digests[1]) == (None, "miss")
 
     def test_max_bytes_bound(self, store_root):

@@ -359,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-parallel",
         type=int,
         default=None,
-        help="worker processes for queued cold queries "
-        "(default: REPRO_WORKERS, then 1)",
+        help="worker count every cold query runs at; a query's own workers "
+        "field is not used (default: REPRO_WORKERS, then 1)",
     )
     serve_parser.add_argument(
         "--store-max-objects",
@@ -577,6 +577,7 @@ def _cmd_dist(args: argparse.Namespace, session: Session) -> int:
 
 
 def _cmd_scale(args: argparse.Namespace, session: Session) -> int:
+    workers = _resolve_workers_flag(args.workers)
     result = session.scale(
         Query(
             mode="scale",
@@ -585,7 +586,7 @@ def _cmd_scale(args: argparse.Namespace, session: Session) -> int:
             algorithms=args.algorithm,
             seed=args.seed,
             samples=args.samples,
-            workers=_resolve_workers_flag(args.workers),
+            workers=workers,
         )
     )
     row = result.rows[0]
@@ -598,7 +599,7 @@ def _cmd_scale(args: argparse.Namespace, session: Session) -> int:
     )
     print(f"classic (max)    : {row['max']['mean']:.1f}")
     print(f"throughput       : {row['nodes_per_s']:.0f} nodes/s")
-    print(f"kernel           : {row['kernel']['rule']} (workers {row['kernel']['workers']})")
+    print(f"kernel           : {row['kernel']['rule']} (workers {workers})")
     print(format_timing(result))
     if args.output:
         result.save(args.output)

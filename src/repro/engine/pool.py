@@ -266,6 +266,9 @@ def _worker_main(connection) -> None:
     # A worker's random/hash state never matters (tasks are pure and carry
     # their own seeds), so no reseeding is needed here.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # A parent may have routed SIGTERM to KeyboardInterrupt (``repro serve``
+    # does); a worker must still just die on it, not print a traceback.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     while True:
         try:
             data = connection.recv_bytes()

@@ -282,12 +282,12 @@ class ShardedKernelExecutor:
         ]
 
     def describe(self) -> dict:
-        """JSON-friendly identity (result rows, benchmark artifacts)."""
-        return {
-            "rule": self._rule.name,
-            "workers": self.workers,
-            "topology": self.csr.describe(),
-        }
+        """JSON-friendly identity (result rows, benchmark artifacts).
+
+        The worker count is left out: it changes no sampled value, so a
+        scale row stays a function of its query whatever the fan-out.
+        """
+        return {"rule": self._rule.name, "topology": self.csr.describe()}
 
 
 def peak_rss_bytes() -> int:

@@ -9,10 +9,11 @@ persist their estimator state and *resume* under larger budgets.
 
 * :mod:`repro.service.store` — the content-addressed, two-tier result
   store (in-process LRU over a sharded atomic-write on-disk layout);
-* :mod:`repro.service.workers` — the crash-safe job ledger and the
-  multi-process worker pool dispatching queued queries;
+* :mod:`repro.service.workers` — the service configuration and the
+  crash-safe job ledger;
 * :mod:`repro.service.service` — :class:`QueryService`, the cache-tier /
-  resume / compute orchestration;
+  resume / compute orchestration on one Session of ``max_parallel``
+  workers;
 * :mod:`repro.service.http` — the stdlib HTTP front door
   (``POST /v1/query``, ``GET /v1/result/<hash>``, ``GET /v1/healthz``).
 
@@ -22,11 +23,10 @@ Guide: ``docs/service.md``.
 from repro.service.http import ServiceServer, make_server, serve
 from repro.service.service import QueryService, ServeOutcome
 from repro.service.store import ResultStore
-from repro.service.workers import QueryWorkerPool, ServiceConfig
+from repro.service.workers import ServiceConfig
 
 __all__ = [
     "QueryService",
-    "QueryWorkerPool",
     "ResultStore",
     "ServeOutcome",
     "ServiceConfig",

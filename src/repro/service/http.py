@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -274,7 +275,13 @@ def serve(
     store_max_objects: Optional[int] = None,
     store_max_bytes: Optional[int] = None,
 ) -> int:
-    """Run the service until interrupted (the ``repro serve`` entry point)."""
+    """Run the service until interrupted (the ``repro serve`` entry point).
+
+    SIGINT and SIGTERM both stop it through ``KeyboardInterrupt``, which
+    closes the listening socket.  SIGINT gets Python's default handler back
+    even when the process inherited it ignored, as a non-interactive shell
+    does for a background job.
+    """
     server = make_server(
         host=host,
         port=port,
@@ -284,11 +291,17 @@ def serve(
         store_max_objects=store_max_objects,
         store_max_bytes=store_max_bytes,
     )
-    print(f"repro serve: listening on {server.url} (store: {server.service.store.root})")
+    previous = {
+        signal.SIGINT: signal.signal(signal.SIGINT, signal.default_int_handler),
+        signal.SIGTERM: signal.signal(signal.SIGTERM, signal.default_int_handler),
+    }
     try:
+        print(f"repro serve: listening on {server.url} (store: {server.service.store.root})")
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.server_close()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     return 0

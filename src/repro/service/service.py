@@ -1,4 +1,4 @@
-"""The query service: cache tiers, resume, worker dispatch — one front door.
+"""The query service: cache tiers, resume, one compute path — one front door.
 
 :class:`QueryService` sits on top of the Session/Query API and answers one
 question: *given this validated query document, what is its result
@@ -13,12 +13,24 @@ document?* — as cheaply as truth allows:
    continue from where they stopped, so only the *new* draws are simulated
    and the answer is bit-for-bit the one a fresh run with the combined
    budget would produce.
-3. **Miss** — the query computes cold: distribution queries with sampled
-   cells run on the service's own session through
-   :meth:`Session.run <repro.api.session.Session.run>` — the same path as
-   any library call — and the service persists their estimator state,
-   which makes step 2 possible next time; everything else dispatches
-   through the :class:`~repro.service.workers.QueryWorkerPool`.
+3. **Miss** — the query computes cold through
+   :meth:`Session.run <repro.api.session.Session.run>` on the service's own
+   session — the same path as any library call — and a sampling query's
+   estimator state persists next to its result, which makes step 2
+   possible next time.
+
+:meth:`QueryService.execute` and :meth:`QueryService.execute_stream` drive
+one private generator through those steps: lookup, job-ledger write,
+compute, store put, GC, ledger clear.  ``execute`` runs a sampling query's
+budget as one step and drops the progress events; ``execute_stream`` splits
+it into up to :data:`DEFAULT_STREAM_CHUNKS` steps and yields them.
+
+The session is built as ``Session(workers=max_parallel)``, so
+``max_parallel`` (``repro serve --max-parallel``) is the worker count every
+cold query runs at: a multi-cell query splits its cells over that many warm
+pool processes (:mod:`repro.engine.pool`).  A query's own ``workers`` field
+stays part of its canonical hash but never sets the server's process
+count; by the determinism contract it changes no row either.
 
 Every compute is bracketed by a crash-safety job file (see
 :mod:`repro.service.workers`); :meth:`QueryService.recover` re-runs jobs a
@@ -27,9 +39,9 @@ lock serialises execution — Sessions are not thread-safe), which is what
 the threading HTTP front door in :mod:`repro.service.http` relies on.
 
 Metrics (``REPRO_OBS=on``): ``service.requests``, per-tier counters
-``service.cache.{l1_hits,l2_hits,resumes,misses}``, the
-``service.queue_depth`` gauge and the ``service.latency`` timer; spans
-``service.execute`` / ``service.compute`` nest the engine's own.
+``service.cache.{l1_hits,l2_hits,resumes,misses}`` and the
+``service.latency`` timer; spans ``service.execute`` / ``service.compute``
+nest the engine's own.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 from repro.api.query import Query
 from repro.api.session import Session
@@ -49,18 +61,15 @@ from repro.errors import ConfigurationError
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span as _obs_span
 from repro.service.store import ResultStore
-from repro.service.workers import (
-    QueryWorkerPool,
-    ServiceConfig,
-    clear_job,
-    pending_jobs,
-    write_job,
-)
+from repro.service.workers import ServiceConfig, clear_job, pending_jobs, write_job
 
 #: Progress chunks a streamed sampling query is split into (at most; each
 #: chunk continues the previous one's estimator state, so the final answer
 #: is identical to a single-run evaluation of the full budget).
 DEFAULT_STREAM_CHUNKS = 8
+
+#: ``service.cache.*`` counter of each tier.
+TIER_METRICS = {"l1": "l1_hits", "l2": "l2_hits", "resume": "resumes", "miss": "misses"}
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,6 @@ class QueryService:
         root: Union[str, Path] = "repro-store",
         max_parallel: int = 1,
         l1_limit: int = 128,
-        session: Optional[Session] = None,
         store_max_objects: Optional[int] = None,
         store_max_bytes: Optional[int] = None,
     ) -> None:
@@ -110,8 +118,7 @@ class QueryService:
             store_max_bytes=store_max_bytes,
         )
         self.store = ResultStore(self.config.root, l1_limit=l1_limit)
-        self.session = session if session is not None else Session()
-        self.pool = QueryWorkerPool(max_parallel, session=self.session)
+        self.session = Session(workers=max_parallel)
         self._lock = threading.Lock()
         self._maybe_gc()
 
@@ -138,85 +145,85 @@ class QueryService:
     def execute(self, query: Query) -> ServeOutcome:
         """Answer one query through the cache tiers (see the module docs)."""
         started = time.perf_counter()
-        with self._lock:
-            with _obs_span("service.execute", mode=query.mode):
-                outcome = self._execute_locked(query)
-        _metrics.add("service.requests")
-        _metrics.add(f"service.cache.{self._tier_metric(outcome.tier)}")
-        _metrics.observe("service.latency", time.perf_counter() - started)
+        with self._lock, _obs_span("service.execute", mode=query.mode):
+            *_, outcome = self._answer(query, chunks=1)
+        _count(outcome, started)
         return outcome
-
-    @staticmethod
-    def _tier_metric(tier: str) -> str:
-        return {"l1": "l1_hits", "l2": "l2_hits", "resume": "resumes"}.get(tier, "misses")
-
-    def _execute_locked(self, query: Query) -> ServeOutcome:
-        digest = query.canonical_hash()
-        body, tier = self.store.get(digest)
-        if body is not None:
-            return ServeOutcome(digest, tier, body)
-        query_document = query.to_dict()
-        write_job(self.config, digest, query_document)
-        try:
-            with _obs_span("service.compute", mode=query.mode):
-                if self._resumable(query):
-                    document, tier = self._compute_distribution(query)
-                else:
-                    document = self.pool.run_many([query_document])[0]
-                    tier = "miss"
-            body = self.store.put(digest, document, meta=self._put_meta(query))
-            self._maybe_gc()
-        finally:
-            clear_job(self.config, digest)
-        return ServeOutcome(digest, tier, body)
 
     def execute_document(self, document: dict) -> ServeOutcome:
         """:meth:`execute` for a raw ``repro-query`` dict (the HTTP body)."""
         return self.execute(Query.from_dict(document))
 
-    def execute_many(self, documents: Sequence[dict]) -> list[ServeOutcome]:
-        """Answer a queue of query documents, fanning cold ones out.
+    def execute_stream(
+        self, query: Query, chunks: int = DEFAULT_STREAM_CHUNKS
+    ) -> Iterator[dict]:
+        """Answer one query as a stream of progress events plus the result.
 
-        Store hits and resumable sampling queries answer in-process; the
-        remaining cold documents dispatch together over the worker pool
-        (``max_parallel`` processes).  Outcomes come back in queue order.
+        For a resumable sampling query the draw budget splits into up to
+        ``chunks`` increments; after each one a ``{"type": "progress"}``
+        event reports every sampled cell's current estimate with its
+        standard error and 95% confidence interval — the client watches the
+        interval tighten live.  Chunking changes nothing about the answer
+        (each chunk resumes the previous one's state), and the final
+        ``{"type": "result"}`` event carries the identical document a
+        non-streamed :meth:`execute` would return — which is also what the
+        store persists.  Store hits and non-sampling queries emit the
+        result event alone.
         """
-        queue = [Query.from_dict(document) for document in documents]
-        _metrics.set_gauge("service.queue_depth", len(queue))
-        outcomes: list[Optional[ServeOutcome]] = [None] * len(queue)
-        cold: dict[str, list[int]] = {}
+        if chunks < 1:
+            raise ConfigurationError(f"chunks must be >= 1, got {chunks}")
+        started = time.perf_counter()
         with self._lock:
-            for position, query in enumerate(queue):
-                digest = query.canonical_hash()
-                if digest in cold:
-                    # A duplicate of a query already queued cold: computed
-                    # once, answered here from the just-populated store.
-                    cold[digest].append(position)
-                    continue
-                body, tier = self.store.get(digest)
-                if body is not None:
-                    outcomes[position] = ServeOutcome(digest, tier, body)
-                elif self._resumable(query):
-                    outcomes[position] = self._execute_locked(query)
+            for event in self._answer(query, chunks):
+                if isinstance(event, ServeOutcome):
+                    outcome = event
                 else:
-                    cold[digest] = [position]
-                    write_job(self.config, digest, query.to_dict())
-            if cold:
-                firsts = [positions[0] for positions in cold.values()]
-                computed = self.pool.run_many([queue[i].to_dict() for i in firsts])
-                for (digest, positions), document in zip(cold.items(), computed):
-                    query = queue[positions[0]]
-                    body = self.store.put(digest, document, meta=self._put_meta(query))
-                    clear_job(self.config, digest)
-                    for position in positions:
-                        tier = "miss" if position == positions[0] else "l1"
-                        outcomes[position] = ServeOutcome(digest, tier, body)
-                self._maybe_gc()
-        _metrics.set_gauge("service.queue_depth", 0)
-        for outcome in outcomes:
-            _metrics.add("service.requests")
-            _metrics.add(f"service.cache.{self._tier_metric(outcome.tier)}")
-        return outcomes  # type: ignore[return-value]
+                    yield event
+        _count(outcome, started)
+        yield {
+            "type": "result",
+            "hash": outcome.digest,
+            "cache": outcome.cached,
+            "document": outcome.document,
+        }
+
+    def _answer(self, query: Query, chunks: int) -> Iterator[Union[dict, ServeOutcome]]:
+        """The one compute path: progress events, then the :class:`ServeOutcome`.
+
+        A store hit yields its outcome alone.  A miss is recorded in the job
+        ledger, computed on the service's session (one step per entry of
+        :func:`_steps`, a progress event after each step of a resumable
+        query), stored — the sampled cells' folds, then the result — swept
+        by the GC when the store is bounded, and cleared from the ledger.
+        """
+        digest = query.canonical_hash()
+        body, tier = self.store.get(digest)
+        if body is not None:
+            yield ServeOutcome(digest, tier, body)
+            return
+        write_job(self.config, digest, query.to_dict())
+        try:
+            resumable = self._resumable(query)
+            folds = self._load_family_folds(query) if resumable else None
+            tier = "resume" if folds else "miss"
+            for step in _steps(query, folds, chunks):
+                with _obs_span("service.compute", mode=query.mode):
+                    result = self.session.run(step, folds=folds)
+                if resumable:
+                    cells = [_progress(row) for row in result.rows if row["method"] == "sample"]
+                    yield {
+                        "type": "progress",
+                        "draws": step.samples,
+                        "samples": query.samples,
+                        "cells": cells,
+                    }
+            if resumable:
+                self._put_folds(query, folds)
+            body = self.store.put(digest, result.as_dict(), meta=self._put_meta(query))
+            self._maybe_gc()
+        finally:
+            clear_job(self.config, digest)
+        yield ServeOutcome(digest, tier, body)
 
     def recover(self) -> list[str]:
         """Re-run the job files a crashed process left behind.
@@ -234,7 +241,7 @@ class QueryService:
         return recovered
 
     # ------------------------------------------------------------------
-    # the resumable distribution path
+    # resumable estimator state
     # ------------------------------------------------------------------
     @staticmethod
     def _resumable(query: Query) -> bool:
@@ -258,99 +265,6 @@ class QueryService:
         states = {key: fold.state_dict() for key, fold in folds.items()}
         self.store.put_state(query.family_hash(), query.samples, states)
 
-    def _compute_distribution(self, query: Query) -> tuple[dict, str]:
-        """Evaluate a sampled-distribution query on the Session path.
-
-        Stored estimator folds of the query's family continue (only the new
-        draws are simulated); the final folds persist for the next, larger
-        budget.
-        """
-        folds = self._load_family_folds(query)
-        tier = "resume" if folds else "miss"
-        document = self.session.run(query, folds=folds).as_dict()
-        self._put_folds(query, folds)
-        return document, tier
-
-    # ------------------------------------------------------------------
-    # streaming (chunked progressive responses)
-    # ------------------------------------------------------------------
-    def execute_stream(
-        self, query: Query, chunks: int = DEFAULT_STREAM_CHUNKS
-    ) -> Iterator[dict]:
-        """Answer one query as a stream of progress events plus the result.
-
-        For a resumable sampling query the draw budget splits into up to
-        ``chunks`` increments; after each one a ``{"type": "progress"}``
-        event reports every sampled cell's current estimate with its
-        standard error and 95% confidence interval — the client watches the
-        interval tighten live.  Chunking changes nothing about the answer
-        (each chunk resumes the previous one's state), and the final
-        ``{"type": "result"}`` event carries the identical document a
-        non-streamed :meth:`execute` would return — which is also what the
-        store persists.  Store hits and non-sampling queries emit the
-        result event alone.
-        """
-        if chunks < 1:
-            raise ConfigurationError(f"chunks must be >= 1, got {chunks}")
-        started = time.perf_counter()
-        with self._lock:
-            digest = query.canonical_hash()
-            body, tier = self.store.get(digest)
-            if body is None and self._resumable(query):
-                yield from self._stream_distribution(query, digest, chunks)
-                _metrics.add("service.requests")
-                _metrics.observe("service.latency", time.perf_counter() - started)
-                return
-            if body is None:
-                outcome = self._execute_locked(query)
-            else:
-                outcome = ServeOutcome(digest, tier, body)
-        _metrics.add("service.requests")
-        _metrics.add(f"service.cache.{self._tier_metric(outcome.tier)}")
-        _metrics.observe("service.latency", time.perf_counter() - started)
-        yield {"type": "result", "hash": digest, "cache": outcome.cached, "document": outcome.document}
-
-    def _stream_distribution(self, query: Query, digest: str, chunks: int) -> Iterator[dict]:
-        """The chunked resumable evaluation behind :meth:`execute_stream`.
-
-        Runs the Session path once per step of the draw-budget schedule,
-        each step continuing the previous step's folds; steps before the
-        last run the sampled cells only, the last one the whole query.
-        """
-        folds = self._load_family_folds(query)
-        tier = "resume" if folds else "miss"
-        consumed = min((fold.count for fold in folds.values()), default=0)
-        total = query.samples
-        budgets = sorted(
-            {
-                max(consumed + 1, (total * step) // chunks)
-                for step in range(1, chunks + 1)
-                if (total * step) // chunks > consumed
-            }
-        )
-        if not budgets or budgets[-1] != total:
-            budgets.append(total)
-        sampled_only = query.with_changes(methods=("sample",))
-        write_job(self.config, digest, query.to_dict())
-        try:
-            for budget in budgets:
-                step = query if budget == total else sampled_only.with_changes(samples=budget)
-                result = self.session.run(step, folds=folds)
-                yield {
-                    "type": "progress",
-                    "draws": budget,
-                    "samples": total,
-                    "cells": [_progress(row) for row in result.rows if row["method"] == "sample"],
-                }
-            document = result.as_dict()
-            self._put_folds(query, folds)
-            self.store.put(digest, document, meta=self._put_meta(query))
-            self._maybe_gc()
-        finally:
-            clear_job(self.config, digest)
-        _metrics.add(f"service.cache.{self._tier_metric(tier)}")
-        yield {"type": "result", "hash": digest, "cache": tier, "document": document}
-
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
@@ -361,6 +275,38 @@ class QueryService:
             "max_parallel": self.config.max_parallel,
             "store": self.store.stats(),
         }
+
+
+def _count(outcome: ServeOutcome, started: float) -> None:
+    """Record one answered request in the service metrics."""
+    _metrics.add("service.requests")
+    _metrics.add(f"service.cache.{TIER_METRICS[outcome.tier]}")
+    _metrics.observe("service.latency", time.perf_counter() - started)
+
+
+def _steps(query: Query, folds: Optional[dict], chunks: int) -> list[Query]:
+    """The queries one compute runs, in order; the last is ``query`` itself.
+
+    A resumable query (``folds`` not ``None``) splits its draw budget into
+    up to ``chunks`` cumulative steps past the draws its folds already
+    hold; steps before the last run the sampled cells only.  Any other
+    query is one step.
+    """
+    if folds is None:
+        return [query]
+    consumed = min((fold.count for fold in folds.values()), default=0)
+    total = query.samples
+    budgets = sorted(
+        {
+            max(consumed + 1, (total * step) // chunks)
+            for step in range(1, chunks + 1)
+            if (total * step) // chunks > consumed
+        }
+    )
+    sampled_only = query.with_changes(methods=("sample",))
+    return [
+        sampled_only.with_changes(samples=budget) for budget in budgets if budget < total
+    ] + [query]
 
 
 def _progress(row: dict) -> dict:

@@ -2,7 +2,10 @@
 
 import http.client
 import json
+import os
 import re
+import select
+import signal
 import socket
 import statistics
 import subprocess
@@ -10,10 +13,12 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 from threading import Thread
 
 import pytest
 
+import repro
 from repro.api import Query, Session
 from repro.api.results import strip_volatile
 from repro.errors import AnalysisError
@@ -555,3 +560,69 @@ def test_a_store_written_indented_still_loads_and_serves_hits(store_root):
         assert headers["X-Repro-Cache"] == "resume"
     finally:
         _stop(instance, thread)
+
+
+# -- repro serve stops on SIGINT and SIGTERM ----------------------------------
+
+TWO_CELL_SIMULATE = {
+    "kind": "repro-query",
+    "version": 1,
+    "mode": "simulate",
+    "topologies": ["cycle"],
+    "sizes": [6, 8],
+    "algorithms": ["largest-id"],
+}
+
+
+def _ignore_sigint() -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@pytest.mark.parametrize(
+    "signum, max_parallel",
+    [(signal.SIGINT, 1), (signal.SIGTERM, 1), (signal.SIGTERM, 2)],
+    ids=["sigint", "sigterm", "sigterm-with-pool-workers"],
+)
+def test_repro_serve_stops_cleanly_on_a_signal(tmp_path, signum, max_parallel):
+    """Started the way a shell starts a background job (SIGINT ignored), it still stops.
+
+    The signal goes to the whole process group, so with ``--max-parallel 2``
+    the pool workers that answered a two-cell query get it too.
+    """
+    source = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(source), PYTHONUNBUFFERED="1", REPRO_OBS="off")
+    command = [
+        sys.executable, "-m", "repro", "serve", "--port", "0", "--quiet",
+        "--store", str(tmp_path / "store"), "--max-parallel", str(max_parallel),
+    ]
+    stderr_path = tmp_path / "stderr.txt"
+    with open(stderr_path, "wb") as stderr:
+        process = subprocess.Popen(
+            command,
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            env=env,
+            preexec_fn=_ignore_sigint,
+            start_new_session=True,
+        )
+    try:
+        ready, _, _ = select.select([process.stdout], [], [], 60)
+        line = process.stdout.readline().decode() if ready else ""
+        assert "listening on http://" in line, line
+        url = line.split("listening on ", 1)[1].split()[0]
+        request = urllib.request.Request(
+            f"{url}/v1/query",
+            data=json.dumps(TWO_CELL_SIMULATE).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=60) as response:
+            assert response.status == 200
+        os.killpg(process.pid, signum)
+        # 0, not -signum: serve() returned through its finally (server_close).
+        assert process.wait(timeout=10) == 0
+        assert "Traceback" not in stderr_path.read_text()
+    finally:
+        if process.poll() is None:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.wait()
+        process.stdout.close()

@@ -3,6 +3,8 @@
 import importlib
 import json
 
+import pytest
+
 from repro.api import Query, Session
 from repro.api.results import strip_volatile
 from repro.service import QueryService
@@ -100,30 +102,33 @@ def test_worker_count_is_volatile_for_the_family_but_not_the_hash(service):
     assert service.execute(other_workers).tier == "resume"
 
 
-def test_execute_many_fans_out_and_preserves_order(service):
-    queries = [
-        EXACT.to_dict(),
-        Query(mode="simulate", topologies="cycle", sizes=16).to_dict(),
-        EXACT.to_dict(),
-    ]
-    outcomes = service.execute_many(queries)
-    assert [outcome.tier for outcome in outcomes] == ["miss", "miss", "l1"]
-    assert outcomes[0].document == outcomes[2].document
-    assert outcomes[0].body == outcomes[2].body == service.execute(EXACT).body
-    assert outcomes[1].document["mode"] == "simulate"
+def test_max_parallel_fans_a_cold_sweep_over_the_pool(tmp_path):
+    from repro.engine.pool import get_pool
+
+    pool = get_pool(2)
+    before = pool.stats["dispatches"]
+    service = QueryService(root=tmp_path / "store", max_parallel=2)
+    outcome = service.execute(EXACT.with_changes(seed=5))  # two cells
+    assert outcome.tier == "miss"
+    assert pool.stats["dispatches"] - before >= 1
+    serial = QueryService(root=tmp_path / "serial").execute(EXACT.with_changes(seed=5))
+    assert strip_volatile(outcome.document["rows"]) == strip_volatile(serial.document["rows"])
 
 
-def test_execute_many_multiprocess_matches_serial(tmp_path):
-    serial = QueryService(root=tmp_path / "serial")
-    parallel = QueryService(root=tmp_path / "parallel", max_parallel=2)
-    documents = [
-        Query(mode="simulate", topologies="cycle", sizes=16).to_dict(),
-        Query(mode="simulate", topologies="path", sizes=16).to_dict(),
-    ]
-    rows_serial = [o.document["rows"] for o in serial.execute_many(documents)]
-    rows_parallel = [o.document["rows"] for o in parallel.execute_many(documents)]
-    for left, right in zip(rows_serial, rows_parallel):
-        assert strip_volatile(left) == strip_volatile(right)
+def test_a_scale_document_does_not_depend_on_max_parallel(tmp_path):
+    """The stored document is a function of its query: no row records the fan-out."""
+    query = Query(mode="scale", topologies="cycle", sizes=48, samples=4, seed=7)
+
+    def comparable(outcome):
+        rows = strip_volatile(outcome.document["rows"])
+        return [{key: value for key, value in row.items() if key != "nodes_per_s"} for row in rows]
+
+    serial = QueryService(root=tmp_path / "serial").execute(query)
+    fanned = QueryService(root=tmp_path / "fanned", max_parallel=2).execute(query)
+    assert fanned.digest == serial.digest
+    assert comparable(fanned) == comparable(serial)
+    assert "workers" not in fanned.document["rows"][0]["kernel"]
+    assert fanned.document["query"]["workers"] == query.workers == 1
 
 
 def test_recover_reruns_abandoned_jobs(service, store_root):
@@ -180,10 +185,11 @@ def test_streaming_a_store_hit_emits_only_the_result(service):
 
 
 def test_shared_session_is_used(store_root):
-    session = Session()
-    service = QueryService(root=store_root, session=session)
+    service = QueryService(root=store_root, max_parallel=2)
+    assert service.session.workers == 2
     service.execute(EXACT)
-    assert session.queries > 0
+    list(service.execute_stream(SAMPLED))
+    assert service.session.queries >= 2
 
 
 def test_store_bounds_run_gc_after_writes(store_root):
@@ -255,6 +261,25 @@ def test_streamed_resume_continues_the_stored_state(tmp_path):
     assert strip_volatile(events[-1]["document"]["rows"]) == strip_volatile(
         Session().run(PARITY).rows
     )
+
+
+@pytest.mark.parametrize("query", [EXACT, PARITY], ids=["sweep", "sampled"])
+def test_a_client_workers_field_never_sets_the_process_count(service, monkeypatch, query):
+    """A ``workers=64`` query on a ``max_parallel=1`` service runs in-process."""
+    import repro.engine.batch
+
+    requested = []
+
+    def spy(workers):
+        requested.append(workers)
+        raise AssertionError(f"the service asked for a pool of {workers} workers")
+
+    monkeypatch.setattr(repro.engine.batch, "get_pool", spy)
+    greedy = query.with_changes(workers=64)
+    assert service.execute(greedy).tier == "miss"
+    events = list(service.execute_stream(greedy.with_changes(samples=query.samples + 8)))
+    assert events[-1]["type"] == "result"
+    assert requested == []
 
 
 TREE = Query(

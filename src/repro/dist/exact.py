@@ -27,7 +27,8 @@ cross-check against :func:`brute_force_round_distribution`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.core.algorithm import BallAlgorithm
@@ -68,16 +69,7 @@ class DistributionCertificate:
 
     def as_dict(self) -> dict:
         """JSON-friendly form (campaign rows, CLI artifacts)."""
-        return {
-            "exact": self.exact,
-            "space_size": self.space_size,
-            "group_order": self.group_order,
-            "group_respects_ports": self.group_respects_ports,
-            "canonical_leaves": self.canonical_leaves,
-            "class_weight": self.class_weight,
-            "total_weight": self.total_weight,
-            "nodes_expanded": self.nodes_expanded,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -88,7 +80,7 @@ class ExactDistributionResult:
     backend/rule of the search's
     :class:`~repro.kernel.compile.CompiledInstance`, on which
     :meth:`~repro.search.branch_bound.BranchAndBoundSearch.run` evaluates
-    leaf cohorts.
+    leaf blocks.
     """
 
     distribution: RoundDistribution
@@ -141,24 +133,18 @@ def exact_round_distribution(
             f"budget of {max_classes}; raise max_classes or sample instead"
         )
     n = graph.n
-    joint: dict[tuple[int, int], int] = {}
-    position_counts: list[dict[int, int]] = [{} for _ in range(n)]
+    joint: Counter = Counter()
+    position_counts = [Counter() for _ in range(n)]
 
-    def collect(ids_by_position, radius_of) -> None:
-        max_radius = 0
-        sum_radius = 0
-        for position in range(n):
-            radius = radius_of[position]
-            sum_radius += radius
-            if radius > max_radius:
-                max_radius = radius
-            counts = position_counts[position]
-            counts[radius] = counts.get(radius, 0) + 1
-        key = (max_radius, sum_radius)
-        joint[key] = joint.get(key, 0) + 1
+    def collect(ids, radii) -> None:
+        # One fold per evaluated block of canonical leaves.
+        rows = radii.tolist() if hasattr(radii, "tolist") else radii
+        joint.update(zip(map(max, rows), map(sum, rows)))
+        for counts, column in zip(position_counts, zip(*rows)):
+            counts.update(column)
 
     with _obs_span("dist.exact", n=n, classes=classes):
-        outcome = search.run(on_leaf=collect)
+        outcome = search.run(on_block=collect)
     leaves = outcome.certificate.canonical_leaves
     order = group.order
     # The group acts freely on bijective assignments, so every orbit has

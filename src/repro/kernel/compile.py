@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.engine.cache import DECISION_CACHE_MAX_ENTRIES
 from repro.errors import IdentifierError, TopologyError
-from repro.kernel.backend import resolve_backend
-from repro.kernel.rules import KernelRule, RunnerTableRule
+from repro.kernel.backend import numpy_module, resolve_backend
+from repro.kernel.rules import KernelRule, RunnerTableRule, ScaleRule
 from repro.model.graph import Graph
 from repro.obs import metrics as _metrics
 from repro.obs.spans import obs_enabled as _obs_enabled, span as _obs_span
@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
 NUMPY_MAX_IDENTIFIER = 2**63 - 1
 
 #: Default number of assignment rows per kernel call when a consumer
-#: streams an unbounded workload (sampling, canonical-leaf cohorts).
+#: streams an unbounded workload (sampling, adversary candidates).
 #: Large enough to amortise the per-batch dispatch, small enough to keep
 #: the working set (rows × n integers) in cache at realistic sizes.
 DEFAULT_BATCH_ROWS = 256
@@ -181,10 +181,12 @@ class CompiledInstance:
             rows.append(values)
         return rows
 
-    def batch_radii(
-        self, ids_matrix: Iterable, pre_validated: bool = False
-    ) -> list[tuple[int, ...]]:
+    def batch_radii(self, ids_matrix: Iterable, pre_validated: bool = False):
         """Output radii for a whole matrix of assignments (rows = assignments).
+
+        Rows come back as one tuple of radii per row; a 2-D numpy array
+        comes back as the ``(rows, n)`` int64 radii array.  A CSR rule on
+        numpy sweeps an int64 matrix as it is, other rules read tuples.
 
         ``pre_validated=True`` skips :meth:`normalize_rows` for trusted
         internal callers whose rows are valid by construction (canonical-leaf
@@ -193,9 +195,16 @@ class CompiledInstance:
         the per-row check is measurable inside those hot loops.  Rows must
         then already be sequences of ``n`` distinct ints.
         """
-        rows = list(ids_matrix) if pre_validated else self.normalize_rows(ids_matrix)
-        if not rows:
-            return []
+        matrix = _is_matrix(ids_matrix)
+        if matrix:
+            if not pre_validated:
+                self.normalize_rows(ids_matrix)
+            rows = ids_matrix
+        else:
+            rows = list(ids_matrix) if pre_validated else self.normalize_rows(ids_matrix)
+        if not len(rows):
+            return numpy_module().zeros(rows.shape, dtype="int64") if matrix else []
+        evaluate = self._matrix_radii if matrix else self.rule.batch_radii
         self.stats.batches += 1
         self.stats.rows += len(rows)
         if _obs_enabled():
@@ -204,8 +213,21 @@ class CompiledInstance:
             with _obs_span(
                 "kernel.simulate_batch", rows=len(rows), backend=self.backend
             ):
-                return self.rule.batch_radii(rows)
-        return self.rule.batch_radii(rows)
+                return evaluate(rows)
+        return evaluate(rows)
+
+    def _matrix_radii(self, ids):
+        """The ``(rows, n)`` int64 radii of an identifier array."""
+        rule = self.rule
+        if isinstance(rule, ScaleRule) and rule.backend == "numpy":
+            return rule.block_radii(ids)
+        np = numpy_module()
+        return np.array(rule.batch_radii(ids.tolist()), dtype=np.int64).reshape(ids.shape)
+
+
+def _is_matrix(rows) -> bool:
+    """Whether ``rows`` is a 2-D array (evaluated whole, answered as one)."""
+    return getattr(rows, "ndim", None) == 2
 
 
 def compile_instance(
@@ -239,7 +261,7 @@ class BatchRequest:
     pre_validated: bool = False
 
 
-def simulate_many(requests: Sequence[BatchRequest]) -> list[list[tuple[int, ...]]]:
+def simulate_many(requests: Sequence[BatchRequest]) -> list:
     """Evaluate many ``(instance, rows)`` blocks as one ragged multi-instance batch.
 
     The cross-instance counterpart of :func:`simulate_batch`: requests may
@@ -249,43 +271,37 @@ def simulate_many(requests: Sequence[BatchRequest]) -> list[list[tuple[int, ...]
     batch per caller.  Each merged stream runs in chunks of
     :data:`DEFAULT_BATCH_ROWS`; results come back per request, in request
     order, bit-identical to calling
-    :meth:`CompiledInstance.batch_radii` per block.
+    :meth:`CompiledInstance.batch_radii` per block.  A request whose rows
+    are a 2-D numpy array is a block its caller already sized (the exact
+    search's leaf matrix): it is evaluated whole, and answered with one
+    ``(rows, n)`` int64 radii array.
 
     This is how a distribution query submits a whole grid of sampled
     cells through one kernel entry point (see
     :meth:`repro.api.session.Session.run`).
     """
-    # Normalise per request first so validation errors point at the caller's
-    # block, then merge trusted rows per instance.
-    blocks: list[tuple[CompiledInstance, list[tuple[int, ...]]]] = []
-    for request in requests:
-        rows = (
-            list(request.rows)
-            if request.pre_validated
-            else request.instance.normalize_rows(request.rows)
-        )
-        blocks.append((request.instance, rows))
-    merged: dict[int, tuple[CompiledInstance, list]] = {}
-    spans: list[tuple[int, int, int]] = []  # (instance key, start, stop)
-    for instance, rows in blocks:
-        key = id(instance)
-        if key not in merged:
-            merged[key] = (instance, [])
-        stream = merged[key][1]
-        start = len(stream)
+    results: list = [None] * len(requests)
+    # id(instance) -> (instance, merged rows, (request index, start, stop)s)
+    streams: dict[int, tuple[CompiledInstance, list, list]] = {}
+    for index, request in enumerate(requests):
+        instance, rows = request.instance, request.rows
+        if _is_matrix(rows):
+            results[index] = instance.batch_radii(rows, request.pre_validated)
+            continue
+        # Normalise per request first so validation errors point at the
+        # caller's block, then merge trusted rows per instance.
+        rows = list(rows) if request.pre_validated else instance.normalize_rows(rows)
+        _, stream, spans = streams.setdefault(id(instance), (instance, [], []))
+        spans.append((index, len(stream), len(stream) + len(rows)))
         stream.extend(rows)
-        spans.append((key, start, len(stream)))
-    results: dict[int, list[tuple[int, ...]]] = {}
-    for key, (instance, stream) in merged.items():
+    for instance, stream, spans in streams.values():
         radii: list[tuple[int, ...]] = []
         for offset in range(0, len(stream), DEFAULT_BATCH_ROWS):
-            radii.extend(
-                instance.batch_radii(
-                    stream[offset : offset + DEFAULT_BATCH_ROWS], pre_validated=True
-                )
-            )
-        results[key] = radii
-    return [results[key][start:stop] for key, start, stop in spans]
+            chunk = stream[offset : offset + DEFAULT_BATCH_ROWS]
+            radii.extend(instance.batch_radii(chunk, pre_validated=True))
+        for index, start, stop in spans:
+            results[index] = radii[start:stop]
+    return results
 
 
 def simulate_batch(

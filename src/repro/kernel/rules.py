@@ -114,6 +114,7 @@ class RunnerTableRule(KernelRule):
 def _id_matrix(np, rows: Sequence[Sequence[int]]):
     """The rows as one ``(rows, n)`` int64 array, or ``None`` past int64.
 
+    An int64 array (the exact search's leaf block) is used as it is.
     Identifiers above ``2**63 - 1`` cannot be gathered by numpy; the caller
     then evaluates the block on the stdlib path, which has no size limit.
     """

@@ -9,9 +9,9 @@ the outer search.  This package is that search layer:
   :class:`~repro.model.graph.Graph` like frontier plans), which lets exact
   searches enumerate one identifier assignment per symmetry class instead of
   all ``n!`` permutations;
-* :mod:`repro.search.branch_bound` — the exact search core: a depth-first
+* :mod:`repro.search.branch_bound` — the exact search core: a level-by-level
   enumeration of canonical (lex-minimal per orbit) assignments whose leaves
-  are evaluated in batch-kernel cohorts;
+  are evaluated in batch-kernel blocks;
 * :mod:`repro.search.incremental` — :class:`~repro.search.incremental.SwapEvaluator`,
   which re-simulates only the nodes whose views changed after an identifier
   transposition, making local search steps orders of magnitude cheaper than

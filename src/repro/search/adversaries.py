@@ -46,13 +46,13 @@ class PrunedExhaustiveAdversary(Adversary):
 
     Enumerates exactly one identifier assignment per orbit of the graph's
     automorphism group — ``n! / |Aut|`` assignments on a symmetric topology
-    instead of ``n!`` — and evaluates them in kernel cohorts.  The result is
+    instead of ``n!`` — and evaluates them in kernel blocks.  The result is
     the same certified optimum as the legacy
     :class:`~repro.core.adversary.ExhaustiveAdversary`, with the enumeration
     audit on :attr:`AdversaryResult.certificate`; the witness is the first
-    optimal canonical leaf in DFS order.  This is the one exact search: the
-    registry names ``pruned-exhaustive`` and ``branch-and-bound`` both build
-    it.
+    optimal canonical leaf in lexicographic slot order.  This is the one
+    exact search: the registry names ``pruned-exhaustive`` and
+    ``branch-and-bound`` both build it.
     """
 
     def __init__(

@@ -90,3 +90,37 @@ except ConfigurationError as exc:
     proc = _run(code, REPRO_OBS="sometimes")
     assert proc.returncode == 0, proc.stderr
     assert "REJECTED" in proc.stdout
+
+
+def test_on_splits_the_exact_search_into_its_phases():
+    # search.branch_bound is covered by its two phases: its own (self)
+    # time is the certificate bookkeeping, not the enumeration.
+    code = """
+import repro
+result = repro.query(
+    mode="worst-case", topologies="cycle", sizes=9, algorithms="largest-id",
+    adversaries="branch-and-bound", measure="sum",
+)
+assert result.measures["sum"] == 17.0, result.measures
+
+def find(nodes, name):
+    for node in nodes:
+        if node["name"] == name:
+            return node
+        found = find(node["children"], name)
+        if found is not None:
+            return found
+
+search = find(result.profile["spans"], "search.branch_bound")
+phases = {child["name"] for child in search["children"]}
+assert phases == {"search.enumerate", "search.evaluate"}, phases
+assert search["self_s"] <= 0.1 * search["total_s"], search
+counters = result.profile["metrics"]["counters"]
+assert counters["search.leaves"] == 20160, counters
+assert counters["search.nodes"] == 72495, counters
+assert counters["search.pruned_by_symmetry"] == 9636, counters
+print("PHASES")
+"""
+    proc = _run(code, REPRO_OBS="on")
+    assert proc.returncode == 0, proc.stderr
+    assert "PHASES" in proc.stdout

@@ -17,6 +17,7 @@ from repro.errors import ConfigurationError, TopologyError
 from repro.kernel.compile import DEFAULT_BATCH_ROWS
 from repro.search.adversaries import PrunedExhaustiveAdversary
 from repro.model.graph import Graph
+from repro.search import branch_bound
 from repro.search.branch_bound import BranchAndBoundSearch
 from repro.topology.complete import complete_graph
 from repro.topology.cycle import cycle_graph
@@ -136,13 +137,26 @@ def _opaque_greedy_coloring():
     )
 
 
+def _run_collecting(search):
+    """``(outcome, [(ids, radii), ...])``: every leaf the blocks handed over."""
+    leaves = []
+
+    def collect(ids, radii):
+        assert len(ids) == len(radii)
+        for ids_row, radii_row in zip(ids, radii):
+            leaves.append((tuple(map(int, ids_row)), tuple(map(int, radii_row))))
+
+    return search.run(on_block=collect), leaves
+
+
 class TestCohortEnumeration:
-    """Every exact search enumerates canonical leaves in kernel cohorts."""
+    """Every exact search evaluates its canonical leaves in kernel blocks."""
 
     @pytest.mark.parametrize("objective", ["sum", "max", "average"])
-    def test_runner_table_and_cone_rules_agree_leaf_by_leaf(self, objective):
-        # path-7: 2520 canonical leaves, so full cohorts and a partial last
-        # cohort both flush.
+    def test_runner_table_and_cone_rules_agree_leaf_by_leaf(self, objective, monkeypatch):
+        # path-7: 2520 canonical leaves in blocks of 256, so full blocks and
+        # a partial last block are both evaluated.
+        monkeypatch.setattr(branch_bound, "LEAF_BLOCK_ROWS", DEFAULT_BATCH_ROWS)
         graph = path_graph(7)
         streams = []
         outcomes = []
@@ -150,10 +164,8 @@ class TestCohortEnumeration:
         for algorithm in (_opaque_greedy_coloring(), GreedyColoringByID()):
             search = BranchAndBoundSearch(graph, algorithm, objective)
             rules.append(search.kernel.describe()["rule"])
-            leaves = []
-            outcomes.append(
-                search.run(on_leaf=lambda ids, radii: leaves.append((tuple(ids), tuple(radii))))
-            )
+            outcome, leaves = _run_collecting(search)
+            outcomes.append(outcome)
             streams.append(leaves)
         assert rules == ["runner-table", "greedy-cone-coloring"]
         opaque, native = outcomes
@@ -166,14 +178,29 @@ class TestCohortEnumeration:
 
     def test_the_first_optimal_leaf_is_the_witness(self, largest_id_algorithm):
         search = BranchAndBoundSearch(cycle_graph(6), largest_id_algorithm, "sum")
-        leaves = []
-        outcome = search.run(on_leaf=lambda ids, radii: leaves.append((tuple(ids), sum(radii))))
-        best = max(total for _, total in leaves)
+        outcome, leaves = _run_collecting(search)
+        totals = [(ids, sum(radii)) for ids, radii in leaves]
+        best = max(total for _, total in totals)
         # Several canonical leaves tie at the optimum; the first one wins.
-        optimal = [ids for ids, total in leaves if total == best]
+        optimal = [ids for ids, total in totals if total == best]
         assert len(optimal) > 1
         assert outcome.identifiers == optimal[0]
         assert outcome.value == best
+
+    @pytest.mark.parametrize("objective", ["sum", "max"])
+    def test_the_first_optimal_leaf_wins_across_blocks(
+        self, largest_id_algorithm, objective, monkeypatch
+    ):
+        # Blocks of 7 rows: the optimum ties across many block boundaries,
+        # and a later block's equal score must not replace the witness.
+        monkeypatch.setattr(branch_bound, "LEAF_BLOCK_ROWS", 7)
+        search = BranchAndBoundSearch(path_graph(6), largest_id_algorithm, objective)
+        outcome, leaves = _run_collecting(search)
+        score = max if objective == "max" else sum
+        scores = [score(radii) for _, radii in leaves]
+        best = max(scores)
+        assert len({index // 7 for index, value in enumerate(scores) if value == best}) > 1
+        assert outcome.identifiers == leaves[scores.index(best)][0]
 
     def test_search_builds_no_frontier_plan(self, largest_id_algorithm, monkeypatch):
         from repro.engine import frontier

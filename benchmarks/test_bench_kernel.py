@@ -163,17 +163,19 @@ def test_bench_batched_sampling_vs_runner():
 
 
 def test_bench_max_scan_sweep_vs_scan():
-    """On the exact enumerations' cohorts, the largest-ID sweep wins.
+    """On small-graph tuple cohorts, the largest-ID sweep wins.
 
     :class:`~repro.kernel.rules.MaxScanScaleRule` sweeps whole rows with
     numpy (max propagation over the CSR) and scans layer by layer on the
-    stdlib backend.  Its smallest batches are the exact enumerations'
-    canonical-leaf cohorts on small graphs, where a sweep's fixed per-round
-    cost weighs most.  The sampling stream runs on the 8-path in cohorts of
-    ``DEFAULT_BATCH_ROWS`` (pre-validated, as the cohorts are) through the
-    numpy backend (sweep) and the stdlib backend (layer scan); radii are
-    asserted equal and the ratio lands under ``max_scan_sweep_numpy`` with
-    a floor of 1x.
+    stdlib backend.  Its tuple-row callers are the ``random-search`` and
+    ``rotation`` cohorts of ``DEFAULT_BATCH_ROWS`` rows and the swap
+    strategies' per-step cohorts of candidate swaps; on small graphs a
+    sweep's fixed per-round cost weighs most.  (The exact enumerations now
+    hand the kernel int64 leaf matrices, not tuple rows.)  The sampling
+    stream runs on the 8-path in cohorts of ``DEFAULT_BATCH_ROWS``
+    (pre-validated, as those callers' rows are) through the numpy backend
+    (sweep) and the stdlib backend (layer scan); radii are asserted equal
+    and the ratio lands under ``max_scan_sweep_numpy`` with a floor of 1x.
     """
     import pytest
 

@@ -19,7 +19,7 @@ for the LOCAL Model* (PODC 2015).  The library provides:
   that powers all of the above; and
 * a second-generation adversary search (:mod:`repro.search`) — graph
   automorphism pruning, exact canonical enumeration with certificates,
-  incremental swap evaluation and a parallel strategy portfolio — for the
+  kernel-scored swap strategies in a parallel portfolio — for the
   outer worst-case-over-assignments maximisation; and
 * a distributional measure layer (:mod:`repro.dist`) — the exact joint
   distribution of both measures over all ``n!`` identifier assignments
@@ -132,7 +132,7 @@ from repro.api.session import query
 # The query service sits on top of the API (store-backed `repro serve`).
 from repro.service import QueryService, ResultStore
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 __all__ = [
     "AlgorithmError",

@@ -38,6 +38,7 @@ from repro.engine.campaign import ADVERSARY_NAMES, DIST_METHODS, TOPOLOGY_BUILDE
 from repro.errors import ConfigurationError
 from repro.kernel.shard import SCALE_ALGORITHMS
 from repro.model.identifiers import ID_FAMILIES
+from repro.search.branch_bound import DEFAULT_EXACT_MAX_NODES, DEFAULT_MAX_CLASSES
 from repro.topology.stream import STREAM_TOPOLOGIES
 
 #: The five kinds of question the API answers.  ``scale`` is the
@@ -68,8 +69,11 @@ QUERY_VERSION = 1
 #: hill-climbed incumbent, so its witness, ``evaluations``, certificate and
 #: ``cache`` change), ``local-search`` is a portfolio of hill-climb members
 #: (every row field but the objective changes), and ``random-search`` and
-#: ``rotation`` report the ``cache`` of their witness trace alone.
-ANSWER_EPOCH = 4
+#: ``rotation`` report the ``cache`` of their witness trace alone.  Epoch 5:
+#: the swap strategies commit the swap the kernel scored, so hill climbing
+#: and tabu search count one evaluation fewer per committed step — the
+#: ``evaluations`` of ``local-search`` and ``portfolio`` rows change.
+ANSWER_EPOCH = 5
 
 #: Budget/execution fields excluded from the *family* hash: two sampling
 #: queries that differ only here describe the same estimand, so a stored
@@ -168,9 +172,10 @@ class Query:
     #: Node cap of the legacy exhaustive adversary.
     exhaustive_max_nodes: int = 9
     #: Node cap of the symmetry-pruned exact searches.
-    exact_max_nodes: int = 12
-    #: Cap on ``n!/|Aut|`` canonical classes for exact distributions.
-    max_classes: int = 250_000
+    exact_max_nodes: int = DEFAULT_EXACT_MAX_NODES
+    #: Cap on ``n!/|Aut|`` canonical classes for exact searches and
+    #: exact distributions.
+    max_classes: int = DEFAULT_MAX_CLASSES
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "topologies", _as_tuple(self.topologies, "topologies"))

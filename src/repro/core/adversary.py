@@ -45,6 +45,7 @@ from repro.kernel.compile import (
 from repro.model.graph import Graph
 from repro.model.identifiers import IdentifierAssignment, identity_assignment, random_assignment
 from repro.model.trace import ExecutionTrace
+from repro.obs.spans import span as _obs_span
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import require_positive_int
 
@@ -120,10 +121,11 @@ def witness_trace(
     """Full trace of a search's witness and the cache stats of that one run.
 
     The kernel answers radii only; the witness's outputs come from one
-    engine session run.
+    engine session run (the ``search.witness`` span).
     """
-    cache = DecisionCache(algorithm, max_entries=DECISION_CACHE_MAX_ENTRIES)
-    trace = FrontierRunner(graph, algorithm, cache=cache).run(ids)
+    with _obs_span("search.witness", n=graph.n):
+        cache = DecisionCache(algorithm, max_entries=DECISION_CACHE_MAX_ENTRIES)
+        trace = FrontierRunner(graph, algorithm, cache=cache).run(ids)
     return trace, cache.stats
 
 

@@ -39,12 +39,11 @@ from repro.model.graph import Graph
 from repro.model.identifiers import IdentifierAssignment
 from repro.obs.spans import span as _obs_span
 from repro.search.automorphisms import orbit_partition
-from repro.search.branch_bound import BranchAndBoundSearch
-
-#: Feasibility guards shared with the exact adversaries: the enumeration is
-#: still factorial on asymmetric graphs, so both caps remain.
-DEFAULT_EXACT_MAX_NODES = 12
-DEFAULT_MAX_CLASSES = 250_000
+from repro.search.branch_bound import (
+    DEFAULT_EXACT_MAX_NODES,
+    DEFAULT_MAX_CLASSES,
+    BranchAndBoundSearch,
+)
 
 
 @dataclass(frozen=True)

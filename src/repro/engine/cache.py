@@ -36,8 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
 #: (``None`` is a meaningful outcome: "keep growing the ball").
 MISSING = object()
 
-#: The one bound on a session's decision table (adversary searches, swap
-#: evaluators, API sessions and the kernel's fallback rule): long searches on
+#: The one bound on a session's decision table (adversary searches, witness
+#: traces, API sessions and the kernel's fallback rule): long searches on
 #: graphs with mostly-distinct balls would otherwise grow a table linearly
 #: with the number of evaluations.
 DECISION_CACHE_MAX_ENTRIES = 1 << 18

@@ -66,7 +66,8 @@ def make_adversary(name: str, budgets, seed: int = 0, workers: Optional[int] = 1
 
     ``budgets`` is a :class:`~repro.api.query.Query` (or anything carrying
     its budget fields ``samples``, ``restarts``, ``swaps_per_step``,
-    ``max_steps``, ``exhaustive_max_nodes`` and ``exact_max_nodes``);
+    ``max_steps``, ``exhaustive_max_nodes``, ``exact_max_nodes`` and
+    ``max_classes``);
     ``seed`` feeds the randomised searches and ``workers`` the process
     fan-out of the strategy portfolios (``portfolio`` and ``local-search``).
     """
@@ -98,7 +99,9 @@ def make_adversary(name: str, budgets, seed: int = 0, workers: Optional[int] = 1
         return RotationAdversary()
     # ``branch-and-bound`` is the historical name of the one exact search.
     if name in ("pruned-exhaustive", "branch-and-bound"):
-        return PrunedExhaustiveAdversary(max_nodes=budgets.exact_max_nodes)
+        return PrunedExhaustiveAdversary(
+            max_nodes=budgets.exact_max_nodes, max_classes=budgets.max_classes
+        )
     if name == "portfolio":
         return PortfolioAdversary(seed=seed, workers=workers)
     raise ConfigurationError(f"unknown adversary {name!r}")

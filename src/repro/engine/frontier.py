@@ -29,7 +29,7 @@ legacy runner's, a property enforced by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.engine.cache import MISSING, DecisionCache
 from repro.errors import AlgorithmError, TopologyError
@@ -70,7 +70,6 @@ class _CenterPlan:
         "_frontier",
         "_index_of",
         "_prefixes",
-        "_view_parts",
     )
 
     def __init__(
@@ -96,7 +95,6 @@ class _CenterPlan:
         self._frontier = [center]
         self._index_of: dict[int, Optional[int]] = {center: 0}
         self._prefixes: list[tuple[int, ...]] = []
-        self._view_parts: list[tuple] = []
 
     def ensure(self, radius: int) -> int:
         """Grow the plan to cover ``radius``; return the deepest layer held.
@@ -147,11 +145,6 @@ class _CenterPlan:
         self.layer_streams.append(tuple(stream))
         self._frontier = new_positions
 
-    def counts_at(self, radius: int) -> tuple[int, int]:
-        """(member prefix length, edge prefix length) of the radius-r ball."""
-        bounded = self.ensure(radius)
-        return self.member_counts[bounded], self.edge_counts[bounded]
-
     def prefix(self, radius: int) -> tuple[int, ...]:
         """Members of the radius-``radius`` ball, in discovery order (cached)."""
         bounded = self.ensure(radius)
@@ -160,36 +153,6 @@ class _CenterPlan:
             prefixes.append(tuple(self.discovery[: self.member_counts[len(prefixes)]]))
         return prefixes[bounded]
 
-    def view_parts(self, radius: int) -> tuple[tuple, tuple, tuple, tuple]:
-        """Position-space parts of the radius-``radius`` ball (cached).
-
-        Returns ``(member_items, degree_items, edge_pairs, port_items)`` in
-        position space; :meth:`FrontierRunner._view` translates them into
-        identifier space with C-level comprehensions.  Cached per radius so
-        the Python-level assembly runs once per ``(centre, radius)`` per
-        graph, not once per miss.
-        """
-        bounded = self.ensure(radius)
-        indptr = self._csr[0]
-        parts = self._view_parts
-        while len(parts) <= bounded:
-            depth = len(parts)
-            members = self.member_counts[depth]
-            edge_count = self.edge_counts[depth]
-            member_items = tuple(
-                (self.discovery[i], self.distances[i]) for i in range(members)
-            )
-            degree_items = tuple(
-                (position, indptr[position + 1] - indptr[position])
-                for position, _ in member_items
-            )
-            edge_pairs = tuple((a, b) for a, b, _, _ in self.edges[:edge_count])
-            port_items = []
-            for a, b, port_ab, port_ba in self.edges[:edge_count]:
-                port_items.append((a, b, port_ab))
-                port_items.append((b, a, port_ba))
-            parts.append((member_items, degree_items, edge_pairs, tuple(port_items)))
-        return parts[bounded]
 
 
 def center_plan(graph: Graph, center: int) -> _CenterPlan:
@@ -301,7 +264,7 @@ class FrontierRunner:
         return struct_ids[radius]
 
     # ------------------------------------------------------------------
-    # ball materialisation and decisions
+    # radius caps and cache keys
     # ------------------------------------------------------------------
     def _cap(self, plan: _CenterPlan) -> Optional[int]:
         """Radius cap of ``plan``'s centre, or ``None`` while still unknown.
@@ -315,27 +278,6 @@ class FrontierRunner:
         if plan.eccentricity is None:
             return None
         return plan.eccentricity + 1
-
-    def _view(
-        self, plan: _CenterPlan, radius: int, identifiers: tuple[int, ...]
-    ) -> BallView:
-        """Materialise the radius-``radius`` ball view from the plan prefix."""
-        member_items, degree_items, edge_pairs, port_items = plan.view_parts(radius)
-        return BallView(
-            center_id=identifiers[plan.center],
-            radius=radius,
-            distance_by_id={identifiers[p]: d for p, d in member_items},
-            degree_by_id={identifiers[p]: d for p, d in degree_items},
-            edges=frozenset(
-                frozenset((identifiers[a], identifiers[b])) for a, b in edge_pairs
-            ),
-            port_by_pair={
-                (identifiers[a], identifiers[b]): port for a, b, port in port_items
-            },
-            # The ball is saturated exactly when it holds every node of the
-            # (connected) graph — equivalent to the degree criterion.
-            full_graph=len(member_items) == self.graph.n,
-        )
 
     def _key_parts_for(
         self, plan: _CenterPlan, radius: int
@@ -353,36 +295,6 @@ class FrontierRunner:
             depth = len(parts)
             parts.append((self._struct_id(plan, depth), plan.prefix(depth)))
         return parts
-
-    def _key(self, plan: _CenterPlan, radius: int, identifiers: tuple[int, ...]) -> tuple:
-        """Cache key of the radius-``radius`` ball under ``identifiers``.
-
-        The structural half is interned once per session; the per-run half is
-        the identifier pattern of the members in discovery order —
-        relabeled to its argsort (a canonical encoding of the *relative
-        order*) when the cache is order-invariant.
-        """
-        struct_id, prefix = self._key_parts_for(plan, radius)[radius]
-        pattern = tuple(map(identifiers.__getitem__, prefix))
-        if self.cache.relabel_ids:
-            pattern = tuple(sorted(range(len(pattern)), key=pattern.__getitem__))
-        return (struct_id, pattern)
-
-    def _decide(
-        self, plan: _CenterPlan, radius: int, identifiers: tuple[int, ...]
-    ) -> Any:
-        cache = self.cache
-        if cache is None:
-            return self.algorithm.decide(self._view(plan, radius, identifiers))
-        members, _ = plan.counts_at(radius)
-        if cache.pattern_limit is not None and members > cache.pattern_limit:
-            return self.algorithm.decide(self._view(plan, radius, identifiers))
-        key = self._key(plan, radius, identifiers)
-        output = cache.lookup(key)
-        if output is MISSING:
-            output = self.algorithm.decide(self._view(plan, radius, identifiers))
-            cache.store(key, output)
-        return output
 
     # ------------------------------------------------------------------
     # execution
@@ -531,39 +443,3 @@ class FrontierRunner:
                 f"(graph {graph.name!r}, n={graph.n})"
             )
         return ExecutionTrace(records)
-
-    def resimulate_node(
-        self,
-        identifiers: "Sequence[int]",
-        position: int,
-        start_radius: int = 0,
-    ) -> tuple[int, Any]:
-        """Decide one node from ``start_radius`` upward; return ``(radius, output)``.
-
-        The swap-aware search sessions (:mod:`repro.search.incremental`) call
-        this with a raw position->identifier sequence after an identifier
-        transposition: decisions below ``start_radius`` are known to be
-        unchanged (the swapped positions are outside those balls), so only
-        the radii from ``start_radius`` to the node's cap are re-decided —
-        and structurally repeated balls still hit the decision cache.
-        """
-        n = self.graph.n
-        if len(identifiers) != n:
-            raise TopologyError(
-                f"identifier assignment covers {len(identifiers)} positions but graph has {n}"
-            )
-        if not 0 <= position < n:
-            raise TopologyError(f"position {position} outside 0..{n - 1}")
-        plan = self._plan(position)
-        radius = start_radius
-        while True:
-            output = self._decide(plan, radius, identifiers)
-            if output is not None:
-                return radius, output
-            cap = self._cap(plan)
-            if cap is not None and radius >= cap:
-                raise AlgorithmError(
-                    f"algorithm {self.algorithm.name!r} refused to output at position "
-                    f"{position} even at radius {cap}"
-                )
-            radius += 1

@@ -27,6 +27,7 @@ import os
 from typing import Optional
 
 from repro.errors import ConfigurationError
+from repro.obs.spans import span as _obs_span
 
 #: Environment variable overriding the backend choice.
 KERNEL_ENV = "REPRO_KERNEL"
@@ -39,16 +40,21 @@ _numpy_probed = False
 
 
 def _probe_numpy():
-    """Import numpy at most once; remember the outcome."""
+    """Import numpy at most once; remember the outcome.
+
+    The first call pays the numpy import (a few hundred milliseconds cold),
+    recorded as the ``kernel.backend_probe`` span.
+    """
     global _numpy_module, _numpy_probed
     if not _numpy_probed:
         _numpy_probed = True
-        try:
-            import numpy  # noqa: PLC0415 - deliberate lazy, optional import
+        with _obs_span("kernel.backend_probe"):
+            try:
+                import numpy  # noqa: PLC0415 - deliberate lazy, optional import
 
-            _numpy_module = numpy
-        except ImportError:
-            _numpy_module = None
+                _numpy_module = numpy
+            except ImportError:
+                _numpy_module = None
     return _numpy_module
 
 

@@ -71,8 +71,7 @@ class KernelRule:
     #: Whether the rule evaluates whole matrices without the engine (array
     #: expressions or closed-form stdlib loops).  Non-vectorised rules run
     #: each row through a frontier session; batching them is an interface
-    #: convenience, not a throughput win, and callers like the swap
-    #: evaluator use this flag to decide whether batching pays.
+    #: convenience, not a throughput win.
     vectorized: bool = False
 
     def batch_radii(self, rows: Rows) -> list[tuple[int, ...]]:

@@ -12,12 +12,10 @@ the outer search.  This package is that search layer:
 * :mod:`repro.search.branch_bound` — the exact search core: a level-by-level
   enumeration of canonical (lex-minimal per orbit) assignments whose leaves
   are evaluated in batch-kernel blocks;
-* :mod:`repro.search.incremental` — :class:`~repro.search.incremental.SwapEvaluator`,
-  which re-simulates only the nodes whose views changed after an identifier
-  transposition, making local search steps orders of magnitude cheaper than
-  full re-evaluation;
 * :mod:`repro.search.strategies` — swap-based heuristics (hill climbing,
-  simulated annealing, tabu search, random probing) built on the evaluator;
+  simulated annealing, tabu search, random probing) over a
+  :class:`~repro.search.strategies.SwapEvaluator`, which scores candidate
+  swaps as batch-kernel rows;
 * :mod:`repro.search.portfolio` — a deterministic parallel portfolio that
   races independent strategies through the engine's
   :class:`~repro.engine.batch.BatchExecutor`;
@@ -45,10 +43,10 @@ from repro.search.automorphisms import (
     refine_colors,
 )
 from repro.search.branch_bound import BranchAndBoundSearch, SearchCertificate
-from repro.search.incremental import SwapEvaluator
 from repro.search.portfolio import PortfolioCertificate, PortfolioSearch, StrategySpec
 from repro.search.strategies import (
     StrategyResult,
+    SwapEvaluator,
     hill_climb,
     random_probe,
     simulated_annealing,

@@ -24,21 +24,13 @@ from repro.core.algorithm import BallAlgorithm
 from repro.errors import ConfigurationError
 from repro.model.graph import Graph
 from repro.model.identifiers import IdentifierAssignment
-from repro.search.branch_bound import BranchAndBoundSearch
-from repro.search.incremental import SwapEvaluator
+from repro.search.branch_bound import (
+    DEFAULT_EXACT_MAX_NODES,
+    DEFAULT_MAX_CLASSES,
+    BranchAndBoundSearch,
+)
 from repro.search.portfolio import PortfolioSearch, StrategySpec
 from repro.utils.validation import require_positive_int
-
-#: Node cap for the exact searches.  Symmetry pruning pushes exhaustive
-#: feasibility past the legacy limit of 9, but the search is still factorial
-#: in the worst (asymmetric) case, so a guard remains.
-DEFAULT_EXACT_MAX_NODES = 12
-
-#: Budget on ``n! / |Aut|``, the number of canonical assignment classes an
-#: exact search may face.  This is the honest feasibility measure — the
-#: 10-cycle (181 440 classes) is fine, the 12-path (239 500 800) is not,
-#: and ``K_12`` (a single class) is trivial despite its 12 nodes.
-DEFAULT_MAX_CLASSES = 250_000
 
 
 class PrunedExhaustiveAdversary(Adversary):
@@ -129,18 +121,16 @@ class PortfolioAdversary(Adversary):
         validate_objective(objective)
         best, certificate = self.portfolio.run(graph, algorithm, objective=objective)
         assignment = IdentifierAssignment(best.identifiers)
-        # Re-evaluate the witness in a fresh session: the reported value must
-        # be reproducible outside the strategy's incremental bookkeeping.
-        evaluator = SwapEvaluator(graph, algorithm, objective=objective, ids=assignment)
-        value = evaluator.value
-        evaluations = sum(row["evaluations"] for row in certificate.rows)
+        # The witness is re-run in a fresh engine session: the reported
+        # value is the trace's, reproducible outside the kernel's scoring.
+        trace, cache_stats = witness_trace(graph, algorithm, assignment)
         return AdversaryResult(
             assignment=assignment,
-            trace=evaluator.trace(),
-            value=value,
+            trace=trace,
+            value=trace_objective(trace, objective),
             objective=objective,
-            evaluations=evaluations,
+            evaluations=sum(row["evaluations"] for row in certificate.rows),
             exact=False,
-            cache_stats=evaluator.cache_stats,
+            cache_stats=cache_stats,
             certificate=certificate,
         )

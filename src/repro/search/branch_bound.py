@@ -56,6 +56,19 @@ from repro.search.automorphisms import (
 #: a third less per leaf than sweeps of 256 (ring-scan on the 9-cycle).
 LEAF_BLOCK_ROWS = 4 * DEFAULT_BATCH_ROWS
 
+#: Node cap of the exact searches and exact distributions.  Symmetry
+#: pruning pushes feasibility past the legacy exhaustive limit of 9, but
+#: the enumeration is still factorial on asymmetric graphs, so a guard
+#: remains.
+DEFAULT_EXACT_MAX_NODES = 12
+
+#: Budget on ``n! / |Aut|``, the number of canonical assignment classes an
+#: exact search or exact distribution may face.  This is the honest
+#: feasibility measure — the 10-cycle (181 440 classes) is fine, the 12-path
+#: (239 500 800) is not, and ``K_12`` (a single class) is trivial despite
+#: its 12 nodes.
+DEFAULT_MAX_CLASSES = 250_000
+
 
 @dataclass(frozen=True)
 class SearchCertificate:

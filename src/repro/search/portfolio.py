@@ -25,9 +25,10 @@ from repro.engine.batch import BatchExecutor, derive_task_seed
 from repro.errors import ConfigurationError
 from repro.model.graph import Graph
 from repro.model.identifiers import random_assignment
-from repro.search.incremental import SwapEvaluator
+from repro.obs.spans import span as _obs_span
 from repro.search.strategies import (
     StrategyResult,
+    SwapEvaluator,
     hill_climb,
     random_probe,
     simulated_annealing,
@@ -96,11 +97,12 @@ def run_strategy(
 ) -> StrategyResult:
     """Worker: run one strategy from a deterministic random start."""
     graph, algorithm, objective, spec, seed = payload
-    rng = Random(seed)
-    start = random_assignment(graph.n, seed=rng.getrandbits(64))
-    evaluator = SwapEvaluator(graph, algorithm, objective=objective, ids=start)
-    function = STRATEGY_FUNCTIONS[spec.name]
-    return function(evaluator, rng, **dict(spec.params))
+    with _obs_span("search.strategy", strategy=spec.name):
+        rng = Random(seed)
+        start = random_assignment(graph.n, seed=rng.getrandbits(64))
+        evaluator = SwapEvaluator(graph, algorithm, objective=objective, ids=start)
+        function = STRATEGY_FUNCTIONS[spec.name]
+        return function(evaluator, rng, **dict(spec.params))
 
 
 class PortfolioSearch:

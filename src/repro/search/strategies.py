@@ -1,23 +1,19 @@
-"""Swap-based search strategies over a :class:`~repro.search.incremental.SwapEvaluator`.
+"""Swap-based search strategies over a kernel-scored :class:`SwapEvaluator`.
 
 Each strategy starts from the evaluator's current assignment, explores
-transpositions with incremental re-simulation, and returns the best
-assignment it has *seen* (not necessarily the one it ends on — annealing and
-tabu search deliberately walk through worse states).  All strategies draw
-every random choice from the supplied ``rng``, so a fixed seed makes a
-strategy fully deterministic; the parallel portfolio relies on this.
+transpositions of two identifiers, and returns the best assignment it has
+*seen* (not necessarily the one it ends on — annealing and tabu search
+deliberately walk through worse states).  All strategies draw every random
+choice from the supplied ``rng``, so a fixed seed makes a strategy fully
+deterministic; the parallel portfolio relies on this.
 
-The population-based strategies — hill climbing and tabu search, which
-examine a whole *sample* of candidate swaps per step — score that sample
-through :meth:`~repro.search.incremental.SwapEvaluator.peek_values_batch`
-(one kernel batch per step for vectorised algorithms) and only run the
-incremental :meth:`~repro.search.incremental.SwapEvaluator.peek` for the
-single swap they commit — that re-examination of the winner costs one
-extra evaluation per improving step relative to the pre-batch code, and is
-counted in ``evaluations`` like any other examination.  Batch scoring is
-value-identical to peeking each pair, so trajectories do not depend on
-which gear runs.  Annealing examines one swap per step (the acceptance
-test needs the current state), so it keeps the purely incremental path.
+The compiled batch kernel (:mod:`repro.kernel.compile`) is the only scorer.
+Hill climbing and tabu search score their whole per-step sample of swaps
+as one kernel cohort (one row per candidate); annealing scores its single
+proposal, and random probing its restart, as a one-row call.  A step that
+moves exchanges the two identifiers and keeps the value the kernel returned
+for that row — nothing is re-simulated to commit it.  ``evaluations``
+counts kernel rows: one per examined swap or restart.
 """
 
 from __future__ import annotations
@@ -25,9 +21,96 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
+from typing import Optional, Sequence
 
-from repro.model.identifiers import random_assignment
-from repro.search.incremental import SwapEvaluator
+from repro.core.adversary import validate_objective
+from repro.core.algorithm import BallAlgorithm
+from repro.errors import TopologyError
+from repro.kernel.compile import compile_instance
+from repro.model.graph import Graph
+from repro.model.identifiers import (
+    IdentifierAssignment,
+    identity_assignment,
+    random_assignment,
+)
+
+
+class SwapEvaluator:
+    """The current assignment of a swap search and its kernel-scored value.
+
+    Holds the current identifiers, their objective ``value``, an
+    ``evaluations`` counter (kernel rows scored) and one
+    :class:`~repro.kernel.compile.CompiledInstance`.  Algorithms without a
+    vectorised rule are scored by the kernel's decide-backed
+    :class:`~repro.kernel.rules.RunnerTableRule`, so every algorithm can be
+    searched.
+
+    Parameters
+    ----------
+    graph, algorithm, objective:
+        The fixed instance and the objective to report (``average``, ``max``
+        or ``sum``).
+    ids:
+        Starting assignment; defaults to the identity.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        algorithm: BallAlgorithm,
+        objective: str = "average",
+        ids: Optional[IdentifierAssignment] = None,
+    ) -> None:
+        validate_objective(objective)
+        self.objective = objective
+        self.kernel = compile_instance(graph, algorithm)
+        self.evaluations = 0
+        self.reset(ids if ids is not None else identity_assignment(graph.n))
+
+    @property
+    def identifiers(self) -> tuple[int, ...]:
+        """The current assignment as a position -> identifier tuple."""
+        return tuple(self._ids)
+
+    def reset(self, ids: IdentifierAssignment) -> float:
+        """Replace the current assignment (one kernel row) and return its value."""
+        if ids.n != self.kernel.n:
+            raise TopologyError(
+                f"identifier assignment covers {ids.n} positions "
+                f"but graph has {self.kernel.n}"
+            )
+        self._ids = list(ids.identifiers())
+        (self.value,) = self._score([self._ids])
+        return self.value
+
+    def score(self, pairs: Sequence[tuple[int, int]]) -> list[float]:
+        """Values of the current assignment with each pair swapped.
+
+        One kernel cohort, one row per pair; the evaluator does not move.
+        """
+        rows = []
+        for a, b in pairs:
+            row = list(self._ids)
+            row[a], row[b] = row[b], row[a]
+            rows.append(row)
+        return self._score(rows)
+
+    def swap(self, position_a: int, position_b: int, value: float) -> None:
+        """Exchange two identifiers; ``value`` is the kernel's score of the swap."""
+        ids = self._ids
+        ids[position_a], ids[position_b] = ids[position_b], ids[position_a]
+        self.value = value
+
+    def _score(self, rows: list[list[int]]) -> list[float]:
+        # Rows are permutations of validated identifiers, so the kernel may
+        # skip its per-row check; identifiers past int64 take the stdlib path.
+        self.evaluations += len(rows)
+        radii_rows = self.kernel.batch_radii(rows, pre_validated=True)
+        if self.objective == "max":
+            return [float(max(radii)) for radii in radii_rows]
+        if self.objective == "sum":
+            return [float(sum(radii)) for radii in radii_rows]
+        return [sum(radii) / self.kernel.n for radii in radii_rows]
 
 
 @dataclass(frozen=True)
@@ -51,6 +134,16 @@ def _sample_pair(rng: Random, n: int) -> tuple[int, int]:
     return a, b
 
 
+def _sample_pairs(rng: Random, n: int, count: int) -> list[tuple[int, int]]:
+    """``count`` draws of :func:`_sample_pair`, degenerate pairs dropped."""
+    pairs = []
+    for _ in range(count):
+        a, b = _sample_pair(rng, n)
+        if a != b:
+            pairs.append((a, b))
+    return pairs
+
+
 def hill_climb(
     evaluator: SwapEvaluator,
     rng: Random,
@@ -64,28 +157,22 @@ def hill_climb(
     ``max_steps`` steps.
     """
     before = evaluator.evaluations
-    current = evaluator.value
     steps = 0
     for _ in range(max_steps):
-        pairs = []
-        for _ in range(swaps_per_step):
-            a, b = _sample_pair(rng, evaluator.graph.n)
-            if a == b:
-                continue
-            pairs.append((a, b))
+        pairs = _sample_pairs(rng, evaluator.kernel.n, swaps_per_step)
         best_pair = None
-        best_value = current
-        for pair, value in zip(pairs, evaluator.peek_values_batch(pairs)):
+        best_value = evaluator.value
+        for pair, value in zip(pairs, evaluator.score(pairs)):
             if value > best_value:
                 best_pair = pair
                 best_value = value
         if best_pair is None:
             break
-        current = evaluator.commit(evaluator.peek(*best_pair))
+        evaluator.swap(*best_pair, best_value)
         steps += 1
     return StrategyResult(
         name="hill-climb",
-        value=current,
+        value=evaluator.value,
         identifiers=evaluator.identifiers,
         evaluations=evaluator.evaluations - before,
         steps=steps,
@@ -106,21 +193,20 @@ def simulated_annealing(
     the best assignment seen anywhere along the walk is returned.
     """
     before = evaluator.evaluations
-    current = evaluator.value
-    best_value = current
+    best_value = evaluator.value
     best_ids = evaluator.identifiers
     ratio = end_temperature / start_temperature
     for step in range(steps):
         temperature = start_temperature * ratio ** (step / max(1, steps - 1))
-        a, b = _sample_pair(rng, evaluator.graph.n)
+        a, b = _sample_pair(rng, evaluator.kernel.n)
         if a == b:
             continue
-        delta = evaluator.peek(a, b)
-        gain = delta.value - current
+        (value,) = evaluator.score([(a, b)])
+        gain = value - evaluator.value
         if gain >= 0 or rng.random() < math.exp(gain / temperature):
-            current = evaluator.commit(delta)
-            if current > best_value:
-                best_value = current
+            evaluator.swap(a, b, value)
+            if value > best_value:
+                best_value = value
                 best_ids = evaluator.identifiers
     return StrategyResult(
         name="annealing",
@@ -145,20 +231,14 @@ def tabu_search(
     criterion), which stops the walk from immediately undoing itself.
     """
     before = evaluator.evaluations
-    current = evaluator.value
-    best_value = current
+    best_value = evaluator.value
     best_ids = evaluator.identifiers
     tabu_until: dict[tuple[int, int], int] = {}
     for step in range(steps):
-        pairs = []
-        for _ in range(sample):
-            a, b = _sample_pair(rng, evaluator.graph.n)
-            if a == b:
-                continue
-            pairs.append((a, b))
+        pairs = _sample_pairs(rng, evaluator.kernel.n, sample)
         best_pair = None
         best_pair_value = None
-        for (a, b), value in zip(pairs, evaluator.peek_values_batch(pairs)):
+        for (a, b), value in zip(pairs, evaluator.score(pairs)):
             pair = (min(a, b), max(a, b))
             if tabu_until.get(pair, -1) > step and value <= best_value:
                 continue  # tabu, and aspiration does not apply
@@ -167,11 +247,10 @@ def tabu_search(
                 best_pair_value = value
         if best_pair is None:
             continue
-        current = evaluator.commit(evaluator.peek(*best_pair))
-        pair = (min(best_pair), max(best_pair))
-        tabu_until[pair] = step + tenure
-        if current > best_value:
-            best_value = current
+        evaluator.swap(*best_pair, best_pair_value)
+        tabu_until[(min(best_pair), max(best_pair))] = step + tenure
+        if best_pair_value > best_value:
+            best_value = best_pair_value
             best_ids = evaluator.identifiers
     return StrategyResult(
         name="tabu",
@@ -189,13 +268,13 @@ def random_probe(
 ) -> StrategyResult:
     """Full restarts from uniformly random assignments (the baseline).
 
-    Unlike the swap strategies this pays a full (engine-accelerated) run per
-    sample; it is kept in the portfolio as a diversification backstop.
+    Each sample is one kernel row; the strategy is kept in the portfolio as
+    a diversification backstop.
     """
     before = evaluator.evaluations
     best_value = evaluator.value
     best_ids = evaluator.identifiers
-    n = evaluator.graph.n
+    n = evaluator.kernel.n
     for _ in range(samples):
         value = evaluator.reset(random_assignment(n, seed=rng.getrandbits(64)))
         if value > best_value:

@@ -71,21 +71,3 @@ class TestHelpers:
         traces = [runner.run(random_assignment(12, seed=s)) for s in range(3)]
         assert len(traces) == 3
         assert all(trace.n == 12 for trace in traces)
-
-    def test_node_radius_matches_full_run(self, ring12, ring12_random_ids, largest_id_algorithm):
-        trace = run_ball_algorithm(ring12, ring12_random_ids, largest_id_algorithm)
-        runner = FrontierRunner(ring12, largest_id_algorithm)
-        identifiers = ring12_random_ids.identifiers()
-        for position in ring12.positions():
-            assert runner.resimulate_node(identifiers, position)[0] == trace.radii()[position]
-
-    def test_node_radius_raises_when_never_deciding(self, ring12, ring12_random_ids):
-        never = FunctionBallAlgorithm(lambda ball: None, name="never")
-        runner = FrontierRunner(ring12, never)
-        with pytest.raises(AlgorithmError, match="position 0 even at radius 7"):
-            runner.resimulate_node(ring12_random_ids.identifiers(), 0)
-
-    def test_node_radius_identifier_mismatch(self, ring12):
-        runner = FrontierRunner(ring12, radius_k_algorithm(0))
-        with pytest.raises(TopologyError, match="covers 3 positions"):
-            runner.resimulate_node(identity_assignment(3).identifiers(), 0)

@@ -1,5 +1,6 @@
 """Tests for the grid registries and the cell expansion."""
 
+import dataclasses
 import math
 
 import pytest
@@ -130,6 +131,18 @@ class TestMakeAdversary:
         assert (local.portfolio.seed, local.portfolio.workers) == (4, 2)
         assert make_adversary("branch-and-bound", query).max_nodes == 10
         assert type(make_adversary("branch-and-bound", query)) is PrunedExhaustiveAdversary
+
+    def test_max_classes_reaches_the_exact_search(self):
+        assert make_adversary("pruned-exhaustive", Query(max_classes=77)).max_classes == 77
+        # The 7-cycle has 7! / 14 = 360 canonical classes: above a budget of 10.
+        query = Query(
+            mode="worst-case", topologies="cycle", sizes=7, max_classes=10
+        )
+        with pytest.raises(ConfigurationError, match="~360 canonical.*budget of 10"):
+            Session().run(query)
+        # A raised budget lifts the guard; the default still admits the 7-cycle.
+        for budget in (360, Query().max_classes):
+            Session().run(dataclasses.replace(query, max_classes=budget))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown adversary"):

@@ -100,22 +100,6 @@ class TestExecution:
         for radius, covers in seen:
             assert covers == (radius >= 3)  # eccentricity of a 6-cycle node
 
-    def test_resimulate_node_and_cap_error(self):
-        runner = FrontierRunner(cycle_graph(9), LargestIdAlgorithm())
-        ids = random_assignment(9, seed=2)
-        identifiers = ids.identifiers()
-        radii = runner.run(ids).radii()
-        for position in range(9):
-            assert runner.resimulate_node(identifiers, position)[0] == radii[position]
-        never = FunctionBallAlgorithm(lambda ball: None, name="never")
-        with pytest.raises(AlgorithmError, match="position 3 even at radius 5"):
-            FrontierRunner(cycle_graph(9), never).resimulate_node(identifiers, 3)
-
-    def test_resimulate_node_position_out_of_range(self):
-        runner = FrontierRunner(cycle_graph(5), LargestIdAlgorithm())
-        with pytest.raises(TopologyError, match="outside"):
-            runner.resimulate_node(identity_assignment(5).identifiers(), 9)
-
     def test_plans_grow_only_as_deep_as_each_node_reads(self):
         # Largest-ID on a cycle: a typical node stops after O(log n) rounds,
         # so its plan must not be built out to the eccentricity n / 2.

@@ -13,6 +13,8 @@ def _run(code: str, **env_overrides) -> subprocess.CompletedProcess:
     env.pop("REPRO_OBS", None)
     env["PYTHONPATH"] = SRC
     env.update(env_overrides)
+    # An override of None removes the variable.
+    env = {key: value for key, value in env.items() if value is not None}
     return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -124,3 +126,29 @@ print("PHASES")
     proc = _run(code, REPRO_OBS="on")
     assert proc.returncode == 0, proc.stderr
     assert "PHASES" in proc.stdout
+
+
+def test_on_covers_strategies_witness_and_backend_probe():
+    # A fresh process probes numpy inside its first query (unless
+    # REPRO_KERNEL=python forbids the probe, hence the variable is dropped);
+    # the portfolio's strategy runs and the witness run get their own spans.
+    code = """
+import repro
+result = repro.query(
+    mode="worst-case", topologies="cycle", sizes=32, algorithms="largest-id",
+    adversaries="portfolio", workers=1,
+)
+
+def names(nodes):
+    for node in nodes:
+        yield node["name"]
+        yield from names(node["children"])
+
+seen = set(names(result.profile["spans"]))
+missing = {"search.strategy", "search.witness", "kernel.backend_probe"} - seen
+assert not missing, (missing, sorted(seen))
+print("COVERED")
+"""
+    proc = _run(code, REPRO_OBS="on", REPRO_KERNEL=None)
+    assert proc.returncode == 0, proc.stderr
+    assert "COVERED" in proc.stdout

@@ -118,17 +118,3 @@ def test_batch_executor_matches_serial_runs():
         for reference, candidate in zip(serial, batched):
             _assert_traces_equal(reference, candidate, f"workers={workers}")
 
-
-def test_node_radius_matches_full_run_on_random_instances():
-    for label, graph in GRAPH_FAMILIES:
-        from repro.algorithms.largest_id import LargestIdAlgorithm
-
-        algorithm = LargestIdAlgorithm()
-        runner = FrontierRunner(graph, algorithm, cache=DecisionCache(algorithm))
-        ids = random_assignment(graph.n, seed=5)
-        trace = runner.run(ids)
-        identifiers = ids.identifiers()
-        for position in graph.positions():
-            radius, output = runner.resimulate_node(identifiers, position)
-            assert radius == trace.radii()[position], label
-            assert output == trace.outputs_by_position()[position], label

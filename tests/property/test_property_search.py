@@ -8,14 +8,18 @@ acceptance criteria:
   symmetry-pruned canonical enumeration reports exactly the optimum of the
   legacy full ``n!`` enumeration, and its witness reproduces that value on
   re-evaluation (the heuristic ``local-search`` never exceeds it);
-* **SwapEvaluator == full re-simulation** — under random swap sequences the
-  incrementally maintained objective always equals the objective of a
-  fresh, from-scratch run of the current assignment.
+* **SwapEvaluator == incremental re-simulation == full re-simulation** —
+  under random swap sequences every kernel-scored swap value equals the
+  incremental oracle's (``tests/search/incremental_oracle.py``) and the
+  objective of a fresh, from-scratch run of the swapped assignment, bit for
+  bit, and committing the scored swap keeps all three in step.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,11 +33,15 @@ from repro.engine.campaign import make_adversary, make_ball_algorithm
 from repro.engine.frontier import FrontierRunner
 from repro.model.identifiers import random_assignment
 from repro.search.adversaries import PrunedExhaustiveAdversary
-from repro.search.incremental import SwapEvaluator
+from repro.search.strategies import SwapEvaluator
 from repro.topology.cycle import cycle_graph
 from repro.topology.grid import grid_graph
 from repro.topology.path import path_graph
 from repro.engine.campaign import build_topology
+
+# The incremental oracle lives beside the search tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "search"))
+from incremental_oracle import IncrementalSwapEvaluator  # noqa: E402
 
 #: (label, builder) for the graph families of the equivalence suite.
 FAMILIES = (
@@ -128,23 +136,22 @@ def test_swap_evaluator_matches_full_resimulation(seed, family, objective):
         graph = grid_graph(rng.randint(2, 4), rng.randint(2, 4))
     name = rng.choice(["largest-id", "greedy-coloring", "greedy-mis"])
     algorithm = make_ball_algorithm(name, graph.n)
-    evaluator = SwapEvaluator(
-        graph, algorithm, objective, ids=random_assignment(graph.n, seed=seed)
-    )
+    ids = random_assignment(graph.n, seed=seed)
+    evaluator = SwapEvaluator(graph, algorithm, objective, ids=ids)
+    oracle = IncrementalSwapEvaluator(graph, algorithm, objective, ids=ids)
     reference = FrontierRunner(graph, algorithm)
+    assert evaluator.value == oracle.value
     for _ in range(12):
         if graph.n < 2:
             break
-        a, b = rng.sample(range(graph.n), 2)
+        pairs = [tuple(rng.sample(range(graph.n), 2)) for _ in range(rng.randint(1, 4))]
+        values = evaluator.score(pairs)
+        for (a, b), value in zip(pairs, values):
+            assert value == oracle.peek(a, b).value
+            full = reference.run(oracle.assignment().with_swap(a, b))
+            assert value == trace_objective(full, objective)
         if rng.random() < 0.5:
-            delta = evaluator.peek(a, b)
-            expected = trace_objective(
-                reference.run(evaluator.assignment().with_swap(a, b)), objective
-            )
-            assert delta.value == pytest.approx(expected)
-        else:
-            evaluator.apply_swap(a, b)
-            expected = trace_objective(
-                reference.run(evaluator.assignment()), objective
-            )
-            assert evaluator.value == pytest.approx(expected)
+            (a, b), value = pairs[0], values[0]
+            evaluator.swap(a, b, value)
+            assert oracle.apply_swap(a, b) == value
+            assert evaluator.identifiers == oracle.identifiers

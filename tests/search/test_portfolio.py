@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.algorithms.largest_id import LargestIdAlgorithm
 from repro.core.adversary import ExhaustiveAdversary
+from repro.core.algorithm import FunctionBallAlgorithm
 from repro.core.runner import run_ball_algorithm
 from repro.errors import ConfigurationError
+from repro.kernel.compile import compile_instance
 from repro.search.adversaries import PortfolioAdversary
 from repro.search.portfolio import (
     PortfolioSearch,
@@ -70,3 +73,18 @@ class TestPortfolioSearch:
     def test_empty_portfolio_rejected(self):
         with pytest.raises(ConfigurationError):
             PortfolioSearch(strategies=[])
+
+
+def test_portfolio_over_a_non_vectorised_algorithm():
+    # A FunctionBallAlgorithm has no vectorised rule: the kernel scores its
+    # swaps with the decide-backed RunnerTableRule, which must walk the very
+    # trajectories the vectorised largest-ID rule does.
+    graph = cycle_graph(8)
+    plain = FunctionBallAlgorithm(LargestIdAlgorithm().decide, name="plain-largest-id")
+    assert compile_instance(graph, plain).rule.name == "runner-table"
+    found = PortfolioAdversary(seed=3).maximise(graph, plain)
+    reference = PortfolioAdversary(seed=3).maximise(graph, LargestIdAlgorithm())
+    assert found.value == reference.value
+    assert found.assignment == reference.assignment
+    assert found.certificate == reference.certificate
+    assert found.trace.radii() == reference.trace.radii()

@@ -6,8 +6,13 @@ Measures the two workloads named by the engine's acceptance criteria —
 * a **sampling-adversary sweep** on a 64-cycle (random-search budget of 48),
 
 each as: legacy = the from-scratch reference runner evaluated once per
-assignment (exactly the pre-engine execution path), engine = the adversary's
-engine session (frontier plans + decision cache).  After one untimed
+assignment (exactly the pre-engine execution path), engine = one engine
+session (frontier plans + decision cache) over the same assignments — on
+the ring a :class:`~repro.engine.frontier.FrontierRunner` run per
+permutation (the search tests' ``exhaustive_oracle``), on the sweep the
+sampling adversary's session.  (The exhaustive
+adversary itself now scores its permutations in kernel cohorts; the ring
+entry checks its value untimed.)  After one untimed
 warm-up each, the two paths are timed in ``REPEATS`` interleaved pairs and
 must agree on the objective value; the median per-pair speedup must be at
 least ``MIN_SPEEDUP``.  Results — timings, speedups and
@@ -19,6 +24,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
+from pathlib import Path
 
 from bench_smoke import SMOKE, artifact_path, paired_ratio, pick
 
@@ -32,6 +39,10 @@ from repro.core.runner import reference_run_ball_algorithm
 from repro.model.identifiers import IdentifierAssignment, random_assignment
 from repro.topology.cycle import cycle_graph
 from repro.utils.rng import make_rng
+
+# The engine-scored n! loop is the search tests' oracle; time that one copy.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "search"))
+from exhaustive_oracle import exhaustive_oracle  # noqa: E402
 
 ARTIFACT_PATH = artifact_path("BENCH_engine.json")
 MIN_SPEEDUP = 3.0
@@ -75,16 +86,17 @@ def test_bench_exhaustive_adversary_ring7():
         return best
 
     def engine():
-        return ExhaustiveAdversary().maximise(graph, algorithm, objective="average")
+        return exhaustive_oracle(graph, algorithm, objectives=("average",))
 
-    speedup, legacy_s, engine_s, legacy_value, result = paired_ratio(
+    speedup, legacy_s, engine_s, legacy_value, (results, cache_stats) = paired_ratio(
         legacy, engine, REPEATS
     )
-    assert result.value == legacy_value
-    entry = _record(
-        "exhaustive_ring_n7", speedup, legacy_s, engine_s, result.value, result.cache_stats
-    )
-    assert result.cache_stats.hit_rate > 0.9
+    value = results["average"][0]
+    assert value == legacy_value
+    exhaustive = ExhaustiveAdversary().maximise(graph, algorithm, objective="average")
+    assert exhaustive.value == legacy_value
+    entry = _record("exhaustive_ring_n7", speedup, legacy_s, engine_s, value, cache_stats)
+    assert cache_stats.hit_rate > 0.9
     assert entry["speedup"] >= MIN_SPEEDUP, (
         f"engine only {entry['speedup']:.2f}x faster than the legacy runner "
         f"on the exhaustive ring (wanted >= {MIN_SPEEDUP}x): {entry}"

@@ -82,6 +82,9 @@ ANSWER_EPOCH = 5
 #: ``samples`` is the resumable budget itself.
 FAMILY_EXCLUDED_FIELDS = ("samples", "workers")
 
+#: Grid axes: each value names its own cells, so none may repeat.
+AXES = ("topologies", "sizes", "algorithms", "adversaries", "methods")
+
 #: Budget and cap fields: each must be an int of at least 1.
 POSITIVE_INT_FIELDS = (
     "samples",
@@ -178,17 +181,19 @@ class Query:
     max_classes: int = DEFAULT_MAX_CLASSES
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "topologies", _as_tuple(self.topologies, "topologies"))
-        object.__setattr__(self, "sizes", _as_tuple(self.sizes, "sizes"))
-        object.__setattr__(self, "algorithms", _as_tuple(self.algorithms, "algorithms"))
-        object.__setattr__(self, "adversaries", _as_tuple(self.adversaries, "adversaries"))
-        object.__setattr__(self, "methods", _as_tuple(self.methods, "methods"))
+        for name in AXES:
+            object.__setattr__(self, name, _as_tuple(getattr(self, name), name))
         object.__setattr__(self, "seed", _check_int("seed", self.seed))
         for name in POSITIVE_INT_FIELDS:
             object.__setattr__(self, name, _check_int(name, getattr(self, name), minimum=1))
         object.__setattr__(
             self, "sizes", tuple(_check_int("sizes", n, minimum=1) for n in self.sizes)
         )
+        for name in AXES:  # a repeated value would name one cell twice
+            values = getattr(self, name)
+            repeated = [value for i, value in enumerate(values) if value in values[:i]]
+            if repeated:
+                raise ConfigurationError(f"{name} repeats {repeated[0]!r}")
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"unknown mode {self.mode!r}; known: {', '.join(MODES)}"

@@ -653,8 +653,9 @@ class Session:
         Each cell draws only what its fold has not seen
         (:func:`~repro.dist.sampling.draw_sample_rows` from the fold's
         count).  All cells' draws go through one
-        :func:`~repro.kernel.compile.simulate_many` submission — cells
-        sharing a compiled instance merge into one row stream — or, with
+        :func:`~repro.kernel.compile.simulate_many` submission, one request
+        per cell (a query repeats no axis value, so no two cells share a
+        compiled instance) — or, with
         ``workers > 1``, fan out per cell over the warm pool (each draw
         matrix published into shared memory, affinity-keyed by instance).
         The radii fold in draw order, so rows are bit-identical at any

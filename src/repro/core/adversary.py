@@ -9,20 +9,22 @@ witness assignment is returned so callers can re-verify it).
 The adversaries are deliberately algorithm-agnostic: they only observe the
 scalar objective of a full run, never the algorithm's internals.
 
-The sampling adversaries (:class:`RandomSearchAdversary`,
-:class:`RotationAdversary`) score their candidate assignments as batch-kernel
-cohorts (:func:`~repro.kernel.compile.simulate_many`) and keep the first
-strict maximum; only the witness then runs through one engine session — a
-:class:`~repro.engine.frontier.FrontierRunner` with a
+Every adversary is one pipeline: candidates, kernel scores, first strict
+maximum, one witness run.  :class:`ExhaustiveAdversary` (all ``n!``
+permutations, the exact reference), :class:`RandomSearchAdversary` and
+:class:`RotationAdversary` score their candidates as batch-kernel cohorts
+(:func:`~repro.kernel.compile.simulate_many`, each row valued by
+:func:`radii_objective`) and keep the first strict maximum.
+:func:`witness_trace` then runs that witness once through an engine session
+— a :class:`~repro.engine.frontier.FrontierRunner` with a
 :class:`~repro.engine.cache.DecisionCache` — for its full trace (outputs
-included) and the :attr:`AdversaryResult.cache_stats` of that run.
-:class:`ExhaustiveAdversary` is the ``n!`` reference and runs every
-permutation through one such session.
+included), and builds the :class:`AdversaryResult` every adversary returns,
+with the :attr:`AdversaryResult.cache_stats` of that one run.
 
-The symmetry-pruned exact search and the swap-strategy portfolio of
-:mod:`repro.search` implement the same :class:`Adversary` interface and are
-re-exported here (lazily, to keep the import graph acyclic) as
-:class:`PrunedExhaustiveAdversary` and :class:`PortfolioAdversary`.
+The symmetry-pruned exact search and the swap-strategy portfolio implement
+the same :class:`Adversary` interface in :mod:`repro.search.adversaries`
+(:class:`~repro.search.adversaries.PrunedExhaustiveAdversary`,
+:class:`~repro.search.adversaries.PortfolioAdversary`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence, Union
 
 from repro.core.algorithm import BallAlgorithm
 from repro.engine.cache import DECISION_CACHE_MAX_ENTRIES, CacheStats, DecisionCache
@@ -81,13 +83,8 @@ def trace_objective(trace: ExecutionTrace, objective: str) -> float:
     >>> trace_objective(trace, "sum") == trace_objective(trace, "average") * 4
     True
     """
-    if objective == "average":
-        return trace.average_radius
-    if objective == "max":
-        return float(trace.max_radius)
-    if objective == "sum":
-        return float(trace.sum_radius)
-    raise AnalysisError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+    validate_objective(objective)
+    return radii_objective(list(trace.radii().values()), objective)
 
 
 @dataclass(frozen=True)
@@ -97,8 +94,8 @@ class AdversaryResult:
     ``value`` is the objective achieved by ``assignment`` (whose full trace
     is included), ``evaluations`` counts how many assignments were tried and
     ``exact`` records whether the search provably covered the whole space.
-    ``cache_stats``, when present, summarises the decision-cache hit rate of
-    the engine session that powered the search.  The second-generation
+    ``cache_stats`` summarises the decision-cache hit rate of the witness's
+    one engine run (:func:`witness_trace`).  The second-generation
     adversaries (:mod:`repro.search`) additionally attach a ``certificate``
     — a :class:`~repro.search.branch_bound.SearchCertificate` for exact
     searches, a :class:`~repro.search.portfolio.PortfolioCertificate` for
@@ -115,57 +112,84 @@ class AdversaryResult:
     certificate: Optional[object] = None
 
 
-def witness_trace(
-    graph: Graph, algorithm: BallAlgorithm, ids: IdentifierAssignment
-) -> tuple[ExecutionTrace, CacheStats]:
-    """Full trace of a search's witness and the cache stats of that one run.
+def radii_objective(radii: Sequence[int], objective: str) -> float:
+    """Scalar value of one row of per-node radii under a validated objective.
 
-    The kernel answers radii only; the witness's outputs come from one
-    engine session run (the ``search.witness`` span).
+    Every search scores its candidates' kernel rows with it, and
+    :func:`trace_objective` the radii of a trace.
+
+    >>> radii_objective((1, 2, 3), "average"), radii_objective((1, 2, 3), "max")
+    (2.0, 3.0)
     """
+    if objective == "max":
+        return float(max(radii))
+    if objective == "sum":
+        return float(sum(radii))
+    return sum(radii) / len(radii)
+
+
+def witness_trace(
+    graph: Graph,
+    algorithm: BallAlgorithm,
+    objective: str,
+    ids: Union[IdentifierAssignment, Sequence[int]],
+    evaluations: int,
+    exact: bool = False,
+    certificate: Optional[object] = None,
+) -> AdversaryResult:
+    """The :class:`AdversaryResult` of a search whose witness is ``ids``.
+
+    The kernel answers radii only; the witness's full trace (outputs
+    included) comes from one engine session run (the ``search.witness``
+    span), its objective is the reported value and ``cache_stats`` are that
+    one run's.
+    """
+    if not isinstance(ids, IdentifierAssignment):
+        ids = IdentifierAssignment(ids)
     with _obs_span("search.witness", n=graph.n):
         cache = DecisionCache(algorithm, max_entries=DECISION_CACHE_MAX_ENTRIES)
         trace = FrontierRunner(graph, algorithm, cache=cache).run(ids)
-    return trace, cache.stats
+    return AdversaryResult(
+        assignment=ids,
+        trace=trace,
+        value=trace_objective(trace, objective),
+        objective=objective,
+        evaluations=evaluations,
+        exact=exact,
+        cache_stats=cache.stats,
+        certificate=certificate,
+    )
 
 
 def _best_of(
     graph: Graph,
     algorithm: BallAlgorithm,
     objective: str,
-    candidates: Iterable[IdentifierAssignment],
+    candidates: Iterable[Union[IdentifierAssignment, Sequence[int]]],
+    exact: bool = False,
 ) -> AdversaryResult:
     """Score ``candidates`` in kernel cohorts; the first strict maximum wins.
 
     Candidates are drawn :data:`~repro.kernel.compile.DEFAULT_BATCH_ROWS` at
     a time, so memory stays one cohort of rows whatever their number.
+    ``exact`` says whether they cover every assignment.
     """
     if graph.n == 0:
         raise AnalysisError("cannot run an adversary on an empty graph")
     kernel = compile_instance(graph, algorithm)
-    score = max if objective == "max" else sum
     candidates = iter(candidates)
-    best: Optional[IdentifierAssignment] = None
-    best_score = -1
+    best = None
+    best_value = -1.0
     evaluations = 0
     while cohort := list(itertools.islice(candidates, DEFAULT_BATCH_ROWS)):
         evaluations += len(cohort)
         (radii_rows,) = simulate_many([BatchRequest(kernel, cohort)])
         for ids, radii in zip(cohort, radii_rows):
-            value = score(radii)
-            if value > best_score:
-                best, best_score = ids, value
+            value = radii_objective(radii, objective)
+            if value > best_value:
+                best, best_value = ids, value
     assert best is not None  # at least one candidate
-    trace, cache_stats = witness_trace(graph, algorithm, best)
-    return AdversaryResult(
-        assignment=best,
-        trace=trace,
-        value=trace_objective(trace, objective),
-        objective=objective,
-        evaluations=evaluations,
-        exact=False,
-        cache_stats=cache_stats,
-    )
+    return witness_trace(graph, algorithm, objective, best, evaluations, exact)
 
 
 class Adversary(abc.ABC):
@@ -181,8 +205,10 @@ class Adversary(abc.ABC):
 class ExhaustiveAdversary(Adversary):
     """Try every permutation of ``0..n-1`` — exact, but only feasible for tiny n.
 
-    ``max_nodes`` protects against accidentally launching a factorial search
-    on a large graph.  This is the reference implementation that the
+    The permutations are scored in kernel cohorts in lexicographic order, so
+    the witness is the first optimal permutation.  ``max_nodes`` protects
+    against accidentally launching a factorial search on a large graph.
+    This is the reference implementation that the
     symmetry-pruned search of :mod:`repro.search` is verified against;
     for anything beyond toy sizes prefer
     :class:`~repro.search.adversaries.PrunedExhaustiveAdversary`, which
@@ -214,35 +240,8 @@ class ExhaustiveAdversary(Adversary):
                 f"(got {graph.n}); use PrunedExhaustiveAdversary for an exact "
                 f"search or PortfolioAdversary for a lower bound"
             )
-        cache = DecisionCache(algorithm, max_entries=DECISION_CACHE_MAX_ENTRIES)
-        runner = FrontierRunner(graph, algorithm, cache=cache)
-        best: AdversaryResult | None = None
-        evaluations = 0
-        for permutation in itertools.permutations(range(graph.n)):
-            ids = IdentifierAssignment(permutation)
-            trace = runner.run(ids)
-            value = trace_objective(trace, objective)
-            evaluations += 1
-            if best is None or value > best.value:
-                best = AdversaryResult(
-                    assignment=ids,
-                    trace=trace,
-                    value=value,
-                    objective=objective,
-                    evaluations=evaluations,
-                    exact=True,
-                )
-        if best is None:
-            raise AnalysisError("cannot run an adversary on an empty graph")
-        return AdversaryResult(
-            assignment=best.assignment,
-            trace=best.trace,
-            value=best.value,
-            objective=objective,
-            evaluations=evaluations,
-            exact=True,
-            cache_stats=cache.stats,
-        )
+        permutations = itertools.permutations(range(graph.n))
+        return _best_of(graph, algorithm, objective, permutations, exact=True)
 
 
 class RandomSearchAdversary(Adversary):
@@ -290,21 +289,3 @@ class RotationAdversary(Adversary):
         rotations = (base.rotated(shift) for shift in range(graph.n))
         return _best_of(graph, algorithm, objective, rotations)
 
-
-#: Second-generation adversaries re-exported from :mod:`repro.search`.
-_SEARCH_ADVERSARIES = ("PrunedExhaustiveAdversary", "PortfolioAdversary")
-
-
-def __getattr__(name: str):
-    """Lazily resolve the :mod:`repro.search` adversaries (PEP 562).
-
-    ``repro.search`` imports this module for the base classes, so importing
-    it eagerly here would create a cycle; deferring the import keeps
-    ``from repro.core.adversary import PrunedExhaustiveAdversary`` working
-    without one.
-    """
-    if name in _SEARCH_ADVERSARIES:
-        import repro.search.adversaries as _search_adversaries
-
-        return getattr(_search_adversaries, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,7 +6,9 @@ experimental question.  This experiment races the search generations on
 small cycles, where the legacy exhaustive adversary still provides ground
 truth:
 
-* ``exhaustive``        — the legacy full ``n!`` enumeration (PR 1 engine);
+* ``exhaustive``        — the legacy full ``n!`` enumeration, scored in
+  kernel cohorts (its ``cache_hit_rate``, like every row's, reads the
+  witness's one engine run);
 * ``pruned-exhaustive`` — canonical enumeration (one assignment per
   automorphism class of the cycle, ``n!/2n`` candidates), the one exact
   search (``branch-and-bound`` is another name for it);

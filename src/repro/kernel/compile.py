@@ -266,41 +266,29 @@ def simulate_many(requests: Sequence[BatchRequest]) -> list:
 
     The cross-instance counterpart of :func:`simulate_batch`: requests may
     target different ``(graph, algorithm)`` pairs (different row widths —
-    the batch is ragged), and blocks aimed at the same compiled instance are
-    merged so the instance evaluates one row stream instead of one small
-    batch per caller.  Each merged stream runs in chunks of
+    the batch is ragged).  Each request's rows run in chunks of
     :data:`DEFAULT_BATCH_ROWS`; results come back per request, in request
-    order, bit-identical to calling
-    :meth:`CompiledInstance.batch_radii` per block.  A request whose rows
-    are a 2-D numpy array is a block its caller already sized (the exact
-    search's leaf matrix): it is evaluated whole, and answered with one
-    ``(rows, n)`` int64 radii array.
+    order, bit-identical to calling :meth:`CompiledInstance.batch_radii`
+    per block.  A request whose rows are a 2-D numpy array is a block its
+    caller already sized (the exact search's leaf matrix): it is evaluated
+    whole, and answered with one ``(rows, n)`` int64 radii array.
 
-    This is how a distribution query submits a whole grid of sampled
-    cells through one kernel entry point (see
+    This is the kernel's one entry point for the adversaries, the exact
+    search and the sampled cells of a distribution query (see
     :meth:`repro.api.session.Session.run`).
     """
-    results: list = [None] * len(requests)
-    # id(instance) -> (instance, merged rows, (request index, start, stop)s)
-    streams: dict[int, tuple[CompiledInstance, list, list]] = {}
-    for index, request in enumerate(requests):
+    results = []
+    for request in requests:
         instance, rows = request.instance, request.rows
         if _is_matrix(rows):
-            results[index] = instance.batch_radii(rows, request.pre_validated)
+            results.append(instance.batch_radii(rows, request.pre_validated))
             continue
-        # Normalise per request first so validation errors point at the
-        # caller's block, then merge trusted rows per instance.
         rows = list(rows) if request.pre_validated else instance.normalize_rows(rows)
-        _, stream, spans = streams.setdefault(id(instance), (instance, [], []))
-        spans.append((index, len(stream), len(stream) + len(rows)))
-        stream.extend(rows)
-    for instance, stream, spans in streams.values():
         radii: list[tuple[int, ...]] = []
-        for offset in range(0, len(stream), DEFAULT_BATCH_ROWS):
-            chunk = stream[offset : offset + DEFAULT_BATCH_ROWS]
+        for offset in range(0, len(rows), DEFAULT_BATCH_ROWS):
+            chunk = rows[offset : offset + DEFAULT_BATCH_ROWS]
             radii.extend(instance.batch_radii(chunk, pre_validated=True))
-        for index, start, stop in spans:
-            results[index] = radii[start:stop]
+        results.append(radii)
     return results
 
 

@@ -16,14 +16,12 @@ from typing import Optional, Sequence
 from repro.core.adversary import (
     Adversary,
     AdversaryResult,
-    trace_objective,
     validate_objective,
     witness_trace,
 )
 from repro.core.algorithm import BallAlgorithm
 from repro.errors import ConfigurationError
 from repro.model.graph import Graph
-from repro.model.identifiers import IdentifierAssignment
 from repro.search.branch_bound import (
     DEFAULT_EXACT_MAX_NODES,
     DEFAULT_MAX_CLASSES,
@@ -83,16 +81,13 @@ class PrunedExhaustiveAdversary(Adversary):
                 f"PortfolioAdversary for a certified lower bound"
             )
         outcome = search.run()
-        assignment = IdentifierAssignment(outcome.identifiers)
-        trace, cache_stats = witness_trace(graph, algorithm, assignment)
-        return AdversaryResult(
-            assignment=assignment,
-            trace=trace,
-            value=trace_objective(trace, objective),
-            objective=objective,
+        return witness_trace(
+            graph,
+            algorithm,
+            objective,
+            outcome.identifiers,
             evaluations=outcome.certificate.canonical_leaves,
             exact=True,
-            cache_stats=cache_stats,
             certificate=outcome.certificate,
         )
 
@@ -120,17 +115,11 @@ class PortfolioAdversary(Adversary):
     ) -> AdversaryResult:
         validate_objective(objective)
         best, certificate = self.portfolio.run(graph, algorithm, objective=objective)
-        assignment = IdentifierAssignment(best.identifiers)
-        # The witness is re-run in a fresh engine session: the reported
-        # value is the trace's, reproducible outside the kernel's scoring.
-        trace, cache_stats = witness_trace(graph, algorithm, assignment)
-        return AdversaryResult(
-            assignment=assignment,
-            trace=trace,
-            value=trace_objective(trace, objective),
-            objective=objective,
+        return witness_trace(
+            graph,
+            algorithm,
+            objective,
+            best.identifiers,
             evaluations=sum(row["evaluations"] for row in certificate.rows),
-            exact=False,
-            cache_stats=cache_stats,
             certificate=certificate,
         )

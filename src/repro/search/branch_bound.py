@@ -1,7 +1,7 @@
 """Exact adversary search: canonical leaves enumerated level by level.
 
-The legacy :class:`~repro.core.adversary.ExhaustiveAdversary` evaluates all
-``n!`` identifier permutations.  This search instead
+The legacy :class:`~repro.core.adversary.ExhaustiveAdversary` scores all
+``n!`` identifier permutations in kernel cohorts.  This search instead
 
 1. **assigns identifiers slot by slot** along a BFS order of the positions
    from a graph pseudo-centre, one whole level of prefixes at a time: each

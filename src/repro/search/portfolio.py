@@ -6,8 +6,8 @@ the plateaus of structured instances, and random probing is a safety net on
 tiny or degenerate ones.  :class:`PortfolioSearch` runs a configurable set
 of strategies — each with its own deterministically derived seed and
 starting assignment — through the engine's
-:class:`~repro.engine.batch.BatchExecutor`, and returns the best witness
-found together with per-strategy statistics.
+:class:`~repro.engine.batch.BatchExecutor` on one compiled instance, and
+returns the best witness found together with per-strategy statistics.
 
 Determinism: strategy seeds come from
 :func:`~repro.engine.batch.derive_task_seed` keyed by the portfolio seed and
@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.engine.batch import BatchExecutor, derive_task_seed
 from repro.errors import ConfigurationError
+from repro.kernel.compile import CompiledInstance, compile_instance
 from repro.model.graph import Graph
 from repro.model.identifiers import random_assignment
 from repro.obs.spans import span as _obs_span
@@ -92,17 +93,25 @@ class PortfolioCertificate:
         return {"exact": False, "strategies": list(self.rows)}
 
 
+def run_member(
+    payload: tuple[CompiledInstance, str, StrategySpec, int],
+) -> StrategyResult:
+    """Worker: run one strategy from a deterministic random start."""
+    kernel, objective, spec, seed = payload
+    with _obs_span("search.strategy", strategy=spec.name):
+        rng = Random(seed)
+        start = random_assignment(kernel.n, seed=rng.getrandbits(64))
+        evaluator = SwapEvaluator(kernel, objective=objective, ids=start)
+        function = STRATEGY_FUNCTIONS[spec.name]
+        return function(evaluator, rng, **dict(spec.params))
+
+
 def run_strategy(
     payload: tuple[Graph, "BallAlgorithm", str, StrategySpec, int],
 ) -> StrategyResult:
-    """Worker: run one strategy from a deterministic random start."""
+    """:func:`run_member` on a ``(graph, algorithm)`` pair compiled for this run."""
     graph, algorithm, objective, spec, seed = payload
-    with _obs_span("search.strategy", strategy=spec.name):
-        rng = Random(seed)
-        start = random_assignment(graph.n, seed=rng.getrandbits(64))
-        evaluator = SwapEvaluator(graph, algorithm, objective=objective, ids=start)
-        function = STRATEGY_FUNCTIONS[spec.name]
-        return function(evaluator, rng, **dict(spec.params))
+    return run_member((compile_instance(graph, algorithm), objective, spec, seed))
 
 
 class PortfolioSearch:
@@ -135,18 +144,17 @@ class PortfolioSearch:
     def run(
         self, graph: Graph, algorithm: "BallAlgorithm", objective: str = "average"
     ) -> tuple[StrategyResult, PortfolioCertificate]:
-        """Run every member and return (best result, per-strategy certificate)."""
+        """Run every member and return (best result, per-strategy certificate).
+
+        The instance is compiled once; every member scores on it (a pooled
+        member on its pickled copy).
+        """
+        kernel = compile_instance(graph, algorithm)
         payloads = [
-            (
-                graph,
-                algorithm,
-                objective,
-                spec,
-                derive_task_seed(self.seed, spec.name, index),
-            )
+            (kernel, objective, spec, derive_task_seed(self.seed, spec.name, index))
             for index, spec in enumerate(self.strategies)
         ]
-        results = BatchExecutor(self.workers).map(run_strategy, payloads)
+        results = BatchExecutor(self.workers).map(run_member, payloads)
         best = max(results, key=lambda result: result.value)
         certificate = PortfolioCertificate(
             rows=tuple(

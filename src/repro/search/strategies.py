@@ -23,11 +23,9 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional, Sequence
 
-from repro.core.adversary import validate_objective
-from repro.core.algorithm import BallAlgorithm
+from repro.core.adversary import radii_objective, validate_objective
 from repro.errors import TopologyError
-from repro.kernel.compile import compile_instance
-from repro.model.graph import Graph
+from repro.kernel.compile import CompiledInstance
 from repro.model.identifiers import (
     IdentifierAssignment,
     identity_assignment,
@@ -39,33 +37,34 @@ class SwapEvaluator:
     """The current assignment of a swap search and its kernel-scored value.
 
     Holds the current identifiers, their objective ``value``, an
-    ``evaluations`` counter (kernel rows scored) and one
-    :class:`~repro.kernel.compile.CompiledInstance`.  Algorithms without a
-    vectorised rule are scored by the kernel's decide-backed
-    :class:`~repro.kernel.rules.RunnerTableRule`, so every algorithm can be
-    searched.
+    ``evaluations`` counter (kernel rows scored) and the
+    :class:`~repro.kernel.compile.CompiledInstance` it scores on — the only
+    thing it reads, so one compiled instance serves every member of a
+    portfolio.  Algorithms without a vectorised rule are scored by the
+    kernel's decide-backed :class:`~repro.kernel.rules.RunnerTableRule`, so
+    every algorithm can be searched.
 
     Parameters
     ----------
-    graph, algorithm, objective:
-        The fixed instance and the objective to report (``average``, ``max``
-        or ``sum``).
+    kernel:
+        The compiled ``(graph, algorithm)`` instance.
+    objective:
+        The objective to report (``average``, ``max`` or ``sum``).
     ids:
         Starting assignment; defaults to the identity.
     """
 
     def __init__(
         self,
-        graph: Graph,
-        algorithm: BallAlgorithm,
+        kernel: CompiledInstance,
         objective: str = "average",
         ids: Optional[IdentifierAssignment] = None,
     ) -> None:
         validate_objective(objective)
         self.objective = objective
-        self.kernel = compile_instance(graph, algorithm)
+        self.kernel = kernel
         self.evaluations = 0
-        self.reset(ids if ids is not None else identity_assignment(graph.n))
+        self.reset(ids if ids is not None else identity_assignment(kernel.n))
 
     @property
     def identifiers(self) -> tuple[int, ...]:
@@ -106,11 +105,7 @@ class SwapEvaluator:
         # skip its per-row check; identifiers past int64 take the stdlib path.
         self.evaluations += len(rows)
         radii_rows = self.kernel.batch_radii(rows, pre_validated=True)
-        if self.objective == "max":
-            return [float(max(radii)) for radii in radii_rows]
-        if self.objective == "sum":
-            return [float(sum(radii)) for radii in radii_rows]
-        return [sum(radii) / self.kernel.n for radii in radii_rows]
+        return [radii_objective(radii, self.objective) for radii in radii_rows]
 
 
 @dataclass(frozen=True)

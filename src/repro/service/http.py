@@ -44,7 +44,7 @@ from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import AnalysisError, ConfigurationError, ReproError
-from repro.service.service import QueryService
+from repro.service.service import QueryService, ServeOutcome
 from repro.utils.io import encode_json
 
 #: The protocol prefix every route lives under.
@@ -228,7 +228,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         try:
             for event in self.service.execute_stream(query):
-                self._write_chunk(encode_json(event))
+                if isinstance(event, ServeOutcome):
+                    self._write_chunk(event.line)
+                else:
+                    self._write_chunk(encode_json(event))
         except ConnectionError:
             self.close_connection = True  # the client is gone
             return

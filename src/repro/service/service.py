@@ -47,6 +47,7 @@ nest the engine's own.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -62,6 +63,7 @@ from repro.obs import metrics as _metrics
 from repro.obs.spans import span as _obs_span
 from repro.service.store import ResultStore
 from repro.service.workers import ServiceConfig, clear_job, pending_jobs, write_job
+from repro.utils.io import encode_json
 
 #: Progress chunks a streamed sampling query is split into (at most; each
 #: chunk continues the previous one's estimator state, so the final answer
@@ -97,6 +99,27 @@ class ServeOutcome:
         if self.tier in ("l1", "l2"):
             return "hit"
         return self.tier
+
+    @property
+    def line(self) -> bytes:
+        """The NDJSON ``{"type": "result"}`` line that ends a streamed answer.
+
+        ``encode_json`` of the event ``{"type": "result", "hash", "cache",
+        "document"}``.  A compact stored body — the only form
+        :meth:`~repro.service.store.ResultStore.put` writes — is spliced in
+        as it is, so the line neither decodes nor re-encodes the document;
+        an object an earlier version wrote indented is decoded and
+        re-encoded, so the line is always one line.
+        """
+        body = self.body.rstrip(b"\n")
+        event = {"type": "result", "hash": self.digest, "cache": self.cached}
+        if b"\n" in body:
+            return encode_json(dict(event, document=self.document))
+        # The hash is hex and the tier a plain word, so the placeholder
+        # occurs once.
+        return encode_json(dict(event, document=None)).replace(
+            b'"document":null', b'"document":' + body, 1
+        )
 
 
 class QueryService:
@@ -156,19 +179,20 @@ class QueryService:
 
     def execute_stream(
         self, query: Query, chunks: int = DEFAULT_STREAM_CHUNKS
-    ) -> Iterator[dict]:
-        """Answer one query as a stream of progress events plus the result.
+    ) -> Iterator[Union[dict, ServeOutcome]]:
+        """Answer one query as a stream of progress events, then its outcome.
 
         For a resumable sampling query the draw budget splits into up to
         ``chunks`` increments; after each one a ``{"type": "progress"}``
         event reports every sampled cell's current estimate with its
         standard error and 95% confidence interval — the client watches the
         interval tighten live.  Chunking changes nothing about the answer
-        (each chunk resumes the previous one's state), and the final
-        ``{"type": "result"}`` event carries the identical document a
-        non-streamed :meth:`execute` would return — which is also what the
-        store persists.  Store hits and non-sampling queries emit the
-        result event alone.
+        (each chunk resumes the previous one's state).  The last item is the
+        :class:`ServeOutcome` a non-streamed :meth:`execute` would return —
+        its body is what the store persists — whose
+        :attr:`~ServeOutcome.line` is the final ``{"type": "result"}``
+        NDJSON line.  Store hits and non-sampling queries yield the outcome
+        alone.
         """
         if chunks < 1:
             raise ConfigurationError(f"chunks must be >= 1, got {chunks}")
@@ -180,12 +204,7 @@ class QueryService:
                 else:
                     yield event
         _count(outcome, started)
-        yield {
-            "type": "result",
-            "hash": outcome.digest,
-            "cache": outcome.cached,
-            "document": outcome.document,
-        }
+        yield outcome
 
     def _answer(self, query: Query, chunks: int) -> Iterator[Union[dict, ServeOutcome]]:
         """The one compute path: progress events, then the :class:`ServeOutcome`.
@@ -231,11 +250,18 @@ class QueryService:
         Returns the recovered hashes.  A job whose result actually reached
         the store before the crash resolves as a store hit (zero
         recompute); the rest compute cold.  Either way the ledger entry is
-        cleared.
+        cleared.  A job whose query this version no longer accepts (say, one
+        that repeats an axis value) is cleared unanswered and reported on
+        stderr, so it cannot stop the service from starting.
         """
         recovered = []
         for job in pending_jobs(self.config):
-            outcome = self.execute_document(job["query"])
+            try:
+                outcome = self.execute_document(job["query"])
+            except ConfigurationError as error:
+                print(f"repro serve: dropped job {job['hash']}: {error}", file=sys.stderr)
+                clear_job(self.config, job["hash"])
+                continue
             clear_job(self.config, job["hash"])
             recovered.append(outcome.digest)
         return recovered

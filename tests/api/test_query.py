@@ -61,6 +61,24 @@ class TestValidation:
     @pytest.mark.parametrize(
         "field, value",
         [
+            ("topologies", ["cycle", "path", "cycle"]),
+            ("sizes", [16, 16]),
+            ("algorithms", ["largest-id", "largest-id"]),
+            ("adversaries", ["rotation", "rotation"]),
+            ("methods", ["sample", "exact", "sample"]),
+        ],
+    )
+    def test_an_axis_that_repeats_a_value_is_rejected(self, field, value):
+        # A repeated value names one cell twice: two sampled rows would
+        # fold into one shared estimator and report each other's draws.
+        with pytest.raises(ConfigurationError, match=f"{field} repeats"):
+            Query(mode="distribution", **{field: value})
+        with pytest.raises(ConfigurationError, match=f"{field} repeats"):
+            Query.from_dict(dict(Query().to_dict(), **{field: value}))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
             ("seed", "x"),
             ("seed", 1.5),
             ("seed", [1]),

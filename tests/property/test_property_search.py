@@ -33,6 +33,7 @@ from repro.engine.campaign import make_adversary, make_ball_algorithm
 from repro.engine.frontier import FrontierRunner
 from repro.model.identifiers import random_assignment
 from repro.search.adversaries import PrunedExhaustiveAdversary
+from repro.kernel.compile import compile_instance
 from repro.search.strategies import SwapEvaluator
 from repro.topology.cycle import cycle_graph
 from repro.topology.grid import grid_graph
@@ -137,7 +138,7 @@ def test_swap_evaluator_matches_full_resimulation(seed, family, objective):
     name = rng.choice(["largest-id", "greedy-coloring", "greedy-mis"])
     algorithm = make_ball_algorithm(name, graph.n)
     ids = random_assignment(graph.n, seed=seed)
-    evaluator = SwapEvaluator(graph, algorithm, objective, ids=ids)
+    evaluator = SwapEvaluator(compile_instance(graph, algorithm), objective, ids=ids)
     oracle = IncrementalSwapEvaluator(graph, algorithm, objective, ids=ids)
     reference = FrontierRunner(graph, algorithm)
     assert evaluator.value == oracle.value

@@ -24,6 +24,7 @@ from repro.model.identifiers import (
     identity_assignment,
     random_assignment,
 )
+from repro.kernel.compile import compile_instance
 from repro.search.strategies import SwapEvaluator
 from repro.topology.cycle import cycle_graph
 from repro.topology.grid import grid_graph
@@ -142,7 +143,7 @@ class TestIncrementalOracle:
 class TestSwapEvaluator:
     def test_initial_value_matches_a_full_run(self, ring12, largest_id_algorithm):
         ids = random_assignment(12, seed=5)
-        evaluator = SwapEvaluator(ring12, largest_id_algorithm, "average", ids=ids)
+        evaluator = SwapEvaluator(compile_instance(ring12, largest_id_algorithm), "average", ids=ids)
         trace = FrontierRunner(ring12, largest_id_algorithm).run(ids)
         assert evaluator.value == trace.average_radius
         assert evaluator.identifiers == ids.identifiers()
@@ -150,17 +151,17 @@ class TestSwapEvaluator:
 
     def test_rejects_unknown_objective(self, ring12, largest_id_algorithm):
         with pytest.raises(AnalysisError):
-            SwapEvaluator(ring12, largest_id_algorithm, objective="median")
+            SwapEvaluator(compile_instance(ring12, largest_id_algorithm), objective="median")
 
     def test_rejects_a_mismatched_assignment(self, ring12, largest_id_algorithm):
         with pytest.raises(TopologyError, match="covers 5 positions"):
-            SwapEvaluator(ring12, largest_id_algorithm, ids=identity_assignment(5))
+            SwapEvaluator(compile_instance(ring12, largest_id_algorithm), ids=identity_assignment(5))
 
     def test_scores_match_the_oracle_for_every_objective(
         self, ring12, largest_id_algorithm
     ):
         for objective in ("average", "max", "sum"):
-            evaluator = SwapEvaluator(ring12, largest_id_algorithm, objective=objective)
+            evaluator = SwapEvaluator(compile_instance(ring12, largest_id_algorithm), objective=objective)
             oracle = IncrementalSwapEvaluator(ring12, largest_id_algorithm, objective)
             rng = random.Random(7)
             for _ in range(3):
@@ -175,7 +176,7 @@ class TestSwapEvaluator:
         # An algorithm without a vectorised rule is scored by the kernel's
         # decide-backed RunnerTableRule, one engine run per row.
         algorithm = FunctionBallAlgorithm(LargestIdAlgorithm().decide, name="plain")
-        evaluator = SwapEvaluator(ring12, algorithm, ids=random_assignment(12, seed=3))
+        evaluator = SwapEvaluator(compile_instance(ring12, algorithm), ids=random_assignment(12, seed=3))
         assert not evaluator.kernel.vectorized
         oracle = IncrementalSwapEvaluator(ring12, algorithm, ids=random_assignment(12, seed=3))
         pairs = [(0, 5), (1, 7), (2, 2), (3, 11), (4, 8)]
@@ -187,7 +188,7 @@ class TestSwapEvaluator:
         # Identifiers above the numpy int64 range are legal for the runner;
         # the kernel scores them on its stdlib path on either backend.
         ids = IdentifierAssignment(tuple(2**63 + i for i in range(8)))
-        evaluator = SwapEvaluator(cycle_graph(8), largest_id_algorithm, ids=ids)
+        evaluator = SwapEvaluator(compile_instance(cycle_graph(8), largest_id_algorithm), ids=ids)
         oracle = IncrementalSwapEvaluator(cycle_graph(8), largest_id_algorithm, ids=ids)
         assert evaluator.value == oracle.value
         pairs = [(0, 1), (2, 3), (4, 5), (6, 7), (1, 6)]
@@ -196,7 +197,7 @@ class TestSwapEvaluator:
     def test_score_counts_evaluations_and_does_not_move_state(
         self, ring12, largest_id_algorithm
     ):
-        evaluator = SwapEvaluator(ring12, largest_id_algorithm)
+        evaluator = SwapEvaluator(compile_instance(ring12, largest_id_algorithm))
         identifiers = evaluator.identifiers
         value = evaluator.value
         before = evaluator.evaluations
@@ -207,7 +208,7 @@ class TestSwapEvaluator:
         assert evaluator.value == value
 
     def test_swap_moves_without_scoring(self, ring12, largest_id_algorithm):
-        evaluator = SwapEvaluator(ring12, largest_id_algorithm)
+        evaluator = SwapEvaluator(compile_instance(ring12, largest_id_algorithm))
         (value,) = evaluator.score([(0, 11)])
         before = evaluator.evaluations
         evaluator.swap(0, 11, value)

@@ -6,6 +6,7 @@ from repro.algorithms.largest_id import LargestIdAlgorithm
 from repro.core.adversary import ExhaustiveAdversary
 from repro.core.algorithm import FunctionBallAlgorithm
 from repro.core.runner import run_ball_algorithm
+from repro.engine.campaign import make_ball_algorithm
 from repro.errors import ConfigurationError
 from repro.kernel.compile import compile_instance
 from repro.search.adversaries import PortfolioAdversary
@@ -69,6 +70,26 @@ class TestPortfolioSearch:
         best, certificate = search.run(ring12, largest_id_algorithm, "average")
         assert best.name == "hill-climb"
         assert len(certificate.rows) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_compiles_the_instance_once(self, workers, monkeypatch):
+        # Every member scores on the one instance the portfolio compiles;
+        # pooled members get a pickled copy and compile nothing either.
+        import repro.search.portfolio as portfolio
+
+        compiled = []
+
+        def counting(graph, algorithm):
+            compiled.append(graph.n)
+            return compile_instance(graph, algorithm)
+
+        monkeypatch.setattr(portfolio, "compile_instance", counting)
+        graph = cycle_graph(16)
+        algorithm = make_ball_algorithm("greedy-mis", graph.n)
+        result = PortfolioAdversary(seed=4, workers=workers).maximise(graph, algorithm)
+        assert compiled == [16]
+        serial = PortfolioAdversary(seed=4).maximise(graph, algorithm)
+        assert (result.value, result.assignment) == (serial.value, serial.assignment)
 
     def test_empty_portfolio_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -292,6 +292,16 @@ def test_string_budget_answers_400_json(server):
     assert "samples" in payload["error"]
 
 
+@pytest.mark.parametrize("stream", ["", "?stream=1"])
+def test_a_repeated_axis_value_answers_400(server, stream):
+    document = dict(SAMPLED, sizes=[16, 16], samples=8, seed=1)
+    status, _, payload = _exchange(
+        server, "POST", f"/v1/query{stream}", json.dumps(document).encode()
+    )
+    assert status == 400
+    assert "sizes repeats 16" in json.loads(payload)["error"]
+
+
 @pytest.mark.parametrize("length", ["-1", "abc", "1.5", None])
 def test_bad_content_length_answers_400_without_reading(server, length):
     headers = {} if length is None else {"Content-Length": length}
@@ -554,6 +564,13 @@ def test_a_store_written_indented_still_loads_and_serves_hits(store_root):
         assert json.loads(payload) == sweep.document
         _, headers, payload = _exchange(instance, "GET", f"/v1/result/{sampled.digest}")
         assert headers["X-Repro-Cache"] == "hit" and json.loads(payload) == sampled.document
+        # A streamed hit on an indented object still sends one line per event.
+        _, _, payload = _exchange(
+            instance, "POST", "/v1/query?stream=1", json.dumps(SWEEP).encode()
+        )
+        (line,) = payload.splitlines()
+        final = json.loads(line)
+        assert final["cache"] == "hit" and final["document"] == sweep.document
         # The indented estimator state still resumes a larger budget.
         larger = json.dumps(dict(SAMPLED, samples=48)).encode()
         _, headers, _ = _exchange(instance, "POST", "/v1/query", larger)

@@ -9,6 +9,7 @@ from repro.api import Query, Session
 from repro.api.results import strip_volatile
 from repro.service import QueryService
 from repro.service.workers import pending_jobs, write_job
+from repro.utils.io import encode_json
 
 EXACT = Query(
     mode="sweep",
@@ -143,6 +144,18 @@ def test_recover_reruns_abandoned_jobs(service, store_root):
     assert recovered.execute(EXACT).tier in ("l1", "l2")
 
 
+def test_recover_clears_a_job_this_version_rejects(service, store_root, capsys):
+    # A job an earlier version accepted, with a size repeated: it no longer
+    # validates, so recovery clears it instead of failing every start.
+    document = dict(EXACT.to_dict(), sizes=[16, 16])
+    digest = "ab" * 32
+    write_job(service.config, digest, document)
+    recovered = QueryService(root=store_root)
+    assert recovered.recover() == []
+    assert not pending_jobs(recovered.config)
+    assert f"dropped job {digest}" in capsys.readouterr().err
+
+
 def test_jobs_clear_after_successful_compute(service):
     service.execute(EXACT)
     assert pending_jobs(service.config) == []
@@ -151,7 +164,8 @@ def test_jobs_clear_after_successful_compute(service):
 def test_streaming_progress_tightens_and_final_matches(service, tmp_path):
     query = SAMPLED.with_changes(samples=64)
     events = list(service.execute_stream(query))
-    progress = [event for event in events if event["type"] == "progress"]
+    progress = events[:-1]
+    assert [event["type"] for event in progress] == ["progress"] * len(progress)
     assert len(progress) >= 2
     draws = [event["draws"] for event in progress]
     assert draws == sorted(draws) and draws[-1] == 64
@@ -161,7 +175,7 @@ def test_streaming_progress_tightens_and_final_matches(service, tmp_path):
         cell = event["cells"][0]
         low, high = cell["ci95"]
         assert low <= cell["mean"] <= high
-    final = events[-1]
+    final = json.loads(events[-1].line)
     assert final["type"] == "result" and final["cache"] == "miss"
     fresh = QueryService(root=tmp_path / "fresh").execute(query)
     assert strip_volatile(final["document"]["rows"]) == strip_volatile(
@@ -180,8 +194,24 @@ def test_streaming_persists_the_result_and_the_state(service):
 def test_streaming_a_store_hit_emits_only_the_result(service):
     service.execute(EXACT)
     events = list(service.execute_stream(EXACT))
-    assert [event["type"] for event in events] == ["result"]
-    assert events[0]["cache"] == "hit"
+    assert [json.loads(event.line)["type"] for event in events] == ["result"]
+    assert events[0].cached == "hit"
+
+
+def test_the_streamed_result_line_is_spliced_from_the_stored_body(service):
+    # A miss and then a hit of the same query: each final line is the
+    # event's compact encoding, built around the stored bytes.
+    for tier in ("miss", "hit"):
+        outcome = list(service.execute_stream(SAMPLED))[-1]
+        assert outcome.cached == tier
+        event = {
+            "type": "result",
+            "hash": outcome.digest,
+            "cache": outcome.cached,
+            "document": outcome.document,
+        }
+        assert outcome.line == encode_json(event)
+        assert outcome.body == encode_json(outcome.document)
 
 
 def test_shared_session_is_used(store_root):
@@ -244,7 +274,9 @@ def test_service_paths_give_the_session_rows(tmp_path):
     resumer = QueryService(root=tmp_path / "resume")
     resumer.execute(PARITY.with_changes(samples=10))
     resumed = resumer.execute(PARITY)
-    streamed = list(QueryService(root=tmp_path / "stream").execute_stream(PARITY))[-1]
+    streamed = json.loads(
+        list(QueryService(root=tmp_path / "stream").execute_stream(PARITY))[-1].line
+    )
     assert (miss.tier, resumed.tier, streamed["cache"]) == ("miss", "resume", "miss")
     for document in (miss.document, resumed.document, streamed["document"]):
         assert strip_volatile(document["rows"]) == strip_volatile(expected.rows)
@@ -255,10 +287,10 @@ def test_streamed_resume_continues_the_stored_state(tmp_path):
     service = QueryService(root=tmp_path / "store")
     service.execute(PARITY.with_changes(samples=10))
     events = list(service.execute_stream(PARITY))
-    progress = [event for event in events if event["type"] == "progress"]
+    progress = events[:-1]
     assert progress[0]["draws"] > 10 and progress[-1]["draws"] == 24
-    assert events[-1]["cache"] == "resume"
-    assert strip_volatile(events[-1]["document"]["rows"]) == strip_volatile(
+    assert events[-1].cached == "resume"
+    assert strip_volatile(events[-1].document["rows"]) == strip_volatile(
         Session().run(PARITY).rows
     )
 
@@ -278,7 +310,7 @@ def test_a_client_workers_field_never_sets_the_process_count(service, monkeypatc
     greedy = query.with_changes(workers=64)
     assert service.execute(greedy).tier == "miss"
     events = list(service.execute_stream(greedy.with_changes(samples=query.samples + 8)))
-    assert events[-1]["type"] == "result"
+    assert json.loads(events[-1].line)["type"] == "result"
     assert requested == []
 
 

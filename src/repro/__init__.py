@@ -132,7 +132,7 @@ from repro.api.session import query
 # The query service sits on top of the API (store-backed `repro serve`).
 from repro.service import QueryService, ResultStore
 
-__version__ = "16.0.0"
+__version__ = "17.0.0"
 
 __all__ = [
     "AlgorithmError",

@@ -73,7 +73,10 @@ QUERY_VERSION = 1
 #: the swap strategies commit the swap the kernel scored, so hill climbing
 #: and tabu search count one evaluation fewer per committed step — the
 #: ``evaluations`` of ``local-search`` and ``portfolio`` rows change.
-ANSWER_EPOCH = 5
+#: Epoch 6: sampled ``distribution`` cells draw their permutations as the
+#: scale mode does (:func:`~repro.kernel.shard.scale_row_block`), so every
+#: sampled distribution value changes.
+ANSWER_EPOCH = 6
 
 #: Budget/execution fields excluded from the *family* hash: two sampling
 #: queries that differ only here describe the same estimand, so a stored

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -70,6 +69,7 @@ from repro.kernel.compile import (
     compile_instance,
     simulate_many,
 )
+from repro.kernel.backend import numpy_module
 from repro.kernel.shard import ShardedKernelExecutor
 from repro.topology.stream import DETERMINISTIC_TOPOLOGIES, CSRTopology, build_csr
 from repro.model.graph import Graph
@@ -425,9 +425,10 @@ def simulate_draws_task(payload: tuple) -> list:
     """Worker entry point: the radii of one sampled cell's new draws.
 
     The payload carries the cell, its budget, the draws already folded and
-    the draw matrix (a shared-memory handle or inline rows).  A vanished
-    segment degrades to re-drawing the rows — the stream is a pure function
-    of the cell's seed — so every path yields the same radii.
+    the draw matrix (a shared-memory handle, viewed as the int64 array, or
+    inline rows).  A vanished segment degrades to re-drawing the rows — the
+    stream is a pure function of the cell's seed — so every path yields the
+    same radii.
     """
     cell, samples, start, rows = payload
     session = worker_session()
@@ -435,9 +436,7 @@ def simulate_draws_task(payload: tuple) -> list:
     kernel = session.kernel(graph, session.ball_algorithm(cell.algorithm, graph.n))
     if isinstance(rows, ShmRef):
         try:
-            flat = fetch_memoryview(rows).cast("q")
-            width = graph.n
-            rows = [tuple(flat[i * width : (i + 1) * width]) for i in range(samples - start)]
+            rows = numpy_module().frombuffer(fetch_memoryview(rows), dtype="<i8").reshape(-1, graph.n)
         except LookupError:
             rows = draw_sample_rows(graph.n, samples, cell.seed, start=start)
     return simulate_many([BatchRequest(kernel, rows, pre_validated=True)])[0]
@@ -652,16 +651,17 @@ class Session:
 
         Each cell draws only what its fold has not seen
         (:func:`~repro.dist.sampling.draw_sample_rows` from the fold's
-        count).  All cells' draws go through one
+        count, one ``dist.draw`` span; an int64 matrix on numpy).  All
+        cells' draws go through one
         :func:`~repro.kernel.compile.simulate_many` submission, one request
         per cell (a query repeats no axis value, so no two cells share a
-        compiled instance) — or, with
-        ``workers > 1``, fan out per cell over the warm pool (each draw
-        matrix published into shared memory, affinity-keyed by instance).
-        The radii fold in draw order, so rows are bit-identical at any
-        worker count and to one uninterrupted run of the whole budget.  A
-        cell's ``wall_time_s`` is its fold time plus its row-count share of
-        the shared kernel call.
+        compiled instance) — or, with ``workers > 1``, fan out per cell over
+        the warm pool (each draw matrix published into shared memory,
+        affinity-keyed by instance).  The radii fold in draw order
+        (``fold_block``), so rows are bit-identical at any worker count and
+        to one uninterrupted run of the whole budget.  A cell's
+        ``wall_time_s`` is its fold time plus its row-count share of the
+        shared kernel call.
         """
         prepared = []
         for cell in cells:
@@ -676,7 +676,8 @@ class Session:
                     f"seed {fold.seed}; it cannot continue at n={graph.n} under seed "
                     f"{cell.seed} (the draw streams differ)"
                 )
-            draws = draw_sample_rows(graph.n, query.samples, cell.seed, start=fold.count)
+            with _obs_span("dist.draw", n=graph.n, rows=query.samples - fold.count):
+                draws = draw_sample_rows(graph.n, query.samples, cell.seed, start=fold.count)
             prepared.append((cell, graph, kernel, fold, draws))
         if not prepared:
             return []
@@ -694,8 +695,7 @@ class Session:
         for (cell, graph, kernel, fold, draws), radii in zip(prepared, radii_blocks):
             started = time.perf_counter()
             with _obs_span("engine.dist_cell", topology=cell.topology, n=cell.n, method=cell.variant):
-                for row in radii:
-                    fold.fold(row)
+                fold.fold_block(radii)
                 sampled = fold.result()
             elapsed = time.perf_counter() - started + shared * len(draws) / total
             uncertainty = {
@@ -742,21 +742,19 @@ class Session:
 def _simulate_pooled(executor: BatchExecutor, samples: int, prepared: Sequence[tuple]) -> list:
     """Fan per-cell draw matrices out over the warm pool; radii in cell order.
 
-    Each matrix is published once into shared memory and shipped as a
-    handle (inline rows when shared memory is unavailable); cells of the
+    Each numpy matrix is published once into shared memory and shipped as a
+    handle (inline rows when shared memory is unavailable, and for the
+    stdlib backend's tuples); cells of the
     same ``(topology, n, graph_seed, algorithm)`` instance share an
     affinity key, so the worker that compiled that instance serves them all.
     """
     pool = executor.pool
     payloads, keys, pinned = [], [], []
     for cell, _, _, fold, draws in prepared:
-        flat = array("q")
-        for row in draws:
-            flat.extend(row)
-        ref = pool.publish(flat)
+        ref = pool.publish(draws) if hasattr(draws, "ndim") else None
         if ref is not None:
             pinned.append(ref)
-        payloads.append((cell, samples, fold.count, ref if ref is not None else tuple(draws)))
+        payloads.append((cell, samples, fold.count, draws if ref is None else ref))
         keys.append((cell.topology, cell.n, cell.graph_seed, cell.algorithm))
     try:
         return executor.map(simulate_draws_task, payloads, keys=keys)

@@ -165,25 +165,30 @@ def _best_of(
     graph: Graph,
     algorithm: BallAlgorithm,
     objective: str,
-    candidates: Iterable[Union[IdentifierAssignment, Sequence[int]]],
+    candidates: Iterable[tuple[int, ...]],
     exact: bool = False,
+    base: Sequence[int] = (),
 ) -> AdversaryResult:
     """Score ``candidates`` in kernel cohorts; the first strict maximum wins.
 
     Candidates are drawn :data:`~repro.kernel.compile.DEFAULT_BATCH_ROWS` at
     a time, so memory stays one cohort of rows whatever their number.
-    ``exact`` says whether they cover every assignment.
+    ``exact`` says whether they cover every assignment.  Candidates are
+    valid by construction, so no row is re-checked; the ``base`` of
+    rotations is checked once (the numpy backend's int64 bound).
     """
     if graph.n == 0:
         raise AnalysisError("cannot run an adversary on an empty graph")
     kernel = compile_instance(graph, algorithm)
+    if base:
+        kernel.normalize_rows([base])
     candidates = iter(candidates)
     best = None
     best_value = -1.0
     evaluations = 0
     while cohort := list(itertools.islice(candidates, DEFAULT_BATCH_ROWS)):
         evaluations += len(cohort)
-        (radii_rows,) = simulate_many([BatchRequest(kernel, cohort)])
+        (radii_rows,) = simulate_many([BatchRequest(kernel, cohort, pre_validated=True)])
         for ids, radii in zip(cohort, radii_rows):
             value = radii_objective(radii, objective)
             if value > best_value:
@@ -258,7 +263,7 @@ class RandomSearchAdversary(Adversary):
         validate_objective(objective)
         rng = make_rng(self.seed)
         draws = (
-            random_assignment(graph.n, seed=rng.getrandbits(64))
+            random_assignment(graph.n, seed=rng.getrandbits(64)).identifiers()
             for _ in range(self.samples)
         )
         return _best_of(graph, algorithm, objective, draws)
@@ -286,6 +291,7 @@ class RotationAdversary(Adversary):
             raise ConfigurationError(
                 f"base assignment covers {base.n} positions but graph has {graph.n}"
             )
-        rotations = (base.rotated(shift) for shift in range(graph.n))
-        return _best_of(graph, algorithm, objective, rotations)
+        ids = base.identifiers()
+        rotations = (ids[shift:] + ids[:shift] for shift in range(graph.n))
+        return _best_of(graph, algorithm, objective, rotations, base=ids)
 

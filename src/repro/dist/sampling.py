@@ -19,16 +19,14 @@ statistic is maintained in a single streaming pass:
   that exports and restores its complete state, so an estimate can resume
   under a larger budget.
 
-All sampling streams through the batch kernel: one
-:class:`~repro.kernel.compile.CompiledInstance` per call (or an injected,
-session-cached one), with the drawn assignments evaluated in chunks of
-:data:`~repro.kernel.compile.DEFAULT_BATCH_ROWS` rows per
-:func:`~repro.kernel.compile.simulate_batch` call.  Vectorised algorithms
-run at array speed; everything else falls back to the kernel's engine
-session (frontier plans plus a shared decision cache), so repeated ball
-patterns between permutations are still simulated once.  Either way the
-radii — and therefore every estimate — are bit-identical to the
-per-assignment :class:`~repro.engine.frontier.FrontierRunner` path.
+The draws are the scale mode's permutation rows
+(:func:`~repro.kernel.shard.scale_row_block`, one int64 array on numpy),
+evaluated through one :class:`~repro.kernel.compile.CompiledInstance` (or
+an injected, session-cached one) in chunks of
+:data:`~repro.kernel.compile.DEFAULT_BATCH_ROWS` rows, and folded a chunk
+at a time (:meth:`DistributionFold.fold_block`).  The radii — and so every
+estimate — are bit-identical to the per-assignment
+:class:`~repro.engine.frontier.FrontierRunner` path.
 """
 
 from __future__ import annotations
@@ -40,14 +38,16 @@ from typing import Mapping, Optional, Sequence
 from repro.core.algorithm import BallAlgorithm
 from repro.dist.distribution import RoundDistribution
 from repro.errors import AnalysisError
+from repro.kernel.backend import numpy_module
 from repro.kernel.compile import (
     DEFAULT_BATCH_ROWS,
     NUMPY_MAX_IDENTIFIER,
     CompiledInstance,
     compile_instance,
 )
+from repro.kernel.shard import scale_row_block
 from repro.model.graph import Graph
-from repro.model.identifiers import IdentifierAssignment, random_assignment
+from repro.model.identifiers import IdentifierAssignment
 from repro.obs.spans import span as _obs_span
 from repro.utils.rng import SeedLike, make_rng
 
@@ -368,33 +368,17 @@ def fold_scale_stats(row_stats: Sequence, seed: SeedLike = None) -> ScaleSampleR
     )
 
 
-def _draw_assignments(n: int, samples: int, seed: SeedLike, start: int = 0):
-    """Deterministic assignment stream: one master seed, one child per draw.
-
-    Draws ``start+1 .. samples``; the first ``start`` child seeds are drawn
-    and dropped, so draw ``k`` never depends on where the stream resumed.
-    """
-    master = make_rng(seed)
-    for _ in range(start):
-        master.getrandbits(64)
-    for _ in range(samples - start):
-        yield random_assignment(n, seed=master.getrandbits(64))
-
-
-def draw_sample_rows(
-    n: int, samples: int, seed: SeedLike = None, start: int = 0
-) -> list[tuple[int, ...]]:
+def draw_sample_rows(n: int, samples: int, seed: SeedLike = None, start: int = 0):
     """Draws ``start+1 .. samples`` of the stream behind :func:`sample_round_distribution`.
 
-    Materialises the seeded permutation draws the sampling estimator folds,
-    as plain identifier tuples.  ``start`` skips draws already folded into a
-    resumed :class:`DistributionFold` by replaying only the master RNG's
-    child-seed stream (no permutation is built), so draw ``k`` is the same
-    whether the stream is drawn in one go or in several continuations.
-    Callers evaluate the rows elsewhere — the session batches many cells'
-    draws through one :func:`repro.kernel.compile.simulate_many` submission —
-    and fold the radii with a :class:`DistributionFold`, reproducing
-    :func:`sample_round_distribution` bit for bit.
+    Rows ``start .. samples - 1`` of
+    :func:`~repro.kernel.shard.scale_row_block` — the scale mode's rows — as
+    one int64 array on numpy, one tuple per row otherwise.  Row ``k``
+    derives from ``(seed, k)`` alone, so a continuation replays nothing.
+    Callers evaluate the rows elsewhere (the session batches many cells'
+    draws through one :func:`repro.kernel.compile.simulate_many`
+    submission) and fold the radii with a :class:`DistributionFold`,
+    reproducing :func:`sample_round_distribution` bit for bit.
     """
     if samples <= 0:
         raise AnalysisError(f"samples must be positive, got {samples}")
@@ -403,10 +387,9 @@ def draw_sample_rows(
             f"an estimate that already folded {start} draws cannot continue to a "
             f"total budget of {samples}; the budget must not shrink"
         )
-    return [
-        assignment.identifiers()
-        for assignment in _draw_assignments(n, samples, seed, start)
-    ]
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        seed = make_rng(seed).getrandbits(64)  # None or a shared Random; rejects the rest
+    return scale_row_block(n, seed, start, samples)
 
 
 #: Document tag and schema version of the portable estimator state
@@ -435,11 +418,9 @@ class DistributionFold:
     >>> from repro.topology.cycle import cycle_graph
     >>> kernel = compile_instance(cycle_graph(6), LargestIdAlgorithm())
     >>> fold = DistributionFold(6, seed=7)
-    >>> for radii in kernel.batch_radii(draw_sample_rows(6, 8, seed=7)):
-    ...     fold.fold(radii)
+    >>> fold.fold_block(kernel.batch_radii(draw_sample_rows(6, 8, seed=7)))
     >>> resumed = DistributionFold.from_state(fold.state_dict())
-    >>> for radii in kernel.batch_radii(draw_sample_rows(6, 32, seed=7, start=8)):
-    ...     resumed.fold(radii)
+    >>> resumed.fold_block(kernel.batch_radii(draw_sample_rows(6, 32, seed=7, start=8)))
     >>> resumed.result() == sample_round_distribution(
     ...     cycle_graph(6), LargestIdAlgorithm(), samples=32, seed=7
     ... )
@@ -458,13 +439,37 @@ class DistributionFold:
 
     def fold(self, radii: Sequence[int]) -> None:
         """Fold one draw's per-node radii into the counts and estimators."""
-        max_radius = max(radii)
-        sum_radius = sum(radii)
-        key = (max_radius, sum_radius)
-        self.joint[key] = self.joint.get(key, 0) + 1
+        if hasattr(radii, "tolist"):  # a numpy row: count Python ints
+            radii = radii.tolist()
         for position, radius in enumerate(radii):
             counts = self.marginals[position]
             counts[radius] = counts.get(radius, 0) + 1
+        self._fold_measures(max(radii), sum(radii))
+
+    def fold_block(self, radii) -> None:
+        """:meth:`fold` each row of a block, in draw order.
+
+        A ``(rows, n)`` numpy array gives its row sums and maxima, and its
+        ``(position, radius)`` pairs are counted sparsely (``np.unique``,
+        memory ``O(rows × n)``); the estimators still see one row at a time.
+        """
+        if getattr(radii, "ndim", None) != 2:
+            for row in radii:
+                self.fold(row)
+            return
+        n, np = self.n, numpy_module()
+        keys, weights = np.unique(radii * n + np.arange(n), return_counts=True)
+        radius_of, position_of = np.divmod(keys, n)
+        for radius, position, weight in zip(radius_of.tolist(), position_of.tolist(), weights.tolist()):
+            counts = self.marginals[position]
+            counts[radius] = counts.get(radius, 0) + weight
+        for max_radius, sum_radius in zip(radii.max(axis=1).tolist(), radii.sum(axis=1).tolist()):
+            self._fold_measures(max_radius, sum_radius)
+
+    def _fold_measures(self, max_radius: int, sum_radius: int) -> None:
+        """Fold one draw's maximum and sum into the joint and estimators."""
+        key = (max_radius, sum_radius)
+        self.joint[key] = self.joint.get(key, 0) + 1
         average_radius = sum_radius / self.n
         self.avg_moments.update(average_radius)
         self.max_moments.update(float(max_radius))
@@ -595,54 +600,29 @@ def sample_round_distribution(
     ... )
     True
     """
-    if assignments is None:
-        if samples <= 0:
-            raise AnalysisError(f"samples must be positive, got {samples}")
-        stream = _draw_assignments(graph.n, samples, seed)
-        seed_record = seed if isinstance(seed, int) else None
-    else:
-        if not assignments:
-            raise AnalysisError("sampling needs at least one assignment")
-        stream = iter(assignments)
-        seed_record = None
+    trusted = assignments is None
+    if not trusted and not assignments:
+        raise AnalysisError("sampling needs at least one assignment")
     if kernel is None:
         kernel = compile_instance(graph, algorithm)
-    if assignments is not None and kernel.backend == "numpy":
+    if not trusted:
+        rows = [ids.identifiers() if hasattr(ids, "identifiers") else tuple(ids) for ids in assignments]
         # Explicit assignments may carry identifiers beyond the numpy
         # backend's int64 range (legal everywhere else); degrade to the
         # stdlib backend for this pass rather than rejecting them — the
         # radii, and therefore the estimates, are identical either way.
-        largest = max(
-            (
-                max(ids.identifiers() if hasattr(ids, "identifiers") else ids)
-                for ids in assignments
-            ),
-            default=0,
-        )
-        if largest > NUMPY_MAX_IDENTIFIER:
+        if kernel.backend == "numpy" and max(map(max, rows)) > NUMPY_MAX_IDENTIFIER:
             kernel = compile_instance(graph, algorithm, backend="python")
     n = graph.n
-    fold = DistributionFold(n, seed_record)
-    # Stream the draws through the kernel in chunks: the whole chunk is one
-    # simulate_batch call (array speed for vectorised rules), then the
-    # streaming statistics fold each row in draw order — so the estimates
-    # are bit-identical to the historical one-assignment-at-a-time loop.
-    # Internally drawn rows are permutations of 0..n-1 by construction, so
-    # the kernel's per-row re-validation is skipped for them; explicit
-    # caller-supplied assignments keep full validation (they may cover the
-    # wrong number of positions — the runner path used to reject that).
-    trusted = assignments is None
+    fold = DistributionFold(n, seed if trusted and isinstance(seed, int) else None)
+    # One kernel call per chunk, folded in draw order.  Drawn rows are
+    # permutations of 0..n-1 by construction and skip the kernel's per-row
+    # check; explicit assignments keep it (they may have the wrong width).
     with _obs_span("dist.sampling", n=n, samples=samples if trusted else None):
-        chunk: list[tuple[int, ...]] = []
-        for ids in stream:
-            chunk.append(
-                ids.identifiers() if hasattr(ids, "identifiers") else tuple(ids)
-            )
-            if len(chunk) >= DEFAULT_BATCH_ROWS:
-                for radii in kernel.batch_radii(chunk, pre_validated=trusted):
-                    fold.fold(radii)
-                chunk.clear()
-        if chunk:
-            for radii in kernel.batch_radii(chunk, pre_validated=trusted):
-                fold.fold(radii)
+        if trusted:
+            with _obs_span("dist.draw", n=n, rows=samples):
+                rows = draw_sample_rows(n, samples, seed)
+        for offset in range(0, len(rows), DEFAULT_BATCH_ROWS):
+            chunk = rows[offset : offset + DEFAULT_BATCH_ROWS]
+            fold.fold_block(kernel.batch_radii(chunk, pre_validated=trusted))
     return fold.result()

@@ -190,9 +190,8 @@ class CompiledInstance:
 
         ``pre_validated=True`` skips :meth:`normalize_rows` for trusted
         internal callers whose rows are valid by construction (canonical-leaf
-        enumeration, draws that already passed
-        :class:`~repro.model.identifiers.IdentifierAssignment` validation) —
-        the per-row check is measurable inside those hot loops.  Rows must
+        enumeration, seeded permutation draws) — the per-row check is
+        measurable inside those hot loops.  Rows must
         then already be sequences of ``n`` distinct ints.
         """
         matrix = _is_matrix(ids_matrix)

@@ -88,36 +88,48 @@ def scale_rule_for(algorithm, csr: CSRTopology) -> ScaleRule:
     return rule
 
 
-def scale_row_ids(n: int, base_seed: int, row_index: int) -> memoryview:
-    """The deterministic identifier permutation of one sampled row.
+def scale_row_block(n: int, base_seed: int, start: int, stop: int):
+    """Rows ``start .. stop - 1`` of the seeded identifier-permutation stream.
 
-    A pure function of ``(n, base_seed, row_index)`` — workers regenerate
-    rows locally instead of receiving 8 MB of identifiers per task.  One
-    ``getrandbits(64 n)`` draw from the row's derived seed gives ``n``
-    little-endian 64-bit keys; position ``i`` holds the index of the
-    ``i``-th smallest key, ties in index order (a stable sort).  numpy
-    sorts with its default (unstable, faster) argsort and checks
-    the sorted keys for equal neighbours: without a tie every sort gives
-    the same permutation, and on a tie it sorts again stably.  The stdlib's
-    ``sorted`` gives the same permutation and runs whenever numpy is
-    unavailable or disabled.  The permutation comes back as a flat int64
-    buffer (``memoryview`` of format ``"q"``, 8 bytes per identifier) over
-    the sort's own output, not a copy.
+    Row ``k`` is a pure function of ``(n, base_seed, k)``, so any row is
+    regenerated without replaying earlier ones: one ``getrandbits(64 n)``
+    draw seeded by ``derive_task_seed(base_seed, "scale", k)`` gives ``n``
+    little-endian keys, and position ``i`` holds the index of the ``i``-th
+    smallest key, ties in index order.  numpy argsorts the ``(rows, n)``
+    key matrix with its default (unstable, faster) sort and sorts the rows
+    with a tied key again stably; the block is that int64 array.  Without
+    numpy (or with it disabled) ``sorted`` gives the same rows as tuples.
     """
-    raw = make_rng(derive_task_seed(base_seed, "scale", row_index)).getrandbits(64 * n)
-    raw = raw.to_bytes(8 * n, "little")
+    raw = b"".join(
+        make_rng(derive_task_seed(base_seed, "scale", row))
+        .getrandbits(64 * n)
+        .to_bytes(8 * n, "little")
+        for row in range(start, stop)
+    )
     if numpy_available():
         np = numpy_module()
-        keys = np.frombuffer(raw, dtype="<u8")
+        keys = np.frombuffer(raw, dtype="<u8").reshape(stop - start, n)
         order = np.argsort(keys)
-        ordered = keys[order]
-        if (ordered[1:] == ordered[:-1]).any():
-            order = np.argsort(keys, kind="stable")
-        return memoryview(order.astype(np.int64, copy=False)).cast("B").cast("q")
+        ordered = np.take_along_axis(keys, order, axis=1)
+        tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if tied.any():
+            order[tied] = np.argsort(keys[tied], kind="stable")
+        return order.astype(np.int64, copy=False)
     keys = array("Q", raw)
     if sys.byteorder == "big":
         keys.byteswap()
-    return memoryview(array("q", sorted(range(n), key=keys.__getitem__)))
+    view = memoryview(keys)  # row slices without copies
+    return [
+        tuple(sorted(range(n), key=view[row * n : (row + 1) * n].__getitem__))
+        for row in range(stop - start)
+    ]
+
+
+def scale_row_ids(n: int, base_seed: int, row_index: int) -> memoryview:
+    """Row ``row_index`` of :func:`scale_row_block`: the scale path's one-row
+    case, as a flat int64 buffer (``memoryview`` of format ``"q"``)."""
+    (ids,) = scale_row_block(n, base_seed, row_index, row_index + 1)
+    return memoryview(array("q", ids) if isinstance(ids, tuple) else ids).cast("B").cast("q")
 
 
 # ----------------------------------------------------------------------

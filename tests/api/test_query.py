@@ -113,7 +113,7 @@ class TestValidation:
         assert Query(seed=seed).seed == seed
 
     def test_valid_queries_keep_their_canonical_hash(self):
-        # Pinned at answer epoch 5: validation must not change the preimage
+        # Pinned at answer epoch 6: validation must not change the preimage
         # of any valid query, and only an epoch bump or a schema change may
         # re-key it.  Re-pinned in 9.0.0, when the ``row_block`` and
         # ``center_chunk`` fields left the document (no answer changed), in
@@ -121,10 +121,12 @@ class TestValidation:
         # ``pruned-exhaustive`` and ``local-search`` a hill-climb portfolio
         # (their witnesses and rows changed), and in 15.0.0 for epoch 5, when
         # the swap strategies stopped re-examining the swap they commit
-        # (``evaluations`` of ``local-search`` and ``portfolio`` rows changed).
-        assert ANSWER_EPOCH == 5
+        # (``evaluations`` of ``local-search`` and ``portfolio`` rows changed),
+        # and in 17.0.0 for epoch 6, when sampled distribution cells began to
+        # draw the scale mode's permutation rows (every sampled value changed).
+        assert ANSWER_EPOCH == 6
         assert Query().canonical_hash() == (
-            "fd0f84edd90a356537572eee6d731e483f628cd77d43acefe3db8d847b0237de"
+            "58554d5762def00b6bbfb9b132c15e9fc7fd02429ef35c3f7be023929b4c8f37"
         )
 
 

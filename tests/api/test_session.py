@@ -100,6 +100,39 @@ class TestSweepAndDistribution:
         assert strip_volatile(serial.rows) == strip_volatile(parallel.rows)
 
 
+class TestSampledDrawTask:
+    """The pooled worker reads a cell's draw matrix from shared memory."""
+
+    def test_attached_inline_and_redrawn_rows_give_the_same_radii(self):
+        from multiprocessing import shared_memory
+
+        from repro.api.session import query_cells, simulate_draws_task
+        from repro.dist.sampling import draw_sample_rows
+        from repro.engine.pool import ShmRef, clear_worker_caches
+        from repro.kernel.backend import numpy_available
+
+        if not numpy_available():
+            pytest.skip("only numpy draw matrices are published")
+        (cell,) = query_cells(
+            Query(mode="distribution", topologies="random-tree", sizes=12, methods="sample", seed=7)
+        )
+        draws = draw_sample_rows(12, 10, cell.seed, start=3)
+        inline = simulate_draws_task((cell, 10, 3, draws))
+        segment = shared_memory.SharedMemory(create=True, size=draws.nbytes)
+        try:
+            segment.buf[: draws.nbytes] = draws.tobytes()
+            ref = ShmRef(name=segment.name, size=draws.nbytes, digest="draws")
+            attached = simulate_draws_task((cell, 10, 3, ref))
+        finally:
+            clear_worker_caches()  # drops this process's attachment
+            segment.close()
+            segment.unlink()
+        vanished = ShmRef(name=segment.name + "-gone", size=draws.nbytes, digest="gone")
+        redrawn = simulate_draws_task((cell, 10, 3, vanished))
+        assert inline.shape == (7, 12)
+        assert inline.tolist() == attached.tolist() == redrawn.tolist()
+
+
 class TestDispatchAndCoercion:
     def test_run_dispatches_on_mode(self):
         session = Session()

@@ -95,6 +95,42 @@ class TestRotationAdversary:
             RotationAdversary(identity_assignment(5)).maximise(cycle_graph(8), largest_id_algorithm)
 
 
+class TestCandidatesSkipTheRowCheck:
+    """Candidates valid by construction reach the kernel without its per-row check."""
+
+    def test_exhaustive_answers_the_same_document_without_normalize_rows(self, monkeypatch):
+        from repro.api.session import Session
+        from repro.kernel.compile import CompiledInstance
+
+        query = Query(
+            mode="worst-case", topologies="cycle", sizes=8, adversaries="exhaustive",
+            measure="average",
+        )
+        expected = Session().run(query).as_dict()
+
+        def refuse(self, rows):
+            raise AssertionError("a candidate row was re-checked")
+
+        monkeypatch.setattr(CompiledInstance, "normalize_rows", refuse)
+        answered = Session().run(query).as_dict()
+        for document in (expected, answered):
+            document.pop("timing")
+            for row in document["rows"]:
+                row.pop("wall_time_s")
+        assert answered == expected
+
+    def test_a_rotation_base_past_int64_is_refused_on_numpy(self, largest_id_algorithm, monkeypatch):
+        import repro.kernel.backend as kernel_backend
+        from repro.errors import IdentifierError
+
+        if not kernel_backend.numpy_available():
+            pytest.skip("numpy backend not installed")
+        monkeypatch.setattr(kernel_backend, "_default_backend", "numpy")
+        base = IdentifierAssignment((2**63, 1, 2, 3, 4, 5))
+        with pytest.raises(IdentifierError, match="int64 range"):
+            RotationAdversary(base).maximise(cycle_graph(6), largest_id_algorithm)
+
+
 class TestTraceObjective:
     def test_unknown_objective_raises(self, ring12, ring12_random_ids, largest_id_algorithm):
         trace = run_ball_algorithm(ring12, ring12_random_ids, largest_id_algorithm)

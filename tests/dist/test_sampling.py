@@ -17,6 +17,7 @@ from repro.dist.sampling import (
     sample_round_distribution,
 )
 from repro.errors import AnalysisError
+from repro.kernel.backend import numpy_available, numpy_module
 from repro.model.identifiers import random_assignment
 from repro.topology.cycle import cycle_graph
 
@@ -182,9 +183,12 @@ class TestResumableFold:
         return fold
 
     def test_rows_drawn_in_continuations_equal_one_draw(self):
-        whole = draw_sample_rows(6, 20, seed=3)
-        assert draw_sample_rows(6, 8, seed=3) + draw_sample_rows(6, 20, seed=3, start=8) == whole
-        assert draw_sample_rows(6, 20, seed=3, start=20) == []
+        def rows(block):  # a numpy matrix or a list of tuples, as plain tuples
+            return [tuple(map(int, row)) for row in block]
+
+        whole = rows(draw_sample_rows(6, 20, seed=3))
+        assert rows(draw_sample_rows(6, 8, seed=3)) + rows(draw_sample_rows(6, 20, seed=3, start=8)) == whole
+        assert rows(draw_sample_rows(6, 20, seed=3, start=20)) == []
 
     def test_state_round_trip_through_json_resumes_bit_for_bit(self):
         import json
@@ -220,3 +224,75 @@ class TestResumableFold:
         folds = {"cycle|6|largest-id": self._fold(8, seed=12345)}
         with pytest.raises(AnalysisError, match="cannot continue"):
             Session().run(query, folds=folds)
+
+
+BACKENDS = ("python",) + (("numpy",) if numpy_available() else ())
+
+#: Radii rows of a 5-node instance: row 2 gives position 0 a radius no
+#: earlier row reached, row 4 does the same at position 3.
+RADII = [
+    [1, 1, 2, 1, 1],
+    [1, 3, 1, 1, 2],
+    [4, 1, 1, 1, 1],
+    [2, 2, 2, 2, 2],
+    [1, 1, 1, 5, 1],
+    [1, 2, 1, 1, 3],
+]
+
+
+class TestFoldBlock:
+    def _row_by_row(self):
+        fold = DistributionFold(5, seed=9)
+        for row in RADII:
+            fold.fold(row)
+        return fold
+
+    def _blocks(self, as_matrix):
+        # A 0-row block sits between two non-empty ones.
+        bounds = [(0, 2), (2, 2), (2, 5), (5, 6)]
+        if as_matrix:
+            if not numpy_available():
+                pytest.skip("numpy backend not installed")
+            np = numpy_module()
+            return [np.asarray(RADII[a:b], dtype=np.int64).reshape(b - a, 5) for a, b in bounds]
+        return [RADII[a:b] for a, b in bounds]
+
+    @pytest.mark.parametrize("as_matrix", [False, True])
+    def test_block_fold_equals_the_row_by_row_fold(self, as_matrix):
+        from repro.utils.io import encode_json
+
+        expected = self._row_by_row()
+        fold = DistributionFold(5, seed=9)
+        for block in self._blocks(as_matrix):
+            fold.fold_block(block)
+        assert fold.state_dict() == expected.state_dict()
+        assert fold.result() == expected.result()
+        assert encode_json(fold.result().as_dict()) == encode_json(expected.result().as_dict())
+
+    def test_a_zero_row_block_changes_nothing(self):
+        fold = DistributionFold(5, seed=9)
+        for block in self._blocks(False)[1:2] + (self._blocks(True)[1:2] if numpy_available() else []):
+            fold.fold_block(block)
+        assert fold.state_dict() == DistributionFold(5, seed=9).state_dict()
+
+
+class TestSampleAndScaleModesDrawTheSameRows:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n", [64, 1000])
+    def test_per_row_sum_and_max_match_the_scale_executor(self, n, backend, monkeypatch):
+        import repro.kernel.backend as kernel_backend
+        import repro.kernel.shard as shard
+        from repro.kernel.compile import compile_instance
+        from repro.topology.stream import build_csr
+
+        monkeypatch.setattr(kernel_backend, "_default_backend", backend)
+        if backend == "python":
+            monkeypatch.setattr(shard, "numpy_available", lambda: False)
+        samples, seed = 10, 4242
+        kernel = compile_instance(cycle_graph(n), LargestIdAlgorithm())
+        radii = kernel.batch_radii(draw_sample_rows(n, samples, seed), pre_validated=True)
+        sampled = [(int(sum(row)), int(max(row))) for row in radii]
+        executor = shard.ShardedKernelExecutor(build_csr("cycle", n), LargestIdAlgorithm())
+        scaled = [(s.sum_radius, s.max_radius) for s in executor.sample_measures(samples, seed)]
+        assert kernel.backend == backend
+        assert sampled == scaled

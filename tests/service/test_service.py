@@ -325,6 +325,18 @@ TREE = Query(
 )
 
 
+def test_an_epoch_5_estimator_state_is_never_continued_with_epoch_6_draws(store_root, monkeypatch):
+    """Epoch 6 changed the sampled draw stream, so an epoch-5 fold cannot resume."""
+    query_module = importlib.import_module("repro.api.query")
+    monkeypatch.setattr(query_module, "ANSWER_EPOCH", 5)
+    assert QueryService(root=store_root).execute(TREE).tier == "miss"
+    monkeypatch.setattr(query_module, "ANSWER_EPOCH", 6)
+    assert QueryService(root=store_root).execute(TREE.with_changes(samples=32)).tier == "miss"
+    # The epoch-5 state is still on disk: under epoch 5 it would resume.
+    monkeypatch.setattr(query_module, "ANSWER_EPOCH", 5)
+    assert QueryService(root=store_root).execute(TREE.with_changes(samples=48)).tier == "resume"
+
+
 def test_an_answer_epoch_bump_makes_old_results_and_states_misses(store_root, tmp_path, monkeypatch):
     """Results and estimator states stored under an older epoch are never served."""
     query_module = importlib.import_module("repro.api.query")

@@ -49,8 +49,9 @@ class GreedyColoringByID(BallAlgorithm):
 
     def compile_kernel_rule(self, instance):
         """Dependency-cone rule (:class:`~repro.kernel.cone.GreedyConeRule`):
-        the radius is the largest neighbourhood extent over the centre's
-        cone of increasing-identifier paths, one stdlib sweep per row."""
+        the radius is the farthest neighbour of the centre's cone of
+        increasing-identifier paths, from run lengths on cycles and the
+        longest-increasing-path recurrence on trees."""
         from repro.kernel.cone import GreedyConeRule
 
         return GreedyConeRule(instance, problem="coloring")

@@ -11,18 +11,10 @@ therefore compute its own output as soon as its ball contains the whole
 individual algorithms only supply the combination rule ("my output given my
 higher neighbours' outputs").
 
-The kernel's cone rules (:mod:`repro.kernel.cone`) run the same recursion
-once per assignment row.  Two assignment-level helpers live here so the
-ball-based reference and the batch form share one definition:
-
-* :func:`resolve_assignment_row` — the full-graph, single-pass form of
-  :func:`resolve_by_descending_id`: one descending-identifier sweep yields
-  every node's dependency cone (as a position bitmask) and its greedy MIS
-  membership.
-* :func:`neighborhood_extent_table` — the assignment-independent radius at
-  which a centre's ball contains all of another node's neighbours, which
-  turns a cone into an output radius: a node decides at the first radius
-  covering the neighbourhood of every cone member.
+The kernel's cone rules (:mod:`repro.kernel.cone`) compute the same radii
+per assignment row; off cycles and trees they read the cones from
+:func:`resolve_assignment_row`, the full-graph, single-pass form of
+:func:`resolve_by_descending_id`.
 """
 
 from __future__ import annotations
@@ -69,18 +61,16 @@ def resolve_assignment_row(
     ids: Sequence[int],
     indptr: Sequence[int],
     indices: Sequence[int],
-) -> tuple[list[int], list[bool]]:
+    masks: Sequence[int],
+) -> list[int]:
     """One descending-ID sweep over a *full* assignment row.
 
     The batch-kernel form of :func:`resolve_by_descending_id`: with the whole
-    graph visible the recursion always terminates, and a single pass in
-    decreasing identifier order yields, per position ``u``:
-
-    * ``cones[u]`` — the dependency cone of ``u`` as a bitmask of positions
-      (``u`` itself plus the cones of its higher-identifier neighbours),
-      which is the same for every greedy-by-ID problem; and
-    * ``in_mis[u]`` — membership in the greedy MIS (``True`` iff no higher
-      neighbour joined), which the MIS-based ring colouring's radius reads.
+    graph visible, one pass in decreasing identifier order yields, per
+    position ``u``, the union of ``masks[w]`` over the dependency cone of
+    ``u`` (``u`` plus the cones of its higher-identifier neighbours).  With
+    ``masks[u] = 1 << u`` that is the cone; with neighbourhood masks, the
+    set a ball must hold before ``u`` decides.
 
     ``indptr``/``indices`` are the CSR adjacency of the graph in position
     space (:attr:`repro.kernel.compile.CompiledInstance.indices`).
@@ -88,62 +78,15 @@ def resolve_assignment_row(
     n = len(ids)
     order = sorted(range(n), key=ids.__getitem__, reverse=True)
     cones = [0] * n
-    in_mis = [False] * n
     for u in order:
-        cone = 1 << u
-        member = True
+        cone = masks[u]
         own = ids[u]
         for k in range(indptr[u], indptr[u + 1]):
             w = indices[k]
             if ids[w] > own:
                 cone |= cones[w]
-                if in_mis[w]:
-                    member = False
         cones[u] = cone
-        in_mis[u] = member
-    return cones, in_mis
-
-
-def neighborhood_extent_table(
-    indptr: Sequence[int], indices: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """``extent[v][u]``: first radius at which ``v``'s ball holds all of ``N(u)``.
-
-    This is the assignment-independent half of the greedy-by-ID radius: node
-    ``v`` outputs at the first radius whose ball contains the neighbourhood
-    of every member of its dependency cone (visibility of ``N(u)`` is what
-    :func:`resolve_by_descending_id` demands before determining ``u``), so
-    ``radius(v) = max(extent[v][u] for u in cone(v))``.  Each row is one
-    BFS of the centre over the CSR adjacency ``indptr``/``indices`` of a
-    connected graph: ``extent[v][u] = max(dist(v, w) for w in N(u))``.
-    """
-    n = len(indptr) - 1
-    table = []
-    for v in range(n):
-        dist_v = [-1] * n
-        dist_v[v] = 0
-        frontier = [v]
-        depth = 0
-        while frontier:
-            depth += 1
-            layer = []
-            for u in frontier:
-                for k in range(indptr[u], indptr[u + 1]):
-                    w = indices[k]
-                    if dist_v[w] < 0:
-                        dist_v[w] = depth
-                        layer.append(w)
-            frontier = layer
-        row = []
-        for u in range(n):
-            extent = 0
-            for k in range(indptr[u], indptr[u + 1]):
-                d = dist_v[indices[k]]
-                if d > extent:
-                    extent = d
-            row.append(extent)
-        table.append(tuple(row))
-    return tuple(table)
+    return cones
 
 
 def dependency_depth(ball: BallView, identifier: int) -> int | None:

@@ -49,14 +49,16 @@ class RingColoringViaMIS(BallAlgorithm):
 
     def compile_kernel_rule(self, instance):
         """Cone rule spanning three cones
-        (:class:`~repro.kernel.cone.RingMISConeRule`): a member outputs at
-        its own cone's extent, a non-member once its ball also resolves both
-        neighbours' membership.  Only claimed on cycles (the rule indexes
-        exactly two neighbours per node); elsewhere the fallback surfaces
-        the reference errors."""
-        if not instance.graph.is_cycle():
-            return None
+        (:class:`~repro.kernel.cone.RingMISConeRule`): a member outputs
+        once its own cone's neighbourhood is visible, a non-member once its
+        ball also resolves both neighbours' membership.  Only claimed on
+        cycles in ring order (the rule reads increasing runs of positions);
+        elsewhere the fallback runs, or surfaces the reference errors."""
         from repro.kernel.cone import RingMISConeRule
+        from repro.kernel.rules import csr_is_ring
+
+        if not (instance.graph.is_cycle() and csr_is_ring(instance.indptr, instance.indices)):
+            return None
 
         return RingMISConeRule(instance)
 

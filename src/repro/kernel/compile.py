@@ -17,7 +17,7 @@ The kernel reads nothing but that CSR, the graph's cached flat form
 (:meth:`Graph.csr <repro.model.graph.Graph.csr>`): no frontier plan is
 built at construction or by any vectorised rule.  The largest-ID rules
 evaluate with an early-stopping BFS (:class:`~repro.kernel.rules.ScaleRule`),
-the cone rules compute their extent table by one BFS per centre.  Frontier
+the cone rules from each centre's own dependency cone.  Frontier
 plans belong to the engine layer; the fallback rule reaches them only
 through its own :class:`~repro.engine.frontier.FrontierRunner`.
 
@@ -118,7 +118,8 @@ class CompiledInstance:
         # and callers branch on `vectorized` before ever running a batch.
         # The decide-backed fallback carries a full engine session, so it
         # is only built when a batch actually runs on this instance.
-        self._vector_rule: Optional[KernelRule] = algorithm.compile_kernel_rule(self)
+        with _obs_span("kernel.compile", algorithm=algorithm.name, n=self.n):
+            self._vector_rule: Optional[KernelRule] = algorithm.compile_kernel_rule(self)
         self._fallback_rule: Optional[KernelRule] = None
 
     # ------------------------------------------------------------------

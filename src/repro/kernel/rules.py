@@ -21,12 +21,12 @@ flavours:
   each centre's layers grown only while some row is still undecided);
   :class:`RingScanScaleRule` is its specialisation to the cycle, which
   needs only ``n`` and finds every nearest larger identifier by pointer
-  jumping.
+  jumping.  The greedy-by-ID family's dependency-cone rules
+  (:mod:`repro.kernel.cone`) are CSR rules too.
 
 * other **vectorised** rules (``vectorized = True``) know a closed-form
-  description of the algorithm's stopping radius and evaluate it in tight
-  stdlib loops over the CSR, on both backends: the dependency-cone rules of
-  :mod:`repro.kernel.cone` and the constant-radius Cole–Vishkin rule of
+  description of the algorithm's stopping radius without reading the
+  graph: the constant-radius Cole–Vishkin rule of
   :mod:`repro.kernel.cvring`.  Algorithms opt in through
   :meth:`repro.core.algorithm.BallAlgorithm.compile_kernel_rule`.
 

@@ -29,6 +29,7 @@ import math
 from typing import Sequence
 
 from repro.errors import ConfigurationError
+from repro.kernel.backend import active_backend, numpy_module
 from repro.utils.validation import require_non_negative_int
 
 # Cache of a(0), a(1), ... computed so far; extended on demand.
@@ -38,15 +39,28 @@ _A_CACHE: list[int] = [0, 1]
 def worst_case_segment_sum(p: int) -> int:
     """``a(p)``: worst-case sum of radii in a ``p``-vertex segment."""
     require_non_negative_int(p, "p")
-    while len(_A_CACHE) <= p:
-        q = len(_A_CACHE)
-        best = 0
-        for k in range(1, math.ceil(q / 2) + 1):
-            candidate = k + _A_CACHE[k - 1] + _A_CACHE[q - k]
-            if candidate > best:
-                best = candidate
-        _A_CACHE.append(best)
+    if len(_A_CACHE) <= p and active_backend() == "numpy":
+        _extend_numpy(numpy_module(), _A_CACHE, p)
+    _extend_stdlib(_A_CACHE, p)
     return _A_CACHE[p]
+
+
+def _extend_stdlib(values: list[int], p: int) -> None:
+    """Append ``a(len(values)), ..., a(p)`` to the prefix ``values``."""
+    for q in range(len(values), p + 1):
+        values.append(max(k + values[k - 1] + values[q - k] for k in range(1, (q + 1) // 2 + 1)))
+
+
+def _extend_numpy(np, values: list[int], p: int) -> None:
+    """:func:`_extend_stdlib` with each inner maximum as one int64 expression:
+    for ``h = ceil(q / 2)`` the candidates are ``ks[:h] + a[:h] + a[q - h:q][::-1]``."""
+    start, a = len(values), np.zeros(p + 1, dtype=np.int64)
+    a[:start] = values
+    ks = np.arange(1, (p + 1) // 2 + 1, dtype=np.int64)
+    for q in range(start, p + 1):
+        h = (q + 1) // 2
+        a[q] = (ks[:h] + a[:h] + a[q - h : q][::-1]).max()
+    values.extend(a[start:].tolist())
 
 
 def worst_case_segment_sums(up_to: int) -> list[int]:

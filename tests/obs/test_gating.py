@@ -152,3 +152,28 @@ print("COVERED")
     proc = _run(code, REPRO_OBS="on", REPRO_KERNEL=None)
     assert proc.returncode == 0, proc.stderr
     assert "COVERED" in proc.stdout
+
+
+def test_on_covers_the_kernel_compile():
+    # Compiling the cone rule (ring check, neighbourhood masks) is its own span,
+    # so a greedy sampled query leaves none of it in the cell's self time.
+    code = """
+import repro
+result = repro.query(
+    mode="distribution", topologies="cycle", sizes=256, algorithms="greedy-mis",
+    methods="sample", samples=16, seed=3,
+)
+
+def walk(nodes):
+    for node in nodes:
+        yield node
+        yield from walk(node["children"])
+
+compiles = [node for node in walk(result.profile["spans"]) if node["name"] == "kernel.compile"]
+assert compiles, sorted({node["name"] for node in walk(result.profile["spans"])})
+assert compiles[0]["count"] == 1, compiles
+print("COMPILE")
+"""
+    proc = _run(code, REPRO_OBS="on")
+    assert proc.returncode == 0, proc.stderr
+    assert "COMPILE" in proc.stdout

@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.kernel.backend import numpy_available, numpy_module
+from repro.theory import recurrence
 from repro.theory.oeis import A000788
 from repro.theory.recurrence import (
     average_radius_upper_bound,
@@ -19,6 +21,17 @@ from repro.theory.recurrence import (
 
 
 class TestRecurrenceValues:
+    @pytest.mark.skipif(not numpy_available(), reason="numpy backend unavailable")
+    def test_numpy_and_stdlib_prefixes_agree(self):
+        # The array expression and the stdlib loop extend the same prefix
+        # to the same exact integers, from scratch and from a warm prefix.
+        stdlib, array = [0, 1], [0, 1]
+        recurrence._extend_stdlib(stdlib, 4096)
+        recurrence._extend_numpy(numpy_module(), array, 1000)
+        recurrence._extend_numpy(numpy_module(), array, 4096)
+        assert array == stdlib
+        assert stdlib[4096] == A000788(4096)
+
     def test_initial_values_match_the_paper(self):
         assert worst_case_segment_sum(0) == 0
         assert worst_case_segment_sum(1) == 1
